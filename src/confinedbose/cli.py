@@ -21,6 +21,7 @@ from .bounds import (
     envelope_report,
 )
 from .errors import ConfigError, GuardError, InvariantError
+from .grids import _atomic_write
 from .harness import ExperimentConfig, run_ladder, run_single, verify_lemmas
 from .model import measured_f_eps
 from .onebody import trajectory_rows as onebody_rows
@@ -39,7 +40,7 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None)
         sp.add_argument("--out", type=str, default="out")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--workers", type=int, default=1)
     return p
 
@@ -48,7 +49,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.config is None:
         raise ConfigError("this subcommand requires --config")
     cfg = ExperimentConfig.load(args.config)
-    if args.seed:
+    if args.seed is not None:
         cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
     return cfg
 
@@ -89,14 +90,11 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_verify_lemmas(args) -> int:
-    checks = verify_lemmas(seed=args.seed)
+    checks = verify_lemmas(seed=args.seed or 0)
     os.makedirs(args.out, exist_ok=True)
     table = {c.name: {"passed": c.passed, "worst": c.worst,
                       "tolerance": c.tolerance, "cases": c.cases} for c in checks}
-    path = os.path.join(args.out, "verify_lemmas.json")
-    with open(path + ".tmp", "w", encoding="utf-8") as fh:
-        json.dump(table, fh, indent=2)
-    os.replace(path + ".tmp", path)
+    _atomic_write(os.path.join(args.out, "verify_lemmas.json"), json.dumps(table, indent=2))
     failed = [c.name for c in checks if not c.passed]
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'} {c.name} "
@@ -137,10 +135,7 @@ def _cmd_bounds(args) -> int:
             RateSpec("short-range", theta=spec.theta, nu=spec.nu), spec,
             growth_integrand=integrand,
         )
-    path = os.path.join(args.out, "bounds.json")
-    with open(path + ".tmp", "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    os.replace(path + ".tmp", path)
+    _atomic_write(os.path.join(args.out, "bounds.json"), report.to_json())
     print(f"below_envelope: {report.below_envelope}")
     return EXIT_OK
 
@@ -159,10 +154,7 @@ def _cmd_coulomb_norms(args) -> int:
                      "log_divergence": res.log_divergence})
         print(f"eps={eps}: L1 defect {res.l1_defect:.6g}, "
               f"Linf defect {res.linf_defect:.6g}, log term {res.log_divergence:.6g}")
-    path = os.path.join(args.out, "coulomb_norms.json")
-    with open(path + ".tmp", "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=2)
-    os.replace(path + ".tmp", path)
+    _atomic_write(os.path.join(args.out, "coulomb_norms.json"), json.dumps(rows, indent=2))
     return EXIT_OK
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .grids import GridFunction, kinetic_multiplier
-from .manybody import ManyBodyState, _forward, _inverse, pair_phase_array
+from .grids import GridFunction, apply_along, axis_operators
+from .manybody import ManyBodyState, pair_phase_array
 from .model import ModelSpec
 from .onebody import OneBodyState, chi_mode, hartree_potential, mean_field_kernel
 
@@ -439,18 +439,11 @@ def grad_q_norm(state: ManyBodyState, reference) -> float:
     """
     dom = state.domain
     phi = reference.product_values() if isinstance(reference, OneBodyState) else np.asarray(reference)
-    psi, phi_l2, n = _frame(state.values, phi, weight=dom.cell_volume)
-    q1 = project_q(psi, phi_l2, 0)
-    block_shape = dom.shape
-    q1 = q1.reshape(block_shape + (int(np.prod(block_shape)),) * (n - 1))
-    d_f = dom.free.dim
-    block = len(block_shape)
-    free_axes = tuple(range(d_f))
-    conf_axes = tuple(range(d_f, block))
-    spec_vals = _forward(q1, free_axes, conf_axes)
+    psi, phi_l2, _ = _frame(state.values, phi, weight=dom.cell_volume)
+    q1 = project_q(psi, phi_l2, 0).reshape(dom.shape + (-1,))
     e0 = chi_mode(dom.confined, 0).energy_eps
-    mult = kinetic_multiplier(dom) - e0
-    hv = _inverse(spec_vals * mult.reshape(block_shape + (1,) * (n - 1)), free_axes, conf_axes)
+    hv = sum(apply_along(q1, k, axis)
+             for axis, k in enumerate(axis_operators(dom, lambda mult: mult))) - e0 * q1
     return float(np.vdot(q1, hv).real)
 
 

@@ -11,6 +11,8 @@ are value-like and safe to share between threads.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -29,7 +31,9 @@ __all__ = [
     "to_spectral",
     "from_spectral",
     "kinetic_multiplier",
-    "sobolev_h2_norm",
+    "axis_multipliers",
+    "axis_operators",
+    "apply_along",
     "write_mfl1",
     "read_mfl1",
 ]
@@ -199,6 +203,13 @@ def _domain_axes(domain):
     )
 
 
+def _parts(domain):
+    """(free part or None, confined part or None) of a domain."""
+    free = domain if isinstance(domain, FreeDomain) else getattr(domain, "free", None)
+    conf = domain if isinstance(domain, ConfinedDomain) else getattr(domain, "confined", None)
+    return free, conf
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Complex samples on a domain, tagged position- or spectral-space."""
@@ -284,8 +295,7 @@ def to_spectral(f: GridFunction) -> GridFunction:
         return f
     d = f.domain
     free_ax, conf_ax = _domain_axes(d)
-    free = d if isinstance(d, FreeDomain) else getattr(d, "free", None)
-    conf = d if isinstance(d, ConfinedDomain) else getattr(d, "confined", None)
+    free, conf = _parts(d)
     scale = 1.0
     v = f.values
     if free_ax:
@@ -302,8 +312,7 @@ def from_spectral(f: GridFunction) -> GridFunction:
         return f
     d = f.domain
     free_ax, conf_ax = _domain_axes(d)
-    free = d if isinstance(d, FreeDomain) else getattr(d, "free", None)
-    conf = d if isinstance(d, ConfinedDomain) else getattr(d, "confined", None)
+    free, conf = _parts(d)
     scale = 1.0
     v = f.values
     if free_ax:
@@ -315,29 +324,67 @@ def from_spectral(f: GridFunction) -> GridFunction:
     return f.copy_with(v * scale, space=POSITION)
 
 
+def axis_multipliers(domain: Domain, eps: float | None = None) -> tuple[np.ndarray, ...]:
+    """Per-axis terms of the multiplier of -Delta_x - eps^-2 Delta_y.
+
+    One 1-D array per value axis: k^2 on each free axis, then lambda/eps^2
+    on each confined axis.  With ``eps=None`` the confined weight is taken
+    from the domain; pass ``eps=1.0`` for the plain Laplacian.
+    """
+    free, conf = _parts(domain)
+    if eps is None:
+        eps = conf.eps if conf is not None else 1.0
+    mults = [free.axis_wavenumbers(a) ** 2 for a in range(free.dim)] if free is not None else []
+    if conf is not None:
+        mults += [conf.axis_eigenvalues(a) / eps**2 for a in range(conf.dim)]
+    return tuple(mults)
+
+
 def kinetic_multiplier(domain: Domain, eps: float | None = None) -> np.ndarray:
     """Multiplier of -Delta_x - eps^-2 Delta_y on the spectral grid.
 
-    With ``eps=None`` the confined weight is taken from the domain; pass
-    ``eps=1.0`` for the plain (unweighted) Laplacian multiplier.
+    The broadcast sum of ``axis_multipliers(domain, eps)``.
     """
-    free_ax, conf_ax = _domain_axes(domain)
-    free = domain if isinstance(domain, FreeDomain) else getattr(domain, "free", None)
-    conf = domain if isinstance(domain, ConfinedDomain) else getattr(domain, "confined", None)
-    if eps is None:
-        eps = conf.eps if conf is not None else 1.0
     total = np.zeros(domain.shape)
-    for local_a, axis in enumerate(free_ax):
-        k2 = free.axis_wavenumbers(local_a) ** 2
+    for axis, mult in enumerate(axis_multipliers(domain, eps)):
         shape = [1] * len(domain.shape)
-        shape[axis] = len(k2)
-        total = total + k2.reshape(shape)
-    for local_a, axis in enumerate(conf_ax):
-        lam = conf.axis_eigenvalues(local_a) / eps**2
-        shape = [1] * len(domain.shape)
-        shape[axis] = len(lam)
-        total = total + lam.reshape(shape)
+        shape[axis] = len(mult)
+        total = total + mult.reshape(shape)
     return total
+
+
+def axis_operators(domain: Domain, fn) -> tuple[np.ndarray, ...]:
+    """Position-space matrices of ``fn(axis multiplier)``, one per value axis.
+
+    Axis a's matrix is transform, multiply by fn(m_a), inverse transform
+    along that axis, with the transforms of ``to_spectral`` (FFT on free
+    axes, DST-I on confined ones; their scale factors cancel).  The axis
+    terms of the kinetic operator commute, so applying the matrices of
+    ``fn = exp(-i tau m)`` along every axis is the exact propagator
+    exp(-i tau (-Delta_x - eps^-2 Delta_y)), and summing those of
+    ``fn = identity`` is the kinetic operator itself.
+    """
+    free_ax, _ = _domain_axes(domain)
+    mats = []
+    for axis, mult in enumerate(axis_multipliers(domain)):
+        eye = np.eye(len(mult))
+        weight = fn(mult)[:, None]
+        if axis in free_ax:
+            mats.append(sfft.ifft(weight * sfft.fft(eye, axis=0), axis=0))
+        else:
+            mats.append(sfft.idst(weight * sfft.dst(eye, type=1, axis=0), type=1, axis=0))
+    return tuple(mats)
+
+
+def apply_along(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    """Apply the square matrix ``mat`` to ``values`` along ``axis``."""
+    shape = values.shape
+    n = shape[axis]
+    left = math.prod(shape[:axis])
+    right = math.prod(shape[axis + 1:])
+    if right == 1:  # one gemm rather than a batch of matrix-vector products
+        return (values.reshape(left, n) @ mat.T).reshape(shape)
+    return np.matmul(mat, values.reshape(left, n, right)).reshape(shape)
 
 
 def _apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
@@ -373,11 +420,17 @@ def norm(f: GridFunction) -> float:
     return float(np.sqrt(inner_product(f, f).real))
 
 
-def sobolev_h2_norm(f: GridFunction) -> float:
-    """||f||_{H^2} via the multiplier (1 + |k|^2); geometric, no eps weight."""
-    spec = to_spectral(f)
-    mult = 1.0 + kinetic_multiplier(f.domain, eps=1.0)
-    return float(np.linalg.norm(spec.values * mult))
+# -- output files ------------------------------------------------------------
+
+
+def _atomic_write(path, data):
+    """Write str (UTF-8) or bytes to ``path`` via a temp file and rename."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = str(path) + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
 
 
 # -- MFL1 binary container ---------------------------------------------------
@@ -409,8 +462,7 @@ def write_mfl1(path, domain: Domain, values: np.ndarray, space: str = POSITION,
                n_particles: int = 1):
     """Serialize samples over ``domain ** n_particles`` to the MFL1 container."""
     values = np.ascontiguousarray(values, dtype=np.complex128)
-    free = domain if isinstance(domain, FreeDomain) else getattr(domain, "free", None)
-    conf = domain if isinstance(domain, ConfinedDomain) else getattr(domain, "confined", None)
+    free, conf = _parts(domain)
     d_f = free.dim if free is not None else 0
     d_c = conf.dim if conf is not None else 0
     if values.shape != domain.shape * n_particles:
@@ -426,14 +478,7 @@ def write_mfl1(path, domain: Domain, values: np.ndarray, space: str = POSITION,
         for c, d in conf.intervals:
             geom += [c, d]
     head.append(struct.pack(f"<{len(geom)}d", *geom))
-    payload = values.astype("<c16").tobytes(order="C")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(head))
-        fh.write(payload)
-    import os
-
-    os.replace(tmp, path)
+    _atomic_write(path, b"".join(head + [np.ascontiguousarray(values, dtype="<c16")]))
 
 
 def read_mfl1(path):

@@ -17,12 +17,12 @@ import numpy as np
 
 from . import counting as cnt
 from .errors import ConfigError, GuardError, InvariantError
-from .grids import ConfinedDomain, FreeDomain, GridFunction, norm, write_mfl1
+from .grids import ConfinedDomain, FreeDomain, GridFunction, _atomic_write, norm, write_mfl1
 from .manybody import (
     DEFAULT_MEMORY_CAP,
-    estimate_state_bytes,
     evolve_manybody,
     product_state,
+    working_set_bytes,
 )
 from .manybody import trajectory_rows as manybody_rows
 from .model import ExternalPotential, InteractionProfile, ModelSpec
@@ -38,13 +38,6 @@ __all__ = [
     "LemmaCheck",
     "initial_state",
 ]
-
-
-def _atomic_write(path, text: str):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -166,7 +159,7 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
     """
     os.makedirs(out_dir, exist_ok=True)
     spec = config.model_spec()
-    if 5 * estimate_state_bytes(spec) > config.memory_cap_bytes:
+    if working_set_bytes(spec) > config.memory_cap_bytes:
         raise GuardError(
             "configured run exceeds the memory cap; reduce the grid, N, or raise the cap"
         )
@@ -304,8 +297,7 @@ def run_ladder(config: ExperimentConfig, out_dir, workers: int = 1,
         jobs.append((n, cfg_n, os.path.join(out_dir, f"N{n}")))
 
     for n, cfg_n, _ in jobs:
-        need = 5 * estimate_state_bytes(cfg_n.model_spec())
-        if need > config.memory_cap_bytes:
+        if working_set_bytes(cfg_n.model_spec()) > config.memory_cap_bytes:
             raise GuardError(f"ladder point N={n} exceeds the memory cap")
 
     results: dict[int, float | None] = {}
@@ -321,7 +313,7 @@ def run_ladder(config: ExperimentConfig, out_dir, workers: int = 1,
     else:
         batches, current, current_bytes = [], [], 0
         for j in jobs:
-            need = 5 * estimate_state_bytes(j[1].model_spec())
+            need = working_set_bytes(j[1].model_spec())
             if current and (len(current) >= workers
                             or current_bytes + need > config.memory_cap_bytes):
                 batches.append(current)

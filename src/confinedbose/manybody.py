@@ -1,11 +1,13 @@
 """Exact N-particle Schrodinger dynamics on the tensor grid Omega^N.
 
 The wavefunction is stored as a dense complex tensor whose axis blocks are
-the per-particle (free..., confined...) axes.  Kinetic steps act by mixed
-FFT/DST multipliers, pair interactions and external potentials by exact
-pointwise phases; the integrator is the same second-order Strang splitting
-as the effective solver.  Everything is desk scale: a memory guard refuses
-tensors beyond a configurable cap (2 GiB by default).
+the per-particle (free..., confined...) axes.  The kinetic operator is a sum
+of commuting one-axis terms, so kinetic steps apply the one-body per-axis
+matrices of ``grids.axis_operators`` along every particle axis; pair
+interactions and external potentials act by exact pointwise phases.  The
+integrator is the same second-order Strang splitting as the effective
+solver.  Everything is desk scale: a memory guard refuses tensors beyond a
+configurable cap (2 GiB by default).
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import ConfigError, GuardError
-from .grids import ProductDomain, kinetic_multiplier
+from .grids import ProductDomain, apply_along, axis_operators
 from .model import ModelSpec
 from .onebody import OneBodyState
 
@@ -34,6 +35,7 @@ __all__ = [
     "symmetry_residual",
     "product_state",
     "estimate_state_bytes",
+    "working_set_bytes",
     "DEFAULT_MEMORY_CAP",
     "trajectory_rows",
 ]
@@ -72,24 +74,19 @@ class ManyBodyState:
         return float(np.sqrt(self.cell_volume * np.vdot(self.values, self.values).real))
 
 
-def _axis_blocks(domain: ProductDomain, n: int):
-    """Free and confined axis indices per particle."""
-    d_f, d_c = domain.free.dim, domain.confined.dim
-    block = d_f + d_c
-    free, conf = [], []
-    for i in range(n):
-        free += [i * block + a for a in range(d_f)]
-        conf += [i * block + d_f + a for a in range(d_c)]
-    return tuple(free), tuple(conf)
-
-
 def estimate_state_bytes(spec: ModelSpec) -> int:
     m = int(np.prod(spec.domain.shape))
     return 16 * m**spec.n_particles
 
 
+def working_set_bytes(spec: ModelSpec) -> int:
+    """Bytes budgeted for one run: five state-sized tensors (state, kinetic
+    output, phases, temporaries)."""
+    return 5 * estimate_state_bytes(spec)
+
+
 def _check_memory(spec: ModelSpec, cap: int):
-    need = 5 * estimate_state_bytes(spec)  # state, spectral copy, phases, temps
+    need = working_set_bytes(spec)
     if need > cap:
         raise GuardError(
             f"estimated working set {need / 2**30:.2f} GiB exceeds cap "
@@ -212,46 +209,6 @@ def pair_phase_array(spec: ModelSpec) -> np.ndarray:
 
 # -- dynamics -----------------------------------------------------------------
 
-_SINE_CACHE: dict[int, np.ndarray] = {}
-
-
-def _sine_matrix(n: int) -> np.ndarray:
-    mat = _SINE_CACHE.get(n)
-    if mat is None:
-        j = np.arange(1, n + 1)
-        mat = np.sin(np.pi * np.outer(j, j) / (n + 1))
-        _SINE_CACHE[n] = mat
-    return mat
-
-
-def _dst_axis(values, axis, inverse=False):
-    """DST-I along one axis by batched matmul; confined axes are short,
-    where pocketfft's per-vector overhead dwarfs the O(n^2) arithmetic."""
-    n = values.shape[axis]
-    if n > 128:
-        fn = sfft.idst if inverse else sfft.dst
-        return fn(values, type=1, axis=axis)
-    left = int(np.prod(values.shape[:axis], dtype=np.int64))
-    right = int(np.prod(values.shape[axis + 1:], dtype=np.int64))
-    block = values.reshape(left, n, right)
-    mat = _sine_matrix(n)
-    scale = 1.0 / (n + 1) if inverse else 2.0
-    return (scale * np.matmul(mat, block)).reshape(values.shape)
-
-
-def _forward(values, free_axes, conf_axes):
-    out = sfft.fftn(values, axes=free_axes) if free_axes else values.copy()
-    for ax in conf_axes:
-        out = _dst_axis(out, ax)
-    return out
-
-
-def _inverse(values, free_axes, conf_axes):
-    out = values
-    for ax in conf_axes:
-        out = _dst_axis(out, ax, inverse=True)
-    return sfft.ifftn(out, axes=free_axes) if free_axes else out
-
 
 def _broadcast_shape(total_axes: int, block: int, i: int, one_body_shape):
     shape = [1] * total_axes
@@ -280,10 +237,10 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
                     sym_tol: float = 1e-6) -> list[ManyBodyState]:
     """Strang-split unitary evolution under the N-particle Hamiltonian.
 
-    Kinetic multiplier includes the eps^-2 weight on confined axes; the
-    potential substep applies the exact phase of the summed external
-    potential and pair interactions, the external part evaluated at the
-    substep midpoint.
+    Kinetic half-steps apply the one-body per-axis propagators (eps^-2
+    weight on confined axes) along every particle axis; the potential
+    substep applies the exact phase of the summed external potential and
+    pair interactions, the external part evaluated at the substep midpoint.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -302,15 +259,15 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
     dom = spec.domain
     block = len(dom.shape)
     total_axes = n * block
-    free_axes, conf_axes = _axis_blocks(dom, n)
-    one_kick = np.exp(-0.5j * dt * kinetic_multiplier(dom))
-    pair = pair_phase_array(spec) if n > 1 else None
+    kicks = axis_operators(dom, lambda mult: np.exp(-0.5j * dt * mult)) * n
+    phase_pair = None
+    if n > 1:
+        phase_pair = np.exp(-1j * dt * spec.pair_prefactor * pair_phase_array(spec))
 
-    def kinetic_half(values):
-        spec_vals = _forward(values, free_axes, conf_axes)
-        for i in range(n):
-            spec_vals *= one_kick.reshape(_broadcast_shape(total_axes, block, i, dom.shape))
-        return _inverse(spec_vals, free_axes, conf_axes)
+    def kinetic_half(values):  # a new array, so reported states are never overwritten
+        for axis, kick in enumerate(kicks):
+            values = apply_along(values, kick, axis)
+        return values
 
     def potential_phase(values, t_mid):
         if not spec.potential.is_zero:
@@ -318,8 +275,7 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
             phase_one = np.exp(-1j * dt * v_one)
             for i in range(n):
                 values *= phase_one.reshape(_broadcast_shape(total_axes, block, i, dom.shape))
-        if pair is not None:
-            phase_pair = np.exp(-1j * dt * spec.pair_prefactor * pair)
+        if phase_pair is not None:
             for i, j in itertools.combinations(range(n), 2):
                 sh = [1] * total_axes
                 for a, m in enumerate(dom.shape):
@@ -330,27 +286,24 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
         return values
 
     out = [state]
-    values = state.values.copy()
+    values = state.values
     for k in range(steps):
         t_mid = state.t + k * dt + dt / 2
         values = kinetic_half(values)
         values = potential_phase(values, t_mid)
         values = kinetic_half(values)
         if (k + 1) % stride == 0 or k + 1 == steps:
-            out.append(ManyBodyState(dom, values.copy(), state.t + (k + 1) * dt))
+            out.append(ManyBodyState(dom, values, state.t + (k + 1) * dt))
     return out
 
 
 def _apply_h1(state: ManyBodyState, spec: ModelSpec) -> np.ndarray:
-    """(h_1 + V_1) psi with the kinetic part applied spectrally on particle 1."""
+    """(h_1 + V_1) psi, the kinetic part summed over particle 1's axes."""
     dom = state.domain
     block = len(dom.shape)
     n = state.n_particles
-    free_axes = tuple(a for a in range(block) if a < dom.free.dim)
-    conf_axes = tuple(a for a in range(block) if a >= dom.free.dim)
-    spec_vals = _forward(state.values, free_axes, conf_axes)
-    spec_vals *= kinetic_multiplier(dom).reshape(dom.shape + (1,) * (block * (n - 1)))
-    out = _inverse(spec_vals, free_axes, conf_axes)
+    out = sum(apply_along(state.values, k, axis)
+              for axis, k in enumerate(axis_operators(dom, lambda mult: mult)))
     if not spec.potential.is_zero:
         v_one = spec.potential.values_product(state.t, dom)
         out = out + v_one.reshape(dom.shape + (1,) * (block * (n - 1))) * state.values

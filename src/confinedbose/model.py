@@ -240,22 +240,6 @@ class ModelSpec:
             return 1.0 / (self.n_particles - 1) if self.n_particles > 1 else 0.0
         return 1.0 / self.n_particles
 
-    def with_particles(self, n: int, eps: float | None = None) -> "ModelSpec":
-        confined = self.confined
-        if eps is not None:
-            confined = ConfinedDomain(confined.intervals, confined.points, eps=eps)
-        return ModelSpec(
-            free=self.free,
-            confined=confined,
-            n_particles=n,
-            interaction=self.interaction,
-            regime=self.regime,
-            theta=self.theta,
-            nu=self.nu,
-            potential=self.potential,
-            mode_index=self.mode_index,
-        )
-
 
 def measured_f_eps(profile: InteractionProfile, eps: float, free: FreeDomain,
                    confined: ConfinedDomain, refine: int = 4) -> float:

@@ -9,6 +9,8 @@ from confinedbose.grids import (
     FreeDomain,
     GridFunction,
     ProductDomain,
+    apply_along,
+    axis_operators,
     from_spectral,
     inner_product,
     kinetic_multiplier,
@@ -241,3 +243,30 @@ def test_kinetic_multiplier_eps_weighting():
     assert np.allclose(weighted[0], plain[0] * 4.0)
     diff = weighted - plain
     assert np.allclose(diff[:, 0], 3.0 * np.pi**2 * np.ones(8), rtol=1e-12)
+
+
+@pytest.mark.parametrize("conf_points", [(3,), (4, 3)])
+def test_axis_operators_match_spectral_route(conf_points):
+    intervals = ((-0.5, 0.5), (-0.4, 0.6))[: len(conf_points)]
+    dom = ProductDomain(
+        FreeDomain((6.0,), (16,)), ConfinedDomain(intervals, conf_points, eps=0.5)
+    )
+    rng = np.random.default_rng(11)
+    f = GridFunction(dom, rng.normal(size=dom.shape) + 1j * rng.normal(size=dom.shape))
+    mult = kinetic_multiplier(dom)
+    spectral = to_spectral(f)
+
+    def spectral_route(weight):
+        return from_spectral(spectral.copy_with(spectral.values * weight)).values
+
+    expected = spectral_route(mult)
+    generator = sum(apply_along(f.values, k, axis)
+                    for axis, k in enumerate(axis_operators(dom, lambda m: m)))
+    assert np.max(np.abs(generator - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    tau = 0.03
+    expected = spectral_route(np.exp(-1j * tau * mult))
+    evolved = f.values
+    for axis, u in enumerate(axis_operators(dom, lambda m: np.exp(-1j * tau * m))):
+        evolved = apply_along(evolved, u, axis)
+    assert np.max(np.abs(evolved - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -187,6 +187,14 @@ def test_cli_simulate_and_counting(tmp_path):
     assert not (out3 / "counting.csv").exists()
 
 
+def test_cli_seed_zero_overrides_config(tmp_path):
+    cfg = write_config(tmp_path)  # the config's seed is 7
+    out = tmp_path / "s0"
+    assert main(["simulate-manybody", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["seed"] == 0 and meta["config"]["seed"] == 0
+
+
 def test_cli_guard_exit_code(tmp_path):
     cfg = write_config(tmp_path, memory_cap_bytes=1000)
     assert main(["counting", "--config", cfg, "--out", str(tmp_path / "o")]) == 3

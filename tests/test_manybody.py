@@ -169,22 +169,21 @@ def test_noninteracting_factorization(n):
 
 
 def dense_hamiltonian(spec):
-    """Explicit matrix of the two-particle Hamiltonian (CN oracle input)."""
-    from confinedbose.manybody import _forward, _inverse
-    from confinedbose.grids import kinetic_multiplier
+    """Explicit matrix of the two-particle Hamiltonian (CN oracle input).
+
+    The one-body kinetic block comes from the unitary transforms and the
+    full multiplier, not from the per-axis operators the solver uses.
+    """
+    from confinedbose.grids import from_spectral, kinetic_multiplier, to_spectral
 
     dom = spec.domain
     m = int(np.prod(dom.shape))
-    block = len(dom.shape)
-    free_axes = tuple(range(dom.free.dim))
-    conf_axes = tuple(range(dom.free.dim, block))
     mult = kinetic_multiplier(dom)
     k_one = np.zeros((m, m), dtype=complex)
     eye = np.eye(m, dtype=complex)
     for col in range(m):
-        v = eye[:, col].reshape(dom.shape)
-        w = _inverse(_forward(v, free_axes, conf_axes) * mult, free_axes, conf_axes)
-        k_one[:, col] = w.ravel()
+        spectral = to_spectral(GridFunction(dom, eye[:, col].reshape(dom.shape)))
+        k_one[:, col] = from_spectral(spectral.copy_with(spectral.values * mult)).values.ravel()
     h = np.kron(k_one, np.eye(m)) + np.kron(np.eye(m), k_one)
     pair = pair_phase_array(spec).reshape(m, m)
     h += spec.pair_prefactor * np.diag(pair.ravel())
