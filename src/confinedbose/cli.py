@@ -106,24 +106,20 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .harness import initial_state
-    from .onebody import evolve_effective, sup_norms
+    from .onebody import sup_norms
 
     cfg = _load_config(args)
     spec = cfg.model_spec()
-    run_single(cfg, args.out, counting_reports=True)
-    with open(os.path.join(args.out, "counting.json"), encoding="utf-8") as fh:
-        reports = json.load(fh)
-    times = [r["t"] for r in reports]
-    ones = evolve_effective(initial_state(spec, cfg.initial), spec,
-                            cfg.time_horizon, cfg.dt, stride=cfg.report_stride)
+    summary = run_single(cfg, args.out, counting_reports=True)
+    reports, ones = summary["reports"], summary["onebody"]
+    times = summary["times"]
     if spec.regime == "hartree-theta0":
         sups = [sup_norms(st) for st in ones]
         norms = interaction_norms(spec.interaction, spec.eps, spec.free, spec.confined)
         f_eps = measured_f_eps(spec.interaction, spec.eps, spec.free, spec.confined)
         coeff = mean_field_coefficient(times, [s[0] for s in sups], [s[1] for s in sups], norms)
         report = envelope_report(
-            times, [r["alpha"] for r in reports], RateSpec("mean-field"), spec,
+            times, [r.alpha for r in reports], RateSpec("mean-field"), spec,
             coefficient=coeff, f_eps=f_eps,
         )
     else:
@@ -131,7 +127,7 @@ def _cmd_bounds(args) -> int:
             raise ConfigError("the short-range bound check needs theta in (1/4, 1/3)")
         integrand = growth_integrand_short_range(ones, spec)
         report = envelope_report(
-            times, [r["beta_tilde"] for r in reports],
+            times, [r.beta_tilde for r in reports],
             RateSpec("short-range", theta=spec.theta, nu=spec.nu), spec,
             growth_integrand=integrand,
         )

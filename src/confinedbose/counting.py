@@ -573,12 +573,10 @@ class CountingReport:
         return ",".join(_REPORT_FIELDS)
 
 
-def compute_report(state: ManyBodyState, one_body: OneBodyState, spec: ModelSpec,
-                   e_psi: float | None = None, e_phi: float | None = None) -> CountingReport:
-    """Evaluate all counting functionals for one (psi, phi) snapshot."""
-    from .manybody import manybody_energy
-    from .onebody import effective_energy
-
+def compute_report(state: ManyBodyState, one_body: OneBodyState,
+                   e_psi: float, e_phi: float) -> CountingReport:
+    """Evaluate all counting functionals for one (psi, phi) snapshot whose
+    per-particle energies ``e_psi`` and ``e_phi`` the caller computed."""
     psi, phi, n = _grid_frame(state, one_body)
     pk = occupation_distribution(psi, phi)
     ks = np.arange(n + 1)
@@ -586,10 +584,6 @@ def compute_report(state: ManyBodyState, one_body: OneBodyState, spec: ModelSpec
     b = float(np.dot(np.sqrt(ks / n), pk))
     gamma = density_matrix(psi)
     tr = trace_distance(gamma, phi)
-    if e_psi is None:
-        e_psi = manybody_energy(state, spec)
-    if e_phi is None:
-        e_phi = effective_energy(one_body, spec)
     report = CountingReport(
         t=state.t,
         alpha=a,

@@ -20,13 +20,14 @@ from .errors import ConfigError, GuardError, InvariantError
 from .grids import ConfinedDomain, FreeDomain, GridFunction, _atomic_write, norm, write_mfl1
 from .manybody import (
     DEFAULT_MEMORY_CAP,
+    _energy_and_residual,
+    _permutation_average,
     evolve_manybody,
     product_state,
     working_set_bytes,
 )
-from .manybody import trajectory_rows as manybody_rows
 from .model import ExternalPotential, InteractionProfile, ModelSpec
-from .onebody import OneBodyState, chi_mode, evolve_effective
+from .onebody import OneBodyState, _time_grid, chi_mode, evolve_effective
 from .onebody import trajectory_rows as onebody_rows
 
 __all__ = [
@@ -151,15 +152,23 @@ def _csv(path, header: str, rows):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _working_set(config: ExperimentConfig) -> int:
+    """working_set_bytes of a configured run: it keeps every reported state."""
+    kept = _time_grid(config.time_horizon, config.dt, max(1, int(config.report_stride)))[1]
+    return working_set_bytes(config.model_spec(), kept)
+
+
 def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True) -> dict:
     """Run one configured experiment; returns a summary dict.
 
     Writes onebody.csv, manybody.csv, counting.csv/.json, final-state MFL1
-    snapshots and run_meta.json into ``out_dir`` (atomically).
+    snapshots and run_meta.json into ``out_dir`` (atomically); the CSVs and
+    reports share one evaluation of each snapshot's diagnostics.  The summary
+    also holds the ``reports`` and the one-body trajectory ``onebody``.
     """
     os.makedirs(out_dir, exist_ok=True)
     spec = config.model_spec()
-    if working_set_bytes(spec) > config.memory_cap_bytes:
+    if _working_set(config) > config.memory_cap_bytes:
         raise GuardError(
             "configured run exceeds the memory cap; reduce the grid, N, or raise the cap"
         )
@@ -172,15 +181,16 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
         memory_cap=config.memory_cap_bytes,
     )
 
-    _csv(os.path.join(out_dir, "onebody.csv"),
-         "t,mass,E_phi,sup_phi,H2_phi", onebody_rows(ones, spec))
-    _csv(os.path.join(out_dir, "manybody.csv"),
-         "t,mass,E_psi,symmetry_residual", manybody_rows(manys, spec))
+    one_rows = onebody_rows(ones, spec)
+    many_rows = [(st.t, st.mass(), *_energy_and_residual(st, spec)) for st in manys]
+    _csv(os.path.join(out_dir, "onebody.csv"), "t,mass,E_phi,sup_phi,H2_phi", one_rows)
+    _csv(os.path.join(out_dir, "manybody.csv"), "t,mass,E_psi,symmetry_residual", many_rows)
 
     reports = []
     if counting_reports:
-        for mb, ob in zip(manys, ones):
-            reports.append(cnt.compute_report(mb, ob, spec))
+        reports = [cnt.compute_report(mb, ob, e_psi, e_phi)
+                   for mb, ob, (_, _, e_psi, _), (_, _, e_phi, _, _)
+                   in zip(manys, ones, many_rows, one_rows)]
         _atomic_write(
             os.path.join(out_dir, "counting.json"),
             json.dumps([r.to_dict() for r in reports], indent=1),
@@ -212,6 +222,8 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
         "alphas": [r.alpha for r in reports],
         "betas": [r.beta for r in reports],
         "out_dir": str(out_dir),
+        "reports": reports,
+        "onebody": ones,
     }
     return summary
 
@@ -297,7 +309,7 @@ def run_ladder(config: ExperimentConfig, out_dir, workers: int = 1,
         jobs.append((n, cfg_n, os.path.join(out_dir, f"N{n}")))
 
     for n, cfg_n, _ in jobs:
-        if working_set_bytes(cfg_n.model_spec()) > config.memory_cap_bytes:
+        if _working_set(cfg_n) > config.memory_cap_bytes:
             raise GuardError(f"ladder point N={n} exceeds the memory cap")
 
     results: dict[int, float | None] = {}
@@ -313,7 +325,7 @@ def run_ladder(config: ExperimentConfig, out_dir, workers: int = 1,
     else:
         batches, current, current_bytes = [], [], 0
         for j in jobs:
-            need = working_set_bytes(j[1].model_spec())
+            need = _working_set(j[1])
             if current and (len(current) >= workers
                             or current_bytes + need > config.memory_cap_bytes):
                 batches.append(current)
@@ -392,11 +404,7 @@ class LemmaCheck:
 
 def _random_symmetric(rng, dim: int, n: int) -> np.ndarray:
     raw = rng.normal(size=(dim,) * n) + 1j * rng.normal(size=(dim,) * n)
-    import itertools as it
-
-    acc = np.zeros_like(raw)
-    for perm in it.permutations(range(n)):
-        acc += np.transpose(raw, perm)
+    acc = _permutation_average(raw, n, 1)
     return acc / np.linalg.norm(acc.ravel())
 
 

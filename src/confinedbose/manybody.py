@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, GuardError
 from .grids import ProductDomain, apply_along, axis_operators
 from .model import ModelSpec
-from .onebody import OneBodyState
+from .onebody import OneBodyState, _time_grid
 
 __all__ = [
     "ManyBodyState",
@@ -37,10 +37,9 @@ __all__ = [
     "estimate_state_bytes",
     "working_set_bytes",
     "DEFAULT_MEMORY_CAP",
-    "trajectory_rows",
 ]
 
-DEFAULT_MEMORY_CAP = 2 * 1024**3  # bytes; a run needs ~5 tensors of state size
+DEFAULT_MEMORY_CAP = 2 * 1024**3  # bytes; see working_set_bytes for what a run needs
 
 
 @dataclass(frozen=True)
@@ -79,19 +78,11 @@ def estimate_state_bytes(spec: ModelSpec) -> int:
     return 16 * m**spec.n_particles
 
 
-def working_set_bytes(spec: ModelSpec) -> int:
-    """Bytes budgeted for one run: five state-sized tensors (state, kinetic
-    output, phases, temporaries)."""
-    return 5 * estimate_state_bytes(spec)
-
-
-def _check_memory(spec: ModelSpec, cap: int):
-    need = working_set_bytes(spec)
-    if need > cap:
-        raise GuardError(
-            f"estimated working set {need / 2**30:.2f} GiB exceeds cap "
-            f"{cap / 2**30:.2f} GiB; shrink the grid or raise the cap"
-        )
+def working_set_bytes(spec: ModelSpec, kept: int) -> int:
+    """Bytes budgeted for a run that keeps ``kept`` many-body states: those,
+    the 2N + 1 state-sized arrays of a counting report's occupancy sweep (N
+    components, N new projections, the rescaled psi) and two temporaries."""
+    return (kept + 2 * spec.n_particles + 3) * estimate_state_bytes(spec)
 
 
 # -- pair interaction ---------------------------------------------------------
@@ -210,10 +201,11 @@ def pair_phase_array(spec: ModelSpec) -> np.ndarray:
 # -- dynamics -----------------------------------------------------------------
 
 
-def _broadcast_shape(total_axes: int, block: int, i: int, one_body_shape):
+def _broadcast_shape(total_axes: int, block: int, particles, one_body_shape):
     shape = [1] * total_axes
-    for a, n in enumerate(one_body_shape):
-        shape[i * block + a] = n
+    for i in particles:
+        for a, n in enumerate(one_body_shape):
+            shape[i * block + a] = n
     return tuple(shape)
 
 
@@ -242,14 +234,15 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
     substep applies the exact phase of the summed external potential and
     pair interactions, the external part evaluated at the substep midpoint.
     """
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    steps = round(T / dt)
-    if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ConfigError("T must be an integral number of steps")
+    steps, kept = _time_grid(T, dt, stride)
     if state.n_particles != spec.n_particles or state.domain != spec.domain:
         raise ConfigError("state does not match the model spec's grid or N")
-    _check_memory(spec, memory_cap)
+    need = working_set_bytes(spec, kept)
+    if need > memory_cap:
+        raise GuardError(
+            f"estimated working set {need / 2**30:.2f} GiB exceeds cap "
+            f"{memory_cap / 2**30:.2f} GiB; shrink the grid or raise the cap"
+        )
     if abs(state.mass() - 1.0) > 1e-6:
         raise ConfigError("initial state is not normalized")
     if symmetry_residual(state) > sym_tol:
@@ -274,15 +267,10 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
             v_one = spec.potential.values_product(t_mid, dom)
             phase_one = np.exp(-1j * dt * v_one)
             for i in range(n):
-                values *= phase_one.reshape(_broadcast_shape(total_axes, block, i, dom.shape))
+                values *= phase_one.reshape(_broadcast_shape(total_axes, block, (i,), dom.shape))
         if phase_pair is not None:
-            for i, j in itertools.combinations(range(n), 2):
-                sh = [1] * total_axes
-                for a, m in enumerate(dom.shape):
-                    sh[i * block + a] = m
-                for a, m in enumerate(dom.shape):
-                    sh[j * block + a] = m
-                values *= phase_pair.reshape(sh)
+            for pair in itertools.combinations(range(n), 2):
+                values *= phase_pair.reshape(_broadcast_shape(total_axes, block, pair, dom.shape))
         return values
 
     out = [state]
@@ -310,10 +298,11 @@ def _apply_h1(state: ManyBodyState, spec: ModelSpec) -> np.ndarray:
     return out
 
 
-def manybody_energy(state: ManyBodyState, spec: ModelSpec,
-                    sym_tol: float = 1e-6) -> float:
-    """Per-particle energy via the symmetric two-body reduction."""
-    if symmetry_residual(state) > sym_tol:
+def _energy_and_residual(state: ManyBodyState, spec: ModelSpec,
+                         sym_tol: float = 1e-6) -> tuple[float, float]:
+    """(manybody_energy, the symmetry residual its guard computed)."""
+    residual = symmetry_residual(state)
+    if residual > sym_tol:
         raise ConfigError("manybody_energy expects a symmetric state")
     vol = state.cell_volume
     n = state.n_particles
@@ -328,7 +317,13 @@ def manybody_energy(state: ManyBodyState, spec: ModelSpec,
         pair_exp = float((np.vdot(state.values, wpsi) * vol).real)
         coeff = spec.pair_prefactor * (n * (n - 1) / 2.0) / n
         inter = coeff * pair_exp
-    return kin + inter
+    return kin + inter, residual
+
+
+def manybody_energy(state: ManyBodyState, spec: ModelSpec,
+                    sym_tol: float = 1e-6) -> float:
+    """Per-particle energy via the symmetric two-body reduction."""
+    return _energy_and_residual(state, spec, sym_tol)[0]
 
 
 def excess_energy_diagnostic(state: ManyBodyState, spec: ModelSpec) -> float:
@@ -339,18 +334,22 @@ def excess_energy_diagnostic(state: ManyBodyState, spec: ModelSpec) -> float:
     return manybody_energy(state, spec) - mode.energy_eps
 
 
+def _permutation_average(values: np.ndarray, n: int, block: int) -> np.ndarray:
+    """Mean of ``values`` over all orders of its n particle blocks of ``block`` axes."""
+    acc = np.zeros_like(values)
+    for order in itertools.permutations(range(n)):
+        acc += np.transpose(values, [b * block + a for b in order for a in range(block)])
+    acc /= math.factorial(n)
+    return acc
+
+
 def symmetrize(domain: ProductDomain, values: np.ndarray, t: float = 0.0) -> ManyBodyState:
     """Average over all particle permutations and renormalize."""
     raw = ManyBodyState(domain, values, t)
     n = raw.n_particles
     if n > 6:
         raise GuardError("permutation average limited to N <= 6")
-    block = len(domain.shape)
-    acc = np.zeros_like(raw.values)
-    for order in itertools.permutations(range(n)):
-        axes = [b * block + a for b in order for a in range(block)]
-        acc += np.transpose(raw.values, axes)
-    acc /= math.factorial(n)
+    acc = _permutation_average(raw.values, n, len(domain.shape))
     nrm = float(np.linalg.norm(acc.ravel())) * np.sqrt(raw.cell_volume)
     if nrm < 1e-14:
         raise ConfigError("state vanishes after symmetrization")
@@ -366,10 +365,3 @@ def product_state(one_body: OneBodyState, n: int) -> ManyBodyState:
         values = np.multiply.outer(values, phi)
     return ManyBodyState(one_body.domain, values, one_body.t)
 
-
-def trajectory_rows(states: list[ManyBodyState], spec: ModelSpec):
-    """CSV rows (t, mass, E_psi, symmetry_residual)."""
-    return [
-        (st.t, st.mass(), manybody_energy(st, spec), symmetry_residual(st))
-        for st in states
-    ]

@@ -197,6 +197,17 @@ def mean_field_kernel(spec: ModelSpec) -> GridFunction:
     return GridFunction(spec.free, spec.interaction.radial(r))
 
 
+def _time_grid(T: float, dt: float, stride: int) -> tuple[int, int]:
+    """(steps, states kept) of a run over [0, T]: the initial state, one
+    every ``stride`` steps and the last."""
+    if dt <= 0:
+        raise ConfigError("dt must be positive")
+    steps = round(T / dt)
+    if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
+        raise ConfigError("T must be an integral number of steps")
+    return steps, -(-steps // stride) + 1
+
+
 def evolve_effective(state: OneBodyState, spec: ModelSpec, T: float, dt: float,
                      stride: int = 1) -> list[OneBodyState]:
     """Integrate the effective equation with Strang splitting.
@@ -206,11 +217,7 @@ def evolve_effective(state: OneBodyState, spec: ModelSpec, T: float, dt: float,
     potential evaluated at the substep midpoint), half kinetic step.
     Returns states at every ``stride``-th step, starting with the input.
     """
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    steps = round(T / dt)
-    if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ConfigError("T must be an integral number of steps")
+    steps = _time_grid(T, dt, stride)[0]
     dom = state.phi_free.domain
     mult = kinetic_multiplier(dom)
     half_kick = np.exp(-0.5j * dt * mult)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from confinedbose import counting as cnt
 from confinedbose.errors import ConfigError, InvariantError
 from confinedbose.grids import ConfinedDomain, FreeDomain, GridFunction, norm
-from confinedbose.manybody import pair_phase_array, product_state, symmetrize
+from confinedbose.manybody import manybody_energy, pair_phase_array, product_state, symmetrize
 from confinedbose.model import InteractionProfile, ModelSpec
-from confinedbose.onebody import OneBodyState, chi_mode
+from confinedbose.onebody import OneBodyState, chi_mode, effective_energy
 
 
 def random_unit(rng, dim):
@@ -532,7 +532,8 @@ def test_operator_norm_bounds_three_profiles():
 def test_counting_report_round_trip_and_validation():
     spec, one = grid_setting()
     psi_prod = product_state(one, 2)
-    report = cnt.compute_report(psi_prod, one, spec)
+    report = cnt.compute_report(psi_prod, one, manybody_energy(psi_prod, spec),
+                                effective_energy(one, spec))
     assert report.alpha < 1e-10
     assert report.beta_tilde >= report.beta
     d = report.to_dict()

@@ -2,9 +2,12 @@
 
 import json
 import os
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from confinedbose import harness, onebody
 from confinedbose.cli import main
 from confinedbose.errors import ConfigError, GuardError
 from confinedbose.harness import (
@@ -14,6 +17,9 @@ from confinedbose.harness import (
     run_single,
     verify_lemmas,
 )
+from confinedbose.manybody import working_set_bytes
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 BASE = {
     "regime": "hartree-theta0",
@@ -71,6 +77,19 @@ def test_run_single_memory_guard(tmp_path):
     cfg = config(memory_cap_bytes=1000)
     with pytest.raises(GuardError):
         run_single(cfg, tmp_path / "run")
+
+
+@pytest.mark.parametrize("steps", [1, 9])
+def test_run_single_peak_within_working_set(tmp_path, steps):
+    # m = 48, N = 3: one report interval (2 kept states) and 10 kept states
+    cfg = config(n_particles=3, dt=1e-2, time_horizon=steps * 1e-2, report_stride=1)
+    tracemalloc.start()
+    try:
+        run_single(cfg, tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= working_set_bytes(cfg.model_spec(), steps + 1)
 
 
 def test_fit_rate_contracts():
@@ -223,3 +242,27 @@ def test_cli_bounds_hartree(tmp_path):
     report = json.loads((out / "bounds.json").read_text())
     assert report["regime"] == "mean-field"
     assert report["below_envelope"] is True
+
+
+def test_cli_bounds_short_range_reuses_run(tmp_path, monkeypatch):
+    calls = []
+    evolve = onebody.evolve_effective
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(onebody, "evolve_effective", counted)
+    monkeypatch.setattr(harness, "evolve_effective", counted)
+    demo = json.loads((DEMO_CONFIGS / "nls_theta_two_confined.json").read_text())
+    demo["confined"]["points"] = [2, 2]
+    demo["time_horizon"] = 10 * demo["dt"]
+    path = tmp_path / "nls.json"
+    path.write_text(json.dumps(demo), encoding="utf-8")
+    out = tmp_path / "b"
+    assert main(["bounds", "--config", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "bounds.json").read_text())
+    counting = json.loads((out / "counting.json").read_text())
+    assert report["regime"] == "short-range"
+    assert report["times"] == [r["t"] for r in counting]
+    assert len(calls) == 1
