@@ -64,7 +64,7 @@ def _cmd_simulate_onebody(args) -> int:
     states = evolve_effective(initial_state(spec, cfg.initial), spec,
                               cfg.time_horizon, cfg.dt, stride=cfg.report_stride)
     _csv(os.path.join(args.out, "onebody.csv"),
-         "t,mass,E_phi,sup_phi,H2_phi", onebody_rows(states, spec))
+         "t,mass,E_phi,sup_phi,H2_phi", onebody_rows(states, spec)[0])
     return EXIT_OK
 
 
@@ -106,18 +106,15 @@ def _cmd_verify_lemmas(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .onebody import sup_norms
-
     cfg = _load_config(args)
     spec = cfg.model_spec()
     summary = run_single(cfg, args.out, counting_reports=True)
     reports, ones = summary["reports"], summary["onebody"]
     times = summary["times"]
     if spec.regime == "hartree-theta0":
-        sups = [sup_norms(st) for st in ones]
         norms = interaction_norms(spec.interaction, spec.eps, spec.free, spec.confined)
         f_eps = measured_f_eps(spec.interaction, spec.eps, spec.free, spec.confined)
-        coeff = mean_field_coefficient(times, [s[0] for s in sups], [s[1] for s in sups], norms)
+        coeff = mean_field_coefficient(times, summary["sup_phi"], summary["sup_Phi"], norms)
         report = envelope_report(
             times, [r.alpha for r in reports], RateSpec("mean-field"), spec,
             coefficient=coeff, f_eps=f_eps,

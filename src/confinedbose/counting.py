@@ -121,22 +121,23 @@ def occupancy_components(psi: np.ndarray, phi: np.ndarray, weight: float = 1.0):
 
     Sweeping the coordinates once and keeping partial sums sorted by the
     number of q factors costs O(N^2) projector applications instead of the
-    2^N literal operator sum.  Buffers are reused in place; large fresh
-    temporaries would dominate the runtime through page faults.
+    2^N literal operator sum.  Buffers are reused in place: the q part of
+    each component overwrites it, and the new component with one more q
+    factor goes into the previous q part, so at most N + 2 state-sized
+    arrays live at once besides ``psi``, which is only read.
     """
     psi, phi, n = _frame(psi, phi, weight)
-    comps = [psi.copy()]
-    for axis in range(n):
+    p_part = project_p(psi, phi, 0)
+    comps = [p_part, psi - p_part]
+    for axis in range(1, n):
         new = []
         prev_q = None
-        for k in range(len(comps)):
-            p_part = project_p(comps[k], phi, axis)
-            q_part = np.subtract(comps[k], p_part, out=comps[k])
-            if prev_q is None:
-                new.append(p_part)
-            else:
-                new.append(np.add(p_part, prev_q, out=p_part))
-            prev_q = q_part
+        for comp in comps:
+            p_part = project_p(comp, phi, axis)
+            np.subtract(comp, p_part, out=comp)
+            new.append(p_part if prev_q is None else np.add(p_part, prev_q, out=prev_q))
+            del p_part  # before the next projection allocates its own
+            prev_q = comp
         new.append(prev_q)
         comps = new
     return comps
@@ -437,13 +438,18 @@ def grad_q_norm(state: ManyBodyState, reference) -> float:
     is subtracted, so the value vanishes on pure condensates and is
     nonnegative by the spectral gap.
     """
-    dom = state.domain
-    phi = reference.product_values() if isinstance(reference, OneBodyState) else np.asarray(reference)
-    psi, phi_l2, _ = _frame(state.values, phi, weight=dom.cell_volume)
-    q1 = project_q(psi, phi_l2, 0).reshape(dom.shape + (-1,))
-    e0 = chi_mode(dom.confined, 0).energy_eps
-    hv = sum(apply_along(q1, k, axis)
-             for axis, k in enumerate(axis_operators(dom, lambda mult: mult))) - e0 * q1
+    psi, phi, _ = _grid_frame(state, reference)
+    return _grad_q_in_frame(psi, phi, state.domain)
+
+
+def _grad_q_in_frame(psi, phi, dom) -> float:
+    """grad_q_norm of the unit-weight frame (psi, phi) of a state on ``dom``."""
+    q1 = project_q(psi, phi, 0).reshape(dom.shape + (-1,))
+    ops = axis_operators(dom, lambda mult: mult)
+    hv = apply_along(q1, ops[0], 0)
+    for axis in range(1, len(ops)):
+        hv += apply_along(q1, ops[axis], axis)
+    hv -= chi_mode(dom.confined, 0).energy_eps * q1
     return float(np.vdot(q1, hv).real)
 
 
@@ -593,7 +599,7 @@ def compute_report(state: ManyBodyState, one_body: OneBodyState,
         trace_distance=tr,
         E_psi=float(e_psi),
         E_phi=float(e_phi),
-        grad_q_sq=grad_q_norm(state, one_body),
+        grad_q_sq=_grad_q_in_frame(psi, phi, state.domain),
     )
     return report.validate()
 

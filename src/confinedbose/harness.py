@@ -27,7 +27,7 @@ from .manybody import (
     working_set_bytes,
 )
 from .model import ExternalPotential, InteractionProfile, ModelSpec
-from .onebody import OneBodyState, _time_grid, chi_mode, evolve_effective
+from .onebody import OneBodyState, chi_mode, evolve_effective
 from .onebody import trajectory_rows as onebody_rows
 
 __all__ = [
@@ -152,45 +152,41 @@ def _csv(path, header: str, rows):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _working_set(config: ExperimentConfig) -> int:
-    """working_set_bytes of a configured run: it keeps every reported state."""
-    kept = _time_grid(config.time_horizon, config.dt, max(1, int(config.report_stride)))[1]
-    return working_set_bytes(config.model_spec(), kept)
-
-
 def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True) -> dict:
     """Run one configured experiment; returns a summary dict.
 
     Writes onebody.csv, manybody.csv, counting.csv/.json, final-state MFL1
-    snapshots and run_meta.json into ``out_dir`` (atomically); the CSVs and
-    reports share one evaluation of each snapshot's diagnostics.  The summary
-    also holds the ``reports`` and the one-body trajectory ``onebody``.
+    snapshots and run_meta.json into ``out_dir`` (atomically).  The many-body
+    run is streamed: each snapshot gets its manybody.csv row and counting
+    report as it arrives, and only the last one is kept.  The CSVs and
+    reports share one evaluation of each snapshot's diagnostics.  The
+    summary also holds the ``reports``, the one-body trajectory ``onebody``
+    and its ``sup_phi`` = sup |phi| and ``sup_Phi`` = sup |Phi| per state.
     """
     os.makedirs(out_dir, exist_ok=True)
     spec = config.model_spec()
-    if _working_set(config) > config.memory_cap_bytes:
+    if working_set_bytes(spec) > config.memory_cap_bytes:
         raise GuardError(
             "configured run exceeds the memory cap; reduce the grid, N, or raise the cap"
         )
     one0 = initial_state(spec, config.initial)
     stride = max(1, int(config.report_stride))
     ones = evolve_effective(one0, spec, config.time_horizon, config.dt, stride=stride)
-    psi0 = product_state(one0, spec.n_particles)
     manys = evolve_manybody(
-        psi0, spec, config.time_horizon, config.dt, stride=stride,
-        memory_cap=config.memory_cap_bytes,
+        product_state(one0, spec.n_particles), spec, config.time_horizon, config.dt,
+        stride=stride, memory_cap=config.memory_cap_bytes,
     )
 
-    one_rows = onebody_rows(ones, spec)
-    many_rows = [(st.t, st.mass(), *_energy_and_residual(st, spec)) for st in manys]
+    one_rows, sup_free = onebody_rows(ones, spec)
+    many_rows, reports = [], []
+    for mb, ob, one_row in zip(manys, ones, one_rows):
+        e_psi, residual = _energy_and_residual(mb, spec)
+        many_rows.append((mb.t, mb.mass(), e_psi, residual))
+        if counting_reports:
+            reports.append(cnt.compute_report(mb, ob, e_psi, one_row[2]))
     _csv(os.path.join(out_dir, "onebody.csv"), "t,mass,E_phi,sup_phi,H2_phi", one_rows)
     _csv(os.path.join(out_dir, "manybody.csv"), "t,mass,E_psi,symmetry_residual", many_rows)
-
-    reports = []
     if counting_reports:
-        reports = [cnt.compute_report(mb, ob, e_psi, e_phi)
-                   for mb, ob, (_, _, e_psi, _), (_, _, e_phi, _, _)
-                   in zip(manys, ones, many_rows, one_rows)]
         _atomic_write(
             os.path.join(out_dir, "counting.json"),
             json.dumps([r.to_dict() for r in reports], indent=1),
@@ -203,7 +199,7 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
     write_mfl1(os.path.join(out_dir, "final_onebody.mfl1"), spec.free,
                ones[-1].phi_free.values)
     write_mfl1(os.path.join(out_dir, "final_manybody.mfl1"), spec.domain,
-               manys[-1].values, n_particles=spec.n_particles)
+               mb.values, n_particles=spec.n_particles)
     meta = {
         "config": config.to_dict(),
         "prefactor_convention": "1/(N-1)" if spec.regime == "hartree-theta0" else "1/N",
@@ -224,6 +220,8 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
         "out_dir": str(out_dir),
         "reports": reports,
         "onebody": ones,
+        "sup_phi": [row[3] for row in one_rows],
+        "sup_Phi": sup_free,
     }
     return summary
 
@@ -309,7 +307,7 @@ def run_ladder(config: ExperimentConfig, out_dir, workers: int = 1,
         jobs.append((n, cfg_n, os.path.join(out_dir, f"N{n}")))
 
     for n, cfg_n, _ in jobs:
-        if _working_set(cfg_n) > config.memory_cap_bytes:
+        if working_set_bytes(cfg_n.model_spec()) > config.memory_cap_bytes:
             raise GuardError(f"ladder point N={n} exceeds the memory cap")
 
     results: dict[int, float | None] = {}
@@ -325,7 +323,7 @@ def run_ladder(config: ExperimentConfig, out_dir, workers: int = 1,
     else:
         batches, current, current_bytes = [], [], 0
         for j in jobs:
-            need = _working_set(j[1])
+            need = working_set_bytes(j[1].model_spec())
             if current and (len(current) >= workers
                             or current_bytes + need > config.memory_cap_bytes):
                 batches.append(current)

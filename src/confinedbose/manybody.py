@@ -6,14 +6,18 @@ of commuting one-axis terms, so kinetic steps apply the one-body per-axis
 matrices of ``grids.axis_operators`` along every particle axis; pair
 interactions and external potentials act by exact pointwise phases.  The
 integrator is the same second-order Strang splitting as the effective
-solver.  Everything is desk scale: a memory guard refuses tensors beyond a
-configurable cap (2 GiB by default).
+solver.  The evolver streams: it yields each reported snapshot and holds
+only the current state.  Everything is desk scale: a memory guard refuses
+runs whose working set (``working_set_bytes``: N + 4 state-sized arrays,
+the m^2-sized pair phase and density matrices, a one-body allowance)
+exceeds a configurable cap (2 GiB by default).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +82,21 @@ def estimate_state_bytes(spec: ModelSpec) -> int:
     return 16 * m**spec.n_particles
 
 
-def working_set_bytes(spec: ModelSpec, kept: int) -> int:
-    """Bytes budgeted for a run that keeps ``kept`` many-body states: those,
-    the 2N + 1 state-sized arrays of a counting report's occupancy sweep (N
-    components, N new projections, the rescaled psi) and two temporaries."""
-    return (kept + 2 * spec.n_particles + 3) * estimate_state_bytes(spec)
+_ONE_BODY_ALLOWANCE = 1 << 20  # bytes: one-body arrays, trajectory and report objects
+
+
+def working_set_bytes(spec: ModelSpec) -> int:
+    """Bytes budgeted for a streamed run, whatever its length.
+
+    A counting report holds the most state-sized arrays: the current state,
+    its rescaled copy and the N + 2 buffers of the occupancy sweep, plus the
+    1/m-sized coefficients of a projection.  The m^2-sized arrays (the
+    evolver's pair phase, the density matrix and the trace distance's
+    difference matrix) are as large as the state at N = 2.
+    """
+    m = int(np.prod(spec.domain.shape))
+    state = estimate_state_bytes(spec)
+    return (spec.n_particles + 4) * state + state // m + 3 * 16 * m**2 + _ONE_BODY_ALLOWANCE
 
 
 # -- pair interaction ---------------------------------------------------------
@@ -226,18 +240,22 @@ def symmetry_residual(state: ManyBodyState) -> float:
 
 def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
                     stride: int = 1, memory_cap: int = DEFAULT_MEMORY_CAP,
-                    sym_tol: float = 1e-6) -> list[ManyBodyState]:
+                    sym_tol: float = 1e-6) -> Iterator[ManyBodyState]:
     """Strang-split unitary evolution under the N-particle Hamiltonian.
 
     Kinetic half-steps apply the one-body per-axis propagators (eps^-2
     weight on confined axes) along every particle axis; the potential
     substep applies the exact phase of the summed external potential and
     pair interactions, the external part evaluated at the substep midpoint.
+
+    The guards run and the propagators are built at call time.  The returned
+    iterator yields the input state, then the state after every ``stride``-th
+    step and after the last; between snapshots it holds only the current one.
     """
-    steps, kept = _time_grid(T, dt, stride)
+    steps = _time_grid(T, dt)
     if state.n_particles != spec.n_particles or state.domain != spec.domain:
         raise ConfigError("state does not match the model spec's grid or N")
-    need = working_set_bytes(spec, kept)
+    need = working_set_bytes(spec)
     if need > memory_cap:
         raise GuardError(
             f"estimated working set {need / 2**30:.2f} GiB exceeds cap "
@@ -249,40 +267,40 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
         raise ConfigError("initial state is not permutation symmetric")
 
     n = spec.n_particles
-    dom = spec.domain
-    block = len(dom.shape)
-    total_axes = n * block
-    kicks = axis_operators(dom, lambda mult: np.exp(-0.5j * dt * mult)) * n
+    kicks = axis_operators(spec.domain, lambda mult: np.exp(-0.5j * dt * mult)) * n
     phase_pair = None
     if n > 1:
         phase_pair = np.exp(-1j * dt * spec.pair_prefactor * pair_phase_array(spec))
+    return _strang_snapshots(state, spec, dt, steps, stride, kicks, phase_pair)
 
-    def kinetic_half(values):  # a new array, so reported states are never overwritten
+
+def _strang_snapshots(state, spec, dt, steps, stride, kicks, phase_pair):
+    n = spec.n_particles
+    dom = spec.domain
+    block = len(dom.shape)
+    total_axes = n * block
+
+    def kinetic_half(values):  # a new array, so yielded states are never overwritten
         for axis, kick in enumerate(kicks):
             values = apply_along(values, kick, axis)
         return values
 
-    def potential_phase(values, t_mid):
+    t0, values = state.t, state.values
+    yield state
+    del state  # the caller decides how long the initial state lives
+    for k in range(steps):
+        t_mid = t0 + k * dt + dt / 2
+        values = kinetic_half(values)
         if not spec.potential.is_zero:
-            v_one = spec.potential.values_product(t_mid, dom)
-            phase_one = np.exp(-1j * dt * v_one)
+            phase_one = np.exp(-1j * dt * spec.potential.values_product(t_mid, dom))
             for i in range(n):
                 values *= phase_one.reshape(_broadcast_shape(total_axes, block, (i,), dom.shape))
         if phase_pair is not None:
             for pair in itertools.combinations(range(n), 2):
                 values *= phase_pair.reshape(_broadcast_shape(total_axes, block, pair, dom.shape))
-        return values
-
-    out = [state]
-    values = state.values
-    for k in range(steps):
-        t_mid = state.t + k * dt + dt / 2
-        values = kinetic_half(values)
-        values = potential_phase(values, t_mid)
         values = kinetic_half(values)
         if (k + 1) % stride == 0 or k + 1 == steps:
-            out.append(ManyBodyState(dom, values, state.t + (k + 1) * dt))
-    return out
+            yield ManyBodyState(dom, values, t0 + (k + 1) * dt)
 
 
 def _apply_h1(state: ManyBodyState, spec: ModelSpec) -> np.ndarray:

@@ -197,15 +197,14 @@ def mean_field_kernel(spec: ModelSpec) -> GridFunction:
     return GridFunction(spec.free, spec.interaction.radial(r))
 
 
-def _time_grid(T: float, dt: float, stride: int) -> tuple[int, int]:
-    """(steps, states kept) of a run over [0, T]: the initial state, one
-    every ``stride`` steps and the last."""
+def _time_grid(T: float, dt: float) -> int:
+    """Number of steps of size ``dt`` in a run over [0, T]."""
     if dt <= 0:
         raise ConfigError("dt must be positive")
     steps = round(T / dt)
     if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ConfigError("T must be an integral number of steps")
-    return steps, -(-steps // stride) + 1
+    return steps
 
 
 def evolve_effective(state: OneBodyState, spec: ModelSpec, T: float, dt: float,
@@ -217,7 +216,7 @@ def evolve_effective(state: OneBodyState, spec: ModelSpec, T: float, dt: float,
     potential evaluated at the substep midpoint), half kinetic step.
     Returns states at every ``stride``-th step, starting with the input.
     """
-    steps = _time_grid(T, dt, stride)[0]
+    steps = _time_grid(T, dt)
     dom = state.phi_free.domain
     mult = kinetic_multiplier(dom)
     half_kick = np.exp(-0.5j * dt * mult)
@@ -283,11 +282,13 @@ def sup_norms(state: OneBodyState) -> tuple[float, float, float, float]:
 
 
 def trajectory_rows(states: list[OneBodyState], spec: ModelSpec):
-    """CSV rows (t, mass, E_phi, sup_phi, H2_phi) for a trajectory."""
-    rows = []
+    """CSV rows (t, mass, E_phi, sup_phi, H2_phi) for a trajectory, and the
+    sup |Phi| of each state, taken from the same ``sup_norms`` pass."""
+    rows, sup_free = [], []
     for st in states:
-        sup_big, _, h2, _ = sup_norms(st)
+        sup_big, sup_small, h2, _ = sup_norms(st)
         rows.append(
             (st.t, st.mass(), effective_energy(st, spec), sup_big, h2)
         )
-    return rows
+        sup_free.append(sup_small)
+    return rows, sup_free

@@ -207,13 +207,13 @@ def test_criterion_5_solver_fidelity():
 
     # N = 2 many-body: order, mass, energy
     psi0 = product_state(one0, 2)
-    refm = evolve_manybody(psi0, spec, T, T / 1024)[-1].values
-    m1 = np.linalg.norm((evolve_manybody(psi0, spec, T, T / 128)[-1].values - refm).ravel())
-    m2 = np.linalg.norm((evolve_manybody(psi0, spec, T, T / 256)[-1].values - refm).ravel())
+    refm = list(evolve_manybody(psi0, spec, T, T / 1024))[-1].values
+    m1 = np.linalg.norm((list(evolve_manybody(psi0, spec, T, T / 128))[-1].values - refm).ravel())
+    m2 = np.linalg.norm((list(evolve_manybody(psi0, spec, T, T / 256))[-1].values - refm).ravel())
     ratio_many = m1 / m2
     assert 3.5 < ratio_many < 4.5
 
-    trajm = evolve_manybody(psi0, spec, 1.0, 1e-3, stride=250)
+    trajm = list(evolve_manybody(psi0, spec, 1.0, 1e-3, stride=250))
     em0 = manybody_energy(trajm[0], spec)
     mass_drift_m = max(abs(st.mass() - 1.0) for st in trajm)
     energy_drift_m = max(abs(manybody_energy(st, spec) - em0) for st in trajm) / abs(em0)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,34 @@ def test_completeness_and_number_identity():
             for axis in range(n):
                 qsum += cnt.project_q(c, phi, axis)
             assert np.linalg.norm((qsum - k * c).ravel()) < 1e-10
+
+
+def test_occupancy_sweep_buffer_bound():
+    # N + 2 state-sized buffers besides the input, which is only read.  One
+    # projection's own scratch (its 1/m-sized coefficients and NumPy's
+    # bounded ufunc buffer) is measured first and allowed for.
+    rng = np.random.default_rng(15)
+    n, dim = 4, 12
+    psi = random_symmetric(rng, dim, n)
+    phi = random_unit(rng, dim)
+    before = psi.copy()
+    tracemalloc.start()
+    try:
+        scratch = 0
+        for axis in range(n):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            cnt.project_p(psi, phi, axis)
+            scratch = max(scratch, tracemalloc.get_traced_memory()[1] - base - psi.nbytes)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        pk = cnt.occupation_distribution(psi, phi)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= (n + 2) * psi.nbytes + scratch + 64 * 1024
+    assert np.array_equal(psi, before)
+    assert np.max(np.abs(pk - cnt.occupation_distribution_enumeration(psi, phi))) < 1e-12
 
 
 def test_shift_identity_trivial_and_random():

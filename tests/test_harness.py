@@ -17,7 +17,7 @@ from confinedbose.harness import (
     run_single,
     verify_lemmas,
 )
-from confinedbose.manybody import working_set_bytes
+from confinedbose.manybody import estimate_state_bytes, working_set_bytes
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -79,17 +79,41 @@ def test_run_single_memory_guard(tmp_path):
         run_single(cfg, tmp_path / "run")
 
 
-@pytest.mark.parametrize("steps", [1, 9])
-def test_run_single_peak_within_working_set(tmp_path, steps):
-    # m = 48, N = 3: one report interval (2 kept states) and 10 kept states
-    cfg = config(n_particles=3, dt=1e-2, time_horizon=steps * 1e-2, report_stride=1)
+def traced_peak(cfg, out_dir) -> int:
     tracemalloc.start()
     try:
-        run_single(cfg, tmp_path / "run")
-        peak = tracemalloc.get_traced_memory()[1]
+        run_single(cfg, out_dir)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= working_set_bytes(cfg.model_spec(), steps + 1)
+
+
+TWO_CONFINED_AXES = {  # m = 64 * 4 * 4 = 1024, the NLS demo's one-body grid
+    "free": {"extents": [16.0], "points": [64]},
+    "confined": {"intervals": [[-0.5, 0.5], [-0.5, 0.5]], "points": [4, 4], "eps": 0.66},
+}
+
+
+@pytest.mark.parametrize("n, grid, steps", [
+    pytest.param(3, {}, 1, id="N3-m48-1step"),
+    pytest.param(3, {}, 9, id="N3-m48-9steps"),
+    pytest.param(2, {}, 1, id="N2-m48"),
+    pytest.param(2, TWO_CONFINED_AXES, 1, id="N2-m1024"),
+    pytest.param(4, {}, 1, id="N4-m48"),
+])
+def test_run_single_peak_within_working_set(tmp_path, n, grid, steps):
+    # a report at every step; at N = 2 the m^2-sized arrays are state-sized
+    cfg = config(n_particles=n, dt=1e-2, time_horizon=steps * 1e-2, report_stride=1, **grid)
+    assert traced_peak(cfg, tmp_path / "run") <= working_set_bytes(cfg.model_spec())
+
+
+def test_run_single_peak_independent_of_report_count(tmp_path):
+    # m = 48, N = 3, 10 steps: 11 reported snapshots against 2
+    peaks = {}
+    for stride in (1, 10):
+        cfg = config(n_particles=3, dt=1e-2, time_horizon=0.1, report_stride=stride)
+        peaks[stride] = traced_peak(cfg, tmp_path / f"stride{stride}")
+    assert abs(peaks[1] - peaks[10]) <= estimate_state_bytes(cfg.model_spec())
 
 
 def test_fit_rate_contracts():
@@ -235,13 +259,22 @@ def test_cli_coulomb_norms(tmp_path):
     assert rows[0]["linf_defect"] <= 0.01
 
 
-def test_cli_bounds_hartree(tmp_path):
+def test_cli_bounds_hartree(tmp_path, monkeypatch):
+    calls = []
+    sup_norms = onebody.sup_norms
+
+    def counted(state):
+        calls.append(1)
+        return sup_norms(state)
+
+    monkeypatch.setattr(onebody, "sup_norms", counted)
     cfg = write_config(tmp_path, time_horizon=0.05, dt=5e-3, report_stride=2)
     out = tmp_path / "b"
     assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "bounds.json").read_text())
     assert report["regime"] == "mean-field"
     assert report["below_envelope"] is True
+    assert len(calls) == 6  # one per one-body snapshot: 10 steps, stride 2
 
 
 def test_cli_bounds_short_range_reuses_run(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Exact N-particle dynamics: kernels, unitarity, factorization, energy."""
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
@@ -199,7 +201,7 @@ def test_two_particle_matches_crank_nicolson_oracle():
     one0 = gaussian_one_body(spec)
     psi0 = product_state(one0, 2)
     T = 0.2
-    final = evolve_manybody(psi0, spec, T, 1e-3)[-1]
+    final = list(evolve_manybody(psi0, spec, T, 1e-3))[-1]
 
     h = dense_hamiltonian(spec)
     dt = 5e-5
@@ -218,9 +220,9 @@ def test_two_particle_matches_crank_nicolson_oracle():
 def test_time_reversal_two_particles():
     spec = small_spec(n=2, amplitude=2.0)
     psi0 = product_state(gaussian_one_body(spec), 2)
-    fwd = evolve_manybody(psi0, spec, 0.3, 2e-3)[-1]
+    fwd = list(evolve_manybody(psi0, spec, 0.3, 2e-3))[-1]
     mirrored = ManyBodyState(spec.domain, np.conj(fwd.values), 0.0)
-    back = evolve_manybody(mirrored, spec, 0.3, 2e-3)[-1]
+    back = list(evolve_manybody(mirrored, spec, 0.3, 2e-3))[-1]
     err = np.linalg.norm((np.conj(back.values) - psi0.values).ravel())
     assert err * np.sqrt(psi0.cell_volume) < 1e-6
 
@@ -228,7 +230,7 @@ def test_time_reversal_two_particles():
 def test_symmetry_preserved_and_mass_energy_conserved():
     spec = small_spec(n=3, amplitude=2.0, n_f=16, n_c=2)
     psi0 = product_state(gaussian_one_body(spec), 3)
-    traj = evolve_manybody(psi0, spec, 1.0, 1e-3, stride=200)
+    traj = list(evolve_manybody(psi0, spec, 1.0, 1e-3, stride=200))
     e0 = manybody_energy(traj[0], spec)
     for st in traj:
         assert abs(st.mass() - 1.0) < 1e-9
@@ -240,9 +242,9 @@ def test_manybody_strang_order():
     spec = small_spec(n=2, amplitude=3.0)
     psi0 = product_state(gaussian_one_body(spec), 2)
     T = 0.25
-    ref = evolve_manybody(psi0, spec, T, T / 1024)[-1].values
-    e1 = np.linalg.norm((evolve_manybody(psi0, spec, T, T / 128)[-1].values - ref).ravel())
-    e2 = np.linalg.norm((evolve_manybody(psi0, spec, T, T / 256)[-1].values - ref).ravel())
+    ref = list(evolve_manybody(psi0, spec, T, T / 1024))[-1].values
+    e1 = np.linalg.norm((list(evolve_manybody(psi0, spec, T, T / 128))[-1].values - ref).ravel())
+    e2 = np.linalg.norm((list(evolve_manybody(psi0, spec, T, T / 256))[-1].values - ref).ravel())
     assert 3.5 < e1 / e2 < 4.5
 
 
@@ -276,6 +278,16 @@ def test_memory_guard():
     psi0 = product_state(gaussian_one_body(spec), 2)
     with pytest.raises(GuardError, match="cap"):
         evolve_manybody(psi0, spec, 0.1, 1e-2, memory_cap=1000)
+
+
+def test_evolver_releases_earlier_snapshots():
+    spec = small_spec(n=2)
+    snapshots = evolve_manybody(product_state(gaussian_one_body(spec), 2), spec, 0.02, 1e-2)
+    initial = weakref.ref(next(snapshots).values)
+    after_one_step = weakref.ref(next(snapshots).values)
+    assert initial() is None and after_one_step() is not None
+    next(snapshots)
+    assert after_one_step() is None
 
 
 def test_asymmetric_input_rejected():
