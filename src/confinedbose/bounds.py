@@ -358,12 +358,13 @@ def growth_integrand_singular(states: list[OneBodyState]) -> np.ndarray:
     return np.asarray(out)
 
 
-def growth_integrand_short_range(states: list[OneBodyState], spec: ModelSpec) -> np.ndarray:
-    """chi-sup-weighted integrand with the external-potential terms."""
+def growth_integrand_short_range(states: list[OneBodyState], spec: ModelSpec,
+                                 sup_phi, h2_phi) -> np.ndarray:
+    """chi-sup-weighted integrand with the external-potential terms, from the
+    run's per-state sup |phi| and ||phi||_{H^2} (``onebody.sup_norms``)."""
     chi_sup = float(np.max(np.abs(states[0].mode.chi.values)))
     out = []
-    for st in states:
-        sup_big, _, h2, _ = sup_norms(st)
+    for st, sup_big, h2 in zip(states, sup_phi, h2_phi, strict=True):
         full = st.product_function()
         dens = full.copy_with(np.abs(full.values) ** 2)
         lap = float(

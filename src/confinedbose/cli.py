@@ -81,8 +81,9 @@ def _cmd_counting(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
-    cfg = _load_config(args)
-    fit = run_ladder(cfg, args.out, workers=args.workers)
+    if args.workers != 1:
+        raise ConfigError("ladder points run one after another; --workers must be 1")
+    fit = run_ladder(_load_config(args), args.out)
     if not fit.complete:
         print(f"ladder incomplete: {fit.note}", file=sys.stderr)
         return EXIT_GUARD
@@ -122,11 +123,11 @@ def _cmd_bounds(args) -> int:
     else:
         if not 0.25 < spec.theta < 1.0 / 3.0:
             raise ConfigError("the short-range bound check needs theta in (1/4, 1/3)")
-        integrand = growth_integrand_short_range(ones, spec)
         report = envelope_report(
             times, [r.beta_tilde for r in reports],
             RateSpec("short-range", theta=spec.theta, nu=spec.nu), spec,
-            growth_integrand=integrand,
+            growth_integrand=growth_integrand_short_range(
+                ones, spec, summary["sup_phi"], summary["H2_phi"]),
         )
     _atomic_write(os.path.join(args.out, "bounds.json"), report.to_json())
     print(f"below_envelope: {report.below_envelope}")

@@ -38,7 +38,6 @@ __all__ = [
     "alpha",
     "alpha_density_route",
     "density_matrix",
-    "density_matrix_grid",
     "occupation_distribution",
     "occupation_distribution_enumeration",
     "occupation_distribution_binomial",
@@ -163,13 +162,6 @@ def density_matrix(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128)
     rest = tuple(range(1, psi.ndim))
     return np.tensordot(psi, np.conj(psi), axes=(rest, rest))
-
-
-def density_matrix_grid(state: ManyBodyState) -> np.ndarray:
-    """Density matrix of a grid state, unit-weight one-body basis."""
-    m = int(np.prod(state.domain.shape))
-    psi = state.values.reshape((m,) * state.n_particles)
-    return density_matrix(psi * state.domain.cell_volume ** (state.n_particles / 2.0))
 
 
 def alpha_density_route(psi, phi, weight: float = 1.0) -> float:
@@ -387,11 +379,6 @@ def trace_distance(gamma: np.ndarray, phi: np.ndarray) -> float:
 # -- derivative decomposition and energy-lemma ingredients --------------------
 
 
-def _pair_kernel_flat(spec: ModelSpec) -> np.ndarray:
-    m = int(np.prod(spec.domain.shape))
-    return pair_phase_array(spec).reshape(m, m)
-
-
 def derivative_terms(state: ManyBodyState, one_body: OneBodyState,
                      spec: ModelSpec) -> tuple[float, float, float, float]:
     """(I, II, III, d alpha/dt) of the mean-field derivative decomposition.
@@ -405,7 +392,7 @@ def derivative_terms(state: ManyBodyState, one_body: OneBodyState,
     psi, phi, n = _grid_frame(state, one_body)
     if n < 2:
         raise ConfigError("need at least two particles")
-    kernel = _pair_kernel_flat(spec)
+    kernel = pair_phase_array(spec).reshape(phi.size, phi.size)
 
     mf = hartree_potential(one_body.phi_free, mean_field_kernel(spec)).values.real
     mf_one = np.broadcast_to(

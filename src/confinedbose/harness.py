@@ -7,11 +7,10 @@ files written atomically, byte-reproducible for a fixed (config, seed).
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -78,24 +77,7 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "free": self.free,
-            "confined": self.confined,
-            "interaction": self.interaction,
-            "n_particles": self.n_particles,
-            "theta": self.theta,
-            "nu": self.nu,
-            "potential": self.potential,
-            "mode_index": self.mode_index,
-            "initial": self.initial,
-            "time_horizon": self.time_horizon,
-            "dt": self.dt,
-            "report_stride": self.report_stride,
-            "ladder": self.ladder,
-            "seed": self.seed,
-            "memory_cap_bytes": self.memory_cap_bytes,
-        }
+        return asdict(self)
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -161,7 +143,8 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
     report as it arrives, and only the last one is kept.  The CSVs and
     reports share one evaluation of each snapshot's diagnostics.  The
     summary also holds the ``reports``, the one-body trajectory ``onebody``
-    and its ``sup_phi`` = sup |phi| and ``sup_Phi`` = sup |Phi| per state.
+    and its ``sup_phi`` = sup |phi|, ``sup_Phi`` = sup |Phi| and ``H2_phi`` =
+    ||phi||_{H^2} per state.
     """
     os.makedirs(out_dir, exist_ok=True)
     spec = config.model_spec()
@@ -221,6 +204,7 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
         "reports": reports,
         "onebody": ones,
         "sup_phi": [row[3] for row in one_rows],
+        "H2_phi": [row[4] for row in one_rows],
         "sup_Phi": sup_free,
     }
     return summary
@@ -282,13 +266,11 @@ def _ladder_eps(config: ExperimentConfig, n: int) -> float:
     raise ConfigError(f"unknown eps rule {rule!r}")
 
 
-def run_ladder(config: ExperimentConfig, out_dir, workers: int = 1,
-               functional: str = "beta") -> RateFit:
+def run_ladder(config: ExperimentConfig, out_dir, functional: str = "beta") -> RateFit:
     """Run the N-ladder and fit the log-log slope of the terminal functional.
 
-    Ladder points are independent; a bounded pool runs them concurrently
-    while keeping the sum of per-point memory estimates under the cap.
-    Failing points leave partial results and mark the fit incomplete.
+    The points run one after another.  Failing points leave partial results
+    and mark the fit incomplete.
     """
     if not config.ladder or not config.ladder.get("particle_counts"):
         raise ConfigError("ladder config with particle_counts is required")
@@ -304,54 +286,19 @@ def run_ladder(config: ExperimentConfig, out_dir, workers: int = 1,
             {**config.to_dict(), "n_particles": n,
              "confined": {**config.confined, "eps": eps_n}, "ladder": None}
         )
-        jobs.append((n, cfg_n, os.path.join(out_dir, f"N{n}")))
-
-    for n, cfg_n, _ in jobs:
         if working_set_bytes(cfg_n.model_spec()) > config.memory_cap_bytes:
             raise GuardError(f"ladder point N={n} exceeds the memory cap")
+        jobs.append((n, cfg_n))
 
     results: dict[int, float | None] = {}
     failures: list[str] = []
-
-    def execute(job):
-        n, cfg_n, sub = job
-        summary = run_single(cfg_n, sub)
-        return n, summary
-
-    if workers <= 1:
-        batches = [[j] for j in jobs]
-    else:
-        batches, current, current_bytes = [], [], 0
-        for j in jobs:
-            need = working_set_bytes(j[1].model_spec())
-            if current and (len(current) >= workers
-                            or current_bytes + need > config.memory_cap_bytes):
-                batches.append(current)
-                current, current_bytes = [], 0
-            current.append(j)
-            current_bytes += need
-        if current:
-            batches.append(current)
-
-    for batch in batches:
-        if len(batch) == 1:
-            try:
-                n, summary = execute(batch[0])
-                results[n] = summary[f"terminal_{functional}"]
-            except (GuardError, ConfigError, InvariantError) as exc:
-                failures.append(f"N={batch[0][0]}: {exc}")
-                results[batch[0][0]] = None
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                futs = {pool.submit(execute, j): j for j in batch}
-                for fut in concurrent.futures.as_completed(futs):
-                    j = futs[fut]
-                    try:
-                        n, summary = fut.result()
-                        results[n] = summary[f"terminal_{functional}"]
-                    except (GuardError, ConfigError, InvariantError) as exc:
-                        failures.append(f"N={j[0]}: {exc}")
-                        results[j[0]] = None
+    for n, cfg_n in jobs:
+        try:
+            summary = run_single(cfg_n, os.path.join(out_dir, f"N{n}"))
+            results[n] = summary[f"terminal_{functional}"]
+        except (GuardError, ConfigError, InvariantError) as exc:
+            failures.append(f"N={n}: {exc}")
+            results[n] = None
 
     good_ns = [n for n in ns if results.get(n) is not None]
     good_vals = [results[n] for n in good_ns]

@@ -29,8 +29,6 @@ from .onebody import OneBodyState, _time_grid
 
 __all__ = [
     "ManyBodyState",
-    "RelativeKernel",
-    "pair_interaction_values",
     "pair_phase_array",
     "evolve_manybody",
     "manybody_energy",
@@ -102,25 +100,6 @@ def working_set_bytes(spec: ModelSpec) -> int:
 # -- pair interaction ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelativeKernel:
-    """Scaled pair kernel sampled on the relative-coordinate grid.
-
-    Free offsets are the minimum-image displacements of the periodic box
-    (ascending, one per node); confined offsets run over all differences of
-    interior nodes.  ``values`` is indexed [free axes ..., confined axes ...].
-    """
-
-    values: np.ndarray
-    free_offsets: tuple[np.ndarray, ...]
-    confined_offsets: tuple[np.ndarray, ...]
-    cell_volume: float
-
-    def integral(self) -> float:
-        """Grid quadrature of the kernel over the relative coordinates."""
-        return float(np.sum(self.values.real) * self.cell_volume)
-
-
 def _kernel_scaling(spec: ModelSpec) -> tuple[float, float]:
     """(prefactor, argument scale) of the sampled kernel.
 
@@ -158,36 +137,13 @@ def _resolvability_guard(spec: ModelSpec):
             )
 
 
-def pair_interaction_values(spec: ModelSpec) -> RelativeKernel:
-    """Sample the scaled pair kernel on the relative-coordinate grid.
-
-    The confined relative coordinate enters the profile compressed by eps,
-    exactly as in the rescaled Hamiltonian.
-    """
-    _resolvability_guard(spec)
-    pref, arg_scale = _kernel_scaling(spec)
-    free_offs = tuple(spec.free.axis_nodes(a) for a in range(spec.free.dim))
-    conf_offs = []
-    for a in range((spec.confined.dim)):
-        h = spec.confined.spacings[a]
-        n = spec.confined.points[a]
-        conf_offs.append(h * np.arange(-(n - 1), n))
-    conf_offs = tuple(conf_offs)
-    grids_ = np.meshgrid(*free_offs, *conf_offs, indexing="ij")
-    d_f = spec.free.dim
-    x2 = sum(g**2 for g in grids_[:d_f])
-    y2 = sum(g**2 for g in grids_[d_f:]) if grids_[d_f:] else 0.0
-    r = np.sqrt(x2 + spec.eps**2 * y2)
-    values = pref * spec.interaction.radial(arg_scale * r)
-    cell = spec.free.cell_volume * spec.confined.cell_volume
-    return RelativeKernel(values.astype(np.complex128), free_offs, conf_offs, cell)
-
-
 def pair_phase_array(spec: ModelSpec) -> np.ndarray:
     """W(r_i - r_j) for one particle pair, shape (one-body grid) x 2.
 
-    Free differences use the periodic minimum image; the prefactor of the
-    Hamiltonian (1/(N-1) or 1/N) is *not* included.
+    The package's one sampler of the scaled pair kernel.  Free differences
+    use the periodic minimum image; the confined difference enters the
+    profile compressed by eps, as in the rescaled Hamiltonian.  The
+    prefactor of the Hamiltonian (1/(N-1) or 1/N) is *not* included.
     """
     _resolvability_guard(spec)
     pref, arg_scale = _kernel_scaling(spec)
@@ -328,6 +284,7 @@ def _energy_and_residual(state: ManyBodyState, spec: ModelSpec,
     kin = float((np.vdot(state.values, h1) * vol).real)
     inter = 0.0
     if n > 1:
+        # rebuilt per call: an m^2 kernel held for the run (state-sized at N = 2) raises the peak
         pair = pair_phase_array(spec)
         block = len(state.domain.shape)
         sh = state.domain.shape * 2 + (1,) * (block * (n - 2))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from confinedbose import harness, onebody
+from confinedbose import bounds, harness, onebody
 from confinedbose.cli import main
 from confinedbose.errors import ConfigError, GuardError
 from confinedbose.harness import (
@@ -145,18 +145,27 @@ def test_run_ladder_zero_interaction_degenerate(tmp_path):
     assert (tmp_path / "ladder" / "plot_ladder.py").exists()
 
 
-def test_run_ladder_worker_pool_matches_sequential(tmp_path):
-    cfg = config(
-        free={"extents": [16.0], "points": [8]},
-        interaction={"kind": "gaussian-bump", "amplitude": 1.0, "radius": 6.2, "sigma": 1.6},
-        ladder={"particle_counts": [2, 3, 4], "eps_rule": "fixed"},
-        time_horizon=0.04, dt=1e-2, report_stride=4,
-    )
-    seq = run_ladder(cfg, tmp_path / "seq", workers=1)
-    par = run_ladder(cfg, tmp_path / "par", workers=2)
-    assert seq.complete and par.complete
-    assert seq.terminal_values == par.terminal_values
-    assert seq.slope == par.slope
+LADDER_FAILING_AT_4 = dict(
+    regime="nls-theta", theta=0.3,
+    free={"extents": [6.0], "points": [16]},
+    confined={"intervals": [[-0.5, 0.5]], "points": [3], "eps": 0.5},
+    interaction={"kind": "gaussian-bump", "amplitude": 1.0, "radius": 2.0, "sigma": 0.6},
+    initial={"kind": "gaussian", "width": 0.4},
+    time_horizon=0.01, dt=0.01, report_stride=1,
+    ladder={"particle_counts": [2, 3, 4], "eps_rule": "fixed"},
+)
+
+
+def test_run_ladder_keeps_points_before_a_failure(tmp_path):
+    # the scaled support shrinks with N: only N = 4 trips the resolvability guard
+    fit = run_ladder(config(**LADDER_FAILING_AT_4), tmp_path / "ladder")
+    assert not fit.complete
+    assert fit.particle_counts == (2, 3)
+    assert "N=4" in fit.note
+    rows = (tmp_path / "ladder" / "ladder.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2  # header and the two good points
+    cfg = write_config(tmp_path, **LADDER_FAILING_AT_4)
+    assert main(["ladder", "--config", cfg, "--out", str(tmp_path / "cli")]) == 3
 
 
 def test_run_ladder_dt_sensitivity(tmp_path):
@@ -243,6 +252,13 @@ def test_cli_guard_exit_code(tmp_path):
     assert main(["counting", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_cli_ladder_refuses_parallel_points(tmp_path):
+    cfg = write_config(tmp_path, **LADDER_FAILING_AT_4)
+    out = tmp_path / "ladder"
+    assert main(["ladder", "--config", cfg, "--out", str(out), "--workers", "2"]) == 4
+    assert not out.exists()
+
+
 def test_cli_verify_lemmas(tmp_path):
     out = tmp_path / "v"
     assert main(["verify-lemmas", "--out", str(out), "--seed", "3"]) == 0
@@ -278,15 +294,21 @@ def test_cli_bounds_hartree(tmp_path, monkeypatch):
 
 
 def test_cli_bounds_short_range_reuses_run(tmp_path, monkeypatch):
-    calls = []
-    evolve = onebody.evolve_effective
+    calls, norm_calls = [], []
+    evolve, sup_norms = onebody.evolve_effective, onebody.sup_norms
 
     def counted(*args, **kwargs):
         calls.append(1)
         return evolve(*args, **kwargs)
 
+    def counted_norms(state):
+        norm_calls.append(1)
+        return sup_norms(state)
+
     monkeypatch.setattr(onebody, "evolve_effective", counted)
     monkeypatch.setattr(harness, "evolve_effective", counted)
+    monkeypatch.setattr(onebody, "sup_norms", counted_norms)
+    monkeypatch.setattr(bounds, "sup_norms", counted_norms)
     demo = json.loads((DEMO_CONFIGS / "nls_theta_two_confined.json").read_text())
     demo["confined"]["points"] = [2, 2]
     demo["time_horizon"] = 10 * demo["dt"]
@@ -299,3 +321,4 @@ def test_cli_bounds_short_range_reuses_run(tmp_path, monkeypatch):
     assert report["regime"] == "short-range"
     assert report["times"] == [r["t"] for r in counting]
     assert len(calls) == 1
+    assert len(norm_calls) == len(counting)  # one per one-body snapshot

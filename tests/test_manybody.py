@@ -13,7 +13,6 @@ from confinedbose.manybody import (
     evolve_manybody,
     excess_energy_diagnostic,
     manybody_energy,
-    pair_interaction_values,
     pair_phase_array,
     product_state,
     symmetrize,
@@ -49,23 +48,27 @@ def gaussian_one_body(spec, width=1.0):
 
 
 def test_pair_kernel_theta0_matches_raw_profile():
+    # theta = 0, eps = 1: the raw profile at the minimum-image free offset
     spec = small_spec(eps=1.0)
-    kern = pair_interaction_values(spec)
-    x = kern.free_offsets[0][:, None]
-    y = kern.confined_offsets[0][None, :]
-    expected = spec.interaction.radial(np.sqrt(x**2 + y**2))
-    assert np.max(np.abs(kern.values - expected)) < 1e-14
+    x = spec.free.axis_nodes(0)
+    L = spec.free.extents[0]
+    dx = (x[:, None] - x[None, :] + L / 2) % L - L / 2
+    y = spec.confined.axis_nodes(0)
+    dy = y[:, None] - y[None, :]
+    expected = spec.interaction.radial(np.sqrt(dx[:, None, :, None] ** 2
+                                               + dy[None, :, None, :] ** 2))
+    assert np.max(np.abs(pair_phase_array(spec) - expected)) < 1e-14
 
 
 def test_pair_kernel_amplitude_linearity():
-    k1 = pair_interaction_values(small_spec(amplitude=2.0))
-    k2 = pair_interaction_values(small_spec(amplitude=4.0))
-    assert np.allclose(k2.values, 2.0 * k1.values, rtol=1e-14)
+    k1 = pair_phase_array(small_spec(amplitude=2.0))
+    k2 = pair_phase_array(small_spec(amplitude=4.0))
+    assert np.allclose(k2, 2.0 * k1, rtol=1e-14)
 
 
-def nls_spec(n, theta, eps, n_f=128, n_c=8):
+def nls_spec(n, theta, eps, L=16.0, n_f=128, n_c=8):
     return ModelSpec(
-        free=FreeDomain((16.0,), (n_f,)),
+        free=FreeDomain((L,), (n_f,)),
         confined=ConfinedDomain(((-0.5, 0.5), (-0.5, 0.5)), (n_c, n_c), eps=eps),
         n_particles=n,
         interaction=InteractionProfile("gaussian-bump", amplitude=1.7,
@@ -75,16 +78,33 @@ def nls_spec(n, theta, eps, n_f=128, n_c=8):
     )
 
 
+def relative_integral(spec):
+    """Grid quadrature of the sampled kernel over the relative coordinates.
+
+    Each relative offset is taken once: any fixed free row (x_0 - x_j runs
+    over every minimum image) and, on each confined axis, offset d from the
+    entry [max(d, 0), max(-d, 0)].
+    """
+    kernel = pair_phase_array(spec)[0]
+    offsets = np.meshgrid(*(np.arange(-(n - 1), n) for n in spec.confined.points),
+                          indexing="ij")
+    rows = tuple(np.maximum(d, 0) for d in offsets)
+    cols = tuple(np.maximum(-d, 0) for d in offsets)
+    picked = kernel[rows + (slice(None),) + cols]
+    return float(np.sum(picked)) * spec.free.cell_volume * spec.confined.cell_volume
+
+
 def test_scaled_kernel_integral_change_of_variables_oracle():
     # grid quadrature of the scaled kernel equals the R^3 integral of w,
     # independently of (N, theta) and eps; radial quadrature is the oracle.
-    # parameters keep the scaled support inside the confined difference set
+    # parameters keep the scaled support inside the confined difference set;
+    # the free box of 4 (spacing 1/8) exceeds twice the scaled support, so a
+    # larger box only adds zero samples, and it keeps the m^2 kernel small
     eps = 0.9
     expected = nls_spec(8, 0.30, eps).interaction.integral3()
     vals = []
     for n, theta in ((8, 0.30), (12, 0.28)):
-        kern = pair_interaction_values(nls_spec(n, theta, eps))
-        vals.append(kern.integral())
+        vals.append(relative_integral(nls_spec(n, theta, eps, L=4.0, n_f=32)))
     assert vals[0] == pytest.approx(expected, rel=5e-3)
     assert vals[1] == pytest.approx(expected, rel=5e-3)
     assert vals[0] == pytest.approx(vals[1], rel=5e-3)
@@ -93,7 +113,7 @@ def test_scaled_kernel_integral_change_of_variables_oracle():
 def test_resolvability_guard():
     spec = nls_spec(40, 0.32, 0.1, n_f=16, n_c=2)
     with pytest.raises(GuardError, match="under-resolved"):
-        pair_interaction_values(spec)
+        pair_phase_array(spec)
 
 
 def test_unbounded_kind_rejected_for_dynamics():
@@ -103,7 +123,7 @@ def test_unbounded_kind_rejected_for_dynamics():
         interaction=InteractionProfile("coulomb"), regime="hartree-theta0",
     )
     with pytest.raises(GuardError, match="bounded"):
-        pair_interaction_values(coul)
+        pair_phase_array(coul)
 
 
 # -- symmetrization ------------------------------------------------------------
