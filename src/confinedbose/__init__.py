@@ -4,11 +4,14 @@ The package couples three layers:
 
 * exact N-particle Schrodinger dynamics on tensor grids (``manybody``),
 * the effective one-body Hartree / NLS dynamics on the free directions
-  (``onebody``) over spectral grids (``grids``),
+  (``onebody``),
 * the projection-counting machinery that measures condensation and the
   closed-form convergence bounds built on it (``counting``, ``bounds``),
 
-plus a batch experiment harness (``harness``, ``cli``).
+over one grid and kinetic-operator layer (``grids``): every function of
+-Delta_x - eps^-2 Delta_y, in either dynamics, acts through its per-axis
+position-space matrices.  A batch experiment harness (``harness``,
+``cli``) runs both side by side.
 """
 
 from . import bounds, counting, grids, harness, manybody, onebody

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import fft as sfft
 from scipy import integrate
 
 from .errors import ConfigError, GuardError, InvariantError
-from .grids import kinetic_multiplier, to_spectral
+from .grids import apply_kinetic
 from .model import InteractionProfile, ModelSpec
 from .onebody import OneBodyState, sup_norms
 
@@ -365,13 +365,9 @@ def growth_integrand_short_range(states: list[OneBodyState], spec: ModelSpec,
     chi_sup = float(np.max(np.abs(states[0].mode.chi.values)))
     out = []
     for st, sup_big, h2 in zip(states, sup_phi, h2_phi, strict=True):
-        full = st.product_function()
-        dens = full.copy_with(np.abs(full.values) ** 2)
-        lap = float(
-            np.linalg.norm(
-                to_spectral(dens).values * kinetic_multiplier(full.domain, eps=1.0)
-            )
-        )
+        dom = st.domain
+        dens = np.abs(st.product_values()) ** 2
+        lap = float(np.linalg.norm(apply_kinetic(dens, dom, eps=1.0)) * np.sqrt(dom.cell_volume))
         term = (h2 + sup_big) + lap * sup_big
         term += spec.potential.dot_sup_norm(st.t) + np.sqrt(spec.potential.sup_norm(st.t))
         out.append(chi_sup**2 * term)
@@ -397,20 +393,7 @@ class BoundReport:
     notes: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "regime": self.regime,
-                "parameters": self.parameters,
-                "eta": self.eta,
-                "eta_trace": self.eta_trace,
-                "times": list(self.times),
-                "measured": list(self.measured),
-                "envelope": list(self.envelope),
-                "fitted_constant": self.fitted_constant,
-                "below_envelope": self.below_envelope,
-                "notes": self.notes,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _fit_constant(times, growth_integral, measured, initial, defect) -> float:

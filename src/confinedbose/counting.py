@@ -18,15 +18,14 @@ products are plain euclidean ones regardless of representation.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InvariantError
-from .grids import GridFunction, apply_along, axis_operators
-from .manybody import ManyBodyState, pair_phase_array
+from .grids import GridFunction, apply_kinetic
+from .manybody import SYMMETRY_TOL, ManyBodyState, _transposition_residual, pair_phase_array
 from .model import ModelSpec
 from .onebody import OneBodyState, chi_mode, hartree_potential, mean_field_kernel
 
@@ -191,15 +190,11 @@ def occupation_distribution_enumeration(psi, phi, weight: float = 1.0) -> np.nda
     return out
 
 
-def occupation_distribution_binomial(psi, phi, weight: float = 1.0,
-                                     sym_tol: float = 1e-6) -> np.ndarray:
+def occupation_distribution_binomial(psi, phi, weight: float = 1.0) -> np.ndarray:
     """Symmetric shortcut p(k) = C(N,k) <psi, q_1..q_k p_{k+1}..p_N psi>."""
     psi, phi, n = _frame(psi, phi, weight)
-    for i, j in itertools.combinations(range(n), 2):
-        order = list(range(n))
-        order[i], order[j] = j, i
-        if np.linalg.norm((psi - np.transpose(psi, order)).ravel()) > sym_tol:
-            raise ConfigError("binomial shortcut requires a symmetric state")
+    if _transposition_residual(psi, n, 1) > SYMMETRY_TOL:
+        raise ConfigError("binomial shortcut requires a symmetric state")
     out = np.zeros(n + 1)
     for k in range(n + 1):
         v = psi
@@ -274,10 +269,6 @@ class WeightFunction:
     @classmethod
     def sqrt_fraction(cls, n: int) -> "WeightFunction":
         return cls.from_tag("n", n)
-
-    @classmethod
-    def coordinate_fraction(cls, n: int) -> "WeightFunction":
-        return cls.from_tag("k/N", n)
 
     def inverse(self) -> "WeightFunction":
         """Formal reciprocal with 1/f(k) := 0 where f vanishes.
@@ -432,10 +423,7 @@ def grad_q_norm(state: ManyBodyState, reference) -> float:
 def _grad_q_in_frame(psi, phi, dom) -> float:
     """grad_q_norm of the unit-weight frame (psi, phi) of a state on ``dom``."""
     q1 = project_q(psi, phi, 0).reshape(dom.shape + (-1,))
-    ops = axis_operators(dom, lambda mult: mult)
-    hv = apply_along(q1, ops[0], 0)
-    for axis in range(1, len(ops)):
-        hv += apply_along(q1, ops[axis], axis)
+    hv = apply_kinetic(q1, dom)
     hv -= chi_mode(dom.confined, 0).energy_eps * q1
     return float(np.vdot(q1, hv).real)
 
@@ -542,14 +530,7 @@ class CountingReport:
         return self
 
     def to_dict(self) -> dict:
-        d = {}
-        for name in _REPORT_FIELDS:
-            value = getattr(self, name)
-            d[name] = list(value) if name == "p_k" else value
-        return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return asdict(self)
 
     def csv_row(self) -> str:
         cells = []

@@ -1,8 +1,10 @@
 """Discretized geometry for the cylinder Omega = Omega_f x Omega_c.
 
-Free directions live on a padded periodic box and are handled with FFTs;
-confined directions carry a hard-wall (Dirichlet) condition and are handled
-with a type-I discrete sine transform, so the boundary condition is exact.
+Free directions live on a padded periodic box and are diagonalized by the
+FFT; confined directions carry a hard-wall (Dirichlet) condition and are
+diagonalized by the type-I discrete sine transform, so the boundary
+condition is exact.  Functions of the kinetic operator act through one
+position-space matrix per axis (``axis_operators``, ``apply_kinetic``).
 Quadrature is uniform-weight, consistent with the transform sampling.
 
 All operations here are pure functions of immutable inputs; grid functions
@@ -28,19 +30,13 @@ __all__ = [
     "laplacian_confined",
     "inner_product",
     "norm",
-    "to_spectral",
-    "from_spectral",
-    "kinetic_multiplier",
     "axis_multipliers",
     "axis_operators",
     "apply_along",
+    "apply_kinetic",
     "write_mfl1",
     "read_mfl1",
 ]
-
-POSITION = "position"
-SPECTRAL = "spectral"
-
 
 class DomainMismatchError(ValueError):
     """Raised when an operation combines functions on different grids."""
@@ -212,11 +208,10 @@ def _parts(domain):
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples on a domain, tagged position- or spectral-space."""
+    """Complex samples on a domain."""
 
     domain: Domain
     values: np.ndarray
-    space: str = POSITION
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.complex128)
@@ -224,8 +219,6 @@ class GridFunction:
             raise ValueError(
                 f"value shape {values.shape} does not match grid {self.domain.shape}"
             )
-        if self.space not in (POSITION, SPECTRAL):
-            raise ValueError("space must be 'position' or 'spectral'")
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -263,65 +256,11 @@ class GridFunction:
                         )
         return cls(domain, values)
 
-    def copy_with(self, values, space=None) -> "GridFunction":
-        return GridFunction(self.domain, values, self.space if space is None else space)
+    def copy_with(self, values) -> "GridFunction":
+        return GridFunction(self.domain, values)
 
 
-def _require_same(f: GridFunction, g: GridFunction):
-    if f.domain != g.domain:
-        raise DomainMismatchError("grid functions live on different domains")
-    if f.space != g.space:
-        raise DomainMismatchError("grid functions live in different spaces")
-
-
-# -- unitary transforms ------------------------------------------------------
-#
-# Spectral coefficients are scaled so that the plain euclidean norm of the
-# coefficient array equals the L^2(Omega) norm of the sampled function
-# (uniform-weight quadrature); Parseval then holds to roundoff.
-
-
-def _free_scale(domain: FreeDomain, a: int) -> float:
-    return np.sqrt(domain.spacings[a] / domain.points[a])
-
-
-def _conf_scale(domain: ConfinedDomain, a: int) -> float:
-    n = domain.points[a]
-    return np.sqrt(domain.spacings[a] / (2.0 * (n + 1)))
-
-
-def to_spectral(f: GridFunction) -> GridFunction:
-    if f.space == SPECTRAL:
-        return f
-    d = f.domain
-    free_ax, conf_ax = _domain_axes(d)
-    free, conf = _parts(d)
-    scale = 1.0
-    v = f.values
-    if free_ax:
-        v = sfft.fftn(v, axes=free_ax)
-        scale *= float(np.prod([_free_scale(free, la) for la in range(len(free_ax))]))
-    for local_a, axis in enumerate(conf_ax):
-        v = sfft.dst(v, type=1, axis=axis)
-        scale *= _conf_scale(conf, local_a)
-    return f.copy_with(v * scale, space=SPECTRAL)
-
-
-def from_spectral(f: GridFunction) -> GridFunction:
-    if f.space == POSITION:
-        return f
-    d = f.domain
-    free_ax, conf_ax = _domain_axes(d)
-    free, conf = _parts(d)
-    scale = 1.0
-    v = f.values
-    if free_ax:
-        v = sfft.ifftn(v, axes=free_ax)
-        scale /= float(np.prod([_free_scale(free, la) for la in range(len(free_ax))]))
-    for local_a, axis in enumerate(conf_ax):
-        v = sfft.idst(v, type=1, axis=axis)
-        scale /= _conf_scale(conf, local_a)
-    return f.copy_with(v * scale, space=POSITION)
+# -- kinetic operator --------------------------------------------------------
 
 
 def axis_multipliers(domain: Domain, eps: float | None = None) -> tuple[np.ndarray, ...]:
@@ -340,33 +279,20 @@ def axis_multipliers(domain: Domain, eps: float | None = None) -> tuple[np.ndarr
     return tuple(mults)
 
 
-def kinetic_multiplier(domain: Domain, eps: float | None = None) -> np.ndarray:
-    """Multiplier of -Delta_x - eps^-2 Delta_y on the spectral grid.
-
-    The broadcast sum of ``axis_multipliers(domain, eps)``.
-    """
-    total = np.zeros(domain.shape)
-    for axis, mult in enumerate(axis_multipliers(domain, eps)):
-        shape = [1] * len(domain.shape)
-        shape[axis] = len(mult)
-        total = total + mult.reshape(shape)
-    return total
-
-
-def axis_operators(domain: Domain, fn) -> tuple[np.ndarray, ...]:
+def axis_operators(domain: Domain, fn, eps: float | None = None) -> tuple[np.ndarray, ...]:
     """Position-space matrices of ``fn(axis multiplier)``, one per value axis.
 
     Axis a's matrix is transform, multiply by fn(m_a), inverse transform
-    along that axis, with the transforms of ``to_spectral`` (FFT on free
-    axes, DST-I on confined ones; their scale factors cancel).  The axis
+    along that axis (FFT on free axes, DST-I on confined ones).  The axis
     terms of the kinetic operator commute, so applying the matrices of
     ``fn = exp(-i tau m)`` along every axis is the exact propagator
     exp(-i tau (-Delta_x - eps^-2 Delta_y)), and summing those of
-    ``fn = identity`` is the kinetic operator itself.
+    ``fn = identity`` is the kinetic operator itself.  ``eps`` is passed
+    to ``axis_multipliers``.
     """
     free_ax, _ = _domain_axes(domain)
     mats = []
-    for axis, mult in enumerate(axis_multipliers(domain)):
+    for axis, mult in enumerate(axis_multipliers(domain, eps)):
         eye = np.eye(len(mult))
         weight = fn(mult)[:, None]
         if axis in free_ax:
@@ -387,33 +313,34 @@ def apply_along(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     return np.matmul(mat, values.reshape(left, n, right)).reshape(shape)
 
 
-def _apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
-    spec = to_spectral(f)
-    out = spec.copy_with(spec.values * mult)
-    return out if f.space == SPECTRAL else from_spectral(out)
+def apply_kinetic(values: np.ndarray, domain: Domain, eps: float | None = None) -> np.ndarray:
+    """-Delta_x - eps^-2 Delta_y applied along the leading ``domain.shape`` axes."""
+    ops = axis_operators(domain, lambda mult: mult, eps)
+    out = apply_along(values, ops[0], 0)
+    for axis in range(1, len(ops)):
+        out += apply_along(values, ops[axis], axis)
+    return out
 
 
 def laplacian_free(f: GridFunction) -> GridFunction:
     """-Delta on the periodic free directions, exact for band-limited input."""
     if not isinstance(f.domain, FreeDomain):
         raise DomainMismatchError("laplacian_free expects a FreeDomain function")
-    return _apply_multiplier(f, kinetic_multiplier(f.domain))
+    return f.copy_with(apply_kinetic(f.values, f.domain))
 
 
 def laplacian_confined(f: GridFunction, eps: float | None = None) -> GridFunction:
-    """-eps^-2 Delta with Dirichlet walls, via the sine-series multiplier."""
+    """-eps^-2 Delta with Dirichlet walls, exact on the sine series."""
     if not isinstance(f.domain, ConfinedDomain):
         raise DomainMismatchError("laplacian_confined expects a ConfinedDomain function")
-    return _apply_multiplier(f, kinetic_multiplier(f.domain, eps=eps))
+    return f.copy_with(apply_kinetic(f.values, f.domain, eps))
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> complex:
     """L^2 scalar product, conjugate-linear in the first slot."""
-    _require_same(f, g)
-    s = np.vdot(f.values, g.values)
-    if f.space == POSITION:
-        s *= f.domain.cell_volume
-    return complex(s)
+    if f.domain != g.domain:
+        raise DomainMismatchError("grid functions live on different domains")
+    return complex(np.vdot(f.values, g.values) * f.domain.cell_volume)
 
 
 def norm(f: GridFunction) -> float:
@@ -437,7 +364,7 @@ def _atomic_write(path, data):
 #
 # Layout (little endian):
 #   magic "MFL1"
-#   u32 space (0 position, 1 spectral)
+#   u32 space word, always 0 (position samples); reading rejects any other
 #   u32 kind  (0 free, 1 confined, 2 product)
 #   u32 d_f, u32 d_c, u32 n_particles
 #   u32 point count per free axis, then per confined axis
@@ -458,8 +385,7 @@ def _domain_kind(domain) -> int:
     return _KINDS["product"]
 
 
-def write_mfl1(path, domain: Domain, values: np.ndarray, space: str = POSITION,
-               n_particles: int = 1):
+def write_mfl1(path, domain: Domain, values: np.ndarray, n_particles: int = 1):
     """Serialize samples over ``domain ** n_particles`` to the MFL1 container."""
     values = np.ascontiguousarray(values, dtype=np.complex128)
     free, conf = _parts(domain)
@@ -468,8 +394,7 @@ def write_mfl1(path, domain: Domain, values: np.ndarray, space: str = POSITION,
     if values.shape != domain.shape * n_particles:
         raise ValueError("value shape does not match domain ** n_particles")
     head = [_MAGIC]
-    head.append(struct.pack("<5I", 0 if space == POSITION else 1,
-                            _domain_kind(domain), d_f, d_c, n_particles))
+    head.append(struct.pack("<5I", 0, _domain_kind(domain), d_f, d_c, n_particles))
     counts = (free.points if free is not None else ()) + (conf.points if conf is not None else ())
     head.append(struct.pack(f"<{len(counts)}I", *counts))
     head.append(struct.pack("<d", conf.eps if conf is not None else 1.0))
@@ -482,7 +407,7 @@ def write_mfl1(path, domain: Domain, values: np.ndarray, space: str = POSITION,
 
 
 def read_mfl1(path):
-    """Read an MFL1 container; returns (domain, values, space, n_particles)."""
+    """Read an MFL1 container; returns (domain, values, n_particles)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _MAGIC:
@@ -490,6 +415,8 @@ def read_mfl1(path):
     off = 4
     space_flag, kind, d_f, d_c, n_particles = struct.unpack_from("<5I", raw, off)
     off += 20
+    if space_flag != 0:
+        raise ValueError(f"MFL1 space word must be 0, got {space_flag}")
     counts = struct.unpack_from(f"<{d_f + d_c}I", raw, off)
     off += 4 * (d_f + d_c)
     (eps,) = struct.unpack_from("<d", raw, off)
@@ -511,5 +438,4 @@ def read_mfl1(path):
         domain = ProductDomain(free, conf)
     values = np.frombuffer(raw[off:], dtype="<c16").astype(np.complex128)
     values = values.reshape(domain.shape * n_particles)
-    space = POSITION if space_flag == 0 else SPECTRAL
-    return domain, values, space, n_particles
+    return domain, values, n_particles

@@ -229,8 +229,7 @@ class RateFit:
 _RESIDUAL_CEILING = 0.25  # log-space; 3-point desk fits must not overstate slopes
 
 
-def fit_rate(ns, values, residual_ceiling: float = _RESIDUAL_CEILING,
-             complete: bool = True, note: str = "") -> RateFit:
+def fit_rate(ns, values, complete: bool = True, note: str = "") -> RateFit:
     ns = tuple(int(n) for n in ns)
     values = tuple(float(v) for v in values)
     if len(ns) < 3:
@@ -243,7 +242,7 @@ def fit_rate(ns, values, residual_ceiling: float = _RESIDUAL_CEILING,
     coeffs = np.polyfit(logn, logv, 1)
     fitvals = np.polyval(coeffs, logn)
     residual = float(np.max(np.abs(fitvals - logv)))
-    if residual > residual_ceiling:
+    if residual > _RESIDUAL_CEILING:
         return RateFit(ns, values, None, float(coeffs[1]), residual, complete,
                        "residual above threshold; slope withheld")
     return RateFit(ns, values, float(coeffs[0]), float(coeffs[1]), residual, complete, note)
@@ -358,8 +357,10 @@ def _random_unit(rng, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def verify_lemmas(seed: int = 0, one_body_dim: int = 4,
-                  particle_counts=(2, 3, 4, 5), n_states: int = 20,
+_LEMMA_DIM = 4  # one-body dimension of the random lemma states
+
+
+def verify_lemmas(seed: int = 0, particle_counts=(2, 3, 4, 5), n_states: int = 20,
                   corruption: str | None = None) -> list[LemmaCheck]:
     """Run the projector-algebra invariant suite on random symmetric states.
 
@@ -367,7 +368,7 @@ def verify_lemmas(seed: int = 0, one_body_dim: int = 4,
     an ingredient ('phi-norm') as a negative control.
     """
     rng = np.random.default_rng(seed)
-    dim = one_body_dim
+    dim = _LEMMA_DIM
     tol_tight, tol_bound = 1e-9, 1e-10
 
     worst = {name: 0.0 for name in (

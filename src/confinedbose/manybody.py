@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GuardError
-from .grids import ProductDomain, apply_along, axis_operators
+from .grids import ProductDomain, apply_along, apply_kinetic, axis_operators
 from .model import ModelSpec
 from .onebody import OneBodyState, _time_grid
 
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_MEMORY_CAP = 2 * 1024**3  # bytes; see working_set_bytes for what a run needs
+SYMMETRY_TOL = 1e-6  # largest transposition residual accepted as a symmetric state
 
 
 @dataclass(frozen=True)
@@ -179,24 +180,28 @@ def _broadcast_shape(total_axes: int, block: int, particles, one_body_shape):
     return tuple(shape)
 
 
-def symmetry_residual(state: ManyBodyState) -> float:
-    """Max over transpositions of ||psi - sigma psi|| (quadrature norm)."""
-    n = state.n_particles
-    block = len(state.domain.shape)
+def _transposition_residual(values: np.ndarray, n: int, block: int) -> float:
+    """Max over transpositions sigma of the euclidean ||values - sigma values||,
+    for n particle blocks of ``block`` axes each."""
     worst = 0.0
-    scale = np.sqrt(state.cell_volume)
     for i, j in itertools.combinations(range(n), 2):
         order = list(range(n))
         order[i], order[j] = j, i
         axes = [b * block + a for b in order for a in range(block)]
-        swapped = np.transpose(state.values, axes)
-        worst = max(worst, float(np.linalg.norm((state.values - swapped).ravel())) * scale)
+        swapped = np.transpose(values, axes)
+        worst = max(worst, float(np.linalg.norm((values - swapped).ravel())))
     return worst
 
 
+def symmetry_residual(state: ManyBodyState) -> float:
+    """Max over transpositions of ||psi - sigma psi|| (quadrature norm)."""
+    residual = _transposition_residual(state.values, state.n_particles, len(state.domain.shape))
+    return residual * np.sqrt(state.cell_volume)
+
+
 def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
-                    stride: int = 1, memory_cap: int = DEFAULT_MEMORY_CAP,
-                    sym_tol: float = 1e-6) -> Iterator[ManyBodyState]:
+                    stride: int = 1,
+                    memory_cap: int = DEFAULT_MEMORY_CAP) -> Iterator[ManyBodyState]:
     """Strang-split unitary evolution under the N-particle Hamiltonian.
 
     Kinetic half-steps apply the one-body per-axis propagators (eps^-2
@@ -219,7 +224,7 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
         )
     if abs(state.mass() - 1.0) > 1e-6:
         raise ConfigError("initial state is not normalized")
-    if symmetry_residual(state) > sym_tol:
+    if symmetry_residual(state) > SYMMETRY_TOL:
         raise ConfigError("initial state is not permutation symmetric")
 
     n = spec.n_particles
@@ -264,19 +269,17 @@ def _apply_h1(state: ManyBodyState, spec: ModelSpec) -> np.ndarray:
     dom = state.domain
     block = len(dom.shape)
     n = state.n_particles
-    out = sum(apply_along(state.values, k, axis)
-              for axis, k in enumerate(axis_operators(dom, lambda mult: mult)))
+    out = apply_kinetic(state.values, dom)
     if not spec.potential.is_zero:
         v_one = spec.potential.values_product(state.t, dom)
         out = out + v_one.reshape(dom.shape + (1,) * (block * (n - 1))) * state.values
     return out
 
 
-def _energy_and_residual(state: ManyBodyState, spec: ModelSpec,
-                         sym_tol: float = 1e-6) -> tuple[float, float]:
+def _energy_and_residual(state: ManyBodyState, spec: ModelSpec) -> tuple[float, float]:
     """(manybody_energy, the symmetry residual its guard computed)."""
     residual = symmetry_residual(state)
-    if residual > sym_tol:
+    if residual > SYMMETRY_TOL:
         raise ConfigError("manybody_energy expects a symmetric state")
     vol = state.cell_volume
     n = state.n_particles
@@ -295,10 +298,9 @@ def _energy_and_residual(state: ManyBodyState, spec: ModelSpec,
     return kin + inter, residual
 
 
-def manybody_energy(state: ManyBodyState, spec: ModelSpec,
-                    sym_tol: float = 1e-6) -> float:
+def manybody_energy(state: ManyBodyState, spec: ModelSpec) -> float:
     """Per-particle energy via the symmetric two-body reduction."""
-    return _energy_and_residual(state, spec, sym_tol)[0]
+    return _energy_and_residual(state, spec)[0]
 
 
 def excess_energy_diagnostic(state: ManyBodyState, spec: ModelSpec) -> float:

@@ -241,19 +241,22 @@ class ModelSpec:
         return 1.0 / self.n_particles
 
 
+_F_EPS_REFINE = 4  # measured_f_eps samples a grid this many times finer per axis
+
+
 def measured_f_eps(profile: InteractionProfile, eps: float, free: FreeDomain,
-                   confined: ConfinedDomain, refine: int = 4) -> float:
+                   confined: ConfinedDomain) -> float:
     """Measured convergence defect f(eps) of w(x, eps y) towards w(x, 0).
 
     Returns max of the L^1 defect of the singular part and the sup defect of
     the bounded part over Omega_f x (difference set of Omega_c), evaluated on
-    a ``refine``-times finer tensor grid.
+    a ``_F_EPS_REFINE``-times finer tensor grid.
     """
-    axes = [np.linspace(-L / 2, L / 2, refine * n, endpoint=False)
+    axes = [np.linspace(-L / 2, L / 2, _F_EPS_REFINE * n, endpoint=False)
             for L, n in zip(free.extents, free.points)]
     for (c, d), n in zip(confined.intervals, confined.points):
         w = d - c
-        axes.append(np.linspace(-w, w, 2 * refine * n + 1))
+        axes.append(np.linspace(-w, w, 2 * _F_EPS_REFINE * n + 1))
     grids_ = np.meshgrid(*axes, indexing="ij")
     d_f = free.dim
     x2 = sum(g**2 for g in grids_[:d_f])

@@ -21,10 +21,10 @@ from .grids import (
     FreeDomain,
     GridFunction,
     ProductDomain,
-    from_spectral,
-    kinetic_multiplier,
+    apply_along,
+    apply_kinetic,
+    axis_operators,
     norm,
-    to_spectral,
 )
 from .model import InteractionProfile, ModelSpec
 
@@ -179,9 +179,6 @@ class OneBodyState:
             phi = phi * np.exp(-1j * self.mode.energy_eps * self.t)
         return phi
 
-    def product_function(self, confined_phase: bool = False) -> GridFunction:
-        return GridFunction(self.domain, self.product_values(confined_phase))
-
 
 def _mean_field(spec: ModelSpec, phi: GridFunction, kernel0, b):
     """Pointwise effective potential for the nonlinear substep."""
@@ -218,16 +215,17 @@ def evolve_effective(state: OneBodyState, spec: ModelSpec, T: float, dt: float,
     """
     steps = _time_grid(T, dt)
     dom = state.phi_free.domain
-    mult = kinetic_multiplier(dom)
-    half_kick = np.exp(-0.5j * dt * mult)
+    kicks = axis_operators(dom, lambda mult: np.exp(-0.5j * dt * mult))
     kernel0 = mean_field_kernel(spec) if spec.regime == "hartree-theta0" else None
     b = None
     if spec.regime != "hartree-theta0":
         b = coupling_b(spec.interaction, chi_mode(spec.confined, 0))
 
     def kick(phi):
-        spec_f = to_spectral(phi)
-        return from_spectral(spec_f.copy_with(spec_f.values * half_kick))
+        values = phi.values
+        for axis, k in enumerate(kicks):
+            values = apply_along(values, k, axis)
+        return phi.copy_with(values)
 
     out = [state]
     phi = state.phi_free
@@ -251,10 +249,9 @@ def effective_energy(state: OneBodyState, spec: ModelSpec) -> float:
     """Conserved effective energy, including the eps^-2 trap contribution."""
     phi = state.phi_free
     dom = phi.domain
-    spec_vals = to_spectral(phi).values
-    kinetic = float(np.sum(kinetic_multiplier(dom) * np.abs(spec_vals) ** 2))
-    trap = state.mode.energy_eps * norm(phi) ** 2
     cell = dom.cell_volume
+    kinetic = float(np.vdot(phi.values, apply_kinetic(phi.values, dom)).real * cell)
+    trap = state.mode.energy_eps * norm(phi) ** 2
     dens = np.abs(phi.values) ** 2
     if spec.regime == "hartree-theta0":
         mf = hartree_potential(phi, mean_field_kernel(spec)).values.real
@@ -273,11 +270,11 @@ def sup_norms(state: OneBodyState) -> tuple[float, float, float, float]:
     phi_free = state.phi_free
     sup_big = float(np.max(np.abs(phi_free.values)) * np.max(np.abs(state.mode.chi.values)))
     sup_small = float(np.max(np.abs(phi_free.values)))
-    full = state.product_function()
-    spec_full = to_spectral(full)
-    h2 = float(np.linalg.norm(spec_full.values * (1.0 + kinetic_multiplier(full.domain, eps=1.0))))
-    spec_free = to_spectral(phi_free)
-    lap = float(np.linalg.norm(spec_free.values * kinetic_multiplier(phi_free.domain)))
+    full = state.product_values()
+    dom = state.domain
+    h2 = float(np.linalg.norm(full + apply_kinetic(full, dom, eps=1.0)) * np.sqrt(dom.cell_volume))
+    lap = float(np.linalg.norm(apply_kinetic(phi_free.values, phi_free.domain))
+                * np.sqrt(phi_free.domain.cell_volume))
     return sup_big, sup_small, h2, lap
 
 

@@ -1,24 +1,21 @@
-"""Grid, transform and quadrature contracts."""
+"""Grid, kinetic-operator, quadrature and file-format contracts."""
 
 import numpy as np
 import pytest
 
-from confinedbose import grids
 from confinedbose.grids import (
     ConfinedDomain,
     FreeDomain,
     GridFunction,
     ProductDomain,
     apply_along,
+    apply_kinetic,
     axis_operators,
-    from_spectral,
     inner_product,
-    kinetic_multiplier,
     laplacian_confined,
     laplacian_free,
     norm,
     read_mfl1,
-    to_spectral,
     write_mfl1,
 )
 
@@ -158,26 +155,6 @@ def test_inner_product_matches_refined_grid_oracle():
     assert abs(ip_c - ip_f) <= 1e-8 * max(1.0, abs(ip_f))
 
 
-@pytest.mark.parametrize(
-    "domain",
-    [
-        FreeDomain((4.0, 5.0), (16, 32)),
-        ConfinedDomain(((-0.5, 0.5), (-0.3, 0.7)), (9, 12)),
-        ProductDomain(FreeDomain((5.0,), (16,)), ConfinedDomain(((-0.5, 0.5),), (7,), eps=0.2)),
-    ],
-)
-def test_parseval(domain):
-    rng = np.random.default_rng(5)
-    vals = rng.normal(size=domain.shape) + 1j * rng.normal(size=domain.shape)
-    f = GridFunction(domain, vals)
-    spec = to_spectral(f)
-    n_pos = norm(f)
-    n_spec = float(np.linalg.norm(spec.values))
-    assert abs(n_pos - n_spec) <= 1e-10 * n_pos
-    back = from_spectral(spec)
-    assert np.max(np.abs(back.values - f.values)) < 1e-10
-
-
 def test_laplacian_free_self_adjoint():
     dom = FreeDomain((5.0, 5.0), (16, 16))
     rng = np.random.default_rng(9)
@@ -214,9 +191,21 @@ def test_mfl1_round_trip(tmp_path):
     vals = rng.normal(size=dom.shape) + 1j * rng.normal(size=dom.shape)
     path = tmp_path / "state.mfl1"
     write_mfl1(path, dom, vals)
-    dom2, vals2, space, npart = read_mfl1(path)
-    assert dom2 == dom and space == grids.POSITION and npart == 1
+    dom2, vals2, npart = read_mfl1(path)
+    assert dom2 == dom and npart == 1
     assert np.array_equal(vals, vals2)
+
+
+def test_mfl1_rejects_nonzero_space_word(tmp_path):
+    dom = FreeDomain((4.0,), (8,))
+    path = tmp_path / "state.mfl1"
+    write_mfl1(path, dom, np.ones(8))
+    raw = bytearray(path.read_bytes())
+    assert raw[4:8] == (0).to_bytes(4, "little")  # the word after the magic
+    raw[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="space word"):
+        read_mfl1(path)
 
 
 def test_mfl1_many_particle_axis(tmp_path):
@@ -228,45 +217,49 @@ def test_mfl1_many_particle_axis(tmp_path):
     vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     path = tmp_path / "pair.mfl1"
     write_mfl1(path, dom, vals, n_particles=2)
-    dom2, vals2, _, npart = read_mfl1(path)
+    dom2, vals2, npart = read_mfl1(path)
     assert npart == 2 and dom2 == dom
     assert np.array_equal(vals, vals2)
 
 
-def test_kinetic_multiplier_eps_weighting():
+def test_apply_kinetic_eps_weighting():
     dom = ProductDomain(
         FreeDomain((4.0,), (8,)), ConfinedDomain(((-0.5, 0.5),), (5,), eps=0.5)
     )
-    weighted = kinetic_multiplier(dom)
-    plain = kinetic_multiplier(dom, eps=1.0)
-    # confined part scales by eps^-2, free part unchanged
-    assert np.allclose(weighted[0], plain[0] * 4.0)
-    diff = weighted - plain
-    assert np.allclose(diff[:, 0], 3.0 * np.pi**2 * np.ones(8), rtol=1e-12)
+    # a free plane wave times the confined ground mode
+    f = GridFunction.sample(
+        dom, lambda x, y: np.exp(2j * np.pi * x / 4.0) * np.sin(np.pi * (y + 0.5))
+    )
+    free_term, conf_term = (2 * np.pi / 4.0) ** 2, np.pi**2
+    # the confined term scales by eps^-2 = 4, the free term does not
+    plain = apply_kinetic(f.values, dom, eps=1.0)
+    weighted = apply_kinetic(f.values, dom)
+    assert np.allclose(plain, (free_term + conf_term) * f.values, rtol=1e-12, atol=1e-12)
+    assert np.allclose(weighted, (free_term + 4.0 * conf_term) * f.values, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("conf_points", [(3,), (4, 3)])
-def test_axis_operators_match_spectral_route(conf_points):
+def test_axis_operators_match_spectral_route(conf_points, analytic_kinetic):
+    # the spectral route is V f(Lambda) V^dagger in the analytic eigenbasis
     intervals = ((-0.5, 0.5), (-0.4, 0.6))[: len(conf_points)]
     dom = ProductDomain(
         FreeDomain((6.0,), (16,)), ConfinedDomain(intervals, conf_points, eps=0.5)
     )
     rng = np.random.default_rng(11)
-    f = GridFunction(dom, rng.normal(size=dom.shape) + 1j * rng.normal(size=dom.shape))
-    mult = kinetic_multiplier(dom)
-    spectral = to_spectral(f)
+    f = rng.normal(size=dom.shape) + 1j * rng.normal(size=dom.shape)
 
-    def spectral_route(weight):
-        return from_spectral(spectral.copy_with(spectral.values * weight)).values
+    def spectral_route(fn):
+        return (analytic_kinetic(dom, fn) @ f.ravel()).reshape(dom.shape)
 
-    expected = spectral_route(mult)
-    generator = sum(apply_along(f.values, k, axis)
-                    for axis, k in enumerate(axis_operators(dom, lambda m: m)))
+    expected = spectral_route(lambda lam: lam)
+    generator = apply_kinetic(f, dom)
     assert np.max(np.abs(generator - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     tau = 0.03
-    expected = spectral_route(np.exp(-1j * tau * mult))
-    evolved = f.values
-    for axis, u in enumerate(axis_operators(dom, lambda m: np.exp(-1j * tau * m))):
+    expected = spectral_route(lambda lam: np.exp(-1j * tau * lam))
+    evolved = f
+    propagators = axis_operators(dom, lambda m: np.exp(-1j * tau * m))
+    for axis, u in enumerate(propagators):
         evolved = apply_along(evolved, u, axis)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= 1e-13
     assert np.max(np.abs(evolved - expected)) <= 1e-12 * np.max(np.abs(expected))

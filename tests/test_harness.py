@@ -191,6 +191,25 @@ def test_run_ladder_requires_three_points(tmp_path):
         run_ladder(cfg, tmp_path / "ladder")
 
 
+def test_ladder_eps_rules():
+    # power: eps = N^-nu, the coupled confinement; nu from the ladder or the config
+    power = config(ladder={"particle_counts": [2, 3, 4], "eps_rule": "power", "nu": 0.6})
+    for n in (2, 3, 4):
+        assert harness._ladder_eps(power, n) == pytest.approx(n ** -0.6, rel=1e-15)
+    from_config = config(nu=0.7, ladder={"particle_counts": [2, 3, 4], "eps_rule": "power"})
+    assert harness._ladder_eps(from_config, 4) == pytest.approx(4 ** -0.7, rel=1e-15)
+    listed = config(ladder={"particle_counts": [2, 3, 4], "eps_rule": "list",
+                            "eps_list": [0.5, 0.25, 0.125]})
+    assert [harness._ladder_eps(listed, n) for n in (2, 3, 4)] == [0.5, 0.25, 0.125]
+
+    no_nu = config(ladder={"particle_counts": [2, 3, 4], "eps_rule": "power"})
+    with pytest.raises(ConfigError, match="needs nu"):
+        harness._ladder_eps(no_nu, 2)
+    unknown = config(ladder={"particle_counts": [2, 3, 4], "eps_rule": "cubic"})
+    with pytest.raises(ConfigError, match="unknown eps rule"):
+        harness._ladder_eps(unknown, 2)
+
+
 def test_verify_lemmas_pass_and_seed_stability():
     checks_a = verify_lemmas(seed=1, particle_counts=(2, 3), n_states=4)
     checks_b = verify_lemmas(seed=99, particle_counts=(2, 3), n_states=4)

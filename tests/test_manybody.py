@@ -190,22 +190,15 @@ def test_noninteracting_factorization(n):
         assert err < 1e-7
 
 
-def dense_hamiltonian(spec):
+def dense_hamiltonian(spec, analytic_kinetic):
     """Explicit matrix of the two-particle Hamiltonian (CN oracle input).
 
-    The one-body kinetic block comes from the unitary transforms and the
-    full multiplier, not from the per-axis operators the solver uses.
+    The one-body kinetic block comes from the analytic eigenbasis, not from
+    the per-axis operators the solver uses.
     """
-    from confinedbose.grids import from_spectral, kinetic_multiplier, to_spectral
-
     dom = spec.domain
     m = int(np.prod(dom.shape))
-    mult = kinetic_multiplier(dom)
-    k_one = np.zeros((m, m), dtype=complex)
-    eye = np.eye(m, dtype=complex)
-    for col in range(m):
-        spectral = to_spectral(GridFunction(dom, eye[:, col].reshape(dom.shape)))
-        k_one[:, col] = from_spectral(spectral.copy_with(spectral.values * mult)).values.ravel()
+    k_one = analytic_kinetic(dom, lambda lam: lam)
     h = np.kron(k_one, np.eye(m)) + np.kron(np.eye(m), k_one)
     pair = pair_phase_array(spec).reshape(m, m)
     h += spec.pair_prefactor * np.diag(pair.ravel())
@@ -215,7 +208,7 @@ def dense_hamiltonian(spec):
     return h
 
 
-def test_two_particle_matches_crank_nicolson_oracle():
+def test_two_particle_matches_crank_nicolson_oracle(analytic_kinetic):
     spec = small_spec(n=2, amplitude=2.0, n_f=16, n_c=2,
                       potential=ExternalPotential("gaussian", amplitude=0.8, sigma=2.0))
     one0 = gaussian_one_body(spec)
@@ -223,7 +216,7 @@ def test_two_particle_matches_crank_nicolson_oracle():
     T = 0.2
     final = list(evolve_manybody(psi0, spec, T, 1e-3))[-1]
 
-    h = dense_hamiltonian(spec)
+    h = dense_hamiltonian(spec, analytic_kinetic)
     dt = 5e-5
     steps = round(T / dt)
     m2 = h.shape[0]
