@@ -11,8 +11,10 @@ contraction route below (works for any per-site dimension, including full
 grids) and the explicit kron-matrix route in the ``dense_*`` helpers, small
 enough to serve as the other's oracle.
 
-Internally all states are rescaled to unit quadrature weight, so inner
-products are plain euclidean ones regardless of representation.
+Internally phi is rescaled to unit quadrature weight and psi is read in
+place: the weight of psi enters the returned scalars (and vectors) as a
+factor, so inner products are plain euclidean ones regardless of
+representation and no state-sized rescaled copy is made.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, InvariantError
-from .grids import GridFunction, apply_kinetic
+from .grids import GridFunction, kinetic_expectation
 from .manybody import SYMMETRY_TOL, ManyBodyState, _transposition_residual, pair_phase_array
 from .model import ModelSpec
 from .onebody import OneBodyState, chi_mode, hartree_potential, mean_field_kernel
@@ -63,10 +66,13 @@ __all__ = [
 
 
 def _frame(psi, phi, weight: float = 1.0):
-    """Rescale (psi, phi) to unit quadrature weight and flatten per particle.
+    """(psi, phi, n, amp): psi with one axis per particle, phi at unit weight.
 
     ``psi`` may carry any number of axes per particle as long as the total
     size is a power of len(phi); ``weight`` is the one-body cell volume.
+    psi is reshaped, not copied or rescaled: its unit-weight frame is
+    ``amp * psi`` with amp = weight^(n/2), so callers scale vectors by amp
+    and quadratic forms by amp^2.
     """
     phi = np.asarray(phi, dtype=np.complex128).ravel()
     m = phi.size
@@ -81,12 +87,11 @@ def _frame(psi, phi, weight: float = 1.0):
         raise ConfigError("psi size is not a tensor power of the one-body dimension")
     psi = psi.reshape((m,) * n)
     if weight != 1.0:
-        psi = psi * weight ** (n / 2.0)
         phi = phi * weight**0.5
     nrm = np.linalg.norm(phi)
     if abs(nrm - 1.0) > 1e-6:
         raise InvariantError(f"condensate reference is not normalized (|phi| = {nrm:.2e})")
-    return psi, phi, n
+    return psi, phi, n, weight ** (n / 2.0)
 
 
 def _grid_frame(state: ManyBodyState, reference):
@@ -96,22 +101,32 @@ def _grid_frame(state: ManyBodyState, reference):
     return _frame(state.values, phi, weight=state.domain.cell_volume)
 
 
-def project_p(v: np.ndarray, phi: np.ndarray, axis: int) -> np.ndarray:
-    """p_axis v with p = |phi><phi| (unit-weight convention).
+def _axis_coefficients(v: np.ndarray, phi: np.ndarray, axis: int):
+    """(v as a (left, m, right) view, the (left, right) coefficients <phi|v>).
 
-    Implemented on a (left, m, right) reshape so the result is contiguous;
-    strided views here would dominate the runtime of every functional.
+    Working on the reshape keeps every result contiguous; strided views here
+    would dominate the runtime of every functional.
     """
     m = v.shape[axis]
-    left = int(np.prod(v.shape[:axis], dtype=np.int64))
-    right = int(np.prod(v.shape[axis + 1:], dtype=np.int64))
-    block = v.reshape(left, m, right)
-    c = np.einsum("p,lpr->lr", np.conj(phi), block)
+    block = v.reshape(math.prod(v.shape[:axis]), m, math.prod(v.shape[axis + 1:]))
+    return block, np.einsum("p,lpr->lr", np.conj(phi), block)
+
+
+def project_p(v: np.ndarray, phi: np.ndarray, axis: int) -> np.ndarray:
+    """p_axis v with p = |phi><phi| (unit-weight convention)."""
+    _, c = _axis_coefficients(v, phi, axis)
     return (phi[None, :, None] * c[:, None, :]).reshape(v.shape)
 
 
 def project_q(v: np.ndarray, phi: np.ndarray, axis: int) -> np.ndarray:
-    return v - project_p(v, phi, axis)
+    out = project_p(v, phi, axis)
+    return np.subtract(v, out, out=out)
+
+
+def _project_q_in_place(v: np.ndarray, phi: np.ndarray, axis: int):
+    """v <- q_axis v for a contiguous v; the only scratch is one product term."""
+    block, c = _axis_coefficients(v, phi, axis)
+    block -= phi[None, :, None] * c[:, None, :]
 
 
 def occupancy_components(psi: np.ndarray, phi: np.ndarray, weight: float = 1.0):
@@ -124,7 +139,7 @@ def occupancy_components(psi: np.ndarray, phi: np.ndarray, weight: float = 1.0):
     factor goes into the previous q part, so at most N + 2 state-sized
     arrays live at once besides ``psi``, which is only read.
     """
-    psi, phi, n = _frame(psi, phi, weight)
+    psi, phi, n, amp = _frame(psi, phi, weight)
     p_part = project_p(psi, phi, 0)
     comps = [p_part, psi - p_part]
     for axis in range(1, n):
@@ -138,6 +153,9 @@ def occupancy_components(psi: np.ndarray, phi: np.ndarray, weight: float = 1.0):
             prev_q = comp
         new.append(prev_q)
         comps = new
+    if amp != 1.0:
+        for comp in comps:
+            comp *= amp
     return comps
 
 
@@ -146,9 +164,12 @@ def occupancy_components(psi: np.ndarray, phi: np.ndarray, weight: float = 1.0):
 
 def alpha(psi, phi, weight: float = 1.0) -> float:
     """alpha = <psi, q_1 psi> = 1 - <phi, gamma phi> for normalized input."""
-    psi, phi, _ = _frame(psi, phi, weight)
+    psi, phi, _, amp = _frame(psi, phi, weight)
     q1 = project_q(psi, phi, 0)
-    return float(np.vdot(q1, q1).real)
+    return amp**2 * float(np.vdot(q1, q1).real)
+
+
+_GAMMA_BLOCK_BYTES = 1 << 20  # conjugated column block of psi, per product
 
 
 def density_matrix(psi) -> np.ndarray:
@@ -156,18 +177,26 @@ def density_matrix(psi) -> np.ndarray:
 
     ``psi`` carries one axis per particle (unit-weight frame).  Returns the
     m x m Hermitian matrix with trace ||psi||^2; its quadratic form against
-    a unit-weight-rescaled phi gives <phi, gamma phi>.
+    a unit-weight-rescaled phi gives <phi, gamma phi>.  gamma = A A^dagger
+    for the (m, m^(N-1)) reshape A is accumulated over column blocks, so
+    the conjugate is never formed for the whole state.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    rest = tuple(range(1, psi.ndim))
-    return np.tensordot(psi, np.conj(psi), axes=(rest, rest))
+    rows = psi.reshape(psi.shape[0], -1)
+    m, cols = rows.shape
+    step = max(1, _GAMMA_BLOCK_BYTES // (16 * m))
+    gamma = np.zeros((m, m), dtype=np.complex128)
+    for start in range(0, cols, step):
+        blk = rows[:, start:start + step]
+        gamma += blk @ blk.conj().T
+    return gamma
 
 
 def alpha_density_route(psi, phi, weight: float = 1.0) -> float:
     """alpha = 1 - <phi, gamma^psi phi>, the density-matrix route."""
-    psi, phi, _ = _frame(psi, phi, weight)
+    psi, phi, _, amp = _frame(psi, phi, weight)
     gamma = density_matrix(psi)
-    return float(1.0 - np.vdot(phi, gamma @ phi).real)
+    return float(1.0 - amp**2 * np.vdot(phi, gamma @ phi).real)
 
 
 def occupation_distribution(psi, phi, weight: float = 1.0) -> np.ndarray:
@@ -178,7 +207,7 @@ def occupation_distribution(psi, phi, weight: float = 1.0) -> np.ndarray:
 
 def occupation_distribution_enumeration(psi, phi, weight: float = 1.0) -> np.ndarray:
     """Brute-force oracle: explicit sum over all 2^N projector patterns."""
-    psi, phi, n = _frame(psi, phi, weight)
+    psi, phi, n, amp = _frame(psi, phi, weight)
     if n > 6:
         raise ConfigError("pattern enumeration limited to N <= 6")
     out = np.zeros(n + 1)
@@ -187,22 +216,48 @@ def occupation_distribution_enumeration(psi, phi, weight: float = 1.0) -> np.nda
         for axis, is_q in enumerate(pattern):
             v = project_q(v, phi, axis) if is_q else project_p(v, phi, axis)
         out[sum(pattern)] += float(np.vdot(v, v).real)
-    return out
+    return amp**2 * out
 
 
 def occupation_distribution_binomial(psi, phi, weight: float = 1.0) -> np.ndarray:
-    """Symmetric shortcut p(k) = C(N,k) <psi, q_1..q_k p_{k+1}..p_N psi>."""
-    psi, phi, n = _frame(psi, phi, weight)
-    if _transposition_residual(psi, n, 1) > SYMMETRY_TOL:
+    """Symmetric shortcut p(k) = C(N,k) ||q_1..q_k p_{k+1}..p_N psi||^2.
+
+    Refuses a state whose transposition residual exceeds SYMMETRY_TOL; see
+    ``_sector_weights`` for the route and its error.
+    """
+    psi, phi, n, amp = _frame(psi, phi, weight)
+    if amp * _transposition_residual(psi, n, 1) > SYMMETRY_TOL:
         raise ConfigError("binomial shortcut requires a symmetric state")
-    out = np.zeros(n + 1)
-    for k in range(n + 1):
-        v = psi
+    return amp**2 * _sector_weights(psi, phi)
+
+
+def _sector_weights(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """p(k) = C(N,k) ||q^(x)k c_{N-k}||^2 (euclidean) for a symmetric psi.
+
+    ``psi`` has one axis per particle and is only read.  c_l = <phi^(x)l|psi>
+    contracts psi with phi* on its last l axes: a chain of tensors shrinking
+    by m per link, since p = |phi><phi| on an axis only keeps its
+    coefficient.  q is applied in place on one copy of each c_{N-k}; the
+    copy of psi itself (k = N, taken first, before any link) is the one
+    state-sized array, plus one product term while q acts on an axis.
+
+    Precondition: psi is permutation symmetric, which makes every pattern
+    of k q's and N - k p's as heavy as the first-k one.  Off symmetry the
+    error of p(k) is at most 2 min(k, N-k) C(N,k) r ||psi|| for a
+    transposition residual r (each pattern is the first-k one conjugated by
+    at most min(k, N-k) transpositions), so it scales with the residual.
+    """
+    n, m = psi.ndim, phi.size
+    out = np.empty(n + 1)
+    c = psi
+    for k in range(n, -1, -1):  # c = c_{N-k}
+        v = c.reshape((m,) * k).copy()
         for axis in range(k):
-            v = project_q(v, phi, axis)
-        for axis in range(k, n):
-            v = project_p(v, phi, axis)
-        out[k] = math.comb(n, k) * float(np.vdot(psi, v).real)
+            _project_q_in_place(v, phi, axis)
+        out[k] = math.comb(n, k) * float(np.vdot(v, v).real)
+        del v
+        if k:
+            c = c.reshape(-1, m) @ np.conj(phi)
     return out
 
 
@@ -334,12 +389,12 @@ def shift_identity_residual(f: WeightFunction, j: int, k: int, T, psi, phi,
     block; zero-fill shifts suffice because out-of-range weights multiply
     vanishing sectors.
     """
-    psi, phi, _ = _frame(psi, phi, weight)
+    psi, phi, _, amp = _frame(psi, phi, weight)
     rhs_in = hat_apply(f.shifted(j - k), psi, phi)
     rhs = _apply_Q(_apply_two_body(_apply_Q(rhs_in, phi, variant, k), T), phi, variant, j)
     mid = _apply_Q(_apply_two_body(_apply_Q(psi, phi, variant, k), T), phi, variant, j)
     lhs = hat_apply(f, mid, phi)
-    return float(np.linalg.norm((lhs - rhs).ravel()))
+    return amp * float(np.linalg.norm((lhs - rhs).ravel()))
 
 
 def weight_difference_bound(m_tag: str, l: int, psi, phi,
@@ -350,21 +405,44 @@ def weight_difference_bound(m_tag: str, l: int, psi, phi,
     """
     if m_tag not in ("k/N", "n"):
         raise ConfigError("the difference bound holds for the k/N and sqrt(k/N) weights")
-    psi, phi, n = _frame(psi, phi, weight)
+    psi, phi, n, amp = _frame(psi, phi, weight)
     m = WeightFunction.from_tag(m_tag, n)
     diff = WeightFunction(m.values - m.shifted(l).values, None)
     v = project_q(psi, phi, 0)
-    lhs = float(np.linalg.norm(hat_apply(diff, v, phi).ravel()))
+    lhs = amp * float(np.linalg.norm(hat_apply(diff, v, phi).ravel()))
     return lhs, l / n
 
 
+_DENSE_EIG_MAX_DIM = 96  # measured crossover of dense eigvalsh and Lanczos
+
+
 def trace_distance(gamma: np.ndarray, phi: np.ndarray) -> float:
-    """Tr |gamma - |phi><phi||, by eigendecomposition of the difference."""
+    """Tr |gamma - |phi><phi|| for a positive semidefinite gamma.
+
+    gamma - |phi><phi| is a rank-one negative perturbation of a PSD matrix,
+    so by Weyl interlacing it has at most one negative eigenvalue
+    lambda_min, and its trace norm is tr(gamma - |phi><phi|) -
+    2 min(lambda_min, 0).  lambda_min comes from a dense ``eigvalsh`` up to
+    m = 96 and above that from Lanczos (ARPACK via ``eigsh``, which="SA")
+    on v -> gamma v - phi <phi, v>, so the difference matrix is never
+    formed.  The start vector is phi and restarts draw from a fixed seed,
+    so the result is reproducible.  Crossover, one BLAS thread on a 2-core
+    x86-64 box: m = 48 dense 0.33 ms / Lanczos 1.1 ms, m = 96 1.2 / 1.2 ms,
+    m = 128 2.4 / 1.4 ms, m = 1024 553 / 22 ms.
+    """
     phi = np.asarray(phi, dtype=np.complex128).ravel()
-    if gamma.shape[0] > 4096:
+    m = phi.size
+    if m > 4096:
         raise ConfigError("trace distance limited to one-body dimension <= 4096")
-    diff = gamma - np.outer(phi, np.conj(phi))
-    return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    trace = float(np.trace(gamma).real - np.vdot(phi, phi).real)
+    if m <= _DENSE_EIG_MAX_DIM:
+        lam = np.linalg.eigvalsh(gamma - np.outer(phi, np.conj(phi)))[0]
+    else:
+        diff = LinearOperator((m, m), matvec=lambda v: gamma @ v - phi * np.vdot(phi, v),
+                              dtype=np.complex128)
+        lam = eigsh(diff, k=1, which="SA", v0=phi, rng=np.random.default_rng(0),
+                    return_eigenvectors=False)[0].real
+    return trace - 2.0 * min(float(lam), 0.0)
 
 
 # -- derivative decomposition and energy-lemma ingredients --------------------
@@ -380,7 +458,7 @@ def derivative_terms(state: ManyBodyState, one_body: OneBodyState,
     """
     if spec.regime != "hartree-theta0":
         raise ConfigError("the derivative decomposition is a theta = 0 statement")
-    psi, phi, n = _grid_frame(state, one_body)
+    psi, phi, n, amp = _grid_frame(state, one_body)
     if n < 2:
         raise ConfigError("need at least two particles")
     kernel = pair_phase_array(spec).reshape(phi.size, phi.size)
@@ -402,10 +480,11 @@ def derivative_terms(state: ManyBodyState, one_body: OneBodyState,
     q1p2 = project_p(q1, phi, 1)
     q1q2 = project_q(q1, phi, 1)
 
-    term1 = 2.0 * abs(np.vdot(p1p2, w12(q1p2)))
-    term2 = 2.0 * abs(np.vdot(p1p2, w12(q1q2)))
-    term3 = 2.0 * abs(np.vdot(p1q2, w12(q1q2)))
-    total = -2.0 * float(np.vdot(p1, w12(q1)).imag)
+    scale = 2.0 * amp**2
+    term1 = scale * abs(np.vdot(p1p2, w12(q1p2)))
+    term2 = scale * abs(np.vdot(p1p2, w12(q1q2)))
+    term3 = scale * abs(np.vdot(p1q2, w12(q1q2)))
+    total = -scale * float(np.vdot(p1, w12(q1)).imag)
     return term1, term2, term3, total
 
 
@@ -416,16 +495,18 @@ def grad_q_norm(state: ManyBodyState, reference) -> float:
     is subtracted, so the value vanishes on pure condensates and is
     nonnegative by the spectral gap.
     """
-    psi, phi, _ = _grid_frame(state, reference)
-    return _grad_q_in_frame(psi, phi, state.domain)
+    psi, phi, _, amp = _grid_frame(state, reference)
+    return amp**2 * _grad_q_in_frame(psi, phi, state.domain)
 
 
 def _grad_q_in_frame(psi, phi, dom) -> float:
-    """grad_q_norm of the unit-weight frame (psi, phi) of a state on ``dom``."""
+    """grad_q_norm of the frame (psi, phi) of a state on ``dom``, euclidean in psi.
+
+    Besides psi this holds q_1 psi and one axis term K_a q_1 psi at a time.
+    """
     q1 = project_q(psi, phi, 0).reshape(dom.shape + (-1,))
-    hv = apply_kinetic(q1, dom)
-    hv -= chi_mode(dom.confined, 0).energy_eps * q1
-    return float(np.vdot(q1, hv).real)
+    shift = chi_mode(dom.confined, 0).energy_eps * float(np.vdot(q1, q1).real)
+    return kinetic_expectation(q1, dom) - shift
 
 
 def mode_projection_split(state: ManyBodyState, one_body: OneBodyState) -> tuple[float, float]:
@@ -550,14 +631,22 @@ class CountingReport:
 def compute_report(state: ManyBodyState, one_body: OneBodyState,
                    e_psi: float, e_phi: float) -> CountingReport:
     """Evaluate all counting functionals for one (psi, phi) snapshot whose
-    per-particle energies ``e_psi`` and ``e_phi`` the caller computed."""
-    psi, phi, n = _grid_frame(state, one_body)
-    pk = occupation_distribution(psi, phi)
+    per-particle energies ``e_psi`` and ``e_phi`` the caller computed.
+
+    Precondition: the snapshot is permutation symmetric.  The occupation
+    distribution uses the symmetric route ``_sector_weights`` without
+    re-checking; the caller's ``manybody._energy_and_residual`` has already
+    refused a residual above SYMMETRY_TOL.  Besides psi, no step holds more
+    than two state-sized arrays.
+    """
+    psi, phi, n, amp = _grid_frame(state, one_body)
+    scale = amp**2
+    pk = scale * _sector_weights(psi, phi)
     ks = np.arange(n + 1)
     a = float(np.dot(ks / n, pk))
     b = float(np.dot(np.sqrt(ks / n), pk))
-    gamma = density_matrix(psi)
-    tr = trace_distance(gamma, phi)
+    grad_q_sq = scale * _grad_q_in_frame(psi, phi, state.domain)
+    tr = trace_distance(scale * density_matrix(psi), phi)
     report = CountingReport(
         t=state.t,
         alpha=a,
@@ -567,7 +656,7 @@ def compute_report(state: ManyBodyState, one_body: OneBodyState,
         trace_distance=tr,
         E_psi=float(e_psi),
         E_phi=float(e_phi),
-        grad_q_sq=_grad_q_in_frame(psi, phi, state.domain),
+        grad_q_sq=grad_q_sq,
     )
     return report.validate()
 

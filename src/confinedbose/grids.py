@@ -4,7 +4,8 @@ Free directions live on a padded periodic box and are diagonalized by the
 FFT; confined directions carry a hard-wall (Dirichlet) condition and are
 diagonalized by the type-I discrete sine transform, so the boundary
 condition is exact.  Functions of the kinetic operator act through one
-position-space matrix per axis (``axis_operators``, ``apply_kinetic``).
+position-space matrix per axis (``axis_operators``, ``apply_kinetic``,
+``kinetic_expectation``).
 Quadrature is uniform-weight, consistent with the transform sampling.
 
 All operations here are pure functions of immutable inputs; grid functions
@@ -34,6 +35,7 @@ __all__ = [
     "axis_operators",
     "apply_along",
     "apply_kinetic",
+    "kinetic_expectation",
     "write_mfl1",
     "read_mfl1",
 ]
@@ -322,6 +324,17 @@ def apply_kinetic(values: np.ndarray, domain: Domain, eps: float | None = None) 
     return out
 
 
+def kinetic_expectation(values: np.ndarray, domain: Domain) -> float:
+    """Re <v, (-Delta_x - eps^-2 Delta_y) v>, euclidean, along the leading axes.
+
+    Summed axis by axis, so besides ``values`` only one axis term K_a v is
+    alive at a time.
+    """
+    ops = axis_operators(domain, lambda mult: mult)
+    return sum(float(np.vdot(values, apply_along(values, op, axis)).real)
+               for axis, op in enumerate(ops))
+
+
 def laplacian_free(f: GridFunction) -> GridFunction:
     """-Delta on the periodic free directions, exact for band-limited input."""
     if not isinstance(f.domain, FreeDomain):
@@ -351,12 +364,17 @@ def norm(f: GridFunction) -> float:
 
 
 def _atomic_write(path, data):
-    """Write str (UTF-8) or bytes to ``path`` via a temp file and rename."""
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+    """Write ``data`` to ``path`` via a temp file and rename.
+
+    ``data`` is a str (written as UTF-8) or a sequence of bytes-like chunks
+    written one after another, so a large array goes out from its own
+    buffer rather than from a joined copy.
+    """
+    chunks = [data.encode("utf-8")] if isinstance(data, str) else data
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        for chunk in chunks:
+            fh.write(chunk)
     os.replace(tmp, path)
 
 
@@ -403,7 +421,7 @@ def write_mfl1(path, domain: Domain, values: np.ndarray, n_particles: int = 1):
         for c, d in conf.intervals:
             geom += [c, d]
     head.append(struct.pack(f"<{len(geom)}d", *geom))
-    _atomic_write(path, b"".join(head + [np.ascontiguousarray(values, dtype="<c16")]))
+    _atomic_write(path, head + [np.ascontiguousarray(values, dtype="<c16")])
 
 
 def read_mfl1(path):

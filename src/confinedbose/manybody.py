@@ -7,10 +7,11 @@ matrices of ``grids.axis_operators`` along every particle axis; pair
 interactions and external potentials act by exact pointwise phases.  The
 integrator is the same second-order Strang splitting as the effective
 solver.  The evolver streams: it yields each reported snapshot and holds
-only the current state.  Everything is desk scale: a memory guard refuses
-runs whose working set (``working_set_bytes``: N + 4 state-sized arrays,
-the m^2-sized pair phase and density matrices, a one-body allowance)
-exceeds a configurable cap (2 GiB by default).
+only the current state.  Energies are summed axis by axis.  Everything is
+desk scale: a memory guard refuses runs whose working set
+(``working_set_bytes``: three state-sized arrays whatever N, the m^2-sized
+pair phase and density matrices, a one-body allowance) exceeds a
+configurable cap (2 GiB by default).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GuardError
-from .grids import ProductDomain, apply_along, apply_kinetic, axis_operators
+from .grids import ProductDomain, apply_along, axis_operators, kinetic_expectation
 from .model import ModelSpec
 from .onebody import OneBodyState, _time_grid
 
@@ -85,17 +86,19 @@ _ONE_BODY_ALLOWANCE = 1 << 20  # bytes: one-body arrays, trajectory and report o
 
 
 def working_set_bytes(spec: ModelSpec) -> int:
-    """Bytes budgeted for a streamed run, whatever its length.
+    """Bytes budgeted for a streamed run, whatever its length and N.
 
-    A counting report holds the most state-sized arrays: the current state,
-    its rescaled copy and the N + 2 buffers of the occupancy sweep, plus the
-    1/m-sized coefficients of a projection.  The m^2-sized arrays (the
-    evolver's pair phase, the density matrix and the trace distance's
+    At most three state-sized arrays are alive at once: in a Strang step
+    the consumer's last snapshot and the input and output of one axis
+    sweep; in a counting report the snapshot, the copy that q acts on in
+    place and one product term (or q_1 psi and one kinetic axis term), plus
+    two 1/m-sized coefficient arrays.  The m^2-sized arrays (the evolver's
+    pair phase, the density matrix and the dense trace distance's
     difference matrix) are as large as the state at N = 2.
     """
     m = int(np.prod(spec.domain.shape))
     state = estimate_state_bytes(spec)
-    return (spec.n_particles + 4) * state + state // m + 3 * 16 * m**2 + _ONE_BODY_ALLOWANCE
+    return 3 * state + 2 * (state // m) + 3 * 16 * m**2 + _ONE_BODY_ALLOWANCE
 
 
 # -- pair interaction ---------------------------------------------------------
@@ -241,17 +244,16 @@ def _strang_snapshots(state, spec, dt, steps, stride, kicks, phase_pair):
     block = len(dom.shape)
     total_axes = n * block
 
-    def kinetic_half(values):  # a new array, so yielded states are never overwritten
-        for axis, kick in enumerate(kicks):
-            values = apply_along(values, kick, axis)
-        return values
-
     t0, values = state.t, state.values
     yield state
     del state  # the caller decides how long the initial state lives
+    # The half-kicks rebind ``values`` sweep by sweep (each sweep makes a new
+    # array, so yielded states are never overwritten): besides the caller's
+    # last snapshot only one sweep's input and output are alive.
     for k in range(steps):
         t_mid = t0 + k * dt + dt / 2
-        values = kinetic_half(values)
+        for axis, kick in enumerate(kicks):
+            values = apply_along(values, kick, axis)
         if not spec.potential.is_zero:
             phase_one = np.exp(-1j * dt * spec.potential.values_product(t_mid, dom))
             for i in range(n):
@@ -259,43 +261,39 @@ def _strang_snapshots(state, spec, dt, steps, stride, kicks, phase_pair):
         if phase_pair is not None:
             for pair in itertools.combinations(range(n), 2):
                 values *= phase_pair.reshape(_broadcast_shape(total_axes, block, pair, dom.shape))
-        values = kinetic_half(values)
+        for axis, kick in enumerate(kicks):
+            values = apply_along(values, kick, axis)
         if (k + 1) % stride == 0 or k + 1 == steps:
             yield ManyBodyState(dom, values, t0 + (k + 1) * dt)
 
 
-def _apply_h1(state: ManyBodyState, spec: ModelSpec) -> np.ndarray:
-    """(h_1 + V_1) psi, the kinetic part summed over particle 1's axes."""
-    dom = state.domain
-    block = len(dom.shape)
-    n = state.n_particles
-    out = apply_kinetic(state.values, dom)
-    if not spec.potential.is_zero:
-        v_one = spec.potential.values_product(state.t, dom)
-        out = out + v_one.reshape(dom.shape + (1,) * (block * (n - 1))) * state.values
-    return out
-
-
 def _energy_and_residual(state: ManyBodyState, spec: ModelSpec) -> tuple[float, float]:
-    """(manybody_energy, the symmetry residual its guard computed)."""
+    """(manybody_energy, the symmetry residual its guard computed).
+
+    <psi, (h_1 + V_1) psi> is summed term by term (kinetic axis by axis),
+    so besides psi one state-sized term is alive at a time.
+    """
     residual = symmetry_residual(state)
     if residual > SYMMETRY_TOL:
         raise ConfigError("manybody_energy expects a symmetric state")
     vol = state.cell_volume
     n = state.n_particles
-    h1 = _apply_h1(state, spec)
-    kin = float((np.vdot(state.values, h1) * vol).real)
+    dom = state.domain
+    block = len(dom.shape)
+    psi = state.values
+    one = kinetic_expectation(psi, dom)
+    if not spec.potential.is_zero:
+        v_one = spec.potential.values_product(state.t, dom)
+        one += float(np.vdot(psi, v_one.reshape(dom.shape + (1,) * (block * (n - 1))) * psi).real)
     inter = 0.0
     if n > 1:
         # rebuilt per call: an m^2 kernel held for the run (state-sized at N = 2) raises the peak
         pair = pair_phase_array(spec)
-        block = len(state.domain.shape)
-        sh = state.domain.shape * 2 + (1,) * (block * (n - 2))
-        wpsi = pair.reshape(sh) * state.values
-        pair_exp = float((np.vdot(state.values, wpsi) * vol).real)
+        sh = dom.shape * 2 + (1,) * (block * (n - 2))
+        pair_exp = float((np.vdot(psi, pair.reshape(sh) * psi) * vol).real)
         coeff = spec.pair_prefactor * (n * (n - 1) / 2.0) / n
         inter = coeff * pair_exp
-    return kin + inter, residual
+    return one * vol + inter, residual
 
 
 def manybody_energy(state: ManyBodyState, spec: ModelSpec) -> float:

@@ -161,6 +161,35 @@ def test_trace_sandwich_random_states():
         assert tr <= math.sqrt(8 * a) + 1e-9
 
 
+def full_spectrum_trace_distance(gamma, phi):
+    """Oracle: sum of |eigenvalues| of the formed difference matrix."""
+    return float(np.sum(np.abs(np.linalg.eigvalsh(gamma - np.outer(phi, np.conj(phi))))))
+
+
+@pytest.mark.parametrize("m", [48, 128, 1024])
+def test_trace_distance_rank_one_matches_full_spectrum(m):
+    # m = 48 takes the dense branch, 128 and 1024 the Lanczos one
+    assert 48 <= cnt._DENSE_EIG_MAX_DIM < 128
+    rng = np.random.default_rng(30 + m)
+    phi = random_unit(rng, m)
+    product = np.multiply.outer(phi, phi)
+    gamma0 = cnt.density_matrix(product)
+    assert cnt.trace_distance(gamma0, phi) == pytest.approx(
+        full_spectrum_trace_distance(gamma0, phi), abs=1e-12)
+    assert cnt.trace_distance(gamma0, phi) < 1e-12
+
+    noise = random_symmetric(rng, m, 2)
+    psi = 0.95 * product + 0.05 * noise
+    psi /= np.linalg.norm(psi)
+    gamma = cnt.density_matrix(psi)
+    diff = gamma - np.outer(phi, np.conj(phi))
+    evals = np.linalg.eigvalsh(diff)
+    assert evals[0] < -1e-4 and evals[1] > -1e-12  # one negative eigenvalue
+    tr = cnt.trace_distance(gamma, phi)
+    assert tr == pytest.approx(full_spectrum_trace_distance(gamma, phi), abs=1e-12)
+    assert cnt.trace_distance(gamma, phi) == tr  # reproducible to the bit
+
+
 # -- occupation routes ----------------------------------------------------------
 
 
@@ -175,6 +204,16 @@ def test_occupation_routes_agree_random():
     assert np.max(np.abs(fast - binom)) < 1e-9
     assert np.all(fast >= -1e-12)
     assert np.sum(fast) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_binomial_chain_matches_general_routes(n):
+    rng = np.random.default_rng(40 + n)
+    psi = random_symmetric(rng, 4, n)
+    phi = random_unit(rng, 4)
+    chain = cnt.occupation_distribution_binomial(psi, phi)
+    assert np.max(np.abs(chain - cnt.occupation_distribution(psi, phi))) < 1e-12
+    assert np.max(np.abs(chain - cnt.occupation_distribution_enumeration(psi, phi))) < 1e-12
 
 
 def test_binomial_route_rejects_asymmetric():
@@ -575,3 +614,21 @@ def test_counting_report_round_trip_and_validation():
             t=0.0, alpha=0.5, beta=0.2, beta_tilde=0.2, p_k=(0.5, 0.5),
             trace_distance=0.1, E_psi=0.0, E_phi=0.0, grad_q_sq=0.0,
         ).validate()
+
+
+def test_counting_report_matches_general_route():
+    # a symmetric grid state with weight in every sector, quadrature weight != 1
+    spec, one = grid_setting(n=3)
+    phi = one.product_values()
+    perp = orthogonal_one_body(spec, one, "free")
+    raw = (0.9 * np.multiply.outer(np.multiply.outer(phi, phi), phi)
+           + 0.3 * np.multiply.outer(np.multiply.outer(perp, phi), phi)
+           + 0.2 * np.multiply.outer(np.multiply.outer(perp, perp), phi)
+           + 0.1 * np.multiply.outer(np.multiply.outer(perp, perp), perp))
+    state = symmetrize(spec.domain, raw)
+    vol = spec.domain.cell_volume
+    report = cnt.compute_report(state, one, 0.0, 0.0)
+    general = cnt.occupation_distribution(state.values, phi, weight=vol)
+    assert min(general) > 1e-4
+    assert np.max(np.abs(np.array(report.p_k) - general)) < 1e-12
+    assert report.alpha == pytest.approx(cnt.alpha(state.values, phi, weight=vol), abs=1e-12)

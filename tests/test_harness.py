@@ -94,17 +94,21 @@ TWO_CONFINED_AXES = {  # m = 64 * 4 * 4 = 1024, the NLS demo's one-body grid
 }
 
 
-@pytest.mark.parametrize("n, grid, steps", [
-    pytest.param(3, {}, 1, id="N3-m48-1step"),
-    pytest.param(3, {}, 9, id="N3-m48-9steps"),
-    pytest.param(2, {}, 1, id="N2-m48"),
-    pytest.param(2, TWO_CONFINED_AXES, 1, id="N2-m1024"),
-    pytest.param(4, {}, 1, id="N4-m48"),
+@pytest.mark.parametrize("n, grid, steps, tight", [
+    pytest.param(3, {}, 1, False, id="N3-m48-1step"),
+    pytest.param(3, {}, 9, False, id="N3-m48-9steps"),
+    pytest.param(2, {}, 1, False, id="N2-m48"),
+    pytest.param(2, TWO_CONFINED_AXES, 1, False, id="N2-m1024"),
+    pytest.param(4, {}, 1, True, id="N4-m48"),
 ])
-def test_run_single_peak_within_working_set(tmp_path, n, grid, steps):
+def test_run_single_peak_within_working_set(tmp_path, n, grid, steps, tight):
     # a report at every step; at N = 2 the m^2-sized arrays are state-sized
     cfg = config(n_particles=n, dt=1e-2, time_horizon=steps * 1e-2, report_stride=1, **grid)
-    assert traced_peak(cfg, tmp_path / "run") <= working_set_bytes(cfg.model_spec())
+    peak = traced_peak(cfg, tmp_path / "run")
+    model = working_set_bytes(cfg.model_spec())
+    assert peak <= model
+    if tight:  # where the state dominates, the model is close, not just an upper bound
+        assert model <= 1.25 * peak
 
 
 def test_run_single_peak_independent_of_report_count(tmp_path):
