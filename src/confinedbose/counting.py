@@ -24,6 +24,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, InvariantError
@@ -169,26 +170,23 @@ def alpha(psi, phi, weight: float = 1.0) -> float:
     return amp**2 * float(np.vdot(q1, q1).real)
 
 
-_GAMMA_BLOCK_BYTES = 1 << 20  # conjugated column block of psi, per product
-
-
 def density_matrix(psi) -> np.ndarray:
     """Reduced one-particle density matrix in the unit-weight basis.
 
     ``psi`` carries one axis per particle (unit-weight frame).  Returns the
     m x m Hermitian matrix with trace ||psi||^2; its quadratic form against
     a unit-weight-rescaled phi gives <phi, gamma phi>.  gamma = A A^dagger
-    for the (m, m^(N-1)) reshape A is accumulated over column blocks, so
-    the conjugate is never formed for the whole state.
+    for the (m, m^(N-1)) reshape A is one BLAS ``zherk``, which reads psi
+    in place and writes one triangle, so besides psi only gamma is
+    allocated; the other triangle is filled row by row from the conjugate.
     """
     psi = np.asarray(psi, dtype=np.complex128)
     rows = psi.reshape(psi.shape[0], -1)
-    m, cols = rows.shape
-    step = max(1, _GAMMA_BLOCK_BYTES // (16 * m))
-    gamma = np.zeros((m, m), dtype=np.complex128)
-    for start in range(0, cols, step):
-        blk = rows[:, start:start + step]
-        gamma += blk @ blk.conj().T
+    # zherk forms A^dagger A of the F-ordered (cols, m) view rows.T, which is
+    # gamma^T; its transpose is gamma as a C-ordered array with the lower triangle set
+    gamma = blas.zherk(1.0, rows.T, trans=2).T
+    for i in range(len(gamma) - 1):
+        gamma[i, i + 1:] = gamma[i + 1:, i].conj()
     return gamma
 
 

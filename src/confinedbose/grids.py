@@ -5,7 +5,8 @@ FFT; confined directions carry a hard-wall (Dirichlet) condition and are
 diagonalized by the type-I discrete sine transform, so the boundary
 condition is exact.  Functions of the kinetic operator act through one
 position-space matrix per axis (``axis_operators``, ``apply_kinetic``,
-``kinetic_expectation``).
+``kinetic_expectation``), or one per group of small consecutive axes
+(``grouped_operators``).
 Quadrature is uniform-weight, consistent with the transform sampling.
 
 All operations here are pure functions of immutable inputs; grid functions
@@ -33,6 +34,8 @@ __all__ = [
     "norm",
     "axis_multipliers",
     "axis_operators",
+    "axis_groups",
+    "grouped_operators",
     "apply_along",
     "apply_kinetic",
     "kinetic_expectation",
@@ -302,6 +305,41 @@ def axis_operators(domain: Domain, fn, eps: float | None = None) -> tuple[np.nda
         else:
             mats.append(sfft.idst(weight * sfft.dst(eye, type=1, axis=0), type=1, axis=0))
     return tuple(mats)
+
+
+_GROUP_BOUND = 64  # largest merged axis: larger dense sweeps cost more flops than they save passes
+
+
+def axis_groups(shape) -> tuple[int, ...]:
+    """Sizes of ``shape`` with consecutive axes merged while their product is <= 64.
+
+    (16, 3) -> (48,), (64, 4, 4) -> (64, 16), (128, 3) -> (128, 3).  A
+    merged axis is a plain reshape of a C-ordered array.
+    """
+    groups: list[int] = []
+    for n in shape:
+        if groups and groups[-1] * n <= _GROUP_BOUND:
+            groups[-1] *= n
+        else:
+            groups.append(n)
+    return tuple(groups)
+
+
+def grouped_operators(domain: Domain, fn, eps: float | None = None) -> tuple[np.ndarray, ...]:
+    """``axis_operators`` merged over ``axis_groups(domain.shape)``.
+
+    A group's matrix is the ``np.kron`` of its axes' matrices in axis order,
+    so it acts on the merged axis of the C-ordered reshape exactly as the
+    per-axis matrices act one after another.
+    """
+    mats = iter(axis_operators(domain, fn, eps))
+    grouped = []
+    for size in axis_groups(domain.shape):
+        mat = next(mats)
+        while len(mat) < size:
+            mat = np.kron(mat, next(mats))
+        grouped.append(mat)
+    return tuple(grouped)
 
 
 def apply_along(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:

@@ -139,6 +139,24 @@ def test_density_matrix_matches_triple_loop_oracle():
     assert np.min(np.linalg.eigvalsh(gamma)) > -1e-9
 
 
+def test_density_matrix_peak_is_gamma_alone():
+    # the product A A^dagger is formed in gamma's own buffer: psi is neither
+    # conjugated nor copied, and no second m^2-sized array is made
+    rng = np.random.default_rng(8)
+    m = 1024
+    psi = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gamma = cnt.density_matrix(psi)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * m**2 + 64 * 1024
+    assert np.array_equal(gamma, gamma.conj().T)
+    assert np.max(np.abs(gamma - psi @ psi.conj().T)) < 1e-12 * np.max(np.abs(gamma))
+
+
 def test_trace_distance_pure_states():
     rng = np.random.default_rng(7)
     phi = random_unit(rng, 4)

@@ -10,7 +10,9 @@ from confinedbose.grids import (
     ProductDomain,
     apply_along,
     apply_kinetic,
+    axis_groups,
     axis_operators,
+    grouped_operators,
     inner_product,
     laplacian_confined,
     laplacian_free,
@@ -236,6 +238,43 @@ def test_apply_kinetic_eps_weighting():
     weighted = apply_kinetic(f.values, dom)
     assert np.allclose(plain, (free_term + conf_term) * f.values, rtol=1e-12, atol=1e-12)
     assert np.allclose(weighted, (free_term + 4.0 * conf_term) * f.values, rtol=1e-12, atol=1e-12)
+
+
+def test_axis_groups_merge_while_product_at_most_64():
+    assert axis_groups((16, 3)) == (48,)
+    assert axis_groups((64, 4, 4)) == (64, 16)
+    assert axis_groups((8, 8, 2)) == (64, 2)
+    assert axis_groups((128, 3)) == (128, 3)
+
+
+@pytest.mark.parametrize(
+    "free_points, conf_points",
+    [((16,), (3,)), ((64,), (4, 4)), ((8, 8), (2,)), ((128,), (3,))],
+    ids=["16x3", "64x4x4", "8x8x2", "128x3"],
+)
+def test_grouped_operators_match_per_axis_product(free_points, conf_points):
+    # unequal spacings and widths, so a group's kron factors cannot be swapped unseen
+    intervals = ((-0.5, 0.5), (-0.4, 0.7))[: len(conf_points)]
+    dom = ProductDomain(
+        FreeDomain(tuple((0.25 + 0.1 * a) * n for a, n in enumerate(free_points)), free_points),
+        ConfinedDomain(intervals, conf_points, eps=0.5),
+    )
+    rng = np.random.default_rng(12)
+    f = rng.normal(size=dom.shape) + 1j * rng.normal(size=dom.shape)
+
+    def fn(mult):
+        return np.exp(-1j * 0.03 * mult)
+
+    expected = f
+    for axis, u in enumerate(axis_operators(dom, fn)):
+        expected = apply_along(expected, u, axis)
+    groups = axis_groups(dom.shape)
+    grouped = f.reshape(groups)
+    mats = grouped_operators(dom, fn)
+    assert tuple(len(u) for u in mats) == groups
+    for axis, u in enumerate(mats):
+        grouped = apply_along(grouped, u, axis)
+    assert np.max(np.abs(grouped.reshape(dom.shape) - expected)) <= 1e-13
 
 
 @pytest.mark.parametrize("conf_points", [(3,), (4, 3)])

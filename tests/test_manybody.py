@@ -170,6 +170,16 @@ def test_symmetrize_rejects_antisymmetric():
 
 # -- dynamics ------------------------------------------------------------------
 
+# stride 1 splits every step at a snapshot; stride = steps (None below) yields
+# only the initial and final states, so every inner step boundary applies the
+# fused full kick
+STRIDES = pytest.mark.parametrize("stride", [1, None], ids=["stride1", "stride_steps"])
+
+
+def final_state(psi0, spec, T, dt, stride=1):
+    """Last snapshot of evolve_manybody; ``stride=None`` means one stride of all steps."""
+    return list(evolve_manybody(psi0, spec, T, dt, stride=stride or round(T / dt)))[-1]
+
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_noninteracting_factorization(n):
@@ -208,7 +218,8 @@ def dense_hamiltonian(spec, analytic_kinetic):
     return h
 
 
-def test_two_particle_matches_crank_nicolson_oracle(analytic_kinetic):
+@STRIDES
+def test_two_particle_matches_crank_nicolson_oracle(stride, analytic_kinetic):
     # three confined points: at two, the DST-I and DST-II bases coincide up to
     # scale, so the oracle could not tell the confined transform type.  The
     # 8-point free axis keeps the dense CN solve at a few seconds; L = 4 keeps
@@ -218,7 +229,7 @@ def test_two_particle_matches_crank_nicolson_oracle(analytic_kinetic):
     one0 = gaussian_one_body(spec)
     psi0 = product_state(one0, 2)
     T = 0.2
-    final = list(evolve_manybody(psi0, spec, T, 1e-3))[-1]
+    final = final_state(psi0, spec, T, 1e-3, stride)
 
     h = dense_hamiltonian(spec, analytic_kinetic)
     dt = 5e-5
@@ -234,12 +245,13 @@ def test_two_particle_matches_crank_nicolson_oracle(analytic_kinetic):
     assert err < 1e-4
 
 
-def test_time_reversal_two_particles():
+@STRIDES
+def test_time_reversal_two_particles(stride):
     spec = small_spec(n=2, amplitude=2.0)
     psi0 = product_state(gaussian_one_body(spec), 2)
-    fwd = list(evolve_manybody(psi0, spec, 0.3, 2e-3))[-1]
+    fwd = final_state(psi0, spec, 0.3, 2e-3, stride)
     mirrored = ManyBodyState(spec.domain, np.conj(fwd.values), 0.0)
-    back = list(evolve_manybody(mirrored, spec, 0.3, 2e-3))[-1]
+    back = final_state(mirrored, spec, 0.3, 2e-3, stride)
     err = np.linalg.norm((np.conj(back.values) - psi0.values).ravel())
     assert err * np.sqrt(psi0.cell_volume) < 1e-6
 
@@ -255,14 +267,33 @@ def test_symmetry_preserved_and_mass_energy_conserved():
         assert abs(manybody_energy(st, spec) - e0) < 1e-6 * abs(e0)
 
 
-def test_manybody_strang_order():
+@STRIDES
+def test_manybody_strang_order(stride):
+    # the reference splits every step, so a fused kick of the wrong length
+    # shows as a first-order (or no) convergence towards it
     spec = small_spec(n=2, amplitude=3.0)
     psi0 = product_state(gaussian_one_body(spec), 2)
     T = 0.25
-    ref = list(evolve_manybody(psi0, spec, T, T / 1024))[-1].values
-    e1 = np.linalg.norm((list(evolve_manybody(psi0, spec, T, T / 128))[-1].values - ref).ravel())
-    e2 = np.linalg.norm((list(evolve_manybody(psi0, spec, T, T / 256))[-1].values - ref).ravel())
+    ref = final_state(psi0, spec, T, T / 1024).values
+    e1 = np.linalg.norm((final_state(psi0, spec, T, T / 128, stride).values - ref).ravel())
+    e2 = np.linalg.norm((final_state(psi0, spec, T, T / 256, stride).values - ref).ravel())
     assert 3.5 < e1 / e2 < 4.5
+
+
+def test_stride_invariance_time_dependent_potential():
+    # fused and split kicks differ only at roundoff, and the midpoint phase
+    # of each step does not depend on where the snapshots fall
+    spec = small_spec(n=3, amplitude=2.0, n_f=16, n_c=2,
+                      potential=ExternalPotential("gaussian", amplitude=0.8, sigma=2.0, omega=3.0))
+    psi0 = product_state(gaussian_one_body(spec), 3)
+    T, dt, steps = 0.1, 5e-3, 20
+    every = list(evolve_manybody(psi0, spec, T, dt, stride=1))
+    for stride in (7, steps):
+        traj = list(evolve_manybody(psi0, spec, T, dt, stride=stride))
+        picked = every[::stride] + ([every[-1]] if steps % stride else [])
+        assert [st.t for st in traj] == [st.t for st in picked]
+        for st, ref in zip(traj, picked):
+            assert np.max(np.abs(st.values - ref.values)) < 1e-12
 
 
 def test_product_energy_matches_effective_without_interaction():
@@ -299,12 +330,14 @@ def test_memory_guard():
 
 def test_evolver_releases_earlier_snapshots():
     spec = small_spec(n=2)
-    snapshots = evolve_manybody(product_state(gaussian_one_body(spec), 2), spec, 0.02, 1e-2)
-    initial = weakref.ref(next(snapshots).values)
-    after_one_step = weakref.ref(next(snapshots).values)
-    assert initial() is None and after_one_step() is not None
-    next(snapshots)
-    assert after_one_step() is None
+    for stride in (1, 3):
+        snapshots = evolve_manybody(product_state(gaussian_one_body(spec), 2), spec,
+                                    0.02 * stride, 1e-2, stride=stride)
+        initial = weakref.ref(next(snapshots).values)
+        after_one_stride = weakref.ref(next(snapshots).values)
+        assert initial() is None and after_one_stride() is not None
+        next(snapshots)
+        assert after_one_stride() is None
 
 
 def test_asymmetric_input_rejected():
