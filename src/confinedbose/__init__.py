@@ -9,8 +9,9 @@ The package couples three layers:
   closed-form convergence bounds built on it (``counting``, ``bounds``),
 
 over one grid and kinetic-operator layer (``grids``): every function of
--Delta_x - eps^-2 Delta_y, in either dynamics, acts through its per-axis
-position-space matrices.  A batch experiment harness (``harness``,
+-Delta_x - eps^-2 Delta_y, in either dynamics, acts through its
+position-space matrices on merged axes, and both dynamics step through one
+Strang schedule.  A batch experiment harness (``harness``,
 ``cli``) runs both side by side.
 """
 

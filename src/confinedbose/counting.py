@@ -515,28 +515,19 @@ def mode_projection_split(state: ManyBodyState, one_body: OneBodyState) -> tuple
     """
     dom = state.domain
     d_f, d_c = dom.free.dim, dom.confined.dim
-    n = state.n_particles
-    vol_c = dom.confined.cell_volume
-    vol_f = dom.free.cell_volume
-    chi = one_body.mode.chi.values * np.sqrt(vol_c)
-    phi_free = one_body.phi_free.values * np.sqrt(vol_f)
-    psi = state.values * dom.cell_volume ** (n / 2.0)
+    chi = one_body.mode.chi.values * np.sqrt(dom.confined.cell_volume)
+    phi_free = one_body.phi_free.values * np.sqrt(dom.free.cell_volume)
+    psi, _, _, amp = _grid_frame(state, one_body)
+    psi = psi.reshape(dom.shape + (-1,))  # the first particle's axes, then the rest
 
     conf_axes = tuple(range(d_f, d_f + d_c))
     c = np.tensordot(np.conj(chi), psi, axes=(tuple(range(d_c)), conf_axes))
-    p_chi = np.moveaxis(
-        np.multiply.outer(chi, c), tuple(range(d_c)), conf_axes
-    )
-    q_chi = psi - p_chi
-    q_chi_sq = float(np.vdot(q_chi, q_chi).real)
-
-    free_axes = tuple(range(d_f))
-    cf = np.tensordot(np.conj(phi_free), p_chi, axes=(tuple(range(d_f)), free_axes))
-    p_phi_p_chi = np.moveaxis(
-        np.multiply.outer(phi_free, cf), tuple(range(d_f)), free_axes
-    )
-    q_phi_p_chi = p_chi - p_phi_p_chi
-    return q_chi_sq, float(np.vdot(q_phi_p_chi, q_phi_p_chi).real)
+    q_chi = psi - np.moveaxis(np.multiply.outer(chi, c), tuple(range(d_c)), conf_axes)
+    # p_1^chi psi = chi (x) c with chi of unit norm, so q_1^Phi acts on c alone
+    cf = np.tensordot(np.conj(phi_free), c, axes=(tuple(range(d_f)), tuple(range(d_f))))
+    q_phi_c = c - np.multiply.outer(phi_free, cf)
+    return (amp**2 * float(np.vdot(q_chi, q_chi).real),
+            amp**2 * float(np.vdot(q_phi_c, q_phi_c).real))
 
 
 # -- operator norm checks -----------------------------------------------------

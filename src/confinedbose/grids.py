@@ -4,9 +4,9 @@ Free directions live on a padded periodic box and are diagonalized by the
 FFT; confined directions carry a hard-wall (Dirichlet) condition and are
 diagonalized by the type-I discrete sine transform, so the boundary
 condition is exact.  Functions of the kinetic operator act through one
-position-space matrix per axis (``axis_operators``, ``apply_kinetic``,
-``kinetic_expectation``), or one per group of small consecutive axes
-(``grouped_operators``).
+position-space matrix per group of small consecutive axes (``axis_groups``,
+``axis_operators``, ``apply_kinetic``, ``kinetic_expectation``), and both
+evolvers step through the one Strang schedule ``strang_steps``.
 Quadrature is uniform-weight, consistent with the transform sampling.
 
 All operations here are pure functions of immutable inputs; grid functions
@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
+from .errors import ConfigError
+
 __all__ = [
     "FreeDomain",
     "ConfinedDomain",
@@ -32,13 +34,13 @@ __all__ = [
     "laplacian_confined",
     "inner_product",
     "norm",
-    "axis_multipliers",
     "axis_operators",
     "axis_groups",
-    "grouped_operators",
     "apply_along",
     "apply_kinetic",
     "kinetic_expectation",
+    "step_count",
+    "strang_steps",
     "write_mfl1",
     "read_mfl1",
 ]
@@ -285,61 +287,58 @@ def axis_multipliers(domain: Domain, eps: float | None = None) -> tuple[np.ndarr
 
 
 def axis_operators(domain: Domain, fn, eps: float | None = None) -> tuple[np.ndarray, ...]:
-    """Position-space matrices of ``fn(axis multiplier)``, one per value axis.
+    """Position-space matrices of ``fn(multiplier)``, one per ``axis_groups`` entry.
 
-    Axis a's matrix is transform, multiply by fn(m_a), inverse transform
-    along that axis (FFT on free axes, DST-I on confined ones).  The axis
-    terms of the kinetic operator commute, so applying the matrices of
-    ``fn = exp(-i tau m)`` along every axis is the exact propagator
+    A group's matrix transforms a reshaped identity along each of its axes
+    (FFT on free axes, DST-I on confined ones), multiplies by fn of the
+    group's summed axis multipliers and transforms back, so it acts on the
+    group's merged axis of the C-ordered reshape.  The axis terms of the
+    kinetic operator commute, so applying the matrices of
+    ``fn = exp(-i tau m)`` along every group is the exact propagator
     exp(-i tau (-Delta_x - eps^-2 Delta_y)), and summing those of
-    ``fn = identity`` is the kinetic operator itself.  ``eps`` is passed
-    to ``axis_multipliers``.
+    ``fn = identity`` is the kinetic operator itself.  ``eps`` is passed to
+    ``axis_multipliers``.
     """
     free_ax, _ = _domain_axes(domain)
+    mults = axis_multipliers(domain, eps)
     mats = []
-    for axis, mult in enumerate(axis_multipliers(domain, eps)):
-        eye = np.eye(len(mult))
-        weight = fn(mult)[:, None]
-        if axis in free_ax:
-            mats.append(sfft.ifft(weight * sfft.fft(eye, axis=0), axis=0))
-        else:
-            mats.append(sfft.idst(weight * sfft.dst(eye, type=1, axis=0), type=1, axis=0))
+    for axes in _group_axes(domain.shape):
+        total = 0.0
+        for axis in axes:
+            total = np.add.outer(total, mults[axis])
+        mat = np.eye(total.size).reshape(total.shape + (total.size,))
+        for local, axis in enumerate(axes):
+            mat = (sfft.fft(mat, axis=local) if axis in free_ax
+                   else sfft.dst(mat, type=1, axis=local))
+        mat = fn(total)[..., None] * mat
+        for local, axis in enumerate(axes):
+            mat = (sfft.ifft(mat, axis=local) if axis in free_ax
+                   else sfft.idst(mat, type=1, axis=local))
+        mats.append(mat.reshape(total.size, total.size))
     return tuple(mats)
 
 
 _GROUP_BOUND = 64  # largest merged axis: larger dense sweeps cost more flops than they save passes
 
 
+def _group_axes(shape) -> list[list[int]]:
+    """Consecutive axes of ``shape`` merged while the product of their sizes is <= 64."""
+    groups: list[list[int]] = []
+    for axis, n in enumerate(shape):
+        if groups and math.prod(shape[a] for a in groups[-1]) * n <= _GROUP_BOUND:
+            groups[-1].append(axis)
+        else:
+            groups.append([axis])
+    return groups
+
+
 def axis_groups(shape) -> tuple[int, ...]:
-    """Sizes of ``shape`` with consecutive axes merged while their product is <= 64.
+    """Sizes of the merged axes of ``shape``, one per ``axis_operators`` matrix.
 
     (16, 3) -> (48,), (64, 4, 4) -> (64, 16), (128, 3) -> (128, 3).  A
     merged axis is a plain reshape of a C-ordered array.
     """
-    groups: list[int] = []
-    for n in shape:
-        if groups and groups[-1] * n <= _GROUP_BOUND:
-            groups[-1] *= n
-        else:
-            groups.append(n)
-    return tuple(groups)
-
-
-def grouped_operators(domain: Domain, fn, eps: float | None = None) -> tuple[np.ndarray, ...]:
-    """``axis_operators`` merged over ``axis_groups(domain.shape)``.
-
-    A group's matrix is the ``np.kron`` of its axes' matrices in axis order,
-    so it acts on the merged axis of the C-ordered reshape exactly as the
-    per-axis matrices act one after another.
-    """
-    mats = iter(axis_operators(domain, fn, eps))
-    grouped = []
-    for size in axis_groups(domain.shape):
-        mat = next(mats)
-        while len(mat) < size:
-            mat = np.kron(mat, next(mats))
-        grouped.append(mat)
-    return tuple(grouped)
+    return tuple(math.prod(shape[a] for a in axes) for axes in _group_axes(shape))
 
 
 def apply_along(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
@@ -353,24 +352,67 @@ def apply_along(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     return np.matmul(mat, values.reshape(left, n, right)).reshape(shape)
 
 
+def _grouped(values: np.ndarray, domain: Domain) -> np.ndarray:
+    """``values`` with its leading ``domain.shape`` axes merged by ``axis_groups``."""
+    return values.reshape(axis_groups(domain.shape) + values.shape[len(domain.shape):])
+
+
 def apply_kinetic(values: np.ndarray, domain: Domain, eps: float | None = None) -> np.ndarray:
     """-Delta_x - eps^-2 Delta_y applied along the leading ``domain.shape`` axes."""
     ops = axis_operators(domain, lambda mult: mult, eps)
-    out = apply_along(values, ops[0], 0)
+    grouped = _grouped(values, domain)
+    out = apply_along(grouped, ops[0], 0)
     for axis in range(1, len(ops)):
-        out += apply_along(values, ops[axis], axis)
-    return out
+        out += apply_along(grouped, ops[axis], axis)
+    return out.reshape(values.shape)
 
 
 def kinetic_expectation(values: np.ndarray, domain: Domain) -> float:
     """Re <v, (-Delta_x - eps^-2 Delta_y) v>, euclidean, along the leading axes.
 
-    Summed axis by axis, so besides ``values`` only one axis term K_a v is
-    alive at a time.
+    Summed group by group, so besides ``values`` only one group term K_g v
+    is alive at a time.
     """
-    ops = axis_operators(domain, lambda mult: mult)
-    return sum(float(np.vdot(values, apply_along(values, op, axis)).real)
-               for axis, op in enumerate(ops))
+    grouped = _grouped(values, domain)
+    return sum(float(np.vdot(grouped, apply_along(grouped, op, axis)).real)
+               for axis, op in enumerate(axis_operators(domain, lambda mult: mult)))
+
+
+# -- time stepping -----------------------------------------------------------
+
+
+def step_count(T: float, dt: float) -> int:
+    """Number of steps of size ``dt`` in a run over [0, T]."""
+    if dt <= 0:
+        raise ConfigError("dt must be positive")
+    steps = round(T / dt)
+    if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
+        raise ConfigError("T must be an integral number of steps")
+    return steps
+
+
+def strang_steps(values: np.ndarray, half, full, substep, steps: int, stride: int):
+    """Second-order Strang splitting: half kick, potential substep, half kick.
+
+    ``half`` and ``full`` are the kick matrices exp(-i dt/2 K), exp(-i dt K)
+    for the axes of ``values`` (a grouped reshape), and ``substep(k, values)``
+    applies step k's potential phase in place.  Between snapshots the closing
+    and opening half kicks of consecutive steps are one full kick
+    (first-same-as-last, McLachlan & Quispel, Acta Numerica 11, 2002).
+    Yields (steps done, values) after every ``stride``-th step and the last.
+    Each sweep makes a new array, so no yielded array is written again;
+    besides the caller's last one, a sweep's input and output are alive.
+    """
+    for k in range(steps):
+        if k % stride == 0:  # otherwise the previous step closed with a full kick
+            for axis, kick in enumerate(half):
+                values = apply_along(values, kick, axis)
+        substep(k, values)
+        snapshot = (k + 1) % stride == 0 or k + 1 == steps
+        for axis, kick in enumerate(half if snapshot else full):
+            values = apply_along(values, kick, axis)
+        if snapshot:
+            yield k + 1, values
 
 
 def laplacian_free(f: GridFunction) -> GridFunction:

@@ -2,21 +2,19 @@
 
 The wavefunction is stored as a dense complex tensor whose axis blocks are
 the per-particle (free..., confined...) axes.  The kinetic operator is a sum
-of commuting one-axis terms, so kinetic steps apply one-body propagators
-along every particle's axes: ``grids.grouped_operators`` merges consecutive
-axes of a particle while the product of their sizes is <= 64 (16 x 3 is one
-48 x 48 matrix, 64 x 4 x 4 is 64 | 16), which halves the sweeps over the
-state without the cost of a dense per-particle matrix.  Pair interactions
-and external potentials act by exact pointwise phases.  The integrator is
-the same second-order Strang splitting as the effective solver, with the
-closing and opening half-kicks of consecutive steps merged into one full
-kick wherever no snapshot falls between them.  The evolver streams: it
-yields each reported snapshot and holds only the current state.  Energies
-are summed axis by axis.  Everything is
-desk scale: a memory guard refuses runs whose working set
-(``working_set_bytes``: three state-sized arrays whatever N, the m^2-sized
-pair phase and density matrices, a one-body allowance) exceeds a
-configurable cap (2 GiB by default).
+of commuting one-particle terms, so kinetic kicks apply the one-body
+propagators of ``grids.axis_operators`` along every particle's merged axes
+(``grids.axis_groups``: 16 x 3 is one 48 x 48 matrix, 64 x 4 x 4 is
+64 | 16), which halves the sweeps over the state without the cost of a
+dense per-particle matrix.  Pair interactions and external potentials act
+by exact pointwise phases.  The integrator is ``grids.strang_steps``, the
+same second-order Strang schedule as the effective solver.  The evolver
+streams: it yields each reported snapshot and holds only the current
+state.  Energies are summed group by group.  Everything is desk scale: a
+memory guard refuses runs whose working set (``working_set_bytes``: three
+state-sized arrays whatever N, the m^2-sized pair phase and density
+matrices, a one-body allowance) exceeds a configurable cap (2 GiB by
+default).
 """
 
 from __future__ import annotations
@@ -31,13 +29,14 @@ import numpy as np
 from .errors import ConfigError, GuardError
 from .grids import (
     ProductDomain,
-    apply_along,
     axis_groups,
-    grouped_operators,
+    axis_operators,
     kinetic_expectation,
+    step_count,
+    strang_steps,
 )
 from .model import ModelSpec
-from .onebody import OneBodyState, _time_grid
+from .onebody import OneBodyState, chi_mode
 
 __all__ = [
     "ManyBodyState",
@@ -186,12 +185,9 @@ def pair_phase_array(spec: ModelSpec) -> np.ndarray:
 # -- dynamics -----------------------------------------------------------------
 
 
-def _broadcast_shape(total_axes: int, block: int, particles, one_body_shape):
-    shape = [1] * total_axes
-    for i in particles:
-        for a, n in enumerate(one_body_shape):
-            shape[i * block + a] = n
-    return tuple(shape)
+def _broadcast_shape(n: int, particles, one_body_shape) -> tuple[int, ...]:
+    """Shape placing a one-body array on ``particles`` of n, size 1 elsewhere."""
+    return tuple(size if i in particles else 1 for i in range(n) for size in one_body_shape)
 
 
 def _transposition_residual(values: np.ndarray, n: int, block: int) -> float:
@@ -218,24 +214,20 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
                     memory_cap: int = DEFAULT_MEMORY_CAP) -> Iterator[ManyBodyState]:
     """Strang-split unitary evolution under the N-particle Hamiltonian.
 
-    Kinetic half-steps apply the one-body propagators (eps^-2 weight on
-    confined axes) along every particle's axes, consecutive axes merged by
-    ``grids.grouped_operators`` while the product of their sizes is <= 64.
-    On the 64 x 4 x 4 grid at N = 2 (one BLAS thread) a half-kick takes
-    45 ms as 64 | 16, 96 ms as per-axis sweeps and 296 ms as one dense
-    1024 x 1024 matrix per particle, so merging needs the bound.  The
-    potential substep applies the exact phase of the summed external
-    potential and pair interactions, the external part evaluated at the
-    substep midpoint.  Between snapshots the closing half-kick of a step and
-    the opening one of the next are applied as one full kick (Strang's
-    first-same-as-last property), so the snapshots differ from fully split
-    steps only at roundoff.
+    ``grids.strang_steps`` runs the schedule.  Its kicks apply the one-body
+    propagators (eps^-2 weight on confined axes) along every particle's
+    merged axes.  On the 64 x 4 x 4 grid at N = 2 (one BLAS thread) a
+    half-kick takes 45 ms as 64 | 16, 96 ms as per-axis sweeps and 296 ms
+    as one dense 1024 x 1024 matrix per particle, so merging needs the
+    bound of ``grids.axis_groups``.  The potential substep applies in place
+    the exact phase of the summed external potential and pair interactions,
+    the external part evaluated at the step midpoint.
 
     The guards run and the propagators are built at call time.  The returned
     iterator yields the input state, then the state after every ``stride``-th
     step and after the last; between snapshots it holds only the current one.
     """
-    steps = _time_grid(T, dt)
+    steps = step_count(T, dt)
     if state.n_particles != spec.n_particles or state.domain != spec.domain:
         raise ConfigError("state does not match the model spec's grid or N")
     need = working_set_bytes(spec)
@@ -250,49 +242,38 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
         raise ConfigError("initial state is not permutation symmetric")
 
     n = spec.n_particles
-    half = grouped_operators(spec.domain, lambda mult: np.exp(-0.5j * dt * mult)) * n
-    full = grouped_operators(spec.domain, lambda mult: np.exp(-1j * dt * mult)) * n
+    dom = spec.domain
+    groups = axis_groups(dom.shape)
+    half = axis_operators(dom, lambda mult: np.exp(-0.5j * dt * mult)) * n
+    full = axis_operators(dom, lambda mult: np.exp(-1j * dt * mult)) * n
     phase_pair = None
     if n > 1:
         phase_pair = np.exp(-1j * dt * spec.pair_prefactor * pair_phase_array(spec))
-    return _strang_snapshots(state, spec, dt, steps, stride, half, full, phase_pair)
+    t0 = state.t
 
-
-def _strang_snapshots(state, spec, dt, steps, stride, half, full, phase_pair):
-    n = spec.n_particles
-    dom = spec.domain
-    groups = axis_groups(dom.shape)
-    block = len(groups)
-    total_axes = n * block
-
-    t0, values = state.t, state.values.reshape(groups * n)
-    yield state
-    del state  # the caller decides how long the initial state lives
-    # The kicks rebind ``values`` sweep by sweep (each sweep makes a new
-    # array, so yielded states are never overwritten): besides the caller's
-    # last snapshot only one sweep's input and output are alive.  A step
-    # opens with a half-kick only after a snapshot; otherwise the previous
-    # step closed with the full kick that stands for both half-kicks.
-    for k in range(steps):
-        if k % stride == 0:
-            for axis, kick in enumerate(half):
-                values = apply_along(values, kick, axis)
-        t_mid = t0 + k * dt + dt / 2
+    def substep(k, values):
         if not spec.potential.is_zero:
+            t_mid = t0 + k * dt + dt / 2
             phase_one = np.exp(-1j * dt * spec.potential.values_product(t_mid, dom))
             for i in range(n):
-                values *= phase_one.reshape(_broadcast_shape(total_axes, block, (i,), groups))
+                values *= phase_one.reshape(_broadcast_shape(n, (i,), groups))
         if phase_pair is not None:
             for pair in itertools.combinations(range(n), 2):
-                values *= phase_pair.reshape(_broadcast_shape(total_axes, block, pair, groups))
-        snapshot = (k + 1) % stride == 0 or k + 1 == steps
-        for axis, kick in enumerate(half if snapshot else full):
-            values = apply_along(values, kick, axis)
-        if snapshot:
-            # the state holds this array itself, not a fresh view of it
-            values = values.reshape(dom.shape * n)
-            yield ManyBodyState(dom, values, t0 + (k + 1) * dt)
-            values = values.reshape(groups * n)
+                values *= phase_pair.reshape(_broadcast_shape(n, pair, groups))
+
+    values = state.values.reshape(groups * n)
+    return _snapshots(state, strang_steps(values, half, full, substep, steps, stride), dt)
+
+
+def _snapshots(state, strang, dt):
+    """``state``, then one ManyBodyState per (steps done, grouped values) of ``strang``."""
+    dom, n, t0 = state.domain, state.n_particles, state.t
+    yield state
+    del state  # the caller decides how long the initial state lives
+    for k, values in strang:
+        # held until the next one is made, as the consumer holds its last snapshot
+        snapshot = ManyBodyState(dom, values.reshape(dom.shape * n), t0 + k * dt)
+        yield snapshot
 
 
 def _energy_and_residual(state: ManyBodyState, spec: ModelSpec) -> tuple[float, float]:
@@ -331,8 +312,6 @@ def manybody_energy(state: ManyBodyState, spec: ModelSpec) -> float:
 
 def excess_energy_diagnostic(state: ManyBodyState, spec: ModelSpec) -> float:
     """Per-particle energy above the confined ground level, N^-1 <H - N E0/eps^2>."""
-    from .onebody import chi_mode
-
     mode = chi_mode(spec.confined, 0)
     return manybody_energy(state, spec) - mode.energy_eps
 

@@ -4,7 +4,8 @@ For theta = 0 the free-direction wavefunction solves the Hartree equation
 i dPhi = (-Delta_x + w0 * |Phi|^2) Phi with the nonlocal mean field w0(x) =
 w(x, 0); for theta in (0,1) it solves the NLS equation i dPhi = (-Delta_x +
 V(t,x,0) + b |Phi|^2) Phi whose coupling b carries the confined ground-mode
-factor.  Both are integrated with second-order Strang splitting.
+factor.  Both are integrated by ``grids.strang_steps``, the second-order
+Strang schedule of the exact many-body evolver.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from .grids import (
     FreeDomain,
     GridFunction,
     ProductDomain,
-    apply_along,
     apply_kinetic,
+    axis_groups,
     axis_operators,
     norm,
+    step_count,
+    strang_steps,
 )
 from .model import InteractionProfile, ModelSpec
 
@@ -194,54 +197,37 @@ def mean_field_kernel(spec: ModelSpec) -> GridFunction:
     return GridFunction(spec.free, spec.interaction.radial(r))
 
 
-def _time_grid(T: float, dt: float) -> int:
-    """Number of steps of size ``dt`` in a run over [0, T]."""
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    steps = round(T / dt)
-    if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
-        raise ConfigError("T must be an integral number of steps")
-    return steps
-
-
 def evolve_effective(state: OneBodyState, spec: ModelSpec, T: float, dt: float,
                      stride: int = 1) -> list[OneBodyState]:
-    """Integrate the effective equation with Strang splitting.
+    """Integrate the effective equation with Strang splitting (``grids.strang_steps``).
 
     Half kinetic step, full nonlinear/potential phase (mean field frozen at
     the substep start for Hartree, exact for the local NLS phase, external
     potential evaluated at the substep midpoint), half kinetic step.
-    Returns states at every ``stride``-th step, starting with the input.
+    Returns states at every ``stride``-th step and the last, starting with
+    the input.
     """
-    steps = _time_grid(T, dt)
+    steps = step_count(T, dt)
     dom = state.phi_free.domain
-    kicks = axis_operators(dom, lambda mult: np.exp(-0.5j * dt * mult))
-    kernel0 = mean_field_kernel(spec) if spec.regime == "hartree-theta0" else None
-    b = None
-    if spec.regime != "hartree-theta0":
-        b = coupling_b(spec.interaction, chi_mode(spec.confined, 0))
+    half = axis_operators(dom, lambda mult: np.exp(-0.5j * dt * mult))
+    full = axis_operators(dom, lambda mult: np.exp(-1j * dt * mult))
+    hartree = spec.regime == "hartree-theta0"
+    kernel0 = mean_field_kernel(spec) if hartree else None
+    b = None if hartree else coupling_b(spec.interaction, chi_mode(spec.confined, 0))
 
-    def kick(phi):
-        values = phi.values
-        for axis, k in enumerate(kicks):
-            values = apply_along(values, k, axis)
-        return phi.copy_with(values)
-
-    out = [state]
-    phi = state.phi_free
-    t = state.t
-    for k in range(steps):
-        phi = kick(phi)
-        pot = _mean_field(spec, phi, kernel0, b)
+    def substep(k, values):
+        pot = _mean_field(spec, GridFunction(dom, values.reshape(dom.shape)), kernel0, b)
         if not spec.potential.is_zero:
-            pot = pot + spec.potential.values_free(t + dt / 2, dom)
+            pot = pot + spec.potential.values_free(state.t + k * dt + dt / 2, dom)
         if dt * np.max(np.abs(pot)) > np.pi:
             raise GuardError("potential phase increment exceeds pi; reduce dt")
-        phi = phi.copy_with(phi.values * np.exp(-1j * dt * pot))
-        phi = kick(phi)
-        t = state.t + (k + 1) * dt
-        if (k + 1) % stride == 0 or k + 1 == steps:
-            out.append(OneBodyState(phi, state.mode, t))
+        values *= np.exp(-1j * dt * pot).reshape(values.shape)
+
+    out = [state]
+    values = state.phi_free.values.reshape(axis_groups(dom.shape))
+    for k, values in strang_steps(values, half, full, substep, steps, stride):
+        phi = GridFunction(dom, values.reshape(dom.shape))
+        out.append(OneBodyState(phi, state.mode, state.t + k * dt))
     return out
 
 

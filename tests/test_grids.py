@@ -12,7 +12,6 @@ from confinedbose.grids import (
     apply_kinetic,
     axis_groups,
     axis_operators,
-    grouped_operators,
     inner_product,
     laplacian_confined,
     laplacian_free,
@@ -247,42 +246,28 @@ def test_axis_groups_merge_while_product_at_most_64():
     assert axis_groups((128, 3)) == (128, 3)
 
 
+# (free extents, free points, confined intervals, confined points); the first
+# two cases keep their original ids, the rest merge axes into groups and use
+# unequal spacings and widths, so swapped factors inside a group show
+SPECTRAL_CASES = [
+    ((6.0,), (16,), ((-0.5, 0.5),), (3,)),
+    ((6.0,), (16,), ((-0.5, 0.5), (-0.4, 0.6)), (4, 3)),
+    ((4.0,), (16,), ((-0.5, 0.5),), (3,)),
+    ((16.0,), (64,), ((-0.5, 0.5), (-0.4, 0.7)), (4, 4)),
+    ((2.0, 2.8), (8, 8), ((-0.5, 0.5),), (2,)),
+    ((32.0,), (128,), ((-0.5, 0.5),), (3,)),
+]
+
+
 @pytest.mark.parametrize(
-    "free_points, conf_points",
-    [((16,), (3,)), ((64,), (4, 4)), ((8, 8), (2,)), ((128,), (3,))],
-    ids=["16x3", "64x4x4", "8x8x2", "128x3"],
+    "case", SPECTRAL_CASES,
+    ids=["conf_points0", "conf_points1", "16x3", "64x4x4", "8x8x2", "128x3"],
 )
-def test_grouped_operators_match_per_axis_product(free_points, conf_points):
-    # unequal spacings and widths, so a group's kron factors cannot be swapped unseen
-    intervals = ((-0.5, 0.5), (-0.4, 0.7))[: len(conf_points)]
-    dom = ProductDomain(
-        FreeDomain(tuple((0.25 + 0.1 * a) * n for a, n in enumerate(free_points)), free_points),
-        ConfinedDomain(intervals, conf_points, eps=0.5),
-    )
-    rng = np.random.default_rng(12)
-    f = rng.normal(size=dom.shape) + 1j * rng.normal(size=dom.shape)
-
-    def fn(mult):
-        return np.exp(-1j * 0.03 * mult)
-
-    expected = f
-    for axis, u in enumerate(axis_operators(dom, fn)):
-        expected = apply_along(expected, u, axis)
-    groups = axis_groups(dom.shape)
-    grouped = f.reshape(groups)
-    mats = grouped_operators(dom, fn)
-    assert tuple(len(u) for u in mats) == groups
-    for axis, u in enumerate(mats):
-        grouped = apply_along(grouped, u, axis)
-    assert np.max(np.abs(grouped.reshape(dom.shape) - expected)) <= 1e-13
-
-
-@pytest.mark.parametrize("conf_points", [(3,), (4, 3)])
-def test_axis_operators_match_spectral_route(conf_points, analytic_kinetic):
+def test_axis_operators_match_spectral_route(case, analytic_kinetic):
     # the spectral route is V f(Lambda) V^dagger in the analytic eigenbasis
-    intervals = ((-0.5, 0.5), (-0.4, 0.6))[: len(conf_points)]
+    extents, free_points, intervals, conf_points = case
     dom = ProductDomain(
-        FreeDomain((6.0,), (16,)), ConfinedDomain(intervals, conf_points, eps=0.5)
+        FreeDomain(extents, free_points), ConfinedDomain(intervals, conf_points, eps=0.5)
     )
     rng = np.random.default_rng(11)
     f = rng.normal(size=dom.shape) + 1j * rng.normal(size=dom.shape)
@@ -296,9 +281,12 @@ def test_axis_operators_match_spectral_route(conf_points, analytic_kinetic):
 
     tau = 0.03
     expected = spectral_route(lambda lam: np.exp(-1j * tau * lam))
-    evolved = f
+    groups = axis_groups(dom.shape)
     propagators = axis_operators(dom, lambda m: np.exp(-1j * tau * m))
+    assert tuple(len(u) for u in propagators) == groups
+    evolved = f.reshape(groups)
     for axis, u in enumerate(propagators):
         evolved = apply_along(evolved, u, axis)
         assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= 1e-13
+    evolved = evolved.reshape(dom.shape)
     assert np.max(np.abs(evolved - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -185,15 +185,27 @@ def interacting_spec(free, confined, n=2, regime="nls-theta"):
     )
 
 
-def test_time_reversal_roundtrip():
+# stride 1 splits every step at a snapshot; stride = steps (None below) yields
+# only the initial and final states, so every inner step boundary applies the
+# fused full kick
+STRIDES = pytest.mark.parametrize("stride", [1, None], ids=["stride1", "stride_steps"])
+
+
+def final_state(state, spec, T, dt, stride=1):
+    """Last state of evolve_effective; ``stride=None`` means one stride of all steps."""
+    return evolve_effective(state, spec, T, dt, stride=stride or round(T / dt))[-1]
+
+
+@STRIDES
+def test_time_reversal_roundtrip(stride):
     dom = FreeDomain((16.0,), (64,))
     confined = ConfinedDomain(UNIT_INTERVAL, (8,), eps=0.5)
     spec = interacting_spec(dom, confined, regime="hartree-theta0")
     state = OneBodyState(unit_gaussian(dom, width=1.2), chi_mode(confined, 0))
-    fwd = evolve_effective(state, spec, T=0.4, dt=2e-3)[-1]
+    fwd = final_state(state, spec, 0.4, 2e-3, stride)
     mirrored = OneBodyState(fwd.phi_free.copy_with(np.conj(fwd.phi_free.values)),
                             fwd.mode, t=0.0)
-    back = evolve_effective(mirrored, spec, T=0.4, dt=2e-3)[-1]
+    back = final_state(mirrored, spec, 0.4, 2e-3, stride)
     recovered = np.conj(back.phi_free.values)
     assert np.max(np.abs(recovered - state.phi_free.values)) < 1e-7
 
@@ -216,15 +228,18 @@ def test_mass_and_energy_conservation_and_strang_order():
     assert 3.5 < ratio < 4.5
 
 
-def test_solution_strang_order_against_reference():
+@STRIDES
+def test_solution_strang_order_against_reference(stride):
+    # the reference splits every step, so a fused kick of the wrong length
+    # shows as a first-order (or no) convergence towards it
     dom = FreeDomain((16.0,), (64,))
     confined = ConfinedDomain(UNIT_INTERVAL, (8,), eps=0.5)
     spec = interacting_spec(dom, confined)
     state = OneBodyState(unit_gaussian(dom, width=1.2), chi_mode(confined, 0))
     T = 0.25
-    ref = evolve_effective(state, spec, T, T / 1024)[-1].phi_free.values
-    e1 = np.linalg.norm(evolve_effective(state, spec, T, T / 128)[-1].phi_free.values - ref)
-    e2 = np.linalg.norm(evolve_effective(state, spec, T, T / 256)[-1].phi_free.values - ref)
+    ref = final_state(state, spec, T, T / 1024).phi_free.values
+    e1 = np.linalg.norm(final_state(state, spec, T, T / 128, stride).phi_free.values - ref)
+    e2 = np.linalg.norm(final_state(state, spec, T, T / 256, stride).phi_free.values - ref)
     assert 3.5 < e1 / e2 < 4.5
 
 
