@@ -234,6 +234,20 @@ def test_binomial_chain_matches_general_routes(n):
     assert np.max(np.abs(chain - cnt.occupation_distribution_enumeration(psi, phi))) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(4,) * n for n in range(2, 6)] + [(48,) * 3],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_project_q_in_place_matches_project_q(shape):
+    # the caller's array must hold q v: a BLAS wrapper that updated a copy
+    # of the transposed view would leave it unchanged
+    rng = np.random.default_rng(len(shape) + shape[0])
+    phi = random_unit(rng, shape[0])
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for axis in range(len(shape)):
+        v = psi.copy()
+        assert cnt._project_q_in_place(v, phi, axis) is None
+        assert np.max(np.abs(v - cnt.project_q(psi, phi, axis))) < 1e-12
+
+
 def test_binomial_route_rejects_asymmetric():
     rng = np.random.default_rng(10)
     psi = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

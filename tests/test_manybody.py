@@ -1,5 +1,6 @@
 """Exact N-particle dynamics: kernels, unitarity, factorization, energy."""
 
+import itertools
 import weakref
 
 import numpy as np
@@ -10,6 +11,7 @@ from confinedbose.errors import ConfigError, GuardError
 from confinedbose.grids import ConfinedDomain, FreeDomain, GridFunction, norm
 from confinedbose.manybody import (
     ManyBodyState,
+    _transposition_residual,
     evolve_manybody,
     excess_energy_diagnostic,
     manybody_energy,
@@ -168,6 +170,45 @@ def test_symmetrize_rejects_antisymmetric():
         symmetrize(spec.domain, anti)
 
 
+def transposition_residuals(values, n, block):
+    """{(i, j): ||values - sigma_ij values||}, one explicit np.transpose per pair."""
+    out = {}
+    for i, j in itertools.combinations(range(n), 2):
+        order = list(range(n))
+        order[i], order[j] = j, i
+        swapped = np.transpose(values, [b * block + a for b in order for a in range(block)])
+        out[i, j] = float(np.linalg.norm((values - swapped).ravel()))
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_transposition_residual_matches_brute_force(n, block):
+    # every pair (i, j) of n = 2..5 hits each (m^i, m^(j-i-1), m^(n-j-1))
+    # layout, including an empty right part and a non-empty middle one
+    rng = np.random.default_rng(10 * n + block)
+    shape = ((4,), (3, 2))[block - 1] * n
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    expected = max(transposition_residuals(values, n, block).values())
+    assert _transposition_residual(values, n, block) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_transposition_residual_sees_non_adjacent_pair(n):
+    # a (x) c .. c (x) b - b (x) c .. c (x) a is antisymmetric in (0, n-1):
+    # residual 2 sqrt(2) there, 2 or 0 on every other pair
+    a, b, c = np.linalg.qr(np.random.default_rng(n).normal(size=(5, 3)))[0].T
+    middle = np.ones(())
+    for _ in range(n - 2):
+        middle = np.multiply.outer(middle, c)
+    values = (np.multiply.outer(np.multiply.outer(a, middle), b)
+              - np.multiply.outer(np.multiply.outer(b, middle), a))
+    pairs = transposition_residuals(values, n, 1)
+    assert pairs[0, n - 1] == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
+    assert max(r for pair, r in pairs.items() if pair != (0, n - 1)) < 2.0 + 1e-12
+    assert _transposition_residual(values, n, 1) == pytest.approx(pairs[0, n - 1], rel=1e-12)
+
+
 # -- dynamics ------------------------------------------------------------------
 
 # stride 1 splits every step at a snapshot; stride = steps (None below) yields
@@ -247,6 +288,7 @@ def test_two_particle_matches_crank_nicolson_oracle(stride, analytic_kinetic):
 
 @STRIDES
 def test_time_reversal_two_particles(stride):
+    # not a guard on the kick length: any symmetric kick/phase composition is reversible
     spec = small_spec(n=2, amplitude=2.0)
     psi0 = product_state(gaussian_one_body(spec), 2)
     fwd = final_state(psi0, spec, 0.3, 2e-3, stride)
