@@ -28,8 +28,9 @@ from scipy.linalg import blas
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, InvariantError
-from .grids import GridFunction, kinetic_expectation
+from .grids import GridFunction, apply_kinetic, kinetic_trace
 from .manybody import SYMMETRY_TOL, ManyBodyState, _transposition_residual, pair_phase_array
+from .manybody import density_matrix  # re-exported: the report's gamma is the energy's
 from .model import ModelSpec
 from .onebody import OneBodyState, chi_mode, hartree_potential, mean_field_kernel
 
@@ -188,31 +189,10 @@ def alpha(psi, phi, weight: float = 1.0) -> float:
     return amp**2 * float(np.vdot(q1, q1).real)
 
 
-def density_matrix(psi) -> np.ndarray:
-    """Reduced one-particle density matrix in the unit-weight basis.
-
-    ``psi`` carries one axis per particle (unit-weight frame).  Returns the
-    m x m Hermitian matrix with trace ||psi||^2; its quadratic form against
-    a unit-weight-rescaled phi gives <phi, gamma phi>.  gamma = A A^dagger
-    for the (m, m^(N-1)) reshape A is one BLAS ``zherk``, which reads psi
-    in place and writes one triangle, so besides psi only gamma is
-    allocated; the other triangle is filled row by row from the conjugate.
-    """
-    psi = np.asarray(psi, dtype=np.complex128)
-    rows = psi.reshape(psi.shape[0], -1)
-    # zherk forms A^dagger A of the F-ordered (cols, m) view rows.T, which is
-    # gamma^T; its transpose is gamma as a C-ordered array with the lower triangle set
-    gamma = blas.zherk(1.0, rows.T, trans=2).T
-    for i in range(len(gamma) - 1):
-        gamma[i, i + 1:] = gamma[i + 1:, i].conj()
-    return gamma
-
-
 def alpha_density_route(psi, phi, weight: float = 1.0) -> float:
     """alpha = 1 - <phi, gamma^psi phi>, the density-matrix route."""
-    psi, phi, _, amp = _frame(psi, phi, weight)
-    gamma = density_matrix(psi)
-    return float(1.0 - amp**2 * np.vdot(phi, gamma @ phi).real)
+    psi, phi, _, _ = _frame(psi, phi, weight)
+    return float(1.0 - np.vdot(phi, density_matrix(psi, weight) @ phi).real)
 
 
 def occupation_distribution(psi, phi, weight: float = 1.0) -> np.ndarray:
@@ -510,20 +490,26 @@ def grad_q_norm(state: ManyBodyState, reference) -> float:
 
     The confined axes carry the eps^-2 weight and the confined ground level
     is subtracted, so the value vanishes on pure condensates and is
-    nonnegative by the spectral gap.
+    nonnegative by the spectral gap.  It is taken from gamma, whose terms
+    (``_grad_q_form``) are energy-sized, so on a condensate it reads roundoff
+    of either sign, 1e-14 to 1e-12 absolute; it is not clipped.
     """
-    psi, phi, _, amp = _grid_frame(state, reference)
-    return amp**2 * _grad_q_in_frame(psi, phi, state.domain)
+    psi, phi, _, _ = _grid_frame(state, reference)
+    return _grad_q_form(density_matrix(psi, state.domain.cell_volume), phi, state.domain)
 
 
-def _grad_q_in_frame(psi, phi, dom) -> float:
-    """grad_q_norm of the frame (psi, phi) of a state on ``dom``, euclidean in psi.
+def _grad_q_form(gamma, phi, dom) -> float:
+    """tr(q h~ q gamma) for unit-weight gamma and phi, q = 1 - |phi><phi|, h~ = K - E_0:
 
-    Besides psi this holds q_1 psi and one axis term K_a q_1 psi at a time.
+    tr(K gamma) - 2 Re<gamma phi, K phi> + <phi, K phi><phi, gamma phi>
+    - E_0 (tr gamma - <phi, gamma phi>), with tr(K gamma) by ``grids.kinetic_trace``.
     """
-    q1 = project_q(psi, phi, 0).reshape(dom.shape + (-1,))
-    shift = chi_mode(dom.confined, 0).energy_eps * float(np.vdot(q1, q1).real)
-    return kinetic_expectation(q1, dom) - shift
+    k_phi = apply_kinetic(phi.reshape(dom.shape), dom).ravel()
+    g_phi = gamma @ phi
+    occupied = np.vdot(phi, g_phi).real
+    e0 = chi_mode(dom.confined, 0).energy_eps
+    return float(kinetic_trace(gamma, dom) - 2.0 * np.vdot(g_phi, k_phi).real
+                 + np.vdot(phi, k_phi).real * occupied - e0 * (np.trace(gamma).real - occupied))
 
 
 def mode_projection_split(state: ManyBodyState, one_body: OneBodyState) -> tuple[float, float]:
@@ -637,37 +623,32 @@ class CountingReport:
 
 
 def compute_report(state: ManyBodyState, one_body: OneBodyState,
-                   e_psi: float, e_phi: float) -> CountingReport:
-    """Evaluate all counting functionals for one (psi, phi) snapshot whose
-    per-particle energies ``e_psi`` and ``e_phi`` the caller computed.
+                   e_psi: float, e_phi: float, gamma: np.ndarray) -> CountingReport:
+    """Evaluate all counting functionals for one (psi, phi) snapshot; the
+    caller computed its energies and unit-weight ``density_matrix`` gamma.
 
     Precondition: the snapshot is permutation symmetric.  The occupation
     distribution uses the symmetric route ``_sector_weights`` without
-    re-checking; the caller's ``manybody._energy_and_residual`` has already
-    refused a residual above SYMMETRY_TOL.  Besides psi, the occupation
-    weights hold one state-sized copy, which q updates in place, and
-    ``grad_q_sq`` two: q_1 psi and one kinetic axis term.
+    re-checking; ``manybody._energy_and_residual`` has refused a residual
+    above SYMMETRY_TOL and returned gamma.  Besides psi and gamma the report
+    holds one copy of psi, which the occupation weights update in place.
     """
     psi, phi, n, amp = _grid_frame(state, one_body)
-    scale = amp**2
-    pk = scale * _sector_weights(psi, phi)
+    pk = amp**2 * _sector_weights(psi, phi)
     ks = np.arange(n + 1)
     a = float(np.dot(ks / n, pk))
     b = float(np.dot(np.sqrt(ks / n), pk))
-    grad_q_sq = scale * _grad_q_in_frame(psi, phi, state.domain)
-    tr = trace_distance(scale * density_matrix(psi), phi)
-    report = CountingReport(
+    return CountingReport(
         t=state.t,
         alpha=a,
         beta=b,
         beta_tilde=b + abs(e_psi - e_phi),
         p_k=tuple(float(p) for p in pk),
-        trace_distance=tr,
+        trace_distance=trace_distance(gamma, phi),
         E_psi=float(e_psi),
         E_phi=float(e_phi),
-        grad_q_sq=grad_q_sq,
-    )
-    return report.validate()
+        grad_q_sq=_grad_q_form(gamma, phi, state.domain),
+    ).validate()
 
 
 # -- dense kron-matrix route (the oracle) -------------------------------------

@@ -5,7 +5,7 @@ FFT; confined directions carry a hard-wall (Dirichlet) condition and are
 diagonalized by the type-I discrete sine transform, so the boundary
 condition is exact.  Functions of the kinetic operator act through one
 position-space matrix per group of small consecutive axes (``axis_groups``,
-``axis_operators``, ``apply_kinetic``, ``kinetic_expectation``), and both
+``axis_operators``, ``apply_kinetic``, ``kinetic_trace``), and both
 evolvers step through the one Strang schedule ``strang_steps``.
 Quadrature is uniform-weight, consistent with the transform sampling.
 
@@ -38,7 +38,7 @@ __all__ = [
     "axis_groups",
     "apply_along",
     "apply_kinetic",
-    "kinetic_expectation",
+    "kinetic_trace",
     "step_count",
     "strang_steps",
     "write_mfl1",
@@ -352,30 +352,31 @@ def apply_along(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     return np.matmul(mat, values.reshape(left, n, right)).reshape(shape)
 
 
-def _grouped(values: np.ndarray, domain: Domain) -> np.ndarray:
-    """``values`` with its leading ``domain.shape`` axes merged by ``axis_groups``."""
-    return values.reshape(axis_groups(domain.shape) + values.shape[len(domain.shape):])
-
-
 def apply_kinetic(values: np.ndarray, domain: Domain, eps: float | None = None) -> np.ndarray:
     """-Delta_x - eps^-2 Delta_y applied along the leading ``domain.shape`` axes."""
     ops = axis_operators(domain, lambda mult: mult, eps)
-    grouped = _grouped(values, domain)
+    grouped = values.reshape(axis_groups(domain.shape) + values.shape[len(domain.shape):])
     out = apply_along(grouped, ops[0], 0)
     for axis in range(1, len(ops)):
         out += apply_along(grouped, ops[axis], axis)
     return out.reshape(values.shape)
 
 
-def kinetic_expectation(values: np.ndarray, domain: Domain) -> float:
-    """Re <v, (-Delta_x - eps^-2 Delta_y) v>, euclidean, along the leading axes.
+def kinetic_trace(gamma: np.ndarray, domain: Domain) -> float:
+    """Re tr(K gamma), K = -Delta_x - eps^-2 Delta_y, for an m x m matrix on the raveled grid.
 
-    Summed group by group, so besides ``values`` only one group term K_g v
-    is alive at a time.
+    Summed as tr(K_g Gamma_g) over the ``axis_operators`` matrices K_g, with
+    Gamma_g the partial trace of gamma over the other groups: no dense m x m K.
     """
-    grouped = _grouped(values, domain)
-    return sum(float(np.vdot(grouped, apply_along(grouped, op, axis)).real)
-               for axis, op in enumerate(axis_operators(domain, lambda mult: mult)))
+    sizes = axis_groups(domain.shape)
+    n = len(sizes)
+    blocks = gamma.reshape(sizes * 2)
+    total = 0.0
+    for g, op in enumerate(axis_operators(domain, lambda mult: mult)):
+        # sum over a, b, rest of K_g[a, b] gamma[(b, rest), (a, rest)]
+        cols = [n + g if axis == g else axis for axis in range(n)]
+        total += float(np.einsum(op, [n + g, g], blocks, list(range(n)) + cols, []).real)
+    return total
 
 
 # -- time stepping -----------------------------------------------------------

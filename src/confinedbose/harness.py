@@ -141,10 +141,11 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
     snapshots and run_meta.json into ``out_dir`` (atomically).  The many-body
     run is streamed: each snapshot gets its manybody.csv row and counting
     report as it arrives, and only the last one is kept.  The CSVs and
-    reports share one evaluation of each snapshot's diagnostics.  The
-    summary also holds the ``reports``, the one-body trajectory ``onebody``
-    and its ``sup_phi`` = sup |phi|, ``sup_Phi`` = sup |Phi| and ``H2_phi`` =
-    ||phi||_{H^2} per state.
+    reports share one evaluation of each snapshot's diagnostics, with one
+    density matrix for the mass, energy and report.  The summary also holds
+    the ``reports``, the one-body trajectory ``onebody`` and its ``sup_phi``
+    = sup |phi|, ``sup_Phi`` = sup |Phi| and ``H2_phi`` = ||phi||_{H^2} per
+    state.
     """
     os.makedirs(out_dir, exist_ok=True)
     spec = config.model_spec()
@@ -163,10 +164,11 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
     one_rows, sup_free = onebody_rows(ones, spec)
     many_rows, reports = [], []
     for mb, ob, one_row in zip(manys, ones, one_rows):
-        e_psi, residual = _energy_and_residual(mb, spec)
-        many_rows.append((mb.t, mb.mass(), e_psi, residual))
+        e_psi, residual, gamma = _energy_and_residual(mb, spec)
+        many_rows.append((mb.t, math.sqrt(np.trace(gamma).real), e_psi, residual))
         if counting_reports:
-            reports.append(cnt.compute_report(mb, ob, e_psi, one_row[2]))
+            reports.append(cnt.compute_report(mb, ob, e_psi, one_row[2], gamma))
+        del gamma  # state-sized at N = 2: not alive while the next snapshot's pair kernel is built
     _csv(os.path.join(out_dir, "onebody.csv"), "t,mass,E_phi,sup_phi,H2_phi", one_rows)
     _csv(os.path.join(out_dir, "manybody.csv"), "t,mass,E_psi,symmetry_residual", many_rows)
     if counting_reports:

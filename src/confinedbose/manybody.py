@@ -10,11 +10,11 @@ dense per-particle matrix.  Pair interactions and external potentials act
 by exact pointwise phases.  The integrator is ``grids.strang_steps``, the
 same second-order Strang schedule as the effective solver.  The evolver
 streams: it yields each reported snapshot and holds only the current
-state.  Energies are summed group by group.  Everything is desk scale: a
-memory guard refuses runs whose working set (``working_set_bytes``: three
-state-sized arrays whatever N, the m^2-sized pair phase and density
-matrices, a one-body allowance) exceeds a configurable cap (2 GiB by
-default).
+state.  Energies come from the density matrix and the two-body density.
+Everything is desk scale: a memory guard refuses runs whose working set
+(``working_set_bytes``: three state-sized arrays whatever N, the m^2-sized
+pair phase and density matrices, a one-body allowance) exceeds a
+configurable cap (2 GiB by default).
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .errors import ConfigError, GuardError
 from .grids import (
     ProductDomain,
     axis_groups,
     axis_operators,
-    kinetic_expectation,
+    kinetic_trace,
     step_count,
     strang_steps,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "pair_phase_array",
     "evolve_manybody",
     "manybody_energy",
+    "density_matrix",
     "excess_energy_diagnostic",
     "symmetrize",
     "symmetry_residual",
@@ -100,12 +102,11 @@ def working_set_bytes(spec: ModelSpec) -> int:
 
     At most three state-sized arrays are alive at once: in a Strang step
     the consumer's last snapshot and the input and output of one kick
-    sweep; in a counting report the snapshot, q_1 psi and one kinetic axis
-    term (the occupation weights need only the copy that q updates in
-    place), plus two 1/m-sized coefficient arrays; the symmetry check adds
-    one 1/m-sized difference buffer to the snapshot.  The m^2-sized arrays
-    (the evolver's pair phase, the density matrix and the dense trace
-    distance's difference matrix) are as large as the state at N = 2.
+    sweep.  A counting report holds one copy of the snapshot and two
+    1/m-sized coefficient arrays, the symmetry check one 1/m-sized buffer.
+    The m^2-sized arrays (the evolver's pair phase, the density matrix and
+    the dense trace distance's difference matrix) are as large as the state
+    at N = 2.
     """
     m = int(np.prod(spec.domain.shape))
     state = estimate_state_bytes(spec)
@@ -293,33 +294,48 @@ def _snapshots(state, strang, dt):
         yield snapshot
 
 
-def _energy_and_residual(state: ManyBodyState, spec: ModelSpec) -> tuple[float, float]:
-    """(manybody_energy, the symmetry residual its guard computed).
+def density_matrix(psi, weight: float = 1.0) -> np.ndarray:
+    """Reduced one-particle density matrix gamma = weight^N A A^dagger, unit-weight basis.
 
-    <psi, (h_1 + V_1) psi> is summed term by term (kinetic axis by axis),
-    so besides psi one state-sized term is alive at a time.
+    ``psi`` has one axis per particle, A is its (m, m^(N-1)) reshape and
+    ``weight`` the one-body cell volume.  One BLAS ``zherk`` reads psi in
+    place and writes one triangle, so besides psi only gamma is allocated;
+    the other triangle is filled row by row from the conjugate.
+    """
+    psi = np.asarray(psi, dtype=np.complex128)
+    rows = psi.reshape(psi.shape[0], -1)
+    # zherk forms A^dagger A of the F-ordered (cols, m) view rows.T, which is
+    # gamma^T; its transpose is gamma as a C-ordered array with the lower triangle set
+    gamma = blas.zherk(weight**psi.ndim, rows.T, trans=2).T
+    for i in range(len(gamma) - 1):
+        gamma[i, i + 1:] = gamma[i + 1:, i].conj()
+    return gamma
+
+
+def _energy_and_residual(state: ManyBodyState, spec: ModelSpec) -> tuple[float, float, np.ndarray]:
+    """(manybody_energy, the symmetry residual its guard computed, ``density_matrix`` gamma).
+
+    One-body terms: tr(K gamma) (``grids.kinetic_trace``) + sum_x V(x) gamma(x, x).
+    The pair term sums W rho_2, rho_2(x_1, x_2) = sum_rest |psi(x_1, x_2, rest)|^2
+    from one ``einsum`` over the real view of psi: no state-sized product.  It
+    goes first: at N = 2 gamma is state-sized, formed once the kernel is gone.
     """
     residual = symmetry_residual(state)
     if residual > SYMMETRY_TOL:
         raise ConfigError("manybody_energy expects a symmetric state")
-    vol = state.cell_volume
-    n = state.n_particles
-    dom = state.domain
-    block = len(dom.shape)
-    psi = state.values
-    one = kinetic_expectation(psi, dom)
-    if not spec.potential.is_zero:
-        v_one = spec.potential.values_product(state.t, dom)
-        one += float(np.vdot(psi, v_one.reshape(dom.shape + (1,) * (block * (n - 1))) * psi).real)
+    n, dom = state.n_particles, state.domain
+    m = math.prod(dom.shape)
     inter = 0.0
     if n > 1:
         # rebuilt per call: an m^2 kernel held for the run (state-sized at N = 2) raises the peak
-        pair = pair_phase_array(spec)
-        sh = dom.shape * 2 + (1,) * (block * (n - 2))
-        pair_exp = float((np.vdot(psi, pair.reshape(sh) * psi) * vol).real)
-        coeff = spec.pair_prefactor * (n * (n - 1) / 2.0) / n
-        inter = coeff * pair_exp
-    return one * vol + inter, residual
+        parts = state.values.reshape(m, m, -1).view(np.float64)
+        pair_exp = float(np.vdot(pair_phase_array(spec).reshape(m, m),
+                                 np.einsum("abr,abr->ab", parts, parts))) * state.cell_volume
+        inter = spec.pair_prefactor * (n * (n - 1) / 2.0) / n * pair_exp
+    gamma = density_matrix(state.values.reshape((m,) * n), dom.cell_volume)
+    v_one = spec.potential.values_product(state.t, dom).ravel()  # zeros without a potential
+    one = kinetic_trace(gamma, dom) + float(np.dot(v_one, gamma.diagonal().real))
+    return one + inter, residual, gamma
 
 
 def manybody_energy(state: ManyBodyState, spec: ModelSpec) -> float:

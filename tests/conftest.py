@@ -1,9 +1,20 @@
 """Shared test oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from confinedbose.grids import ConfinedDomain, FreeDomain
+from confinedbose.counting import project_q
+from confinedbose.grids import (
+    ConfinedDomain,
+    FreeDomain,
+    apply_along,
+    axis_groups,
+    axis_operators,
+)
+from confinedbose.manybody import pair_phase_array
+from confinedbose.onebody import chi_mode
 
 
 def _free_axis_basis(L, n):
@@ -51,3 +62,52 @@ def analytic_kinetic_matrix(domain, fn, eps=None):
 def analytic_kinetic():
     """The analytic-eigenbasis oracle ``analytic_kinetic_matrix``."""
     return analytic_kinetic_matrix
+
+
+# -- direct sweeps over the state: the oracles of the density-matrix route ----
+
+
+def kinetic_sweep(values, domain):
+    """Re <v, (-Delta_x - eps^-2 Delta_y) v>, euclidean, along the leading axes.
+
+    Each ``axis_operators`` group matrix K_g is applied along its merged axis
+    of the whole array and the group terms <v, K_g v> are summed.
+    """
+    grouped = values.reshape(axis_groups(domain.shape) + values.shape[len(domain.shape):])
+    return sum(float(np.vdot(grouped, apply_along(grouped, op, axis)).real)
+               for axis, op in enumerate(axis_operators(domain, lambda mult: mult)))
+
+
+def grad_q_sweep(state, phi):
+    """<q_1 psi, h~ q_1 psi> from q_1 psi formed as a new state and swept.
+
+    ``phi`` is the one-body reference on the grid, normalized in L^2.
+    """
+    dom = state.domain
+    phi_unit = phi.ravel() * np.sqrt(dom.cell_volume)
+    q1 = project_q(state.values.reshape(phi_unit.size, -1), phi_unit, 0)
+    q1 = q1.reshape(dom.shape + (-1,))
+    shift = chi_mode(dom.confined, 0).energy_eps * float(np.vdot(q1, q1).real)
+    return state.cell_volume * (kinetic_sweep(q1, dom) - shift)
+
+
+def energy_sweep(state, spec):
+    """Per-particle energy from state-sized products: <psi, (K_1 + V_1) psi>
+    by ``kinetic_sweep`` and vdot(psi, V_1 psi), plus the pair term from
+    vdot(psi, W_12 psi)."""
+    dom, n, psi = state.domain, state.n_particles, state.values
+    block = len(dom.shape)
+    one = kinetic_sweep(psi, dom)
+    if not spec.potential.is_zero:
+        v_one = spec.potential.values_product(state.t, dom)
+        one += float(np.vdot(psi, v_one.reshape(dom.shape + (1,) * (block * (n - 1))) * psi).real)
+    pair = pair_phase_array(spec).reshape(dom.shape * 2 + (1,) * (block * (n - 2)))
+    pair_exp = float(np.vdot(psi, pair * psi).real)
+    coeff = spec.pair_prefactor * (n * (n - 1) / 2.0) / n
+    return state.cell_volume * (one + coeff * pair_exp)
+
+
+@pytest.fixture
+def direct_sweeps():
+    """The state-sweep oracles ``kinetic_sweep``, ``grad_q_sweep`` and ``energy_sweep``."""
+    return SimpleNamespace(kinetic=kinetic_sweep, grad_q=grad_q_sweep, energy=energy_sweep)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from confinedbose import counting as cnt
 from confinedbose.errors import ConfigError, InvariantError
 from confinedbose.grids import ConfinedDomain, FreeDomain, GridFunction, norm
-from confinedbose.manybody import manybody_energy, pair_phase_array, product_state, symmetrize
+from confinedbose.manybody import _energy_and_residual, pair_phase_array, product_state, symmetrize
 from confinedbose.model import InteractionProfile, ModelSpec
 from confinedbose.onebody import OneBodyState, chi_mode, effective_energy
 
@@ -632,8 +632,8 @@ def test_operator_norm_bounds_three_profiles():
 def test_counting_report_round_trip_and_validation():
     spec, one = grid_setting()
     psi_prod = product_state(one, 2)
-    report = cnt.compute_report(psi_prod, one, manybody_energy(psi_prod, spec),
-                                effective_energy(one, spec))
+    e_psi, _, gamma = _energy_and_residual(psi_prod, spec)
+    report = cnt.compute_report(psi_prod, one, e_psi, effective_energy(one, spec), gamma)
     assert report.alpha < 1e-10
     assert report.beta_tilde >= report.beta
     d = report.to_dict()
@@ -659,7 +659,8 @@ def test_counting_report_matches_general_route():
            + 0.1 * np.multiply.outer(np.multiply.outer(perp, perp), perp))
     state = symmetrize(spec.domain, raw)
     vol = spec.domain.cell_volume
-    report = cnt.compute_report(state, one, 0.0, 0.0)
+    gamma = cnt.density_matrix(state.values.reshape((phi.size,) * 3), vol)
+    report = cnt.compute_report(state, one, 0.0, 0.0, gamma)
     general = cnt.occupation_distribution(state.values, phi, weight=vol)
     assert min(general) > 1e-4
     assert np.max(np.abs(np.array(report.p_k) - general)) < 1e-12

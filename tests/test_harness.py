@@ -1,6 +1,7 @@
 """Experiment harness: configs, runs, ladders, lemma suite, CLI contract."""
 
 import json
+import math
 import os
 import tracemalloc
 from pathlib import Path
@@ -17,7 +18,15 @@ from confinedbose.harness import (
     run_single,
     verify_lemmas,
 )
-from confinedbose.manybody import estimate_state_bytes, working_set_bytes
+from confinedbose.counting import compute_report
+from confinedbose.manybody import (
+    _ONE_BODY_ALLOWANCE,
+    _energy_and_residual,
+    estimate_state_bytes,
+    pair_phase_array,
+    product_state,
+    working_set_bytes,
+)
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -109,6 +118,41 @@ def test_run_single_peak_within_working_set(tmp_path, n, grid, steps, tight):
     assert peak <= model
     if tight:  # where the state dominates, the model is close, not just an upper bound
         assert model <= 1.25 * peak
+
+
+@pytest.mark.parametrize("n, grid", [
+    pytest.param(4, {}, id="N4-m48"),
+    pytest.param(2, TWO_CONFINED_AXES, id="N2-m1024"),
+])
+def test_snapshot_diagnostics_peak(n, grid):
+    # one snapshot's energy and counting report, traced beyond psi.  The
+    # terms are those of working_set_bytes: the report's one copy of psi and
+    # its two 1/m-sized coefficient arrays, the m^2-sized gamma, the one-body
+    # allowance (which also covers the dense trace distance's m^2 arrays at
+    # m <= 96).  At N = 2 gamma is state-sized and must not be alive while
+    # the pair kernel's temporaries are, so the bound is the larger of the
+    # kernel's own traced peak and the report's terms.
+    cfg = config(n_particles=n, **grid)
+    spec = cfg.model_spec()
+    one = harness.initial_state(spec, cfg.initial)
+    state = product_state(one, n)
+    e_phi = onebody.effective_energy(one, spec)
+    m = math.prod(spec.domain.shape)
+    state_bytes = estimate_state_bytes(spec)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pair_phase_array(spec)
+        kernel_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        e_psi, _, gamma = _energy_and_residual(state, spec)
+        compute_report(state, one, e_psi, e_phi, gamma)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    report_terms = state_bytes + 2 * (state_bytes // m) + 16 * m**2
+    assert peak <= max(kernel_peak, report_terms) + _ONE_BODY_ALLOWANCE
 
 
 def test_run_single_peak_independent_of_report_count(tmp_path):

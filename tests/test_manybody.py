@@ -7,11 +7,20 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+from confinedbose.counting import grad_q_norm
 from confinedbose.errors import ConfigError, GuardError
-from confinedbose.grids import ConfinedDomain, FreeDomain, GridFunction, norm
+from confinedbose.grids import (
+    ConfinedDomain,
+    FreeDomain,
+    GridFunction,
+    axis_groups,
+    kinetic_trace,
+    norm,
+)
 from confinedbose.manybody import (
     ManyBodyState,
     _transposition_residual,
+    density_matrix,
     evolve_manybody,
     excess_energy_diagnostic,
     manybody_energy,
@@ -361,6 +370,60 @@ def test_interaction_energy_scaling():
     e1 = manybody_energy(psi0, spec1)
     e2 = manybody_energy(psi0, spec2)
     assert e2 - e0 == pytest.approx(3.0 * (e1 - e0), rel=1e-12)
+
+
+# one merged axis (16 x 3 -> 48) and two (16 x 4 x 4 -> 64 | 4, 8 x 3 x 3 -> 24 | 3)
+ONE_GROUP = dict(free=FreeDomain((12.0,), (16,)),
+                 confined=ConfinedDomain(UNIT_INTERVAL, (3,), eps=0.2))
+TWO_GROUPS_M256 = dict(free=FreeDomain((12.0,), (16,)),
+                       confined=ConfinedDomain(UNIT_INTERVAL * 2, (4, 4), eps=0.66))
+TWO_GROUPS_M72 = dict(free=FreeDomain((6.0,), (8,)),
+                      confined=ConfinedDomain(UNIT_INTERVAL * 2, (3, 3), eps=0.5))
+
+
+def symmetric_random_state(dom, n, rng, t, terms=4):
+    """sum_j c_j u_j^(x)n for random one-body u_j: symmetric by construction."""
+    acc = 0.0
+    for _ in range(terms):
+        u = rng.normal(size=dom.shape) + 1j * rng.normal(size=dom.shape)
+        term = u
+        for _ in range(n - 1):
+            term = np.multiply.outer(term, u)
+        acc = acc + (rng.normal() + 1j * rng.normal()) * term
+    acc /= np.linalg.norm(acc.ravel()) * np.sqrt(dom.cell_volume**n)
+    return ManyBodyState(dom, acc, t)
+
+
+@pytest.mark.parametrize("potential", [None, ExternalPotential("gaussian", 0.5, 2.0, 1.0)],
+                         ids=["no-potential", "gaussian-potential"])
+@pytest.mark.parametrize("grid, n, groups", [
+    pytest.param(ONE_GROUP, 2, 1, id="16x3-N2"),
+    pytest.param(ONE_GROUP, 3, 1, id="16x3-N3"),
+    pytest.param(ONE_GROUP, 4, 1, id="16x3-N4"),
+    pytest.param(TWO_GROUPS_M256, 2, 2, id="16x4x4-N2"),
+    pytest.param(TWO_GROUPS_M72, 3, 2, id="8x3x3-N3"),
+])
+def test_density_matrix_route_matches_sweeps(grid, n, groups, potential, direct_sweeps):
+    # tr(K gamma) over partial traces, the energy and <q_1 psi, h~ q_1 psi>
+    # against direct sweeps over psi and q_1 psi
+    spec = ModelSpec(n_particles=n, regime="hartree-theta0",
+                     interaction=InteractionProfile("gaussian-bump", amplitude=2.5,
+                                                    radius=2.4, sigma=0.8),
+                     potential=potential or ExternalPotential(), **grid)
+    dom = spec.domain
+    assert len(axis_groups(dom.shape)) == groups
+    rng = np.random.default_rng(40 + n)
+    state = symmetric_random_state(dom, n, rng, t=0.3)
+    phi = rng.normal(size=dom.shape) + 1j * rng.normal(size=dom.shape)
+    phi /= np.linalg.norm(phi) * np.sqrt(dom.cell_volume)
+    m = phi.size
+
+    gamma = density_matrix(state.values.reshape((m,) * n), dom.cell_volume)
+    sweep = direct_sweeps.kinetic(state.values, dom) * state.cell_volume
+    assert kinetic_trace(gamma, dom) == pytest.approx(sweep, rel=1e-12)
+    assert manybody_energy(state, spec) == pytest.approx(
+        direct_sweeps.energy(state, spec), rel=1e-12)
+    assert grad_q_norm(state, phi) == pytest.approx(direct_sweeps.grad_q(state, phi), rel=1e-12)
 
 
 def test_memory_guard():
