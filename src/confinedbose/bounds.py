@@ -42,14 +42,6 @@ __all__ = [
 ]
 
 S0 = 6.0 / 5.0
-
-
-_REGIME_ALIASES = {
-    "thm1": "mean-field",
-    "thm2": "singular",
-    "thm3": "short-range",
-    "appendixC": "singular-improved",
-}
 _REGIMES = ("mean-field", "singular", "short-range", "singular-improved")
 
 
@@ -57,27 +49,24 @@ _REGIMES = ("mean-field", "singular", "short-range", "singular-improved")
 class RateSpec:
     """Which convergence regime's rate to evaluate, and its parameters.
 
-    Regimes: ``mean-field`` (bounded interaction, explicit coefficient),
-    ``singular`` (L^s-singular interaction), ``short-range`` (scaled
-    short-range interaction under two-direction confinement), and
-    ``singular-improved`` (the sharper splitting of the singular case).
+    ``regime`` is one of ``mean-field`` (bounded interaction, explicit
+    coefficient), ``singular`` (L^s-singular interaction, needs ``s``),
+    ``short-range`` (scaled short-range interaction under two-direction
+    confinement, needs ``theta``; ``nu`` optional) and ``singular-improved``
+    (the sharper splitting of the singular case at s0 = ``S0``, needs ``s``).
     """
 
     regime: str
     s: float | None = None
-    s0: float = S0
     theta: float | None = None
     nu: float | None = None
-    delta: float | None = None
-    cutoff_exponent: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "regime", _REGIME_ALIASES.get(self.regime, self.regime))
         if self.regime not in _REGIMES:
             raise ConfigError(f"unknown rate regime {self.regime!r}")
         if self.regime in ("singular", "singular-improved"):
             # s = 2 is admitted as the L^2-singularity endpoint (eta = 1/2)
-            if self.s is None or not self.s0 < self.s <= 2.0:
+            if self.s is None or not S0 < self.s <= 2.0:
                 raise ConfigError("singular exponent s must lie in (6/5, 2]")
         if self.regime == "short-range":
             if self.theta is None or not 0.25 < self.theta < 1.0 / 3.0:
@@ -101,7 +90,7 @@ def rate_exponent(spec: RateSpec) -> RateResult:
     elif spec.regime == "singular":
         eta = (5.0 * spec.s - 6.0) / (4.0 * spec.s)
     elif spec.regime == "singular-improved":
-        r = spec.s / spec.s0
+        r = spec.s / S0
         eta = (r - 1.0) / (2.0 * r - spec.s / 2.0 - 1.0)
     else:
         th = spec.theta
@@ -196,11 +185,12 @@ def mean_field_coefficient(times, sup_phi, sup_big_phi, norms: dict) -> np.ndarr
 
 
 def potential_split(samples: np.ndarray, cell_volume: float, cutoff: float,
-                    s: float, s0: float = S0) -> tuple[np.ndarray, np.ndarray, dict]:
+                    s: float) -> tuple[np.ndarray, np.ndarray, dict]:
     """Split w = w 1_{|w|>c} + w 1_{|w|<=c} and report the norm bounds.
 
     The report carries measured ||w1||_{s0} and ||w2||_2 together with the
-    closed-form bounds c^(1-s/s0) ||w||_s^(s/s0) and c^(1-s/2) ||w||_s^(s/2).
+    closed-form bounds c^(1-s/s0) ||w||_s^(s/s0) and c^(1-s/2) ||w||_s^(s/2),
+    with s0 = ``S0``.
     """
     if cutoff <= 0:
         raise ConfigError("cutoff must be positive")
@@ -216,9 +206,9 @@ def potential_split(samples: np.ndarray, cell_volume: float, cutoff: float,
     report = {
         "cutoff": cutoff,
         "s": s,
-        "s0": s0,
-        "w1_ls0": lp(w1, s0),
-        "w1_ls0_bound": cutoff ** (1.0 - s / s0) * norm_s ** (s / s0),
+        "s0": S0,
+        "w1_ls0": lp(w1, S0),
+        "w1_ls0_bound": cutoff ** (1.0 - s / S0) * norm_s ** (s / S0),
         "w2_l2": lp(w2, 2.0),
         "w2_l2_bound": cutoff ** (1.0 - s / 2.0) * norm_s ** (s / 2.0),
         "w_ls": norm_s,
@@ -244,10 +234,10 @@ def potential_split(samples: np.ndarray, cell_volume: float, cutoff: float,
 _PAD_FACTOR = 4  # >= 1 + sqrt(3), so the truncated kernel never wraps
 
 
-def _check_support_margin(f: np.ndarray, margin: int = 2):
+def _check_support_margin(f: np.ndarray):
     nz = np.nonzero(np.abs(f) > 1e-14 * np.max(np.abs(f)))
     for axis, idx in enumerate(nz):
-        if idx.size and (idx.min() < margin or idx.max() >= f.shape[axis] - margin):
+        if idx.size and (idx.min() < 2 or idx.max() >= f.shape[axis] - 2):
             raise GuardError("source support touches the padding margin")
 
 
@@ -414,14 +404,14 @@ def _fit_constant(times, growth_integral, measured, initial, defect) -> float:
 
 def envelope_report(times, measured, rate_spec: RateSpec, spec: ModelSpec,
                     coefficient=None, growth_integrand=None,
-                    initial: float | None = None, f_eps: float = 0.0,
-                    constant: float | None = None) -> BoundReport:
+                    initial: float | None = None, f_eps: float = 0.0) -> BoundReport:
     """Evaluate the relevant Gronwall right-hand side against measurements.
 
     For ``mean-field`` pass the explicit cumulative ``coefficient`` C(t);
     no constant is fitted.  For the singular and short-range regimes pass
-    the ``growth_integrand`` samples g'(t); the prefactor constant is
-    fitted (or given) and the check is a diagnostic, never an assertion.
+    the ``growth_integrand`` samples g'(t); the prefactor constant is the
+    smallest one the measurements admit, and the check is a diagnostic,
+    never an assertion.
     The exponential uses the same g for both the initial-value and defect
     terms.
     """
@@ -444,7 +434,7 @@ def envelope_report(times, measured, rate_spec: RateSpec, spec: ModelSpec,
         defect = spec.n_particles ** (-res.eta)
         if rate_spec.regime == "singular":
             defect += f_eps
-        fitted = _fit_constant(times, g, measured, initial, defect) if constant is None else constant
+        fitted = _fit_constant(times, g, measured, initial, defect)
         envelope = np.exp(fitted * g) * initial + (np.exp(fitted * g) - 1.0) * defect
         notes = "defect and initial growth share the same integrand (h = g reading)"
     below = bool(np.all(measured <= envelope + 1e-12))

@@ -82,25 +82,27 @@ class ExperimentConfig:
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    def model_spec(self, n_particles: int | None = None, eps: float | None = None) -> ModelSpec:
-        free = FreeDomain(tuple(self.free["extents"]), tuple(self.free["points"]))
-        conf_eps = self.confined.get("eps", 1.0) if eps is None else eps
-        confined = ConfinedDomain(
-            tuple(tuple(iv) for iv in self.confined["intervals"]),
-            tuple(self.confined["points"]),
-            eps=conf_eps,
-        )
-        return ModelSpec(
-            free=free,
-            confined=confined,
-            n_particles=self.n_particles if n_particles is None else n_particles,
-            interaction=InteractionProfile.from_dict(self.interaction),
-            regime=self.regime,
-            theta=self.theta,
-            nu=self.nu,
-            potential=ExternalPotential.from_dict(self.potential),
-            mode_index=self.mode_index,
-        )
+    def model_spec(self, n_particles: int | None = None) -> ModelSpec:
+        """The model objects this document describes; a malformed domain,
+        interaction or potential entry is a ``ConfigError``."""
+        try:
+            return ModelSpec(
+                free=FreeDomain(tuple(self.free["extents"]), tuple(self.free["points"])),
+                confined=ConfinedDomain(
+                    tuple(tuple(iv) for iv in self.confined["intervals"]),
+                    tuple(self.confined["points"]),
+                    eps=self.confined.get("eps", 1.0),
+                ),
+                n_particles=self.n_particles if n_particles is None else n_particles,
+                interaction=InteractionProfile(**self.interaction),
+                regime=self.regime,
+                theta=self.theta,
+                nu=self.nu,
+                potential=ExternalPotential(**self.potential),
+                mode_index=self.mode_index,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad model in config: {exc}") from exc
 
 
 def initial_state(spec: ModelSpec, initial: dict) -> OneBodyState:
@@ -142,10 +144,11 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
     run is streamed: each snapshot gets its manybody.csv row and counting
     report as it arrives, and only the last one is kept.  The CSVs and
     reports share one evaluation of each snapshot's diagnostics, with one
-    density matrix for the mass, energy and report.  The summary also holds
-    the ``reports``, the one-body trajectory ``onebody`` and its ``sup_phi``
-    = sup |phi|, ``sup_Phi`` = sup |Phi| and ``H2_phi`` = ||phi||_{H^2} per
-    state.
+    density matrix for the mass, energy and report.  The summary holds
+    ``terminal_beta`` (the last report's beta, for the ladder fit), the
+    report ``times`` and ``alphas``, the ``reports``, the one-body trajectory
+    ``onebody`` and its ``sup_phi`` = sup |phi|, ``sup_Phi`` = sup |Phi| and
+    ``H2_phi`` = ||phi||_{H^2} per state.
     """
     os.makedirs(out_dir, exist_ok=True)
     spec = config.model_spec()
@@ -196,13 +199,9 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
                         "bounds assume the ground mode")
     _atomic_write(os.path.join(out_dir, "run_meta.json"), json.dumps(meta, indent=2))
     summary = {
-        "terminal_alpha": reports[-1].alpha if reports else None,
         "terminal_beta": reports[-1].beta if reports else None,
-        "terminal_beta_tilde": reports[-1].beta_tilde if reports else None,
         "times": [r.t for r in reports],
         "alphas": [r.alpha for r in reports],
-        "betas": [r.beta for r in reports],
-        "out_dir": str(out_dir),
         "reports": reports,
         "onebody": ones,
         "sup_phi": [row[3] for row in one_rows],
@@ -261,14 +260,23 @@ def _ladder_eps(config: ExperimentConfig, n: int) -> float:
             raise ConfigError("eps_rule 'power' needs nu")
         return float(n) ** (-float(nu))
     if rule == "list":
-        eps_list = ladder["eps_list"]
-        idx = list(ladder["particle_counts"]).index(n)
-        return float(eps_list[idx])
+        try:
+            return float(ladder["eps_list"][list(ladder["particle_counts"]).index(n)])
+        except (KeyError, IndexError) as exc:
+            raise ConfigError(f"eps_rule 'list' needs an eps_list entry per point: {exc!r}") from exc
     raise ConfigError(f"unknown eps rule {rule!r}")
 
 
-def run_ladder(config: ExperimentConfig, out_dir, functional: str = "beta") -> RateFit:
-    """Run the N-ladder and fit the log-log slope of the terminal functional.
+def _ladder_point(config: ExperimentConfig, n: int) -> ExperimentConfig:
+    """The single-run config of the ladder point with N = ``n``."""
+    return ExperimentConfig.from_dict(
+        {**config.to_dict(), "n_particles": n,
+         "confined": {**config.confined, "eps": _ladder_eps(config, n)}, "ladder": None}
+    )
+
+
+def run_ladder(config: ExperimentConfig, out_dir) -> RateFit:
+    """Run the N-ladder and fit the log-log slope of the terminal beta.
 
     The points run one after another.  Failing points leave partial results
     and mark the fit incomplete.
@@ -282,11 +290,7 @@ def run_ladder(config: ExperimentConfig, out_dir, functional: str = "beta") -> R
 
     jobs = []
     for n in ns:
-        eps_n = _ladder_eps(config, n)
-        cfg_n = ExperimentConfig.from_dict(
-            {**config.to_dict(), "n_particles": n,
-             "confined": {**config.confined, "eps": eps_n}, "ladder": None}
-        )
+        cfg_n = _ladder_point(config, n)
         if working_set_bytes(cfg_n.model_spec()) > config.memory_cap_bytes:
             raise GuardError(f"ladder point N={n} exceeds the memory cap")
         jobs.append((n, cfg_n))
@@ -296,7 +300,7 @@ def run_ladder(config: ExperimentConfig, out_dir, functional: str = "beta") -> R
     for n, cfg_n in jobs:
         try:
             summary = run_single(cfg_n, os.path.join(out_dir, f"N{n}"))
-            results[n] = summary[f"terminal_{functional}"]
+            results[n] = summary["terminal_beta"]
         except (GuardError, ConfigError, InvariantError) as exc:
             failures.append(f"N={n}: {exc}")
             results[n] = None
@@ -310,7 +314,7 @@ def run_ladder(config: ExperimentConfig, out_dir, functional: str = "beta") -> R
                       note or "fewer than 3 successful points")
     else:
         fit = fit_rate(good_ns, good_vals, complete=complete, note=note)
-    _csv(os.path.join(out_dir, "ladder.csv"), f"N,terminal_{functional}",
+    _csv(os.path.join(out_dir, "ladder.csv"), "N,terminal_beta",
          [(n, results[n]) for n in good_ns])
     _atomic_write(os.path.join(out_dir, "rate_fit.json"), fit.to_json())
     _atomic_write(os.path.join(out_dir, "plot_ladder.py"), _PLOT_STUB)

@@ -2,13 +2,15 @@
 
 The pair interaction is a spherically symmetric profile w on R^3 split into
 a singular part w_s (finite L^s norm) and a bounded part w_inf.  Bounded
-kinds have compact support and an empty singular part; the Coulomb kind is
-split at a fixed radius into singular core and bounded tail.
+kinds (gaussian-bump, compact-polynomial-bump) have compact support and an
+empty singular part; the coulomb kind is split at a fixed radius into
+singular core and bounded tail.  ``harness.ExperimentConfig.model_spec``
+builds these objects from a config document.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
@@ -18,7 +20,7 @@ from .grids import ConfinedDomain, FreeDomain, ProductDomain
 
 __all__ = ["InteractionProfile", "ExternalPotential", "ModelSpec", "measured_f_eps"]
 
-_KINDS = ("gaussian-bump", "compact-polynomial-bump", "coulomb", "tabulated")
+_KINDS = ("gaussian-bump", "compact-polynomial-bump", "coulomb")
 
 
 @dataclass(frozen=True)
@@ -27,13 +29,12 @@ class InteractionProfile:
 
     Parameters
     ----------
-    kind : one of gaussian-bump, compact-polynomial-bump, coulomb, tabulated
+    kind : one of gaussian-bump, compact-polynomial-bump, coulomb
     amplitude : overall strength
     radius : support radius (bounded kinds truncate there; for coulomb it is
         the radius separating the singular core from the bounded tail)
     sigma : gaussian width (gaussian-bump only)
-    singular_exponent : declared s with w_s in L^s (coulomb/tabulated)
-    table : (radii, values) arrays for the tabulated kind, linear interp
+    singular_exponent : declared s with w_s in L^s (coulomb only)
     """
 
     kind: str
@@ -41,7 +42,6 @@ class InteractionProfile:
     radius: float = 1.0
     sigma: float | None = None
     singular_exponent: float | None = None
-    table: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -52,8 +52,6 @@ class InteractionProfile:
             object.__setattr__(self, "sigma", self.radius / 3.0)
         if self.kind == "coulomb" and self.singular_exponent is None:
             object.__setattr__(self, "singular_exponent", 1.8)
-        if self.kind == "tabulated" and self.table is None:
-            raise ConfigError("tabulated interaction needs a (radii, values) table")
 
     # -- radial profile -----------------------------------------------------
 
@@ -67,11 +65,9 @@ class InteractionProfile:
         if self.kind == "compact-polynomial-bump":
             u = np.clip(r / self.radius, 0.0, 1.0)
             return A * np.where(r <= self.radius, (1 - u**2) ** 2, 0.0)
-        if self.kind == "coulomb":
-            with np.errstate(divide="ignore"):
-                return np.where(r > 0, A / np.maximum(r, 1e-300), np.inf)
-        radii, values = self.table
-        return A * np.interp(r, radii, values, left=values[0], right=0.0)
+        # coulomb
+        with np.errstate(divide="ignore"):
+            return np.where(r > 0, A / np.maximum(r, 1e-300), np.inf)
 
     @property
     def is_bounded(self) -> bool:
@@ -107,19 +103,6 @@ class InteractionProfile:
             limit=200,
         )
         return float(val ** (1.0 / s))
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if d.get("table") is not None:
-            d["table"] = [list(map(float, d["table"][0])), list(map(float, d["table"][1]))]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InteractionProfile":
-        d = dict(d)
-        if d.get("table") is not None:
-            d["table"] = (np.asarray(d["table"][0], float), np.asarray(d["table"][1], float))
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -172,13 +155,6 @@ class ExternalPotential:
 
     def dot_sup_norm(self, t: float) -> float:
         return abs(self.amplitude * self.omega * np.sin(self.omega * t))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExternalPotential":
-        return cls(**d)
 
 
 _REGIMES = ("hartree-theta0", "nls-theta")

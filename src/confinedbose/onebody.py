@@ -99,18 +99,11 @@ def chi_mode(domain: ConfinedDomain, index: int = 0) -> ConfinedMode:
     return ConfinedMode(domain, index, tuple(ms), GridFunction(domain, values), float(energy))
 
 
-def coupling_b(profile: InteractionProfile, mode: ConfinedMode,
-               integral: float | None = None) -> float:
-    """NLS coupling b = (integral of w over R^3) * (integral of |chi_0|^4).
-
-    ``integral`` overrides the radial-quadrature value of the first factor,
-    e.g. with a difference-grid quadrature for strict consistency with a
-    sampled kernel.
-    """
+def coupling_b(profile: InteractionProfile, mode: ConfinedMode) -> float:
+    """NLS coupling b = (integral of w over R^3) * (integral of |chi_0|^4)."""
     if mode.index != 0:
         raise ConfigError("the NLS coupling is defined for the ground mode")
-    total = profile.integral3() if integral is None else float(integral)
-    return total * mode.quartic_integral
+    return profile.integral3() * mode.quartic_integral
 
 
 def hartree_potential(phi: GridFunction, kernel: GridFunction) -> GridFunction:
@@ -171,16 +164,9 @@ class OneBodyState:
     def mass(self) -> float:
         return norm(self.phi_free)
 
-    def product_values(self, confined_phase: bool = False) -> np.ndarray:
-        """Full phi = Phi (x) chi on the product grid.
-
-        With ``confined_phase`` the trap phase exp(-i E_eps t) accumulated by
-        the confined factor under the full one-body Hamiltonian is included.
-        """
-        phi = np.multiply.outer(self.phi_free.values, self.mode.chi.values)
-        if confined_phase:
-            phi = phi * np.exp(-1j * self.mode.energy_eps * self.t)
-        return phi
+    def product_values(self) -> np.ndarray:
+        """Full phi = Phi (x) chi on the product grid."""
+        return np.multiply.outer(self.phi_free.values, self.mode.chi.values)
 
 
 def _mean_field(spec: ModelSpec, phi: GridFunction, kernel0, b):

@@ -78,7 +78,11 @@ def test_run_single_deterministic_outputs(tmp_path):
     cfg = config()
     run_single(cfg, tmp_path / "a")
     run_single(cfg, tmp_path / "b")
-    for name in ("onebody.csv", "manybody.csv", "counting.csv"):
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert names == ["counting.csv", "counting.json", "final_manybody.mfl1",
+                     "final_onebody.mfl1", "manybody.csv", "onebody.csv", "run_meta.json"]
+    for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -258,6 +262,17 @@ def test_ladder_eps_rules():
         harness._ladder_eps(unknown, 2)
 
 
+@pytest.mark.parametrize("path", sorted(DEMO_CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_build_every_model(path):
+    cfg = ExperimentConfig.load(path)
+    counts = cfg.ladder["particle_counts"] if cfg.ladder else [cfg.n_particles]
+    for n in counts:
+        spec = harness._ladder_point(cfg, n).model_spec()
+        assert spec.n_particles == n
+        assert spec.eps == harness._ladder_eps(cfg, n)
+        assert working_set_bytes(spec) <= cfg.memory_cap_bytes
+
+
 def test_verify_lemmas_pass_and_seed_stability():
     checks_a = verify_lemmas(seed=1, particle_counts=(2, 3), n_states=4)
     checks_b = verify_lemmas(seed=99, particle_counts=(2, 3), n_states=4)
@@ -286,10 +301,29 @@ def test_cli_requires_config(tmp_path):
     assert main(["counting", "--out", str(tmp_path / "o")]) == 4
 
 
-def test_cli_bad_config_file(tmp_path):
+LIST_LADDER = {"particle_counts": [2, 3, 4], "eps_rule": "list"}
+
+
+@pytest.mark.parametrize("command, document", [
+    pytest.param("counting", "{not json", id="not-json"),
+    pytest.param("simulate-onebody", {"interaction": {**BASE["interaction"], "width": 1.0}},
+                 id="interaction-key"),
+    pytest.param("simulate-onebody", {"potential": {"kind": "none", "depth": 1.0}},
+                 id="potential-key"),
+    pytest.param("simulate-onebody", {"free": {"extents": [12.0]}}, id="free-points-missing"),
+    pytest.param("simulate-onebody", {"free": {"extents": [12.0], "points": [12]}},
+                 id="free-points-12"),
+    pytest.param("simulate-onebody",
+                 {"interaction": {"kind": "tabulated", "table": [[0.0, 1.0], [1.0, 0.0]]}},
+                 id="tabulated"),
+    pytest.param("ladder", {"ladder": {**LIST_LADDER, "eps_list": [0.5]}}, id="eps-list-short"),
+    pytest.param("ladder", {"ladder": LIST_LADDER}, id="eps-list-missing"),
+])
+def test_cli_bad_config_file(tmp_path, command, document):
     path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    assert main(["counting", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    text = document if isinstance(document, str) else json.dumps({**BASE, **document})
+    path.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
 
 
 def test_cli_simulate_and_counting(tmp_path):

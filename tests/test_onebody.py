@@ -80,8 +80,8 @@ def test_coupling_b_zero_and_product_rectangle():
     dom2 = ConfinedDomain(((-0.5, 0.5), (-0.5, 0.5)), (24, 24))
     mode2 = chi_mode(dom2, 0)
     assert coupling_b(zero, mode2) == 0.0
-    # per-axis quadrature oracle: (3/2)^2 with unit-mass interaction
-    assert coupling_b(zero, mode2, integral=1.0) == pytest.approx(9.0 / 4.0, abs=1e-9)
+    # per-axis quadrature oracle: the |chi_0|^4 factor is (3/2)^2
+    assert mode2.quartic_integral == pytest.approx(9.0 / 4.0, abs=1e-9)
 
 
 def test_coupling_b_unit_mass_gaussian():
