@@ -22,7 +22,7 @@ from .bounds import (
 )
 from .errors import ConfigError, GuardError, InvariantError
 from .grids import _atomic_write
-from .harness import ExperimentConfig, run_ladder, run_single, verify_lemmas
+from .harness import ExperimentConfig, read_config_document, run_ladder, run_single, verify_lemmas
 from .model import measured_f_eps
 from .onebody import trajectory_rows as onebody_rows
 
@@ -109,23 +109,23 @@ def _cmd_verify_lemmas(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
     spec = cfg.model_spec()
+    hartree = spec.regime == "hartree-theta0"
+    rate = (RateSpec("mean-field") if hartree
+            else RateSpec("short-range", theta=spec.theta, nu=spec.nu))  # checks theta, nu
     summary = run_single(cfg, args.out, counting_reports=True)
     reports, ones = summary["reports"], summary["onebody"]
     times = summary["times"]
-    if spec.regime == "hartree-theta0":
+    if hartree:
         norms = interaction_norms(spec.interaction, spec.eps, spec.free, spec.confined)
         f_eps = measured_f_eps(spec.interaction, spec.eps, spec.free, spec.confined)
         coeff = mean_field_coefficient(times, summary["sup_phi"], summary["sup_Phi"], norms)
         report = envelope_report(
-            times, [r.alpha for r in reports], RateSpec("mean-field"), spec,
+            times, [r.alpha for r in reports], rate, spec,
             coefficient=coeff, f_eps=f_eps,
         )
     else:
-        if not 0.25 < spec.theta < 1.0 / 3.0:
-            raise ConfigError("the short-range bound check needs theta in (1/4, 1/3)")
         report = envelope_report(
-            times, [r.beta_tilde for r in reports],
-            RateSpec("short-range", theta=spec.theta, nu=spec.nu), spec,
+            times, [r.beta_tilde for r in reports], rate, spec,
             growth_integrand=growth_integrand_short_range(
                 ones, spec, summary["sup_phi"], summary["H2_phi"]),
         )
@@ -137,8 +137,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_coulomb_norms(args) -> int:
     eps_list = (0.1, 0.05, 0.025)
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            eps_list = tuple(json.load(fh).get("eps_list", eps_list))
+        eps_list = tuple(read_config_document(args.config).get("eps_list", eps_list))
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for eps in eps_list:

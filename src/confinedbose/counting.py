@@ -28,7 +28,7 @@ from scipy.linalg import blas
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, InvariantError
-from .grids import GridFunction, apply_kinetic, kinetic_trace
+from .grids import apply_kinetic, kinetic_trace
 from .manybody import SYMMETRY_TOL, ManyBodyState, _transposition_residual, pair_phase_array
 from .manybody import density_matrix  # re-exported: the report's gamma is the energy's
 from .model import ModelSpec
@@ -97,9 +97,7 @@ def _frame(psi, phi, weight: float = 1.0):
 
 
 def _grid_frame(state: ManyBodyState, reference):
-    phi = reference.product_values() if isinstance(reference, OneBodyState) else (
-        reference.values if isinstance(reference, GridFunction) else reference
-    )
+    phi = reference.product_values() if isinstance(reference, OneBodyState) else reference
     return _frame(state.values, phi, weight=state.domain.cell_volume)
 
 
@@ -189,10 +187,10 @@ def alpha(psi, phi, weight: float = 1.0) -> float:
     return amp**2 * float(np.vdot(q1, q1).real)
 
 
-def alpha_density_route(psi, phi, weight: float = 1.0) -> float:
-    """alpha = 1 - <phi, gamma^psi phi>, the density-matrix route."""
-    psi, phi, _, _ = _frame(psi, phi, weight)
-    return float(1.0 - np.vdot(phi, density_matrix(psi, weight) @ phi).real)
+def alpha_density_route(psi, phi) -> float:
+    """alpha = 1 - <phi, gamma^psi phi>, the density-matrix route (unit weight)."""
+    psi, phi, _, _ = _frame(psi, phi)
+    return float(1.0 - np.vdot(phi, density_matrix(psi) @ phi).real)
 
 
 def occupation_distribution(psi, phi, weight: float = 1.0) -> np.ndarray:
@@ -201,9 +199,9 @@ def occupation_distribution(psi, phi, weight: float = 1.0) -> np.ndarray:
     return np.array([float(np.vdot(c, c).real) for c in comps])
 
 
-def occupation_distribution_enumeration(psi, phi, weight: float = 1.0) -> np.ndarray:
-    """Brute-force oracle: explicit sum over all 2^N projector patterns."""
-    psi, phi, n, amp = _frame(psi, phi, weight)
+def occupation_distribution_enumeration(psi, phi) -> np.ndarray:
+    """Brute-force oracle: explicit sum over all 2^N projector patterns (unit weight)."""
+    psi, phi, n, _ = _frame(psi, phi)
     if n > 6:
         raise ConfigError("pattern enumeration limited to N <= 6")
     out = np.zeros(n + 1)
@@ -212,19 +210,19 @@ def occupation_distribution_enumeration(psi, phi, weight: float = 1.0) -> np.nda
         for axis, is_q in enumerate(pattern):
             v = project_q(v, phi, axis) if is_q else project_p(v, phi, axis)
         out[sum(pattern)] += float(np.vdot(v, v).real)
-    return amp**2 * out
+    return out
 
 
-def occupation_distribution_binomial(psi, phi, weight: float = 1.0) -> np.ndarray:
-    """Symmetric shortcut p(k) = C(N,k) ||q_1..q_k p_{k+1}..p_N psi||^2.
+def occupation_distribution_binomial(psi, phi) -> np.ndarray:
+    """Symmetric shortcut p(k) = C(N,k) ||q_1..q_k p_{k+1}..p_N psi||^2 (unit weight).
 
     Refuses a state whose transposition residual exceeds SYMMETRY_TOL; see
     ``_sector_weights`` for the route and its error.
     """
-    psi, phi, n, amp = _frame(psi, phi, weight)
-    if amp * _transposition_residual(psi, n, 1) > SYMMETRY_TOL:
+    psi, phi, n, _ = _frame(psi, phi)
+    if _transposition_residual(psi, n, 1) > SYMMETRY_TOL:
         raise ConfigError("binomial shortcut requires a symmetric state")
-    return amp**2 * _sector_weights(psi, phi)
+    return _sector_weights(psi, phi)
 
 
 def _sector_weights(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -348,9 +346,9 @@ class WeightFunction:
         return WeightFunction(self.values * other.values, None)
 
 
-def hat_apply(f: WeightFunction, psi, phi, weight: float = 1.0) -> np.ndarray:
+def hat_apply(f: WeightFunction, psi, phi) -> np.ndarray:
     """f-hat psi = sum_k f(k) P_{k,N} psi, in the unit-weight frame."""
-    comps = occupancy_components(psi, phi, weight)
+    comps = occupancy_components(psi, phi)
     out = np.zeros_like(comps[0])
     for k, c in enumerate(comps):
         out += f.values[k] * c
@@ -379,34 +377,33 @@ def _apply_two_body(v, T):
 
 
 def shift_identity_residual(f: WeightFunction, j: int, k: int, T, psi, phi,
-                            weight: float = 1.0, variant: int = 0) -> float:
+                            variant: int = 0) -> float:
     """|| f-hat Q_j T Q_k psi - Q_j T Q_k (tau_{j-k} f)-hat psi ||.
 
     The exchange identity moving a weighted operator through a two-body
     block; zero-fill shifts suffice because out-of-range weights multiply
-    vanishing sectors.
+    vanishing sectors.  psi and phi are taken at unit weight.
     """
-    psi, phi, _, amp = _frame(psi, phi, weight)
+    psi, phi, _, _ = _frame(psi, phi)
     rhs_in = hat_apply(f.shifted(j - k), psi, phi)
     rhs = _apply_Q(_apply_two_body(_apply_Q(rhs_in, phi, variant, k), T), phi, variant, j)
     mid = _apply_Q(_apply_two_body(_apply_Q(psi, phi, variant, k), T), phi, variant, j)
     lhs = hat_apply(f, mid, phi)
-    return amp * float(np.linalg.norm((lhs - rhs).ravel()))
+    return float(np.linalg.norm((lhs - rhs).ravel()))
 
 
-def weight_difference_bound(m_tag: str, l: int, psi, phi,
-                            weight: float = 1.0) -> tuple[float, float]:
-    """(lhs, rhs) of || (m-hat - (tau_l m)-hat) q_1 psi || <= l/N.
+def weight_difference_bound(m_tag: str, l: int, psi, phi) -> tuple[float, float]:
+    """(lhs, rhs) of || (m-hat - (tau_l m)-hat) q_1 psi || <= l/N, unit weight.
 
     ``m_tag`` is 'k/N' or 'n'; the shift uses the tagged formula extension.
     """
     if m_tag not in ("k/N", "n"):
         raise ConfigError("the difference bound holds for the k/N and sqrt(k/N) weights")
-    psi, phi, n, amp = _frame(psi, phi, weight)
+    psi, phi, n, _ = _frame(psi, phi)
     m = WeightFunction.from_tag(m_tag, n)
     diff = WeightFunction(m.values - m.shifted(l).values, None)
     v = project_q(psi, phi, 0)
-    lhs = amp * float(np.linalg.norm(hat_apply(diff, v, phi).ravel()))
+    lhs = float(np.linalg.norm(hat_apply(diff, v, phi).ravel()))
     return lhs, l / n
 
 

@@ -3,7 +3,11 @@
 Free directions live on a padded periodic box and are diagonalized by the
 FFT; confined directions carry a hard-wall (Dirichlet) condition and are
 diagonalized by the type-I discrete sine transform, so the boundary
-condition is exact.  Functions of the kinetic operator act through one
+condition is exact.  Every domain is the tuple ``parts`` of its factors
+(``FreeDomain``, ``ConfinedDomain``, or both for a ``ProductDomain``), and
+each part says whether its axes are ``periodic`` and gives their nodes,
+kinetic multipliers and file geometry, so per-axis code loops over the
+parts once.  Functions of the kinetic operator act through one
 position-space matrix per group of small consecutive axes (``axis_groups``,
 ``axis_operators``, ``apply_kinetic``, ``kinetic_trace``), and both
 evolvers step through the one Strang schedule ``strang_steps``.
@@ -30,8 +34,6 @@ __all__ = [
     "ConfinedDomain",
     "ProductDomain",
     "GridFunction",
-    "laplacian_free",
-    "laplacian_confined",
     "inner_product",
     "norm",
     "axis_operators",
@@ -45,16 +47,38 @@ __all__ = [
     "read_mfl1",
 ]
 
-class DomainMismatchError(ValueError):
-    """Raised when an operation combines functions on different grids."""
 
+class _Part:
+    """One factor of the cylinder: a block of axes of one kind.
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+    A part is ``periodic`` (free axes: FFT, minimum image, eps = 1) or not
+    (hard-wall confined axes: DST-I, compressed by eps).  Every domain is
+    the tuple ``parts`` of its factors, free first; a part is its own only
+    factor.
+    """
+
+    @property
+    def dim(self) -> int:
+        return len(self.points)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.points
+
+    @property
+    def cell_volume(self) -> float:
+        return float(np.prod(self.spacings))
+
+    @property
+    def parts(self) -> tuple["_Part", ...]:
+        return (self,)
+
+    def meshgrid(self):
+        return np.meshgrid(*(self.axis_nodes(a) for a in range(self.dim)), indexing="ij")
 
 
 @dataclass(frozen=True)
-class FreeDomain:
+class FreeDomain(_Part):
     """Periodic surrogate for the unconfined directions.
 
     Axis ``a`` covers ``[-extent[a]/2, extent[a]/2)`` with ``points[a]``
@@ -63,6 +87,9 @@ class FreeDomain:
 
     extents: tuple[float, ...]
     points: tuple[int, ...]
+
+    periodic = True
+    eps = 1.0  # free axes are not compressed
 
     def __post_init__(self):
         object.__setattr__(self, "extents", tuple(float(L) for L in self.extents))
@@ -74,40 +101,31 @@ class FreeDomain:
         for L, n in zip(self.extents, self.points):
             if L <= 0:
                 raise ValueError("extent must be positive")
-            if n < 8 or not _is_power_of_two(n):
+            if n < 8 or n & (n - 1):  # n & (n - 1) clears the lowest set bit
                 raise ValueError("free point count must be a power of two >= 8")
-
-    @property
-    def dim(self) -> int:
-        return len(self.points)
 
     @property
     def spacings(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.extents, self.points))
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.points
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacings))
+    def geometry(self) -> tuple[float, ...]:
+        """The MFL1 geometry record: the extent of each axis."""
+        return self.extents
 
     def axis_nodes(self, a: int) -> np.ndarray:
         L, n = self.extents[a], self.points[a]
         h = L / n
         return -L / 2 + h * np.arange(n)
 
-    def axis_wavenumbers(self, a: int) -> np.ndarray:
-        h = self.spacings[a]
-        return 2.0 * np.pi * sfft.fftfreq(self.points[a], d=h)
-
-    def meshgrid(self):
-        return np.meshgrid(*(self.axis_nodes(a) for a in range(self.dim)), indexing="ij")
+    def axis_multipliers(self, eps: float | None = None) -> list[np.ndarray]:
+        """k^2 per axis, wavenumbers in FFT order; ``eps`` does not act here."""
+        return [(2.0 * np.pi * sfft.fftfreq(n, d=h)) ** 2
+                for n, h in zip(self.points, self.spacings)]
 
 
 @dataclass(frozen=True)
-class ConfinedDomain:
+class ConfinedDomain(_Part):
     """Hard-wall directions, squeezed by the confinement strength eps.
 
     Each axis covers the open interval (c, d) with ``points[a]`` interior
@@ -118,6 +136,8 @@ class ConfinedDomain:
     intervals: tuple[tuple[float, float], ...]
     points: tuple[int, ...]
     eps: float = 1.0
+
+    periodic = False
 
     def __post_init__(self):
         object.__setattr__(
@@ -138,10 +158,6 @@ class ConfinedDomain:
             raise ValueError("eps must lie in (0, 1]")
 
     @property
-    def dim(self) -> int:
-        return len(self.points)
-
-    @property
     def widths(self) -> tuple[float, ...]:
         return tuple(d - c for c, d in self.intervals)
 
@@ -150,25 +166,22 @@ class ConfinedDomain:
         return tuple(w / (n + 1) for w, n in zip(self.widths, self.points))
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.points
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacings))
+    def geometry(self) -> tuple[float, ...]:
+        """The MFL1 geometry record: the walls (c, d) of each axis."""
+        return tuple(wall for interval in self.intervals for wall in interval)
 
     def axis_nodes(self, a: int) -> np.ndarray:
         (c, _), h = self.intervals[a], self.spacings[a]
         return c + h * (1 + np.arange(self.points[a]))
 
-    def axis_eigenvalues(self, a: int) -> np.ndarray:
-        """Dirichlet Laplacian eigenvalues (m pi / width)^2, sine index m >= 1."""
-        w = self.widths[a]
-        m = 1 + np.arange(self.points[a])
-        return (m * np.pi / w) ** 2
+    def axis_multipliers(self, eps: float | None = None) -> list[np.ndarray]:
+        """Dirichlet eigenvalues (m pi / width)^2 / eps^2 per axis, sine index m >= 1.
 
-    def meshgrid(self):
-        return np.meshgrid(*(self.axis_nodes(a) for a in range(self.dim)), indexing="ij")
+        ``eps=None`` takes the domain's eps; ``eps=1.0`` gives the plain Laplacian.
+        """
+        eps = self.eps if eps is None else eps
+        return [((1 + np.arange(n)) * np.pi / w) ** 2 / eps**2
+                for n, w in zip(self.points, self.widths)]
 
 
 @dataclass(frozen=True)
@@ -177,6 +190,10 @@ class ProductDomain:
 
     free: FreeDomain
     confined: ConfinedDomain
+
+    @property
+    def parts(self) -> tuple[FreeDomain, ConfinedDomain]:
+        return (self.free, self.confined)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -192,25 +209,6 @@ class ProductDomain:
 
 
 Domain = FreeDomain | ConfinedDomain | ProductDomain
-
-
-def _domain_axes(domain):
-    """(free axis indices, confined axis indices) of the value array."""
-    if isinstance(domain, FreeDomain):
-        return tuple(range(domain.dim)), ()
-    if isinstance(domain, ConfinedDomain):
-        return (), tuple(range(domain.dim))
-    return (
-        tuple(range(domain.free.dim)),
-        tuple(range(domain.free.dim, domain.free.dim + domain.confined.dim)),
-    )
-
-
-def _parts(domain):
-    """(free part or None, confined part or None) of a domain."""
-    free = domain if isinstance(domain, FreeDomain) else getattr(domain, "free", None)
-    conf = domain if isinstance(domain, ConfinedDomain) else getattr(domain, "confined", None)
-    return free, conf
 
 
 @dataclass(frozen=True)
@@ -232,35 +230,29 @@ class GridFunction:
     def sample(cls, domain: Domain, func) -> "GridFunction":
         """Sample ``func(*coords)`` on the grid.
 
-        For confined axes the function is also evaluated at the walls and
-        rejected if it does not vanish there (|f| > 1e-12), since the sine
-        representation silently assumes the hard-wall condition.
+        On the axes of a non-periodic part the function is also evaluated at
+        the walls and rejected if it does not vanish there (|f| > 1e-12),
+        since the sine representation silently assumes the hard-wall
+        condition.
         """
-        free_ax, conf_ax = _domain_axes(domain)
-        if isinstance(domain, ProductDomain):
-            axes = [domain.free.axis_nodes(a) for a in range(domain.free.dim)]
-            axes += [domain.confined.axis_nodes(a) for a in range(domain.confined.dim)]
-            confined = domain.confined
-        elif isinstance(domain, ConfinedDomain):
-            axes = [domain.axis_nodes(a) for a in range(domain.dim)]
-            confined = domain
-        else:
-            axes = [domain.axis_nodes(a) for a in range(domain.dim)]
-            confined = None
+        axes = [part.axis_nodes(a) for part in domain.parts for a in range(part.dim)]
         grids = np.meshgrid(*axes, indexing="ij")
         values = np.asarray(func(*grids), dtype=np.complex128)
 
-        if confined is not None:
-            for local_a, axis in enumerate(conf_ax):
-                for wall in confined.intervals[local_a]:
-                    probe = [g.copy() for g in grids]
-                    probe[axis] = np.full_like(probe[axis], wall)
-                    boundary = np.asarray(func(*probe), dtype=np.complex128)
-                    if np.max(np.abs(boundary)) > 1e-12:
-                        raise ValueError(
-                            "sampled function does not vanish on the hard wall "
-                            f"(confined axis {local_a}, wall {wall})"
-                        )
+        start = 0  # value axis of the part's first axis
+        for part in domain.parts:
+            if not part.periodic:
+                for local_a, interval in enumerate(part.intervals):
+                    for wall in interval:
+                        probe = [g.copy() for g in grids]
+                        probe[start + local_a] = np.full_like(probe[start + local_a], wall)
+                        boundary = np.asarray(func(*probe), dtype=np.complex128)
+                        if np.max(np.abs(boundary)) > 1e-12:
+                            raise ValueError(
+                                "sampled function does not vanish on the hard wall "
+                                f"(confined axis {local_a}, wall {wall})"
+                            )
+            start += part.dim
         return cls(domain, values)
 
     def copy_with(self, values) -> "GridFunction":
@@ -273,24 +265,18 @@ class GridFunction:
 def axis_multipliers(domain: Domain, eps: float | None = None) -> tuple[np.ndarray, ...]:
     """Per-axis terms of the multiplier of -Delta_x - eps^-2 Delta_y.
 
-    One 1-D array per value axis: k^2 on each free axis, then lambda/eps^2
-    on each confined axis.  With ``eps=None`` the confined weight is taken
-    from the domain; pass ``eps=1.0`` for the plain Laplacian.
+    One 1-D array per value axis, part by part: k^2 on each free axis,
+    lambda/eps^2 on each confined axis.  With ``eps=None`` the confined
+    weight is taken from the domain; pass ``eps=1.0`` for the plain Laplacian.
     """
-    free, conf = _parts(domain)
-    if eps is None:
-        eps = conf.eps if conf is not None else 1.0
-    mults = [free.axis_wavenumbers(a) ** 2 for a in range(free.dim)] if free is not None else []
-    if conf is not None:
-        mults += [conf.axis_eigenvalues(a) / eps**2 for a in range(conf.dim)]
-    return tuple(mults)
+    return tuple(mult for part in domain.parts for mult in part.axis_multipliers(eps))
 
 
 def axis_operators(domain: Domain, fn, eps: float | None = None) -> tuple[np.ndarray, ...]:
     """Position-space matrices of ``fn(multiplier)``, one per ``axis_groups`` entry.
 
     A group's matrix transforms a reshaped identity along each of its axes
-    (FFT on free axes, DST-I on confined ones), multiplies by fn of the
+    (FFT on periodic axes, DST-I on hard-wall ones), multiplies by fn of the
     group's summed axis multipliers and transforms back, so it acts on the
     group's merged axis of the C-ordered reshape.  The axis terms of the
     kinetic operator commute, so applying the matrices of
@@ -299,7 +285,7 @@ def axis_operators(domain: Domain, fn, eps: float | None = None) -> tuple[np.nda
     ``fn = identity`` is the kinetic operator itself.  ``eps`` is passed to
     ``axis_multipliers``.
     """
-    free_ax, _ = _domain_axes(domain)
+    periodic = [part.periodic for part in domain.parts for _ in range(part.dim)]
     mults = axis_multipliers(domain, eps)
     mats = []
     for axes in _group_axes(domain.shape):
@@ -308,11 +294,11 @@ def axis_operators(domain: Domain, fn, eps: float | None = None) -> tuple[np.nda
             total = np.add.outer(total, mults[axis])
         mat = np.eye(total.size).reshape(total.shape + (total.size,))
         for local, axis in enumerate(axes):
-            mat = (sfft.fft(mat, axis=local) if axis in free_ax
+            mat = (sfft.fft(mat, axis=local) if periodic[axis]
                    else sfft.dst(mat, type=1, axis=local))
         mat = fn(total)[..., None] * mat
         for local, axis in enumerate(axes):
-            mat = (sfft.ifft(mat, axis=local) if axis in free_ax
+            mat = (sfft.ifft(mat, axis=local) if periodic[axis]
                    else sfft.idst(mat, type=1, axis=local))
         mats.append(mat.reshape(total.size, total.size))
     return tuple(mats)
@@ -416,24 +402,10 @@ def strang_steps(values: np.ndarray, half, full, substep, steps: int, stride: in
             yield k + 1, values
 
 
-def laplacian_free(f: GridFunction) -> GridFunction:
-    """-Delta on the periodic free directions, exact for band-limited input."""
-    if not isinstance(f.domain, FreeDomain):
-        raise DomainMismatchError("laplacian_free expects a FreeDomain function")
-    return f.copy_with(apply_kinetic(f.values, f.domain))
-
-
-def laplacian_confined(f: GridFunction, eps: float | None = None) -> GridFunction:
-    """-eps^-2 Delta with Dirichlet walls, exact on the sine series."""
-    if not isinstance(f.domain, ConfinedDomain):
-        raise DomainMismatchError("laplacian_confined expects a ConfinedDomain function")
-    return f.copy_with(apply_kinetic(f.values, f.domain, eps))
-
-
 def inner_product(f: GridFunction, g: GridFunction) -> complex:
     """L^2 scalar product, conjugate-linear in the first slot."""
     if f.domain != g.domain:
-        raise DomainMismatchError("grid functions live on different domains")
+        raise ValueError("grid functions live on different domains")
     return complex(np.vdot(f.values, g.values) * f.domain.cell_volume)
 
 
@@ -473,34 +445,21 @@ def _atomic_write(path, data):
 #   per-particle axis blocks repeated n_particles times.
 
 _MAGIC = b"MFL1"
-_KINDS = {"free": 0, "confined": 1, "product": 2}
-
-
-def _domain_kind(domain) -> int:
-    if isinstance(domain, FreeDomain):
-        return _KINDS["free"]
-    if isinstance(domain, ConfinedDomain):
-        return _KINDS["confined"]
-    return _KINDS["product"]
+_KINDS = {FreeDomain: 0, ConfinedDomain: 1, ProductDomain: 2}
 
 
 def write_mfl1(path, domain: Domain, values: np.ndarray, n_particles: int = 1):
     """Serialize samples over ``domain ** n_particles`` to the MFL1 container."""
     values = np.ascontiguousarray(values, dtype=np.complex128)
-    free, conf = _parts(domain)
-    d_f = free.dim if free is not None else 0
-    d_c = conf.dim if conf is not None else 0
     if values.shape != domain.shape * n_particles:
         raise ValueError("value shape does not match domain ** n_particles")
+    d_f = sum(part.dim for part in domain.parts if part.periodic)
+    d_c = len(domain.shape) - d_f
     head = [_MAGIC]
-    head.append(struct.pack("<5I", 0, _domain_kind(domain), d_f, d_c, n_particles))
-    counts = (free.points if free is not None else ()) + (conf.points if conf is not None else ())
-    head.append(struct.pack(f"<{len(counts)}I", *counts))
-    head.append(struct.pack("<d", conf.eps if conf is not None else 1.0))
-    geom = list(free.extents) if free is not None else []
-    if conf is not None:
-        for c, d in conf.intervals:
-            geom += [c, d]
+    head.append(struct.pack("<5I", 0, _KINDS[type(domain)], d_f, d_c, n_particles))
+    head.append(struct.pack(f"<{d_f + d_c}I", *domain.shape))
+    head.append(struct.pack("<d", domain.eps))
+    geom = [x for part in domain.parts for x in part.geometry]
     head.append(struct.pack(f"<{len(geom)}d", *geom))
     _atomic_write(path, head + [np.ascontiguousarray(values, dtype="<c16")])
 
@@ -529,12 +488,14 @@ def read_mfl1(path):
             (geom[d_f + 2 * a], geom[d_f + 2 * a + 1]) for a in range(d_c)
         )
         conf = ConfinedDomain(intervals, tuple(counts[d_f:]), eps=eps)
-    if kind == _KINDS["free"]:
+    if kind == _KINDS[FreeDomain] and d_f > 0 and d_c == 0:
         domain: Domain = free
-    elif kind == _KINDS["confined"]:
+    elif kind == _KINDS[ConfinedDomain] and d_f == 0 and d_c > 0:
         domain = conf
-    else:
+    elif kind == _KINDS[ProductDomain] and d_f > 0 and d_c > 0:
         domain = ProductDomain(free, conf)
+    else:
+        raise ValueError(f"MFL1 kind word {kind} does not match d_f = {d_f}, d_c = {d_c}")
     values = np.frombuffer(raw[off:], dtype="<c16").astype(np.complex128)
     values = values.reshape(domain.shape * n_particles)
     return domain, values, n_particles

@@ -37,7 +37,28 @@ __all__ = [
     "verify_lemmas",
     "LemmaCheck",
     "initial_state",
+    "read_config_document",
 ]
+
+
+def read_config_document(path) -> dict:
+    """The JSON object in the file ``path``; an unreadable file or a document
+    that is not an object is a ``ConfigError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            document = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(document, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return document
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_INITIAL_KEYS = ("kind", "width", "center", "momentum")
 
 
 @dataclass(frozen=True)
@@ -61,6 +82,31 @@ class ExperimentConfig:
     seed: int = 0
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP
 
+    def __post_init__(self):
+        """Type checks of the scalar fields and ``initial``; ``model_spec`` checks the model."""
+        for name in ("n_particles", "mode_index", "report_stride", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer")
+        for name in ("theta", "time_horizon", "dt", "memory_cap_bytes"):
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number")
+        if self.report_stride < 1:
+            raise ConfigError("report_stride must be positive")
+        if self.ladder is not None and not isinstance(self.ladder, dict):
+            raise ConfigError("ladder must be an object")
+        if not isinstance(self.initial, dict):
+            raise ConfigError("initial must be an object")
+        unknown = sorted(set(self.initial) - set(_INITIAL_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown initial keys {unknown}; known: {_INITIAL_KEYS}")
+        if not _is_number(self.initial.get("width", 1.0)):
+            raise ConfigError("initial width must be a number")
+        for key in ("center", "momentum"):
+            entries = self.initial.get(key, [])
+            if not isinstance(entries, list) or not all(_is_number(v) for v in entries):
+                raise ConfigError(f"initial {key} must be a list of numbers")
+
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         try:
@@ -70,11 +116,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        return cls.from_dict(read_config_document(path))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -113,6 +155,9 @@ def initial_state(spec: ModelSpec, initial: dict) -> OneBodyState:
     width = float(initial.get("width", 1.0))
     center = initial.get("center", [0.0] * spec.free.dim)
     momentum = initial.get("momentum", [0.0] * spec.free.dim)
+    if len(center) != spec.free.dim or len(momentum) != spec.free.dim:
+        raise ConfigError(f"initial center and momentum need {spec.free.dim} entries, "
+                          "one per free axis")
     xs = spec.free.meshgrid()
     r2 = sum((x - c) ** 2 for x, c in zip(xs, center))
     phase = sum(k * x for k, x in zip(momentum, xs))
@@ -157,11 +202,11 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
             "configured run exceeds the memory cap; reduce the grid, N, or raise the cap"
         )
     one0 = initial_state(spec, config.initial)
-    stride = max(1, int(config.report_stride))
-    ones = evolve_effective(one0, spec, config.time_horizon, config.dt, stride=stride)
+    ones = evolve_effective(one0, spec, config.time_horizon, config.dt,
+                            stride=config.report_stride)
     manys = evolve_manybody(
         product_state(one0, spec.n_particles), spec, config.time_horizon, config.dt,
-        stride=stride, memory_cap=config.memory_cap_bytes,
+        stride=config.report_stride, memory_cap=config.memory_cap_bytes,
     )
 
     one_rows, sup_free = onebody_rows(ones, spec)

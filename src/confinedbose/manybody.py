@@ -156,8 +156,8 @@ def _resolvability_guard(spec: ModelSpec):
 def pair_phase_array(spec: ModelSpec) -> np.ndarray:
     """W(r_i - r_j) for one particle pair, shape (one-body grid) x 2.
 
-    The package's one sampler of the scaled pair kernel.  Free differences
-    use the periodic minimum image; the confined difference enters the
+    The package's one sampler of the scaled pair kernel.  Differences on
+    periodic axes use the minimum image; on hard-wall axes they enter the
     profile compressed by eps, as in the rescaled Hamiltonian.  The
     prefactor of the Hamiltonian (1/(N-1) or 1/N) is *not* included.
     """
@@ -166,21 +166,20 @@ def pair_phase_array(spec: ModelSpec) -> np.ndarray:
     shape = spec.domain.shape
     block = len(shape)
     r2 = np.zeros(shape + shape)
-    for a in range(spec.free.dim):
-        nodes = spec.free.axis_nodes(a)
-        L = spec.free.extents[a]
-        diff = nodes[:, None] - nodes[None, :]
-        diff -= L * np.round(diff / L)
-        sh = [1] * (2 * block)
-        sh[a], sh[block + a] = len(nodes), len(nodes)
-        r2 = r2 + (diff**2).reshape(sh)
-    for a in range(spec.confined.dim):
-        nodes = spec.confined.axis_nodes(a)
-        diff = nodes[:, None] - nodes[None, :]
-        axis = spec.free.dim + a
-        sh = [1] * (2 * block)
-        sh[axis], sh[block + axis] = len(nodes), len(nodes)
-        r2 = r2 + (spec.eps * diff).reshape(sh) ** 2
+    axis = 0
+    for part in spec.domain.parts:
+        for a in range(part.dim):
+            nodes = part.axis_nodes(a)
+            diff = nodes[:, None] - nodes[None, :]
+            if part.periodic:
+                L = part.extents[a]
+                diff -= L * np.round(diff / L)
+            else:
+                diff = part.eps * diff
+            sh = [1] * (2 * block)
+            sh[axis], sh[block + axis] = len(nodes), len(nodes)
+            r2 = r2 + (diff**2).reshape(sh)
+            axis += 1
     return pref * spec.interaction.radial(arg_scale * np.sqrt(r2))
 
 
@@ -272,7 +271,7 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
     def substep(k, values):
         if not spec.potential.is_zero:
             t_mid = t0 + k * dt + dt / 2
-            phase_one = np.exp(-1j * dt * spec.potential.values_product(t_mid, dom))
+            phase_one = np.exp(-1j * dt * spec.potential.values(t_mid, dom))
             for i in range(n):
                 values *= phase_one.reshape(_broadcast_shape(n, (i,), groups))
         if phase_pair is not None:
@@ -333,7 +332,7 @@ def _energy_and_residual(state: ManyBodyState, spec: ModelSpec) -> tuple[float, 
                                  np.einsum("abr,abr->ab", parts, parts))) * state.cell_volume
         inter = spec.pair_prefactor * (n * (n - 1) / 2.0) / n * pair_exp
     gamma = density_matrix(state.values.reshape((m,) * n), dom.cell_volume)
-    v_one = spec.potential.values_product(state.t, dom).ravel()  # zeros without a potential
+    v_one = spec.potential.values(state.t, dom).ravel()  # zeros without a potential
     one = kinetic_trace(gamma, dom) + float(np.dot(v_one, gamma.diagonal().real))
     return one + inter, residual, gamma
 

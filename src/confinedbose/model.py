@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import ConfigError
-from .grids import ConfinedDomain, FreeDomain, ProductDomain
+from .grids import ConfinedDomain, Domain, FreeDomain, ProductDomain
 
 __all__ = ["InteractionProfile", "ExternalPotential", "ModelSpec", "measured_f_eps"]
 
@@ -109,9 +109,11 @@ class InteractionProfile:
 class ExternalPotential:
     """V(t, x, eps*y) = amplitude * cos(omega t) * exp(-(|x|^2+|eps y|^2)/(2 sigma^2)).
 
-    ``kind='none'`` is the zero potential.  The time dependence is smooth
-    and bounded together with its derivatives, which is all the regularity
-    the bound machinery assumes of an external field.
+    ``kind='none'`` is the zero potential.  ``values`` samples it on any
+    domain: the one-body grid of the exact dynamics, or the free grid of the
+    effective dynamics, which sees V(t, x, 0).  The time dependence is
+    smooth and bounded together with its derivatives, which is all the
+    regularity the bound machinery assumes of an external field.
     """
 
     kind: str = "none"
@@ -130,25 +132,18 @@ class ExternalPotential:
     def _envelope(self, t: float) -> float:
         return self.amplitude * np.cos(self.omega * t)
 
-    def values_free(self, t: float, free: FreeDomain) -> np.ndarray:
-        """V(t, x, 0) on the free grid."""
-        if self.is_zero:
-            return np.zeros(free.shape)
-        xs = free.meshgrid()
-        r2 = sum(x**2 for x in xs)
-        return self._envelope(t) * np.exp(-r2 / (2 * self.sigma**2))
+    def values(self, t: float, domain: Domain) -> np.ndarray:
+        """V(t, x, eps*y) on the grid of ``domain``; V(t, x, 0) on a free domain.
 
-    def values_product(self, t: float, domain: ProductDomain) -> np.ndarray:
-        """V(t, x, eps*y) on the full one-body grid."""
+        Each part's squared coordinates (confined ones compressed by its
+        eps) are summed, and the parts are joined by an outer sum.
+        """
         if self.is_zero:
             return np.zeros(domain.shape)
-        eps = domain.eps
-        xs = domain.free.meshgrid()
-        ys = domain.confined.meshgrid()
-        r2 = sum(x**2 for x in xs)
-        r2 = r2.reshape(r2.shape + (1,) * domain.confined.dim)
-        y2 = sum((eps * y) ** 2 for y in ys)
-        return self._envelope(t) * np.exp(-(r2 + y2) / (2 * self.sigma**2))
+        r2 = 0.0
+        for part in domain.parts:
+            r2 = np.add.outer(r2, sum((part.eps * x) ** 2 for x in part.meshgrid()))
+        return self._envelope(t) * np.exp(-r2 / (2 * self.sigma**2))
 
     def sup_norm(self, t: float) -> float:
         return abs(self._envelope(t))

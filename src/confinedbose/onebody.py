@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+from scipy import fft as sfft
 
 from .errors import ConfigError, GuardError
 from .grids import (
@@ -107,7 +107,7 @@ def coupling_b(profile: InteractionProfile, mode: ConfinedMode) -> float:
 
 
 def hartree_potential(phi: GridFunction, kernel: GridFunction) -> GridFunction:
-    """Mean-field potential (kernel * |phi|^2) by zero-padded FFT convolution.
+    """Mean-field potential (kernel * |phi|^2) by zero-padded real FFT convolution.
 
     ``kernel`` holds w0 sampled on the nodes of the same free domain,
     interpreted as signed differences.  Zero padding makes the convolution
@@ -124,7 +124,8 @@ def hartree_potential(phi: GridFunction, kernel: GridFunction) -> GridFunction:
     )
     if edge > 1e-10 * max(1.0, float(np.max(np.abs(kv)))):
         raise GuardError("kernel support reaches the padded-box margin")
-    full = signal.fftconvolve(dens, kv, mode="full")
+    fast = [sfft.next_fast_len(2 * n - 1, True) for n in dom.shape]  # linear, no wrap
+    full = sfft.irfftn(sfft.rfftn(dens, fast) * sfft.rfftn(kv, fast), fast)
     slices = tuple(slice(n // 2, n // 2 + n) for n in dom.shape)
     out = full[slices] * dom.cell_volume
     return GridFunction(dom, out)
@@ -204,7 +205,7 @@ def evolve_effective(state: OneBodyState, spec: ModelSpec, T: float, dt: float,
     def substep(k, values):
         pot = _mean_field(spec, GridFunction(dom, values.reshape(dom.shape)), kernel0, b)
         if not spec.potential.is_zero:
-            pot = pot + spec.potential.values_free(state.t + k * dt + dt / 2, dom)
+            pot = pot + spec.potential.values(state.t + k * dt + dt / 2, dom)
         if dt * np.max(np.abs(pot)) > np.pi:
             raise GuardError("potential phase increment exceeds pi; reduce dt")
         values *= np.exp(-1j * dt * pot).reshape(values.shape)
@@ -233,7 +234,7 @@ def effective_energy(state: OneBodyState, spec: ModelSpec) -> float:
         inter = 0.5 * b * float(np.sum(dens**2) * cell)
     ext = 0.0
     if not spec.potential.is_zero:
-        ext = float(np.sum(spec.potential.values_free(state.t, dom) * dens) * cell)
+        ext = float(np.sum(spec.potential.values(state.t, dom) * dens) * cell)
     return kinetic + trap + inter + ext
 
 

@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from confinedbose.counting import project_q
-from confinedbose.grids import (
-    ConfinedDomain,
-    FreeDomain,
-    apply_along,
-    axis_groups,
-    axis_operators,
-)
+from confinedbose.grids import apply_along, axis_groups, axis_operators
 from confinedbose.manybody import pair_phase_array
 from confinedbose.onebody import chi_mode
 
@@ -41,15 +35,14 @@ def analytic_kinetic_matrix(domain, fn, eps=None):
     kron of the per-axis bases, Lambda the sum of the per-axis eigenvalues.
     ``eps=None`` takes the confined weight from the domain.
     """
-    free = domain if isinstance(domain, FreeDomain) else getattr(domain, "free", None)
-    conf = domain if isinstance(domain, ConfinedDomain) else getattr(domain, "confined", None)
     bases = []
-    if free is not None:
-        bases += [_free_axis_basis(L, n) for L, n in zip(free.extents, free.points)]
-    if conf is not None:
-        weight = conf.eps if eps is None else eps
-        bases += [_confined_axis_basis(c, d, n, weight)
-                  for (c, d), n in zip(conf.intervals, conf.points)]
+    for part in domain.parts:
+        if part.periodic:
+            bases += [_free_axis_basis(L, n) for L, n in zip(part.extents, part.points)]
+        else:
+            weight = part.eps if eps is None else eps
+            bases += [_confined_axis_basis(c, d, n, weight)
+                      for (c, d), n in zip(part.intervals, part.points)]
     vecs = np.ones((1, 1), dtype=complex)
     lam = np.zeros(1)
     for v, ev in bases:
@@ -99,7 +92,7 @@ def energy_sweep(state, spec):
     block = len(dom.shape)
     one = kinetic_sweep(psi, dom)
     if not spec.potential.is_zero:
-        v_one = spec.potential.values_product(state.t, dom)
+        v_one = spec.potential.values(state.t, dom)
         one += float(np.vdot(psi, v_one.reshape(dom.shape + (1,) * (block * (n - 1))) * psi).real)
     pair = pair_phase_array(spec).reshape(dom.shape * 2 + (1,) * (block * (n - 2)))
     pair_exp = float(np.vdot(psi, pair * psi).real)

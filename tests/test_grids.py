@@ -13,8 +13,6 @@ from confinedbose.grids import (
     axis_groups,
     axis_operators,
     inner_product,
-    laplacian_confined,
-    laplacian_free,
     norm,
     read_mfl1,
     write_mfl1,
@@ -67,17 +65,17 @@ def sine_combo(domain, rng, max_mode=4):
 def test_laplacian_free_constant_in_kernel():
     dom = FreeDomain((5.0,), (32,))
     f = GridFunction(dom, np.ones(32))
-    out = laplacian_free(f)
-    assert np.max(np.abs(out.values)) < 1e-12
+    out = apply_kinetic(f.values, dom)
+    assert np.max(np.abs(out)) < 1e-12
 
 
 def test_laplacian_free_fourier_eigenfunction():
     L = 7.0
     dom = FreeDomain((L,), (64,))
     f = GridFunction.sample(dom, lambda x: np.sin(2 * np.pi * x / L))
-    out = laplacian_free(f)
+    out = apply_kinetic(f.values, dom)
     expected = (2 * np.pi / L) ** 2 * f.values
-    assert np.max(np.abs(out.values - expected)) < 1e-10
+    assert np.max(np.abs(out - expected)) < 1e-10
 
 
 def fd_laplacian_periodic(values, spacings):
@@ -99,7 +97,7 @@ def test_laplacian_free_matches_fd_oracle_at_second_order(shape):
         dom = FreeDomain((6.0,) * len(shape), pts)
         func = band_limited(dom, np.random.default_rng(7), max_mode=3)
         f = GridFunction.sample(dom, func)
-        exact = laplacian_free(f).values
+        exact = apply_kinetic(f.values, dom)
         approx = fd_laplacian_periodic(f.values, dom.spacings)
         errs.append(np.max(np.abs(exact - approx)) / np.max(np.abs(exact)))
     assert errs[0] < 0.05
@@ -111,21 +109,21 @@ def test_laplacian_confined_ground_mode_and_eps_scaling():
     dom1 = ConfinedDomain(((0.0 - 0.5, 0.5),), (31,), eps=1.0)
     w = 1.0
     f = GridFunction.sample(dom1, lambda y: np.sin(np.pi * (y + 0.5) / w))
-    out = laplacian_confined(f)
-    assert np.allclose(out.values, (np.pi / w) ** 2 * f.values, atol=1e-10)
+    out = apply_kinetic(f.values, dom1)
+    assert np.allclose(out, (np.pi / w) ** 2 * f.values, atol=1e-10)
 
     dom01 = ConfinedDomain(((-0.5, 0.5),), (31,), eps=0.1)
     f01 = GridFunction(dom01, f.values)
-    out01 = laplacian_confined(f01)
-    assert np.allclose(out01.values, 100.0 * (np.pi / w) ** 2 * f.values, atol=1e-8)
+    out01 = apply_kinetic(f01.values, dom01)
+    assert np.allclose(out01, 100.0 * (np.pi / w) ** 2 * f.values, atol=1e-8)
 
 
 def test_laplacian_confined_second_mode():
     dom = ConfinedDomain(((-0.25, 0.75),), (40,), eps=1.0)
     w = 1.0
     f = GridFunction.sample(dom, lambda y: np.sin(2 * np.pi * (y + 0.25) / w))
-    out = laplacian_confined(f)
-    assert np.allclose(out.values, 4 * (np.pi / w) ** 2 * f.values, atol=1e-9)
+    out = apply_kinetic(f.values, dom)
+    assert np.allclose(out, 4 * (np.pi / w) ** 2 * f.values, atol=1e-9)
 
 
 def test_inner_product_basics():
@@ -138,6 +136,8 @@ def test_inner_product_basics():
     g1 = GridFunction.sample(dom, lambda y: np.sin(np.pi * (y + 0.5)))
     g2 = GridFunction.sample(dom, lambda y: np.sin(3 * np.pi * (y + 0.5)))
     assert abs(inner_product(g1, g2)) < 1e-12
+    with pytest.raises(ValueError, match="different domains"):
+        inner_product(f, GridFunction(ConfinedDomain(((-0.5, 0.5),), (24,), eps=0.5), f.values))
 
 
 def test_inner_product_matches_refined_grid_oracle():
@@ -161,8 +161,8 @@ def test_laplacian_free_self_adjoint():
     rng = np.random.default_rng(9)
     f = GridFunction(dom, rng.normal(size=dom.shape) + 1j * rng.normal(size=dom.shape))
     g = GridFunction(dom, rng.normal(size=dom.shape) + 1j * rng.normal(size=dom.shape))
-    lhs = inner_product(f, laplacian_free(g))
-    rhs = inner_product(laplacian_free(f), g)
+    lhs = inner_product(f, g.copy_with(apply_kinetic(g.values, dom)))
+    rhs = inner_product(f.copy_with(apply_kinetic(f.values, dom)), g)
     assert abs(lhs - rhs) <= 1e-10 * norm(f) * norm(g)
 
 
@@ -172,7 +172,8 @@ def test_confined_spectrum_nonnegative_and_gap():
     lam_min = np.inf
     for _ in range(20):
         f = GridFunction(dom, rng.normal(size=dom.shape) + 1j * rng.normal(size=dom.shape))
-        rq = inner_product(f, laplacian_confined(f)).real / inner_product(f, f).real
+        rq = inner_product(f, f.copy_with(apply_kinetic(f.values, dom))).real
+        rq /= inner_product(f, f).real
         lam_min = min(lam_min, rq)
     gap = (np.pi / 1.0) ** 2 / 0.2**2
     assert lam_min >= gap * (1 - 1e-6)
@@ -182,12 +183,24 @@ def test_sample_rejects_nonvanishing_boundary():
     dom = ConfinedDomain(((-0.5, 0.5),), (16,))
     with pytest.raises(ValueError, match="hard wall"):
         GridFunction.sample(dom, lambda y: np.cos(np.pi * y) + 1.0)
+    product = ProductDomain(FreeDomain((4.0,), (8,)), dom)
+    with pytest.raises(ValueError, match="hard wall"):
+        GridFunction.sample(product, lambda x, y: np.cos(np.pi * y) + 1.0 + 0.0 * x)
 
 
-def test_mfl1_round_trip(tmp_path):
-    dom = ProductDomain(
-        FreeDomain((4.0,), (16,)), ConfinedDomain(((-0.5, 0.5),), (6,), eps=0.25)
-    )
+MFL1_DOMAINS = {
+    "free": FreeDomain((4.0, 3.0), (16, 8)),
+    "confined": ConfinedDomain(((-0.5, 0.5), (-0.3, 0.6)), (6, 3), eps=0.25),
+    "product": ProductDomain(
+        FreeDomain((4.0, 3.0), (16, 8)),
+        ConfinedDomain(((-0.5, 0.5), (-0.3, 0.6)), (6, 3), eps=0.25),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(MFL1_DOMAINS))
+def test_mfl1_round_trip(tmp_path, kind):
+    dom = MFL1_DOMAINS[kind]
     rng = np.random.default_rng(2)
     vals = rng.normal(size=dom.shape) + 1j * rng.normal(size=dom.shape)
     path = tmp_path / "state.mfl1"
@@ -195,6 +208,19 @@ def test_mfl1_round_trip(tmp_path):
     dom2, vals2, npart = read_mfl1(path)
     assert dom2 == dom and npart == 1
     assert np.array_equal(vals, vals2)
+
+
+@pytest.mark.parametrize("kind, bad_word", [("product", 7), ("free", 2), ("confined", 0),
+                                            ("product", 1)])
+def test_mfl1_rejects_kind_word_that_disagrees_with_axes(tmp_path, kind, bad_word):
+    dom = MFL1_DOMAINS[kind]
+    path = tmp_path / "state.mfl1"
+    write_mfl1(path, dom, np.ones(dom.shape))
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = bad_word.to_bytes(4, "little")  # the kind word follows the space word
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="kind word"):
+        read_mfl1(path)
 
 
 def test_mfl1_rejects_nonzero_space_word(tmp_path):

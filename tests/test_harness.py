@@ -318,12 +318,47 @@ LIST_LADDER = {"particle_counts": [2, 3, 4], "eps_rule": "list"}
                  id="tabulated"),
     pytest.param("ladder", {"ladder": {**LIST_LADDER, "eps_list": [0.5]}}, id="eps-list-short"),
     pytest.param("ladder", {"ladder": LIST_LADDER}, id="eps-list-missing"),
+    pytest.param("simulate-onebody", {"initial": {"kind": "gaussian", "width": "x"}},
+                 id="width-string"),
+    pytest.param("simulate-onebody", {"dt": "x"}, id="dt-string"),
+    pytest.param("simulate-onebody", {"time_horizon": None}, id="time-horizon-null"),
+    pytest.param("simulate-onebody", {"report_stride": "x"}, id="stride-string"),
+    pytest.param("simulate-onebody", {"report_stride": 0}, id="stride-zero-onebody"),
+    pytest.param("simulate-manybody", {"report_stride": 0}, id="stride-zero-manybody"),
+    pytest.param("ladder", {"ladder": [2, 3, 4]}, id="ladder-list"),
+    pytest.param("simulate-onebody",
+                 {"free": {"extents": [12.0, 12.0], "points": [16, 16]},
+                  "initial": {"kind": "gaussian", "width": 0.8, "center": [0.0]}},
+                 id="center-short"),
+    pytest.param("simulate-onebody",
+                 {"initial": {"kind": "gaussian", "width": 0.8, "momentum": [1.0, 0.0]}},
+                 id="momentum-long"),
+    pytest.param("simulate-onebody",
+                 {"initial": {"kind": "gaussian", "width": 0.8, "centre": [0.0]}},
+                 id="initial-key"),
+    pytest.param("simulate-manybody",
+                 {"initial": {"kind": "gaussian", "width": 0.8, "center": ["a"]}},
+                 id="center-string"),
+    pytest.param("simulate-manybody", {"mode_index": "1"}, id="mode-index-string"),
+    pytest.param("simulate-manybody", {"memory_cap_bytes": "x"}, id="memory-cap-string"),
+    pytest.param("coulomb-norms", None, id="coulomb-missing-file"),
+    pytest.param("coulomb-norms", "{not json", id="coulomb-not-json"),
 ])
 def test_cli_bad_config_file(tmp_path, command, document):
     path = tmp_path / "broken.json"
-    text = document if isinstance(document, str) else json.dumps({**BASE, **document})
-    path.write_text(text, encoding="utf-8")
+    if document is not None:  # None: the file does not exist
+        text = document if isinstance(document, str) else json.dumps({**BASE, **document})
+        path.write_text(text, encoding="utf-8")
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+
+
+@pytest.mark.parametrize("overrides", [{"theta": 0.2}, {"theta": 0.28, "nu": 0.9}],
+                         ids=["theta", "nu"])
+def test_cli_bounds_rejects_rate_parameters_before_the_run(tmp_path, overrides):
+    cfg = write_config(tmp_path, regime="nls-theta", **overrides)
+    out = tmp_path / "b"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 4
+    assert not (out / "counting.csv").exists()
 
 
 def test_cli_simulate_and_counting(tmp_path):

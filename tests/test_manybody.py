@@ -263,7 +263,7 @@ def dense_hamiltonian(spec, analytic_kinetic):
     pair = pair_phase_array(spec).reshape(m, m)
     h += spec.pair_prefactor * np.diag(pair.ravel())
     if not spec.potential.is_zero:
-        v_one = spec.potential.values_product(0.0, dom).ravel()
+        v_one = spec.potential.values(0.0, dom).ravel()
         h += np.diag(np.add.outer(v_one, v_one).ravel())
     return h
 

@@ -1,5 +1,9 @@
 """Confined modes, mean field, effective dynamics."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -53,10 +57,10 @@ def test_chi_mode_eigenvalues_and_eps_scaling():
     assert mode01.energy_eps == pytest.approx(100.0 * np.pi**2, rel=1e-12)
 
     lap_mult = mode.energy_eps
-    from confinedbose.grids import laplacian_confined
+    from confinedbose.grids import apply_kinetic
 
-    out = laplacian_confined(mode.chi)
-    assert np.max(np.abs(out.values - lap_mult * mode.chi.values)) < 1e-8 * lap_mult
+    out = apply_kinetic(mode.chi.values, dom)
+    assert np.max(np.abs(out - lap_mult * mode.chi.values)) < 1e-8 * lap_mult
 
 
 def test_chi_quartic_integral_matches_analytic():
@@ -131,6 +135,17 @@ def test_hartree_potential_shift_equivariance_and_positivity():
     phi_s = phi.copy_with(np.roll(phi.values, shift))
     pot_s = hartree_potential(phi_s, kern)
     assert np.max(np.abs(pot_s.values - np.roll(pot.values, shift))) < 1e-12
+
+
+def test_package_import_leaves_scipy_signal_unloaded():
+    # the mean-field convolution goes through scipy.fft, like the kinetic operator
+    import confinedbose
+
+    src = os.path.dirname(os.path.dirname(confinedbose.__file__))
+    code = "import sys, confinedbose, confinedbose.cli; print('scipy.signal' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_hartree_potential_rejects_wide_kernel():
