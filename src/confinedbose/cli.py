@@ -22,7 +22,7 @@ from .bounds import (
 )
 from .errors import ConfigError, GuardError, InvariantError
 from .grids import _atomic_write
-from .harness import ExperimentConfig, read_config_document, run_ladder, run_single, verify_lemmas
+from .harness import ExperimentConfig, read_eps_list, run_ladder, run_single, verify_lemmas
 from .model import measured_f_eps
 from .onebody import trajectory_rows as onebody_rows
 
@@ -135,9 +135,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_coulomb_norms(args) -> int:
-    eps_list = (0.1, 0.05, 0.025)
-    if args.config:
-        eps_list = tuple(read_config_document(args.config).get("eps_list", eps_list))
+    eps_list = read_eps_list(args.config)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for eps in eps_list:

@@ -13,8 +13,9 @@ position-space matrix per group of small consecutive axes (``axis_groups``,
 evolvers step through the one Strang schedule ``strang_steps``.
 Quadrature is uniform-weight, consistent with the transform sampling.
 
-All operations here are pure functions of immutable inputs; grid functions
-are value-like and safe to share between threads.
+All operations here are pure functions of immutable inputs, except that
+``apply_along(..., out=)`` writes ``out`` and ``strang_steps`` writes its own
+work array; grid functions are value-like and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -327,15 +328,56 @@ def axis_groups(shape) -> tuple[int, ...]:
     return tuple(math.prod(shape[a] for a in axes) for axes in _group_axes(shape))
 
 
-def apply_along(values: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the square matrix ``mat`` to ``values`` along ``axis``."""
+# sweep block: a slab and its scratch fit a 2 MiB L2.  Four sweeps over the
+# (48)^4 state (one BLAS thread, medians of 12) took 351 ms as one unblocked
+# matmul each and 272, 282 and 277 ms in place with 256 KiB, 1 MiB and 4 MiB slabs
+_SLAB_BYTES = 1 << 20
+
+
+def apply_along(values: np.ndarray, mat: np.ndarray, axis: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the square matrix ``mat`` to ``values`` along ``axis``.
+
+    Writes into ``out`` (any C-contiguous array of the shape of ``values``;
+    ``out=values`` acts in place), or into a new array when ``out`` is None,
+    and returns it.  The (left, n, right) view is walked in slabs of about
+    ``_SLAB_BYTES``: row blocks when right == 1, else several whole
+    (n, right) slices, or column chunks of one slice when a slice is larger.
+    Each slab's product goes into one scratch buffer and is copied back into
+    the slab, so an in-place sweep allocates one slab, not a second state
+    (cache blocking of dense products: Goto & van de Geijn, ACM TOMS 34(3),
+    2008).
+    """
     shape = values.shape
     n = shape[axis]
     left = math.prod(shape[:axis])
     right = math.prod(shape[axis + 1:])
-    if right == 1:  # one gemm rather than a batch of matrix-vector products
-        return (values.reshape(left, n) @ mat.T).reshape(shape)
-    return np.matmul(mat, values.reshape(left, n, right)).reshape(shape)
+    if out is None:
+        out = np.empty(shape, np.result_type(values, mat))
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array of the shape of values")
+    per_slab = max(1, _SLAB_BYTES // values.itemsize)  # entries
+    if right == 1:
+        src, dst = values.reshape(left, n), out.reshape(left, n)
+        rows = min(left, max(1, per_slab // n))
+        scratch = np.empty(rows * n, np.result_type(values, mat))
+        for i in range(0, left, rows):
+            block = src[i:i + rows]
+            prod = scratch[:block.size].reshape(block.shape)
+            np.matmul(block, mat.T, out=prod)
+            dst[i:i + rows] = prod
+        return out
+    src, dst = values.reshape(left, n, right), out.reshape(left, n, right)
+    cols = min(right, max(1, per_slab // n))
+    slices = min(left, max(1, per_slab // (n * right)))  # 1 when a slice is cut into columns
+    scratch = np.empty(slices * n * cols, np.result_type(values, mat))
+    for i in range(0, left, slices):
+        for j in range(0, right, cols):
+            block = src[i:i + slices, :, j:j + cols]
+            prod = scratch[:block.size].reshape(block.shape)
+            np.matmul(mat, block, out=prod)
+            dst[i:i + slices, :, j:j + cols] = prod
+    return out
 
 
 def apply_kinetic(values: np.ndarray, domain: Domain, eps: float | None = None) -> np.ndarray:
@@ -387,17 +429,22 @@ def strang_steps(values: np.ndarray, half, full, substep, steps: int, stride: in
     and opening half kicks of consecutive steps are one full kick
     (first-same-as-last, McLachlan & Quispel, Acta Numerica 11, 2002).
     Yields (steps done, values) after every ``stride``-th step and the last.
-    Each sweep makes a new array, so no yielded array is written again;
-    besides the caller's last one, a sweep's input and output are alive.
+
+    The first sweep after each snapshot (and of the run) makes a new array,
+    so neither the caller's input nor a yielded array is written again.
+    Every other sweep and the substep act in place on that work array, and a
+    sweep's slab scratch is freed when it returns.  So two state-sized
+    arrays are alive at once: the caller's last one and the work array.
     """
     for k in range(steps):
         if k % stride == 0:  # otherwise the previous step closed with a full kick
-            for axis, kick in enumerate(half):
-                values = apply_along(values, kick, axis)
+            values = apply_along(values, half[0], 0)
+            for axis in range(1, len(half)):
+                apply_along(values, half[axis], axis, out=values)
         substep(k, values)
         snapshot = (k + 1) % stride == 0 or k + 1 == steps
         for axis, kick in enumerate(half if snapshot else full):
-            values = apply_along(values, kick, axis)
+            apply_along(values, kick, axis, out=values)
         if snapshot:
             yield k + 1, values
 

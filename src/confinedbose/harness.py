@@ -38,6 +38,7 @@ __all__ = [
     "LemmaCheck",
     "initial_state",
     "read_config_document",
+    "read_eps_list",
 ]
 
 
@@ -56,6 +57,17 @@ def read_config_document(path) -> dict:
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def read_eps_list(path) -> tuple[float, ...]:
+    """The ``eps_list`` of the ``coulomb-norms`` document ``path``, (0.1, 0.05,
+    0.025) without a document or a list; an entry that is not a number is a
+    ``ConfigError``."""
+    document = read_config_document(path) if path else {}
+    eps_list = document.get("eps_list", [0.1, 0.05, 0.025])
+    if not isinstance(eps_list, list) or not all(_is_number(eps) for eps in eps_list):
+        raise ConfigError("eps_list must be a list of numbers")
+    return tuple(eps_list)
 
 
 _INITIAL_KEYS = ("kind", "width", "center", "momentum")
@@ -328,7 +340,12 @@ def run_ladder(config: ExperimentConfig, out_dir) -> RateFit:
     """
     if not config.ladder or not config.ladder.get("particle_counts"):
         raise ConfigError("ladder config with particle_counts is required")
-    ns = [int(n) for n in config.ladder["particle_counts"]]
+    ns = config.ladder["particle_counts"]
+    if not isinstance(ns, (list, tuple)) or not all(
+            isinstance(n, int) and not isinstance(n, bool) for n in ns):
+        raise ConfigError("ladder particle_counts must be a list of integers")
+    if len(set(ns)) < len(ns):
+        raise ConfigError("ladder particle_counts must be distinct")
     if len(ns) < 3:
         raise ConfigError("a rate fit needs at least 3 ladder points")
     os.makedirs(out_dir, exist_ok=True)

@@ -12,9 +12,10 @@ same second-order Strang schedule as the effective solver.  The evolver
 streams: it yields each reported snapshot and holds only the current
 state.  Energies come from the density matrix and the two-body density.
 Everything is desk scale: a memory guard refuses runs whose working set
-(``working_set_bytes``: three state-sized arrays whatever N, the m^2-sized
-pair phase and density matrices, a one-body allowance) exceeds a
-configurable cap (2 GiB by default).
+(``working_set_bytes``: two state-sized arrays whatever N, since all kick
+sweeps but the first after each snapshot act in place through a slab
+scratch; the m^2-sized pair phase and density matrices; a one-body
+allowance) exceeds a configurable cap (2 GiB by default).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from scipy.linalg import blas
 
 from .errors import ConfigError, GuardError
 from .grids import (
+    _SLAB_BYTES,
     ProductDomain,
     axis_groups,
     axis_operators,
@@ -100,17 +102,20 @@ _ONE_BODY_ALLOWANCE = 1 << 20  # bytes: one-body arrays, trajectory and report o
 def working_set_bytes(spec: ModelSpec) -> int:
     """Bytes budgeted for a streamed run, whatever its length and N.
 
-    At most three state-sized arrays are alive at once: in a Strang step
-    the consumer's last snapshot and the input and output of one kick
-    sweep.  A counting report holds one copy of the snapshot and two
-    1/m-sized coefficient arrays, the symmetry check one 1/m-sized buffer.
-    The m^2-sized arrays (the evolver's pair phase, the density matrix and
-    the dense trace distance's difference matrix) are as large as the state
-    at N = 2.
+    At most two state-sized arrays are alive at once: the consumer's last
+    snapshot and the Strang step's work array.  The first kick sweep after a
+    snapshot writes a new array; every other sweep and the potential substep
+    act in place on it through one slab scratch of ``grids._SLAB_BYTES``.
+    A counting report holds one copy of the snapshot and two 1/m-sized
+    coefficient arrays, the symmetry check one 1/m-sized buffer.  The
+    m^2-sized arrays (the evolver's pair phase, the density matrix and the
+    dense trace distance's difference matrix) are as large as the state at
+    N = 2.
     """
     m = int(np.prod(spec.domain.shape))
     state = estimate_state_bytes(spec)
-    return 3 * state + 2 * (state // m) + 3 * 16 * m**2 + _ONE_BODY_ALLOWANCE
+    return (2 * state + 2 * (state // m) + 3 * 16 * m**2 + _SLAB_BYTES
+            + _ONE_BODY_ALLOWANCE)
 
 
 # -- pair interaction ---------------------------------------------------------
@@ -288,7 +293,8 @@ def _snapshots(state, strang, dt):
     yield state
     del state  # the caller decides how long the initial state lives
     for k, values in strang:
-        # held until the next one is made, as the consumer holds its last snapshot
+        # held until the next one is made, as the consumer holds its last
+        # snapshot: with the step's work array, the two states of working_set_bytes
         snapshot = ManyBodyState(dom, values.reshape(dom.shape * n), t0 + k * dt)
         yield snapshot
 

@@ -249,6 +249,30 @@ def test_mfl1_many_particle_axis(tmp_path):
     assert np.array_equal(vals, vals2)
 
 
+@pytest.mark.parametrize("shape", [
+    # axis 1 of 64 x 16 x 64 x 16 is whole slices, axis 0 column chunks, axis 3 row blocks
+    pytest.param((64, 16, 64, 16), id="64x16x64x16"),
+    # uneven last slab on every path; axis 1 cuts each of 3 slices into columns
+    pytest.param((3, 64, 48, 25), id="3x64x48x25"),
+    pytest.param((2, 3), id="2x3"),
+])
+def test_apply_along_matches_tensordot_in_and_out_of_place(shape):
+    rng = np.random.default_rng(13)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for axis, n in enumerate(shape):
+        mat = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        expected = np.moveaxis(np.tensordot(mat, values, axes=(1, axis)), 0, axis)
+        assert np.max(np.abs(apply_along(values, mat, axis) - expected)) <= 1e-14
+        into = np.empty_like(values)
+        assert apply_along(values, mat, axis, out=into) is into
+        assert np.max(np.abs(into - expected)) <= 1e-14
+        work = values.copy()
+        assert apply_along(work, mat, axis, out=work) is work
+        assert np.max(np.abs(work - expected)) <= 1e-14
+    with pytest.raises(ValueError, match="C-contiguous"):
+        apply_along(values, mat, 0, out=np.empty(shape[::-1], dtype=complex).T)
+
+
 def test_apply_kinetic_eps_weighting():
     dom = ProductDomain(
         FreeDomain((4.0,), (8,)), ConfinedDomain(((-0.5, 0.5),), (5,), eps=0.5)

@@ -107,16 +107,21 @@ TWO_CONFINED_AXES = {  # m = 64 * 4 * 4 = 1024, the NLS demo's one-body grid
 }
 
 
-@pytest.mark.parametrize("n, grid, steps, tight", [
+@pytest.mark.parametrize("n, overrides, steps, tight", [
     pytest.param(3, {}, 1, False, id="N3-m48-1step"),
     pytest.param(3, {}, 9, False, id="N3-m48-9steps"),
+    # fused full kicks between reports and the potential substep, all in place
+    pytest.param(3, {"report_stride": 3, "potential": {"kind": "gaussian", "amplitude": 0.8,
+                                                       "sigma": 2.0, "omega": 3.0}},
+                 9, False, id="N3-m48-9steps-stride3-potential"),
     pytest.param(2, {}, 1, False, id="N2-m48"),
     pytest.param(2, TWO_CONFINED_AXES, 1, False, id="N2-m1024"),
     pytest.param(4, {}, 1, True, id="N4-m48"),
 ])
-def test_run_single_peak_within_working_set(tmp_path, n, grid, steps, tight):
-    # a report at every step; at N = 2 the m^2-sized arrays are state-sized
-    cfg = config(n_particles=n, dt=1e-2, time_horizon=steps * 1e-2, report_stride=1, **grid)
+def test_run_single_peak_within_working_set(tmp_path, n, overrides, steps, tight):
+    # a report at every step unless overridden; at N = 2 the m^2-sized arrays are state-sized
+    cfg = config(**{"n_particles": n, "dt": 1e-2, "time_horizon": steps * 1e-2,
+                    "report_stride": 1, **overrides})
     peak = traced_peak(cfg, tmp_path / "run")
     model = working_set_bytes(cfg.model_spec())
     assert peak <= model
@@ -343,6 +348,13 @@ LIST_LADDER = {"particle_counts": [2, 3, 4], "eps_rule": "list"}
     pytest.param("simulate-manybody", {"memory_cap_bytes": "x"}, id="memory-cap-string"),
     pytest.param("coulomb-norms", None, id="coulomb-missing-file"),
     pytest.param("coulomb-norms", "{not json", id="coulomb-not-json"),
+    pytest.param("coulomb-norms", {"eps_list": ["x"]}, id="coulomb-eps-string"),
+    pytest.param("coulomb-norms", {"eps_list": 0.1}, id="coulomb-eps-not-list"),
+    pytest.param("ladder", {"ladder": {"particle_counts": [2, 3, "x"]}}, id="counts-string"),
+    pytest.param("ladder", {"ladder": {"particle_counts": [2, 2.5, 4]}}, id="counts-float"),
+    pytest.param("ladder", {"ladder": {"particle_counts": [2, 3, True]}}, id="counts-bool"),
+    pytest.param("ladder", {"ladder": {"particle_counts": "234"}}, id="counts-string-list"),
+    pytest.param("ladder", {"ladder": {"particle_counts": [2, 2, 3]}}, id="counts-repeated"),
 ])
 def test_cli_bad_config_file(tmp_path, command, document):
     path = tmp_path / "broken.json"

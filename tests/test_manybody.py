@@ -445,6 +445,31 @@ def test_evolver_releases_earlier_snapshots():
         assert after_one_stride() is None
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_yielded_states_are_not_written_again(stride):
+    # kick sweeps act in place on a work array; the input and every snapshot
+    # must keep the values they had when they were handed out
+    spec = small_spec(n=3, n_c=2,
+                      potential=ExternalPotential("gaussian", amplitude=0.8, sigma=2.0, omega=3.0))
+    one0 = gaussian_one_body(spec)
+    psi0 = product_state(one0, 3)
+    initial = psi0.values.copy()
+    snapshots, copies = [], []
+    for st in evolve_manybody(psi0, spec, 0.05, 1e-2, stride=stride):
+        snapshots.append(st)
+        copies.append(st.values.copy())
+    assert len(snapshots) == 1 + -(-5 // stride)
+    assert np.array_equal(psi0.values, initial)
+    for st, copy in zip(snapshots, copies):
+        assert np.array_equal(st.values, copy)
+
+    phi0 = one0.phi_free.values.copy()
+    states = evolve_effective(one0, spec, 0.05, 1e-2, stride=stride)
+    assert np.array_equal(one0.phi_free.values, phi0)
+    for a, b in itertools.combinations(states, 2):
+        assert not np.shares_memory(a.phi_free.values, b.phi_free.values)
+
+
 def test_asymmetric_input_rejected():
     spec = small_spec(n=2)
     phi, phi_perp = two_orthonormal_modes(spec)
