@@ -28,7 +28,7 @@ from scipy.linalg import blas
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, InvariantError
-from .grids import apply_kinetic, kinetic_trace
+from .grids import _SLAB_BYTES, apply_kinetic, kinetic_trace
 from .manybody import SYMMETRY_TOL, ManyBodyState, _transposition_residual, pair_phase_array
 from .manybody import density_matrix  # re-exported: the report's gamma is the energy's
 from .model import ModelSpec
@@ -231,10 +231,13 @@ def _sector_weights(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     ``psi`` has one axis per particle and is only read.  c_l = <phi^(x)l|psi>
     contracts psi with phi* on its last l axes: a chain of tensors shrinking
     by m per link, since p = |phi><phi| on an axis only keeps its
-    coefficient.  q is applied in place on one copy of each c_{N-k}; the
-    copy of psi itself (k = N, taken first, before any link) is the one
-    state-sized array, and q's rank-one updates need only the 1/m-sized
-    coefficients besides it.
+    coefficient.  Each c_{N-k}, psi itself at k = N, is walked as its
+    (m, m^(k-1)) view in row blocks of about ``grids._SLAB_BYTES`` (one row
+    when a row is larger), as the many-body substep walks the state.  With
+    c0 = <phi|c> along the first axis (one gemv), a block's q part on that
+    axis, c[rows] - phi[rows] (x) c0, goes into one block buffer; q on the
+    other axes acts in place inside it, and its squared norm is summed.  So
+    besides psi only the block buffer and 1/m-sized coefficients are made.
 
     Precondition: psi is permutation symmetric, which makes every pattern
     of k q's and N - k p's as heavy as the first-k one.  Off symmetry the
@@ -245,14 +248,25 @@ def _sector_weights(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     n, m = psi.ndim, phi.size
     out = np.empty(n + 1)
     c = psi
-    for k in range(n, -1, -1):  # c = c_{N-k}
-        v = c.reshape((m,) * k).copy()
-        for axis in range(k):
-            _project_q_in_place(v, phi, axis)
-        out[k] = math.comb(n, k) * float(np.vdot(v, v).real)
-        del v
-        if k:
-            c = c.reshape(-1, m) @ np.conj(phi)
+    for k in range(n, 0, -1):  # c = c_{N-k}
+        rest = m ** (k - 1)
+        mat = c.reshape(m, rest)
+        c0 = np.conj(phi) @ mat
+        rows = min(m, max(1, _SLAB_BYTES // (psi.itemsize * rest)))
+        buf = np.empty((rows, rest), dtype=np.complex128)
+        total = 0.0
+        for r in range(0, m, rows):
+            stop = min(r + rows, m)
+            block = np.multiply.outer(phi[r:stop], c0, out=buf[:stop - r])
+            np.subtract(mat[r:stop], block, out=block)
+            block = block.reshape((-1,) + (m,) * (k - 1))
+            for axis in range(1, k):
+                _project_q_in_place(block, phi, axis)
+            total += np.vdot(block, block).real
+        out[k] = math.comb(n, k) * total
+        del buf, block  # before the next link and buffer are made
+        c = c.reshape(-1, m) @ np.conj(phi)
+    out[0] = abs(c.item()) ** 2
     return out
 
 
@@ -628,7 +642,8 @@ def compute_report(state: ManyBodyState, one_body: OneBodyState,
     distribution uses the symmetric route ``_sector_weights`` without
     re-checking; ``manybody._energy_and_residual`` has refused a residual
     above SYMMETRY_TOL and returned gamma.  Besides psi and gamma the report
-    holds one copy of psi, which the occupation weights update in place.
+    holds one row block of about ``grids._SLAB_BYTES`` (one 1/m-sized row
+    when a row is larger) and 1/m-sized coefficients: psi is not copied.
     """
     psi, phi, n, amp = _grid_frame(state, one_body)
     pk = amp**2 * _sector_weights(psi, phi)

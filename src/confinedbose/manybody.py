@@ -20,6 +20,7 @@ allowance) exceeds a configurable cap (2 GiB by default).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -62,15 +63,21 @@ SYMMETRY_TOL = 1e-6  # largest transposition residual accepted as a symmetric st
 
 @dataclass(frozen=True)
 class ManyBodyState:
-    """Symmetric N-particle wavefunction on the tensor grid."""
+    """Symmetric N-particle wavefunction on the tensor grid.
+
+    ``values`` is a read-only view of the given array (whose own flag is
+    left as it was), so values computed from it, such as the transposition
+    residual, are computed once per state.
+    """
 
     domain: ProductDomain
     values: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
+        values = np.asarray(self.values, dtype=np.complex128).view()
         self.n_particles_of(values.shape)  # shape validation
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     def n_particles_of(self, shape) -> int:
@@ -90,6 +97,11 @@ class ManyBodyState:
     def mass(self) -> float:
         return float(np.sqrt(self.cell_volume * np.vdot(self.values, self.values).real))
 
+    @functools.cached_property
+    def _residual(self) -> float:
+        """Euclidean ``_transposition_residual`` of the values."""
+        return _transposition_residual(self.values, self.n_particles, len(self.domain.shape))
+
 
 def estimate_state_bytes(spec: ModelSpec) -> int:
     m = int(np.prod(spec.domain.shape))
@@ -106,8 +118,9 @@ def working_set_bytes(spec: ModelSpec) -> int:
     snapshot and the Strang step's work array.  The first kick sweep after a
     snapshot writes a new array; every other sweep and the potential substep
     act in place on it through one slab scratch of ``grids._SLAB_BYTES``.
-    A counting report holds one copy of the snapshot and two 1/m-sized
-    coefficient arrays, the symmetry check one 1/m-sized buffer.  The
+    A counting report holds one row block of the snapshot (one slab, or one
+    1/m-sized row when a row is larger) and two 1/m-sized coefficient
+    arrays, the symmetry check one 1/m-sized buffer.  The
     m^2-sized arrays (the evolver's pair phase, the density matrix and the
     dense trace distance's difference matrix) are as large as the state at
     N = 2.
@@ -191,11 +204,6 @@ def pair_phase_array(spec: ModelSpec) -> np.ndarray:
 # -- dynamics -----------------------------------------------------------------
 
 
-def _broadcast_shape(n: int, particles, one_body_shape) -> tuple[int, ...]:
-    """Shape placing a one-body array on ``particles`` of n, size 1 elsewhere."""
-    return tuple(size if i in particles else 1 for i in range(n) for size in one_body_shape)
-
-
 def _transposition_residual(values: np.ndarray, n: int, block: int) -> float:
     """Max over transpositions sigma of the euclidean ||values - sigma values||,
     for n particle blocks of ``block`` axes each.
@@ -226,9 +234,39 @@ def _transposition_residual(values: np.ndarray, n: int, block: int) -> float:
 
 
 def symmetry_residual(state: ManyBodyState) -> float:
-    """Max over transpositions of ||psi - sigma psi|| (quadrature norm)."""
-    residual = _transposition_residual(state.values, state.n_particles, len(state.domain.shape))
-    return residual * np.sqrt(state.cell_volume)
+    """Max over transpositions of ||psi - sigma psi|| (quadrature norm).
+
+    Evaluated once per state: the evolver's guard and the energy of the
+    t = 0 snapshot, which is the evolver's input object, share one value.
+    """
+    return state._residual * np.sqrt(state.cell_volume)
+
+
+def _apply_phases(values: np.ndarray, n: int, m: int, phase_one, phase_pair):
+    """values *= prod_i phase_one(x_i) prod_{i<j} phase_pair(x_i, x_j), in place.
+
+    ``values`` is a C-contiguous N-particle state of m points per particle,
+    ``phase_one`` (m,) and ``phase_pair`` (m, m) may be None.  The (m,
+    m^(N-1)) view is walked in row blocks of about ``grids._SLAB_BYTES``
+    (one row when a row is larger), and each block takes every factor before
+    the next block: one pass over memory instead of N + C(N, 2).  Per
+    element the factors come in the order of whole-state passes (one-body
+    i = 0..N-1, then the pairs in ``combinations`` order), so the product
+    is the same to the bit.
+    """
+    factors = [] if phase_one is None else [(phase_one, (i,)) for i in range(n)]
+    if phase_pair is not None:
+        factors += [(phase_pair, pair) for pair in itertools.combinations(range(n), 2)]
+    rest = m ** (n - 1)
+    rows = max(1, _SLAB_BYTES // (values.itemsize * rest))
+    view = values.reshape(m, rest)
+    for r in range(0, m, rows):
+        block = view[r:r + rows].reshape((-1,) + (m,) * (n - 1))
+        for phase, particles in factors:
+            if particles[0] == 0:  # on the block's rows only
+                phase = phase[r:r + rows]
+            block *= phase.reshape([(-1 if i == 0 else m) if i in particles else 1
+                                    for i in range(n)])
 
 
 def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
@@ -243,7 +281,8 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
     as one dense 1024 x 1024 matrix per particle, so merging needs the
     bound of ``grids.axis_groups``.  The potential substep applies in place
     the exact phase of the summed external potential and pair interactions,
-    the external part evaluated at the step midpoint.
+    the external part evaluated at the step midpoint, in one slab walk over
+    the state (``_apply_phases``).
 
     The guards run and the propagators are built at call time.  The returned
     iterator yields the input state, then the state after every ``stride``-th
@@ -268,20 +307,18 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
     groups = axis_groups(dom.shape)
     half = axis_operators(dom, lambda mult: np.exp(-0.5j * dt * mult)) * n
     full = axis_operators(dom, lambda mult: np.exp(-1j * dt * mult)) * n
+    m = math.prod(dom.shape)
     phase_pair = None
     if n > 1:
-        phase_pair = np.exp(-1j * dt * spec.pair_prefactor * pair_phase_array(spec))
+        phase_pair = np.exp(-1j * dt * spec.pair_prefactor * pair_phase_array(spec)).reshape(m, m)
     t0 = state.t
 
     def substep(k, values):
+        phase_one = None
         if not spec.potential.is_zero:
             t_mid = t0 + k * dt + dt / 2
-            phase_one = np.exp(-1j * dt * spec.potential.values(t_mid, dom))
-            for i in range(n):
-                values *= phase_one.reshape(_broadcast_shape(n, (i,), groups))
-        if phase_pair is not None:
-            for pair in itertools.combinations(range(n), 2):
-                values *= phase_pair.reshape(_broadcast_shape(n, pair, groups))
+            phase_one = np.exp(-1j * dt * spec.potential.values(t_mid, dom)).reshape(m)
+        _apply_phases(values, n, m, phase_one, phase_pair)
 
     values = state.values.reshape(groups * n)
     return _snapshots(state, strang_steps(values, half, full, substep, steps, stride), dt)

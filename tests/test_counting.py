@@ -11,8 +11,15 @@ from hypothesis import strategies as st
 
 from confinedbose import counting as cnt
 from confinedbose.errors import ConfigError, InvariantError
-from confinedbose.grids import ConfinedDomain, FreeDomain, GridFunction, norm
-from confinedbose.manybody import _energy_and_residual, pair_phase_array, product_state, symmetrize
+from confinedbose.grids import ConfinedDomain, FreeDomain, GridFunction, ProductDomain, norm
+from confinedbose.manybody import (
+    ManyBodyState,
+    _energy_and_residual,
+    density_matrix,
+    pair_phase_array,
+    product_state,
+    symmetrize,
+)
 from confinedbose.model import InteractionProfile, ModelSpec
 from confinedbose.onebody import OneBodyState, chi_mode, effective_energy
 
@@ -246,6 +253,50 @@ def test_project_q_in_place_matches_project_q(shape):
         v = psi.copy()
         assert cnt._project_q_in_place(v, phi, axis) is None
         assert np.max(np.abs(v - cnt.project_q(psi, phi, axis))) < 1e-12
+
+
+@pytest.mark.parametrize("top_rows", [1, 4, None], ids=["one-row", "4-rows-uneven", "one-block"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sector_weights_block_walk_matches_enumeration(n, top_rows, monkeypatch):
+    # c_{N-k} is walked in row blocks; a slab of top_rows rows of psi (one
+    # row; 4 + 2 rows; the default slab, all rows at once) reaches every
+    # block layout, and the smaller c_{N-k} take several rows per block
+    m = 6
+    if top_rows is not None:
+        monkeypatch.setattr(cnt, "_SLAB_BYTES", 16 * m ** (n - 1) * top_rows)
+    rng = np.random.default_rng(70 + n)
+    phi = random_unit(rng, m)
+    near = phi
+    for _ in range(n - 1):
+        near = np.multiply.outer(near, phi)
+    psi = 0.3 * random_symmetric(rng, m, n) + near  # near the condensate: every sector weighs
+    psi /= np.linalg.norm(psi.ravel())
+    weights = cnt._sector_weights(psi, phi)
+    expected = cnt.occupation_distribution_enumeration(psi, phi)
+    assert np.max(np.abs(weights - expected)) < 1e-12
+    assert np.all(expected > 1e-6)
+
+
+def test_compute_report_does_not_copy_psi(monkeypatch):
+    # symmetric N = 4 state on the smallest grid, 8 x 2 (m = 16); a slab of
+    # a quarter state, since the default slab holds this whole 1 MiB state
+    dom = ProductDomain(FreeDomain((8.0,), (8,)), ConfinedDomain(UNIT_INTERVAL, (2,), eps=0.5))
+    m = math.prod(dom.shape)
+    psi = random_symmetric(np.random.default_rng(21), m, 4) / dom.cell_volume**2
+    state = ManyBodyState(dom, psi.reshape(dom.shape * 4))
+    phi = GridFunction(dom.free, np.exp(-dom.free.meshgrid()[0] ** 2 / 4.0))
+    one = OneBodyState(phi.copy_with(phi.values / norm(phi)), chi_mode(dom.confined, 0))
+    gamma = density_matrix(psi, dom.cell_volume)
+    monkeypatch.setattr(cnt, "_SLAB_BYTES", state.values.nbytes // 4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = cnt.compute_report(state, one, 0.0, 0.0, gamma)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < state.values.nbytes / 2
+    assert sum(report.p_k) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_binomial_route_rejects_asymmetric():

@@ -6,9 +6,10 @@ import os
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from confinedbose import bounds, harness, onebody
+from confinedbose import bounds, harness, manybody, onebody
 from confinedbose.cli import main
 from confinedbose.errors import ConfigError, GuardError
 from confinedbose.harness import (
@@ -19,8 +20,10 @@ from confinedbose.harness import (
     verify_lemmas,
 )
 from confinedbose.counting import compute_report
+from confinedbose.grids import _SLAB_BYTES
 from confinedbose.manybody import (
     _ONE_BODY_ALLOWANCE,
+    ManyBodyState,
     _energy_and_residual,
     estimate_state_bytes,
     pair_phase_array,
@@ -135,8 +138,9 @@ def test_run_single_peak_within_working_set(tmp_path, n, overrides, steps, tight
 ])
 def test_snapshot_diagnostics_peak(n, grid):
     # one snapshot's energy and counting report, traced beyond psi.  The
-    # terms are those of working_set_bytes: the report's one copy of psi and
-    # its two 1/m-sized coefficient arrays, the m^2-sized gamma, the one-body
+    # terms are those of working_set_bytes: the report's row block (a slab,
+    # or one 1/m-sized row when a row is larger; psi is not copied) and its
+    # two 1/m-sized coefficient arrays, the m^2-sized gamma, the one-body
     # allowance (which also covers the dense trace distance's m^2 arrays at
     # m <= 96).  At N = 2 gamma is state-sized and must not be alive while
     # the pair kernel's temporaries are, so the bound is the larger of the
@@ -160,7 +164,7 @@ def test_snapshot_diagnostics_peak(n, grid):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    report_terms = state_bytes + 2 * (state_bytes // m) + 16 * m**2
+    report_terms = max(_SLAB_BYTES, state_bytes // m) + 2 * (state_bytes // m) + 16 * m**2
     assert peak <= max(kernel_peak, report_terms) + _ONE_BODY_ALLOWANCE
 
 
@@ -171,6 +175,32 @@ def test_run_single_peak_independent_of_report_count(tmp_path):
         cfg = config(n_particles=3, dt=1e-2, time_horizon=0.1, report_stride=stride)
         peaks[stride] = traced_peak(cfg, tmp_path / f"stride{stride}")
     assert abs(peaks[1] - peaks[10]) <= estimate_state_bytes(cfg.model_spec())
+
+
+def test_run_single_evaluates_residual_once_per_state(tmp_path, monkeypatch):
+    # one step at stride 1: the guard's value serves the t = 0 row, so the
+    # two snapshots take one transposition residual each
+    calls = []
+    residual = manybody._transposition_residual
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(manybody, "_transposition_residual", counted)
+    run_single(config(time_horizon=5e-3, report_stride=1), tmp_path / "run")
+    assert len(calls) == 2
+
+    # the cache rests on read-only values; the caller's array keeps its flag
+    domain = config().model_spec().domain
+    values = np.zeros(domain.shape * 2, dtype=np.complex128)
+    state = ManyBodyState(domain, values)
+    first = (0,) * values.ndim
+    with pytest.raises(ValueError):
+        state.values[first] = 1.0
+    assert values.flags.writeable
+    values[first] = 1.0
+    assert state.values[first] == 1.0  # a view, not a copy
 
 
 def test_fit_rate_contracts():

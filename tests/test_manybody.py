@@ -10,6 +10,7 @@ from scipy.linalg import lu_factor, lu_solve
 from confinedbose.counting import grad_q_norm
 from confinedbose.errors import ConfigError, GuardError
 from confinedbose.grids import (
+    _SLAB_BYTES,
     ConfinedDomain,
     FreeDomain,
     GridFunction,
@@ -19,6 +20,7 @@ from confinedbose.grids import (
 )
 from confinedbose.manybody import (
     ManyBodyState,
+    _apply_phases,
     _transposition_residual,
     density_matrix,
     evolve_manybody,
@@ -468,6 +470,38 @@ def test_yielded_states_are_not_written_again(stride):
     assert np.array_equal(one0.phi_free.values, phi0)
     for a, b in itertools.combinations(states, 2):
         assert not np.shares_memory(a.phi_free.values, b.phi_free.values)
+
+
+def phases_pair_by_pair(values, n, m, phase_one, phase_pair):
+    """The substep as N + C(N, 2) whole-state passes, one factor each."""
+    v = values.reshape((m,) * n)
+    factors = [] if phase_one is None else [(phase_one, (i,)) for i in range(n)]
+    if phase_pair is not None:
+        factors += [(phase_pair, pair) for pair in itertools.combinations(range(n), 2)]
+    for phase, particles in factors:
+        v *= phase.reshape([m if i in particles else 1 for i in range(n)])
+
+
+@pytest.mark.parametrize("with_potential", [False, True], ids=["pairs", "potential-and-pairs"])
+@pytest.mark.parametrize("n, blocks", [
+    pytest.param(1, 1, id="N1"),
+    pytest.param(2, 1, id="N2"),
+    pytest.param(3, 2, id="N3-28-and-20-rows"),
+    pytest.param(4, 48, id="N4-one-row-each"),
+])
+def test_phase_walk_matches_pair_by_pair_passes(n, blocks, with_potential):
+    # bit for bit: each element takes the same factors in the same order
+    m = 48
+    rows = max(1, _SLAB_BYTES // (16 * m ** (n - 1)))
+    assert -(-m // rows) == blocks
+    rng = np.random.default_rng(n)
+    phase_one = np.exp(2j * np.pi * rng.random(m)) if with_potential else None
+    phase_pair = np.exp(2j * np.pi * rng.random((m, m))) if n > 1 else None
+    values = rng.normal(size=(m,) * n) + 1j * rng.normal(size=(m,) * n)
+    expected = values.copy()
+    phases_pair_by_pair(expected, n, m, phase_one, phase_pair)
+    _apply_phases(values, n, m, phase_one, phase_pair)
+    assert np.array_equal(values, expected)
 
 
 def test_asymmetric_input_rejected():
