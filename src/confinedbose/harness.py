@@ -228,7 +228,7 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
         many_rows.append((mb.t, math.sqrt(np.trace(gamma).real), e_psi, residual))
         if counting_reports:
             reports.append(cnt.compute_report(mb, ob, e_psi, one_row[2], gamma))
-        del gamma  # state-sized at N = 2: not alive while the next snapshot's pair kernel is built
+        del gamma  # state-sized at N = 2: freed before the next step makes its work array
     _csv(os.path.join(out_dir, "onebody.csv"), "t,mass,E_phi,sup_phi,H2_phi", one_rows)
     _csv(os.path.join(out_dir, "manybody.csv"), "t,mass,E_psi,symmetry_residual", many_rows)
     if counting_reports:

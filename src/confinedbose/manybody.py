@@ -14,8 +14,9 @@ state.  Energies come from the density matrix and the two-body density.
 Everything is desk scale: a memory guard refuses runs whose working set
 (``working_set_bytes``: two state-sized arrays whatever N, since all kick
 sweeps but the first after each snapshot act in place through a slab
-scratch; the m^2-sized pair phase and density matrices; a one-body
-allowance) exceeds a configurable cap (2 GiB by default).
+scratch, or one state and the density matrix at a snapshot; the pair
+phase on its offset lattice; a one-body allowance) exceeds a configurable
+cap (2 GiB by default).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas
 
 from .errors import ConfigError, GuardError
@@ -114,21 +116,34 @@ _ONE_BODY_ALLOWANCE = 1 << 20  # bytes: one-body arrays, trajectory and report o
 def working_set_bytes(spec: ModelSpec) -> int:
     """Bytes budgeted for a streamed run, whatever its length and N.
 
-    At most two state-sized arrays are alive at once: the consumer's last
-    snapshot and the Strang step's work array.  The first kick sweep after a
-    snapshot writes a new array; every other sweep and the potential substep
-    act in place on it through one slab scratch of ``grids._SLAB_BYTES``.
-    A counting report holds one row block of the snapshot (one slab, or one
-    1/m-sized row when a row is larger) and two 1/m-sized coefficient
-    arrays, the symmetry check one 1/m-sized buffer.  The
-    m^2-sized arrays (the evolver's pair phase, the density matrix and the
-    dense trace distance's difference matrix) are as large as the state at
-    N = 2.
+    The evolver holds its pair phase for the whole run: the tiled offset
+    table (``_pair_table``, 2^d_f m_f m_c^2 entries) and, at N >= 3 only,
+    its m^2 expansion for the pairs without particle 0.  Besides that, the
+    larger of two moments:
+
+    - a step: two state-sized arrays, the consumer's last snapshot and the
+      Strang step's work array.  The first kick sweep after a snapshot
+      writes a new array; every other sweep acts in place on it through one
+      slab scratch of ``grids._SLAB_BYTES``, and the potential substep
+      multiplies it in place by views of the pair table.
+    - a snapshot's diagnostics: the snapshot, which is also the evolver's
+      current array, and the m^2-sized density matrix gamma, with a
+      counting report's row block (one slab, or one 1/m-sized row when a
+      row is larger) and two 1/m-sized coefficient arrays.  gamma is freed
+      before the next step.  The energy's pair blocks and the symmetry
+      check's 1/m-sized buffer come before gamma and are smaller.
+
+    At N = 2 gamma is state-sized, so both moments are two states.
     """
     m = int(np.prod(spec.domain.shape))
     state = estimate_state_bytes(spec)
-    return (2 * state + 2 * (state // m) + 3 * 16 * m**2 + _SLAB_BYTES
-            + _ONE_BODY_ALLOWANCE)
+    m_c = math.prod(spec.confined.shape)
+    held = 16 * 2**spec.free.dim * math.prod(spec.free.shape) * m_c**2
+    if spec.n_particles > 2:
+        held += 16 * m**2
+    step = 2 * state + _SLAB_BYTES
+    report = state + 16 * m**2 + max(_SLAB_BYTES, state // m) + 2 * (state // m)
+    return held + max(step, report) + _ONE_BODY_ALLOWANCE
 
 
 # -- pair interaction ---------------------------------------------------------
@@ -171,34 +186,134 @@ def _resolvability_guard(spec: ModelSpec):
             )
 
 
-def pair_phase_array(spec: ModelSpec) -> np.ndarray:
-    """W(r_i - r_j) for one particle pair, shape (one-body grid) x 2.
+def _pair_table(spec: ModelSpec) -> np.ndarray:
+    """The scaled pair kernel on its offset lattice, laid out by ``_row_layout``.
 
-    The package's one sampler of the scaled pair kernel.  Differences on
-    periodic axes use the minimum image; on hard-wall axes they enter the
-    profile compressed by eps, as in the rescaled Hamiltonian.  The
-    prefactor of the Hamiltonian (1/(N-1) or 1/N) is *not* included.
+    The free axes are periodic and the hard-wall axes uniformly spaced, so
+    W(x_1, x_2) depends on the free nodes only through their offset (i - j)
+    mod n.  C[d, y_1, y_2] = W((d, y_1), (0, y_2)), with d the free offsets
+    and y_1, y_2 the raveled confined nodes, is sampled once per entry
+    (m_f m_c^2 radial evaluations, not m^2): free offsets from node 0 to
+    the minimum image, confined differences compressed by eps.
     """
     _resolvability_guard(spec)
     pref, arg_scale = _kernel_scaling(spec)
-    shape = spec.domain.shape
-    block = len(shape)
-    r2 = np.zeros(shape + shape)
+    d_c = spec.confined.dim
+    r2 = np.zeros(spec.free.shape + spec.confined.shape * 2)
     axis = 0
     for part in spec.domain.parts:
         for a in range(part.dim):
             nodes = part.axis_nodes(a)
-            diff = nodes[:, None] - nodes[None, :]
+            sh = [1] * r2.ndim
             if part.periodic:
                 L = part.extents[a]
+                diff = nodes - nodes[0]
                 diff -= L * np.round(diff / L)
+                sh[axis] = len(nodes)
             else:
-                diff = part.eps * diff
-            sh = [1] * (2 * block)
-            sh[axis], sh[block + axis] = len(nodes), len(nodes)
+                diff = part.eps * (nodes[:, None] - nodes[None, :])
+                sh[axis] = sh[axis + d_c] = len(nodes)
             r2 = r2 + (diff**2).reshape(sh)
             axis += 1
-    return pref * spec.interaction.radial(arg_scale * np.sqrt(r2))
+    m_c = math.prod(spec.confined.shape)
+    c = pref * spec.interaction.radial(arg_scale * np.sqrt(r2))
+    return _row_layout(c.reshape(spec.free.shape + (m_c, m_c)))
+
+
+def _row_layout(c: np.ndarray) -> np.ndarray:
+    """An offset table C[d, y_1, y_2] laid out so each pair-matrix row is a slice.
+
+    T[y_1, k, y_2] = C[(n - 1 - k) mod n, y_1, y_2] for k = 0..2n-1 on each
+    free axis: C tiled twice and reversed along its free axes, y_1 moved
+    first.  For x_1 = (i, y_1) and x_2 = (j, y_2), W(x_1, x_2) =
+    C[(i - j) mod n, y_1, y_2] = T[y_1, n - 1 - i + j, y_2], so the row of
+    x_1 is the slice T[y_1, n - 1 - i : 2n - 1 - i, :]: with y_1 first, its
+    last free axis and y_2 are one contiguous run, the whole row at d_f = 1.
+    """
+    d_f = c.ndim - 2
+    tiled = np.tile(c, (2,) * d_f + (1, 1))
+    return np.ascontiguousarray(np.moveaxis(np.flip(tiled, tuple(range(d_f))), -2, 0))
+
+
+def _pair_view(table: np.ndarray) -> np.ndarray:
+    """The pair matrix of a ``_row_layout`` table as a read-only view, shape (grid) x 2.
+
+    The grid here is (n_1, ..., n_df, m_c), the raveled one-body grid's
+    free axes and its confined nodes.  W[(i, y_1), (j, y_2)] =
+    T[y_1, n - 1 - i + j, y_2]: on each free axis a window of n entries of
+    the tiled axis, starting at n - 1 - i.  No entry is copied.
+    """
+    free = [s // 2 for s in table.shape[1:-1]]
+    d_f = len(free)
+    win = sliding_window_view(table, free, axis=tuple(range(1, d_f + 1)))
+    # axes: y_1, window starts s = n - 1 - i, y_2, offsets j in the window
+    win = win[tuple([slice(None)] + [slice(n - 1, None, -1) for n in free])]
+    return win.transpose([*range(1, d_f + 1), 0, *range(d_f + 2, 2 * d_f + 2), d_f + 1])
+
+
+def _row_boxes(shape: tuple, start: int, stop: int) -> list[tuple]:
+    """Boxes that tile the raveled range start:stop of an array of ``shape``, in order.
+
+    Each box is an index tuple: leading axes fixed, one axis sliced, the
+    trailing axes whole, so its elements are one contiguous raveled range.
+    At most 2 len(shape) - 1 boxes, however long the range.
+    """
+    if start >= stop:
+        return []
+    if len(shape) == 1:
+        return [(slice(start, stop),)]
+    inner = math.prod(shape[1:])
+    a, b = -(-start // inner), stop // inner  # the whole indices a:b of axis 0
+    if a > b:  # inside index b
+        return [(b,) + box for box in _row_boxes(shape[1:], start - b * inner, stop - b * inner)]
+    boxes = []
+    if start < a * inner:
+        boxes += [(a - 1,) + box
+                  for box in _row_boxes(shape[1:], start - (a - 1) * inner, inner)]
+    if a < b:
+        boxes.append((slice(a, b),))
+    boxes += [(b,) + box for box in _row_boxes(shape[1:], 0, stop - b * inner)]
+    return boxes
+
+
+def _pair_rows(pair: np.ndarray, start: int, stop: int):
+    """Rows start:stop of a pair matrix of shape (grid) x 2, as a few views.
+
+    Yields (lo, hi, rows) per ``_row_boxes`` box of the row axes: ``rows``
+    is pair[box], the rows lo:hi, of shape (the box's sliced and whole
+    axes) + (grid).  A view of ``_pair_view`` is not copied.
+    """
+    half = pair.ndim // 2
+    m = math.prod(pair.shape[half:])
+    lo = start
+    for box in _row_boxes(pair.shape[:half], start, stop):
+        rows = pair[box]
+        hi = lo + rows.size // m
+        yield lo, hi, rows
+        lo = hi
+
+
+def _pair_matrix(pair: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """Rows start:stop of ``pair`` (as in ``_pair_rows``) copied into ``out``, which is returned.
+
+    ``out`` has at least stop - start rows of m entries and the pair's dtype.
+    """
+    rows = out[:stop - start]
+    for lo, hi, view in _pair_rows(pair, start, stop):
+        rows[lo - start:hi - start].reshape(view.shape)[...] = view
+    return rows
+
+
+def pair_phase_array(spec: ModelSpec) -> np.ndarray:
+    """W(r_i - r_j) for one particle pair, shape (one-body grid) x 2.
+
+    The package's one sampler of the scaled pair kernel: the offset table
+    of ``_pair_table``, expanded.  Differences on periodic axes use the
+    minimum image; on hard-wall axes they enter the profile compressed by
+    eps, as in the rescaled Hamiltonian.  The prefactor of the Hamiltonian
+    (1/(N-1) or 1/N) is *not* included.
+    """
+    return np.ascontiguousarray(_pair_view(_pair_table(spec))).reshape(spec.domain.shape * 2)
 
 
 # -- dynamics -----------------------------------------------------------------
@@ -242,31 +357,40 @@ def symmetry_residual(state: ManyBodyState) -> float:
     return state._residual * np.sqrt(state.cell_volume)
 
 
-def _apply_phases(values: np.ndarray, n: int, m: int, phase_one, phase_pair):
-    """values *= prod_i phase_one(x_i) prod_{i<j} phase_pair(x_i, x_j), in place.
+def _apply_phases(values: np.ndarray, n: int, m: int, phase_one, pair, pair_full):
+    """values *= prod_i phase_one(x_i) prod_{i<j} W_phase(x_i, x_j), in place.
 
     ``values`` is a C-contiguous N-particle state of m points per particle,
-    ``phase_one`` (m,) and ``phase_pair`` (m, m) may be None.  The (m,
-    m^(N-1)) view is walked in row blocks of about ``grids._SLAB_BYTES``
-    (one row when a row is larger), and each block takes every factor before
-    the next block: one pass over memory instead of N + C(N, 2).  Per
-    element the factors come in the order of whole-state passes (one-body
-    i = 0..N-1, then the pairs in ``combinations`` order), so the product
-    is the same to the bit.
+    ``phase_one`` (m,) may be None.  The pair phase is given as ``pair``, a
+    matrix of shape (grid) x 2 such as the ``_pair_view`` of its offset
+    table (None at N = 1), and, for the pairs without particle 0 (N >= 3),
+    as its (m, m) expansion ``pair_full``.  The (m, m^(N-1)) view is walked
+    in row blocks of about ``grids._SLAB_BYTES`` (one row when a row is
+    larger), and each block takes every factor before the next: one pass
+    over memory instead of N + C(N, 2).  The pairs with particle 0 go by the
+    block's ``_pair_rows`` boxes, at most 2 d_f + 1 per block, each
+    multiplied in place by its view of ``pair``.  Per element the factors
+    come in the order of whole-state passes (one-body i = 0..N-1, then the
+    pairs in ``combinations`` order, those with particle 0 first), so the
+    product is the same to the bit.
     """
-    factors = [] if phase_one is None else [(phase_one, (i,)) for i in range(n)]
-    if phase_pair is not None:
-        factors += [(phase_pair, pair) for pair in itertools.combinations(range(n), 2)]
     rest = m ** (n - 1)
     rows = max(1, _SLAB_BYTES // (values.itemsize * rest))
     view = values.reshape(m, rest)
+    half = 0 if pair is None else pair.ndim // 2
     for r in range(0, m, rows):
         block = view[r:r + rows].reshape((-1,) + (m,) * (n - 1))
-        for phase, particles in factors:
-            if particles[0] == 0:  # on the block's rows only
-                phase = phase[r:r + rows]
-            block *= phase.reshape([(-1 if i == 0 else m) if i in particles else 1
-                                    for i in range(n)])
+        if phase_one is not None:
+            for i in range(n):
+                block *= (phase_one[r:r + rows] if i == 0 else phase_one).reshape(
+                    [-1 if k == i else 1 for k in range(n)])
+        for lo, hi, pair_rows in _pair_rows(pair, r, r + len(block)) if n > 1 else ():
+            box, cols = pair_rows.shape[:-half], pair.shape[half:]
+            for j in range(1, n):
+                piece = view[lo:hi].reshape(box + (m ** (j - 1),) + cols + (m ** (n - 1 - j),))
+                piece *= pair_rows.reshape(box + (1,) + cols + (1,))
+        for pair_ij in itertools.combinations(range(1, n), 2):
+            block *= pair_full.reshape([m if k in pair_ij else 1 for k in range(n)])
 
 
 def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
@@ -308,9 +432,11 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
     half = axis_operators(dom, lambda mult: np.exp(-0.5j * dt * mult)) * n
     full = axis_operators(dom, lambda mult: np.exp(-1j * dt * mult)) * n
     m = math.prod(dom.shape)
-    phase_pair = None
+    pair = pair_full = None
     if n > 1:
-        phase_pair = np.exp(-1j * dt * spec.pair_prefactor * pair_phase_array(spec)).reshape(m, m)
+        pair = _pair_view(np.exp(-1j * dt * spec.pair_prefactor * _pair_table(spec)))
+    if n > 2:
+        pair_full = np.ascontiguousarray(pair).reshape(m, m)
     t0 = state.t
 
     def substep(k, values):
@@ -318,7 +444,7 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
         if not spec.potential.is_zero:
             t_mid = t0 + k * dt + dt / 2
             phase_one = np.exp(-1j * dt * spec.potential.values(t_mid, dom)).reshape(m)
-        _apply_phases(values, n, m, phase_one, phase_pair)
+        _apply_phases(values, n, m, phase_one, pair, pair_full)
 
     values = state.values.reshape(groups * n)
     return _snapshots(state, strang_steps(values, half, full, substep, steps, stride), dt)
@@ -354,13 +480,37 @@ def density_matrix(psi, weight: float = 1.0) -> np.ndarray:
     return gamma
 
 
+def _pair_expectation(state: ManyBodyState, spec: ModelSpec) -> float:
+    """sum_{x_1, x_2} W(x_1, x_2) rho_2(x_1, x_2) times the cell volume of Omega^N.
+
+    rho_2(x_1, x_2) = sum_rest |psi(x_1, x_2, rest)|^2 is summed over row
+    blocks of x_1: each block's kernel rows come from the offset table
+    (``_pair_rows``) and its rho_2 rows from one ``einsum`` over the real
+    view of psi, into two buffers of at most a slab.  So neither an
+    m^2-sized kernel nor an m^2-sized rho_2 is formed, and no state-sized
+    product.
+    """
+    m = math.prod(state.domain.shape)
+    pair = _pair_view(_pair_table(spec))  # m_f m_c^2 samples: cheap to rebuild per snapshot
+    parts = state.values.reshape(m, m, -1).view(np.float64)
+    rows = min(m, max(1, _SLAB_BYTES // (8 * m)))
+    kernel, rho2 = np.empty((rows, m)), np.empty((rows, m))
+    total = 0.0
+    for r in range(0, m, rows):
+        block = parts[r:r + rows]
+        w = _pair_matrix(pair, r, r + len(block), kernel)
+        total += float(np.vdot(w, np.einsum("abr,abr->ab", block, block,
+                                            out=rho2[:len(block)])))
+    return total * state.cell_volume
+
+
 def _energy_and_residual(state: ManyBodyState, spec: ModelSpec) -> tuple[float, float, np.ndarray]:
     """(manybody_energy, the symmetry residual its guard computed, ``density_matrix`` gamma).
 
     One-body terms: tr(K gamma) (``grids.kinetic_trace``) + sum_x V(x) gamma(x, x).
-    The pair term sums W rho_2, rho_2(x_1, x_2) = sum_rest |psi(x_1, x_2, rest)|^2
-    from one ``einsum`` over the real view of psi: no state-sized product.  It
-    goes first: at N = 2 gamma is state-sized, formed once the kernel is gone.
+    The pair term is ``_pair_expectation``, with no m^2-sized array.  It goes
+    first, so that its buffers are freed before gamma, which at N = 2 is
+    state-sized, is formed.
     """
     residual = symmetry_residual(state)
     if residual > SYMMETRY_TOL:
@@ -369,11 +519,7 @@ def _energy_and_residual(state: ManyBodyState, spec: ModelSpec) -> tuple[float, 
     m = math.prod(dom.shape)
     inter = 0.0
     if n > 1:
-        # rebuilt per call: an m^2 kernel held for the run (state-sized at N = 2) raises the peak
-        parts = state.values.reshape(m, m, -1).view(np.float64)
-        pair_exp = float(np.vdot(pair_phase_array(spec).reshape(m, m),
-                                 np.einsum("abr,abr->ab", parts, parts))) * state.cell_volume
-        inter = spec.pair_prefactor * (n * (n - 1) / 2.0) / n * pair_exp
+        inter = spec.pair_prefactor * (n * (n - 1) / 2.0) / n * _pair_expectation(state, spec)
     gamma = density_matrix(state.values.reshape((m,) * n), dom.cell_volume)
     v_one = spec.potential.values(state.t, dom).ravel()  # zeros without a potential
     one = kinetic_trace(gamma, dom) + float(np.dot(v_one, gamma.diagonal().real))

@@ -26,7 +26,6 @@ from confinedbose.manybody import (
     ManyBodyState,
     _energy_and_residual,
     estimate_state_bytes,
-    pair_phase_array,
     product_state,
     working_set_bytes,
 )
@@ -118,11 +117,11 @@ TWO_CONFINED_AXES = {  # m = 64 * 4 * 4 = 1024, the NLS demo's one-body grid
                                                        "sigma": 2.0, "omega": 3.0}},
                  9, False, id="N3-m48-9steps-stride3-potential"),
     pytest.param(2, {}, 1, False, id="N2-m48"),
-    pytest.param(2, TWO_CONFINED_AXES, 1, False, id="N2-m1024"),
+    pytest.param(2, TWO_CONFINED_AXES, 1, True, id="N2-m1024"),
     pytest.param(4, {}, 1, True, id="N4-m48"),
 ])
 def test_run_single_peak_within_working_set(tmp_path, n, overrides, steps, tight):
-    # a report at every step unless overridden; at N = 2 the m^2-sized arrays are state-sized
+    # a report at every step unless overridden; at N = 2 gamma is state-sized
     cfg = config(**{"n_particles": n, "dt": 1e-2, "time_horizon": steps * 1e-2,
                     "report_stride": 1, **overrides})
     peak = traced_peak(cfg, tmp_path / "run")
@@ -142,9 +141,8 @@ def test_snapshot_diagnostics_peak(n, grid):
     # or one 1/m-sized row when a row is larger; psi is not copied) and its
     # two 1/m-sized coefficient arrays, the m^2-sized gamma, the one-body
     # allowance (which also covers the dense trace distance's m^2 arrays at
-    # m <= 96).  At N = 2 gamma is state-sized and must not be alive while
-    # the pair kernel's temporaries are, so the bound is the larger of the
-    # kernel's own traced peak and the report's terms.
+    # m <= 96).  The energy's pair term forms no m^2-sized array: its two
+    # buffers of at most a slab each are freed before gamma is formed.
     cfg = config(n_particles=n, **grid)
     spec = cfg.model_spec()
     one = harness.initial_state(spec, cfg.initial)
@@ -155,17 +153,13 @@ def test_snapshot_diagnostics_peak(n, grid):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        pair_phase_array(spec)
-        kernel_peak = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
         e_psi, _, gamma = _energy_and_residual(state, spec)
         compute_report(state, one, e_psi, e_phi, gamma)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     report_terms = max(_SLAB_BYTES, state_bytes // m) + 2 * (state_bytes // m) + 16 * m**2
-    assert peak <= max(kernel_peak, report_terms) + _ONE_BODY_ALLOWANCE
+    assert peak <= report_terms + _ONE_BODY_ALLOWANCE
 
 
 def test_run_single_peak_independent_of_report_count(tmp_path):

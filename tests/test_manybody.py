@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+from confinedbose import manybody
 from confinedbose.counting import grad_q_norm
 from confinedbose.errors import ConfigError, GuardError
 from confinedbose.grids import (
-    _SLAB_BYTES,
     ConfinedDomain,
     FreeDomain,
     GridFunction,
@@ -77,6 +77,47 @@ def test_pair_kernel_amplitude_linearity():
     k1 = pair_phase_array(small_spec(amplitude=2.0))
     k2 = pair_phase_array(small_spec(amplitude=4.0))
     assert np.allclose(k2, 2.0 * k1, rtol=1e-14)
+
+
+def brute_force_kernel(spec):
+    """w(|x_1 - x_2|, eps |y_1 - y_2|) per node pair, as an (m, m) matrix.
+
+    Nodes are built here: the free axes at -L/2 + k L/n with the minimum
+    image of each difference taken by modulo, the confined axes at
+    c + k (d - c)/(n + 1) with the difference compressed by eps.
+    """
+    free, conf = spec.free, spec.confined
+    axes = [-L / 2 + L / n * np.arange(n) for L, n in zip(free.extents, free.points)]
+    axes += [c + (d - c) / (n + 1) * (1 + np.arange(n))
+             for (c, d), n in zip(conf.intervals, conf.points)]
+    coords = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    diff = coords[:, None, :] - coords[None, :, :]
+    for a, L in enumerate(free.extents):
+        diff[..., a] = (diff[..., a] + L / 2) % L - L / 2
+    diff[..., free.dim:] *= conf.eps
+    return spec.interaction.radial(np.sqrt(np.sum(diff**2, axis=-1)))
+
+
+@pytest.mark.parametrize("extents, free_points, confined_points", [
+    pytest.param((8.0,), (16,), (3,), id="16x3"),
+    pytest.param((16.0,), (64,), (4, 4), id="64x4x4"),
+    pytest.param((8.0, 6.0), (16, 16), (3,), id="16x16x3"),
+])
+def test_pair_phase_array_matches_brute_force_sampler(extents, free_points, confined_points):
+    # the support (3.1) reaches past half the box, so the wrap is exercised
+    spec = ModelSpec(
+        free=FreeDomain(extents, free_points),
+        confined=ConfinedDomain(((-0.5, 0.5),) * len(confined_points), confined_points,
+                                eps=0.4),
+        n_particles=2,
+        interaction=InteractionProfile("gaussian-bump", amplitude=1.3, radius=3.1, sigma=1.2),
+        regime="hartree-theta0",
+    )
+    expected = brute_force_kernel(spec)
+    kernel = pair_phase_array(spec)
+    assert kernel.shape == spec.domain.shape * 2
+    m = expected.shape[0]
+    assert np.max(np.abs(kernel.reshape(m, m) - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 def nls_spec(n, theta, eps, L=16.0, n_f=128, n_c=8):
@@ -482,26 +523,85 @@ def phases_pair_by_pair(values, n, m, phase_one, phase_pair):
         v *= phase.reshape([m if i in particles else 1 for i in range(n)])
 
 
+def expand_offsets(table, shape, d_f):
+    """m x m matrix W[(i, y_1), (j, y_2)] = table[(i - j) mod n, y_1, y_2].
+
+    ``table`` has the free axes of ``shape`` (the first ``d_f``) and then
+    two raveled confined axes; rows and columns are raveled C-order nodes.
+    """
+    nodes = np.unravel_index(np.arange(int(np.prod(shape))), shape)
+    conf = np.ravel_multi_index(nodes[d_f:], shape[d_f:])
+    offsets = tuple((nodes[a][:, None] - nodes[a][None, :]) % shape[a] for a in range(d_f))
+    return table[offsets + (conf[:, None], conf[None, :])]
+
+
 @pytest.mark.parametrize("with_potential", [False, True], ids=["pairs", "potential-and-pairs"])
-@pytest.mark.parametrize("n, blocks", [
-    pytest.param(1, 1, id="N1"),
-    pytest.param(2, 1, id="N2"),
-    pytest.param(3, 2, id="N3-28-and-20-rows"),
-    pytest.param(4, 48, id="N4-one-row-each"),
+@pytest.mark.parametrize("n, shape, d_f, block_rows, blocks", [
+    pytest.param(1, (16, 3), 1, None, 1, id="N1"),
+    pytest.param(2, (16, 3), 1, None, 1, id="N2"),
+    pytest.param(3, (16, 3), 1, None, 2, id="N3-28-and-20-rows"),
+    pytest.param(4, (16, 3), 1, None, 48, id="N4-one-row-each"),
+    # blocks of 24 and 7 rows end partway through a free coordinate's 16 and 3 rows
+    pytest.param(2, (64, 4, 4), 1, 24, 43, id="N2-64x4x4-24-rows"),
+    pytest.param(2, (16, 16, 3), 2, 7, 110, id="N2-16x16x3-7-rows"),
 ])
-def test_phase_walk_matches_pair_by_pair_passes(n, blocks, with_potential):
-    # bit for bit: each element takes the same factors in the same order
-    m = 48
-    rows = max(1, _SLAB_BYTES // (16 * m ** (n - 1)))
+def test_phase_walk_matches_pair_by_pair_passes(monkeypatch, n, shape, d_f, block_rows,
+                                                blocks, with_potential):
+    # bit for bit: each element takes the same factors in the same order, the
+    # pair factor from a random offset table against its m x m expansion
+    m = int(np.prod(shape))
+    if block_rows is not None:
+        monkeypatch.setattr(manybody, "_SLAB_BYTES", 16 * m ** (n - 1) * block_rows)
+    rows = max(1, manybody._SLAB_BYTES // (16 * m ** (n - 1)))
     assert -(-m // rows) == blocks
     rng = np.random.default_rng(n)
+    m_c = int(np.prod(shape[d_f:]))
     phase_one = np.exp(2j * np.pi * rng.random(m)) if with_potential else None
-    phase_pair = np.exp(2j * np.pi * rng.random((m, m))) if n > 1 else None
+    table = np.exp(2j * np.pi * rng.random(shape[:d_f] + (m_c, m_c)))
+    phase_pair = expand_offsets(table, shape, d_f) if n > 1 else None
     values = rng.normal(size=(m,) * n) + 1j * rng.normal(size=(m,) * n)
     expected = values.copy()
     phases_pair_by_pair(expected, n, m, phase_one, phase_pair)
-    _apply_phases(values, n, m, phase_one, phase_pair)
+    pair = manybody._pair_view(manybody._row_layout(table)) if n > 1 else None
+    _apply_phases(values, n, m, phase_one, pair, phase_pair if n > 2 else None)
     assert np.array_equal(values, expected)
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 3), (3, 4, 2), (2, 3, 2, 3)])
+def test_row_boxes_tile_every_range_in_order(shape):
+    # each box is one contiguous raveled range, and together they are start:stop
+    size = int(np.prod(shape))
+    index = np.arange(size).reshape(shape)
+    for start in range(size + 1):
+        for stop in range(start, size + 1):
+            boxes = manybody._row_boxes(shape, start, stop)
+            assert len(boxes) <= 2 * len(shape) - 1
+            covered = np.concatenate([index[box].ravel() for box in boxes] + [[]])
+            assert np.array_equal(covered, np.arange(start, stop))
+
+
+TWO_FREE_AXES_M192 = dict(free=FreeDomain((6.0, 6.0), (8, 8)),
+                          confined=ConfinedDomain(UNIT_INTERVAL, (3,), eps=0.5))
+
+
+@pytest.mark.parametrize("grid, n, block_rows", [
+    pytest.param(TWO_GROUPS_M256, 2, 7, id="16x4x4-N2-7-rows"),
+    pytest.param(TWO_FREE_AXES_M192, 2, 5, id="8x8x3-N2-5-rows"),
+    pytest.param(TWO_GROUPS_M72, 3, 5, id="8x3x3-N3-5-rows"),
+])
+def test_pair_energy_in_row_blocks_matches_sweep(monkeypatch, grid, n, block_rows,
+                                                 direct_sweeps):
+    # the pair term summed over row blocks that end partway through a free
+    # coordinate's rows, against vdot(psi, W_12 psi) with the expanded kernel
+    spec = ModelSpec(n_particles=n, regime="hartree-theta0",
+                     interaction=InteractionProfile("gaussian-bump", amplitude=2.5,
+                                                    radius=2.4, sigma=0.8), **grid)
+    m = int(np.prod(spec.domain.shape))
+    state = symmetric_random_state(spec.domain, n, np.random.default_rng(60 + n), t=0.0)
+    whole = manybody_energy(state, spec)
+    monkeypatch.setattr(manybody, "_SLAB_BYTES", 8 * m * block_rows)
+    assert manybody_energy(state, spec) == pytest.approx(whole, rel=1e-13)
+    assert whole == pytest.approx(direct_sweeps.energy(state, spec), rel=1e-12)
 
 
 def test_asymmetric_input_rejected():
