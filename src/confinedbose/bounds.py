@@ -15,8 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import fft as sfft
-from scipy import integrate
+from numpy import fft
 
 from .errors import ConfigError, GuardError, InvariantError
 from .grids import apply_kinetic
@@ -154,6 +153,7 @@ def interaction_norms(profile: InteractionProfile, eps: float,
         return {"w0_l1": 0.0, "w0_sup": sup, "weps_l2": 0.0, "weps_sup": sup}
     if free.dim != 2 or confined.dim != 1:
         raise ConfigError("coulomb norms are implemented for one confined direction")
+    from scipy import integrate  # here, not at the top: only a Coulomb run needs it
     A, R = profile.amplitude, profile.radius
     w0_l1 = A * 2.0 * np.pi * R  # integral of 1/|x| over the 2-d disc of radius R
     width = confined.widths[0]
@@ -246,8 +246,8 @@ def _padded_source_and_symbol(f: np.ndarray, h: float):
     p = _PAD_FACTOR * n
     pad = np.zeros((p,) * 3)
     pad[:n, :n, :n] = f
-    k1 = 2.0 * np.pi * sfft.fftfreq(p, d=h)
-    k1r = 2.0 * np.pi * sfft.rfftfreq(p, d=h)
+    k1 = 2.0 * np.pi * fft.fftfreq(p, d=h)
+    k1r = 2.0 * np.pi * fft.rfftfreq(p, d=h)
     kx = k1[:, None, None]
     ky = k1[None, :, None]
     kz = k1r[None, None, :]
@@ -271,11 +271,11 @@ def poisson_vector_field(f: np.ndarray, h: float) -> np.ndarray:
     _check_support_margin(f)
     n = f.shape[0]
     pad, ks, newton = _padded_source_and_symbol(f, h)
-    fhat = sfft.rfftn(pad)
+    fhat = fft.rfftn(pad)
     out = np.empty((3, n, n, n))
     for nu in range(3):
         xi_hat = -1j * ks[nu] * newton * fhat
-        out[nu] = sfft.irfftn(xi_hat, s=pad.shape)[:n, :n, :n]
+        out[nu] = fft.irfftn(xi_hat, s=pad.shape, axes=(0, 1, 2))[:n, :n, :n]
     return out
 
 
@@ -289,9 +289,9 @@ def divergence_residual(f: np.ndarray, h: float) -> float:
     _check_support_margin(f)
     n = f.shape[0]
     pad, ks, newton = _padded_source_and_symbol(f, h)
-    fhat = sfft.rfftn(pad)
+    fhat = fft.rfftn(pad)
     div_hat = (ks[0] ** 2 + ks[1] ** 2 + ks[2] ** 2) * newton * fhat
-    div = sfft.irfftn(div_hat, s=pad.shape)[:n, :n, :n]
+    div = fft.irfftn(div_hat, s=pad.shape, axes=(0, 1, 2))[:n, :n, :n]
     return float(np.linalg.norm(div - f) / np.linalg.norm(f))
 
 
@@ -314,6 +314,7 @@ def coulomb_confined_norms(eps: float) -> CoulombNorms:
     """
     if not 0.0 < eps <= 0.5:
         raise ConfigError("eps must lie in (0, 1/2]")
+    from scipy import integrate  # as in interaction_norms
 
     val, err = integrate.dblquad(
         lambda y, r: 4.0 * np.pi * (1.0 - r / np.hypot(r, eps * y)),

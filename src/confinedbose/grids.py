@@ -1,17 +1,17 @@
 """Discretized geometry for the cylinder Omega = Omega_f x Omega_c.
 
-Free directions live on a padded periodic box and are diagonalized by the
-FFT; confined directions carry a hard-wall (Dirichlet) condition and are
-diagonalized by the type-I discrete sine transform, so the boundary
-condition is exact.  Every domain is the tuple ``parts`` of its factors
-(``FreeDomain``, ``ConfinedDomain``, or both for a ``ProductDomain``), and
-each part says whether its axes are ``periodic`` and gives their nodes,
-kinetic multipliers and file geometry, so per-axis code loops over the
-parts once.  Functions of the kinetic operator act through one
-position-space matrix per group of small consecutive axes (``axis_groups``,
-``axis_operators``, ``apply_kinetic``, ``kinetic_trace``), and both
-evolvers step through the one Strang schedule ``strang_steps``.
-Quadrature is uniform-weight, consistent with the transform sampling.
+Free directions live on a padded periodic box, diagonalized by plane waves;
+confined directions carry a hard-wall (Dirichlet) condition, diagonalized by
+the sine vectors of the type-I DST, so the condition is exact.  Every domain
+is the tuple ``parts`` of its factors (``FreeDomain``, ``ConfinedDomain``, or
+both for a ``ProductDomain``), and each part says whether its axes are
+``periodic`` and gives their nodes, kinetic multipliers and file geometry,
+so per-axis code loops over the parts once.  Functions of the kinetic
+operator act through one position-space matrix per group of small
+consecutive axes, built from the explicit eigenbases with no transform call
+(``axis_groups``, ``axis_operators``, ``apply_kinetic``, ``kinetic_trace``),
+and both evolvers step through the one Strang schedule ``strang_steps``.
+Quadrature is uniform-weight, consistent with the eigenbasis sampling.
 
 All operations here are pure functions of immutable inputs, except that
 ``apply_along(..., out=)`` writes ``out`` and ``strang_steps`` writes its own
@@ -26,7 +26,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
+from numpy.fft import fftfreq
 
 from .errors import ConfigError
 
@@ -52,10 +52,10 @@ __all__ = [
 class _Part:
     """One factor of the cylinder: a block of axes of one kind.
 
-    A part is ``periodic`` (free axes: FFT, minimum image, eps = 1) or not
-    (hard-wall confined axes: DST-I, compressed by eps).  Every domain is
-    the tuple ``parts`` of its factors, free first; a part is its own only
-    factor.
+    A part is ``periodic`` (free axes: plane waves, minimum image, eps = 1)
+    or not (hard-wall confined axes: DST-I sines, compressed by eps).  Every
+    domain is the tuple ``parts`` of its factors, free first; a part is its
+    own only factor.
     """
 
     @property
@@ -83,7 +83,7 @@ class FreeDomain(_Part):
     """Periodic surrogate for the unconfined directions.
 
     Axis ``a`` covers ``[-extent[a]/2, extent[a]/2)`` with ``points[a]``
-    equispaced nodes.  Point counts must be powers of two (FFT contract).
+    equispaced nodes.  Point counts must be powers of two (fast FFT lengths).
     """
 
     extents: tuple[float, ...]
@@ -121,7 +121,7 @@ class FreeDomain(_Part):
 
     def axis_multipliers(self, eps: float | None = None) -> list[np.ndarray]:
         """k^2 per axis, wavenumbers in FFT order; ``eps`` does not act here."""
-        return [(2.0 * np.pi * sfft.fftfreq(n, d=h)) ** 2
+        return [(2.0 * np.pi * fftfreq(n, d=h)) ** 2
                 for n, h in zip(self.points, self.spacings)]
 
 
@@ -276,13 +276,12 @@ def axis_multipliers(domain: Domain, eps: float | None = None) -> tuple[np.ndarr
 def axis_operators(domain: Domain, fn, eps: float | None = None) -> tuple[np.ndarray, ...]:
     """Position-space matrices of ``fn(multiplier)``, one per ``axis_groups`` entry.
 
-    A group's matrix transforms a reshaped identity along each of its axes
-    (FFT on periodic axes, DST-I on hard-wall ones), multiplies by fn of the
-    group's summed axis multipliers and transforms back, so it acts on the
-    group's merged axis of the C-ordered reshape.  The axis terms of the
-    kinetic operator commute, so applying the matrices of
-    ``fn = exp(-i tau m)`` along every group is the exact propagator
-    exp(-i tau (-Delta_x - eps^-2 Delta_y)), and summing those of
+    A group's matrix is V fn(Lambda) V^dagger, with V the Kronecker product
+    of its axes' eigenbases (``_axis_basis``) and Lambda their summed axis
+    multipliers; it acts on the group's merged axis of the C-ordered
+    reshape.  The axis terms of the kinetic operator commute, so applying
+    the matrices of ``fn = exp(-i tau m)`` along every group is the exact
+    propagator exp(-i tau (-Delta_x - eps^-2 Delta_y)), and summing those of
     ``fn = identity`` is the kinetic operator itself.  ``eps`` is passed to
     ``axis_multipliers``.
     """
@@ -290,19 +289,22 @@ def axis_operators(domain: Domain, fn, eps: float | None = None) -> tuple[np.nda
     mults = axis_multipliers(domain, eps)
     mats = []
     for axes in _group_axes(domain.shape):
-        total = 0.0
+        total, vecs = 0.0, np.ones((1, 1))
         for axis in axes:
             total = np.add.outer(total, mults[axis])
-        mat = np.eye(total.size).reshape(total.shape + (total.size,))
-        for local, axis in enumerate(axes):
-            mat = (sfft.fft(mat, axis=local) if periodic[axis]
-                   else sfft.dst(mat, type=1, axis=local))
-        mat = fn(total)[..., None] * mat
-        for local, axis in enumerate(axes):
-            mat = (sfft.ifft(mat, axis=local) if periodic[axis]
-                   else sfft.idst(mat, type=1, axis=local))
-        mats.append(mat.reshape(total.size, total.size))
+            vecs = np.kron(vecs, _axis_basis(len(mults[axis]), periodic[axis]))
+        mats.append((vecs * fn(total).ravel()) @ vecs.conj().T)
     return tuple(mats)
+
+
+def _axis_basis(n: int, periodic: bool) -> np.ndarray:
+    """Orthonormal eigenvectors of one axis, columns in ``axis_multipliers`` order:
+    e^(2 pi i jk/n)/sqrt(n), k in FFT order (the first node's phase cancels in
+    V fn V^dagger), or sqrt(2/(n+1)) sin(pi jk/(n+1)), j, k = 1..n; jk mod period."""
+    if periodic:
+        return np.exp(2j * np.pi * (np.outer(np.arange(n), np.arange(n)) % n) / n) / np.sqrt(n)
+    jk = np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * n + 2)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * jk / (n + 1))
 
 
 _GROUP_BOUND = 64  # largest merged axis: larger dense sweeps cost more flops than they save passes

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
+from numpy import fft
 
 from .errors import ConfigError, GuardError
 from .grids import (
@@ -124,8 +124,8 @@ def hartree_potential(phi: GridFunction, kernel: GridFunction) -> GridFunction:
     )
     if edge > 1e-10 * max(1.0, float(np.max(np.abs(kv)))):
         raise GuardError("kernel support reaches the padded-box margin")
-    fast = [sfft.next_fast_len(2 * n - 1, True) for n in dom.shape]  # linear, no wrap
-    full = sfft.irfftn(sfft.rfftn(dens, fast) * sfft.rfftn(kv, fast), fast)
+    pad, axes = [2 * n for n in dom.shape], range(dom.dim)  # 2n >= 2n - 1: linear, no wrap
+    full = fft.irfftn(fft.rfftn(dens, pad, axes) * fft.rfftn(kv, pad, axes), pad, axes)
     slices = tuple(slice(n // 2, n // 2 + n) for n in dom.shape)
     out = full[slices] * dom.cell_volume
     return GridFunction(dom, out)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from confinedbose.counting import project_q
 from confinedbose.grids import apply_along, axis_groups, axis_operators
@@ -55,6 +56,40 @@ def analytic_kinetic_matrix(domain, fn, eps=None):
 def analytic_kinetic():
     """The analytic-eigenbasis oracle ``analytic_kinetic_matrix``."""
     return analytic_kinetic_matrix
+
+
+def transform_kinetic_matrix(domain, fn, eps=None):
+    """Dense fn(K) on the raveled grid by fast transforms, K as above.
+
+    A reshaped identity is transformed along every axis (FFT on periodic
+    axes, DST-I on hard-wall ones), multiplied by fn of the summed axis
+    multipliers and transformed back.  It shares no code with
+    ``axis_operators``: no eigenvector is written out, and the multipliers
+    are formed here, k^2 in the FFT's output order and (m pi / w)^2 / eps^2.
+    """
+    total, periodic = 0.0, []
+    for part in domain.parts:
+        for a, n in enumerate(part.points):
+            if part.periodic:
+                k = 2.0 * np.pi * sfft.fftfreq(n, d=part.extents[a] / n)
+            else:
+                weight = part.eps if eps is None else eps
+                k = (1 + np.arange(n)) * np.pi / part.widths[a] / weight
+            total = np.add.outer(total, k**2)
+            periodic.append(part.periodic)
+    mat = np.eye(total.size).reshape(total.shape + (total.size,))
+    for axis, wave in enumerate(periodic):
+        mat = sfft.fft(mat, axis=axis) if wave else sfft.dst(mat, type=1, axis=axis)
+    mat = fn(total)[..., None] * mat
+    for axis, wave in enumerate(periodic):
+        mat = sfft.ifft(mat, axis=axis) if wave else sfft.idst(mat, type=1, axis=axis)
+    return mat.reshape(total.size, total.size)
+
+
+@pytest.fixture
+def transform_kinetic():
+    """The fast-transform oracle ``transform_kinetic_matrix``."""
+    return transform_kinetic_matrix
 
 
 # -- direct sweeps over the state: the oracles of the density-matrix route ----

@@ -1,5 +1,8 @@
 """Envelopes, rate exponents, splittings, vector fields, Coulomb quadratures."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -302,6 +305,38 @@ def test_ls_norm_singular_matches_closed_form(s):
     closed = (4 * np.pi * A**s * R ** (3 - s) / (3 - s)) ** (1 / s)
     assert core.ls_norm_singular() == pytest.approx(closed, rel=1e-10)
     assert core.ls_norm_singular(2.0) == pytest.approx((4 * np.pi * A**2 * R) ** 0.5, rel=1e-10)
+
+
+@pytest.mark.parametrize("s", [1.2, 1.8, 2.5])
+def test_ls_norm_singular_matches_adaptive_quadrature(s):
+    from confinedbose.model import InteractionProfile
+
+    core = InteractionProfile("coulomb", amplitude=1.7, radius=0.6, singular_exponent=s)
+    val, _ = quad(lambda r: 4 * np.pi * r**2 * np.abs(core.radial(r)) ** s, 0.0, 0.6, limit=200)
+    assert core.ls_norm_singular() == pytest.approx(val ** (1 / s), rel=1e-10)
+
+
+def _demo_interaction(path):
+    w = json.loads(path.read_text())["interaction"]
+    return pytest.param(w["amplitude"], w["radius"], w.get("sigma"), id=path.stem)
+
+
+# the interaction of every shipped demo config, and the default sigma = R/3
+_RADIAL_CASES = [
+    _demo_interaction(path)
+    for path in sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
+] + [pytest.param(1.0, 2.4, None, id="default-sigma")]
+
+
+@pytest.mark.parametrize("kind", ["gaussian-bump", "compact-polynomial-bump"])
+@pytest.mark.parametrize("amplitude, radius, sigma", _RADIAL_CASES)
+def test_integral3_matches_adaptive_quadrature(kind, amplitude, radius, sigma):
+    # the fixed Gauss-Legendre rule against adaptive quadrature of the same integrand
+    from confinedbose.model import InteractionProfile
+
+    profile = InteractionProfile(kind, amplitude=amplitude, radius=radius, sigma=sigma)
+    val, _ = quad(lambda r: 4 * np.pi * r**2 * profile.radial(r), 0.0, radius, limit=200)
+    assert profile.integral3() == pytest.approx(val, rel=1e-13)
 
 
 def test_ls_norm_singular_bounded_kind_and_exponent_limit():

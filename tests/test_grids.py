@@ -313,8 +313,10 @@ SPECTRAL_CASES = [
     "case", SPECTRAL_CASES,
     ids=["conf_points0", "conf_points1", "16x3", "64x4x4", "8x8x2", "128x3"],
 )
-def test_axis_operators_match_spectral_route(case, analytic_kinetic):
-    # the spectral route is V f(Lambda) V^dagger in the analytic eigenbasis
+def test_axis_operators_match_spectral_route(case, analytic_kinetic, transform_kinetic):
+    # two spectral routes: V f(Lambda) V^dagger in the analytic eigenbasis
+    # (the construction axis_operators uses), and FFT/DST-I of an identity,
+    # which writes out no eigenvector
     extents, free_points, intervals, conf_points = case
     dom = ProductDomain(
         FreeDomain(extents, free_points), ConfinedDomain(intervals, conf_points, eps=0.5)
@@ -322,15 +324,15 @@ def test_axis_operators_match_spectral_route(case, analytic_kinetic):
     rng = np.random.default_rng(11)
     f = rng.normal(size=dom.shape) + 1j * rng.normal(size=dom.shape)
 
-    def spectral_route(fn):
-        return (analytic_kinetic(dom, fn) @ f.ravel()).reshape(dom.shape)
+    def spectral_routes(fn):
+        return [(oracle(dom, fn) @ f.ravel()).reshape(dom.shape)
+                for oracle in (analytic_kinetic, transform_kinetic)]
 
-    expected = spectral_route(lambda lam: lam)
     generator = apply_kinetic(f, dom)
-    assert np.max(np.abs(generator - expected)) <= 1e-12 * np.max(np.abs(expected))
+    for expected in spectral_routes(lambda lam: lam):
+        assert np.max(np.abs(generator - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     tau = 0.03
-    expected = spectral_route(lambda lam: np.exp(-1j * tau * lam))
     groups = axis_groups(dom.shape)
     propagators = axis_operators(dom, lambda m: np.exp(-1j * tau * m))
     assert tuple(len(u) for u in propagators) == groups
@@ -339,4 +341,5 @@ def test_axis_operators_match_spectral_route(case, analytic_kinetic):
         evolved = apply_along(evolved, u, axis)
         assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= 1e-13
     evolved = evolved.reshape(dom.shape)
-    assert np.max(np.abs(evolved - expected)) <= 1e-12 * np.max(np.abs(expected))
+    for expected in spectral_routes(lambda lam: np.exp(-1j * tau * lam)):
+        assert np.max(np.abs(evolved - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -137,8 +137,31 @@ def test_hartree_potential_shift_equivariance_and_positivity():
     assert np.max(np.abs(pot_s.values - np.roll(pot.values, shift))) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(16,), (64,), (16, 16)])
+def test_hartree_potential_matches_direct_linear_convolution(shape):
+    # out(x_i) = h^d sum_j w(x_i - x_j) |phi(x_j)|^2, the kernel sampled at the
+    # signed differences: kernel node k holds w((k - n/2) h) on every axis
+    dom = FreeDomain((8.0,) * len(shape), shape)
+    rng = np.random.default_rng(5)
+    phi = GridFunction(dom, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    xs = dom.meshgrid()
+    r2 = sum(x**2 for x in xs)
+    # a lopsided bump inside |x| < 3, so a kernel flipped about 0 shows
+    kern = GridFunction(dom, np.where(r2 < 9.0, (1.0 - r2 / 9.0) ** 2 * (1.0 + 0.3 * xs[0]), 0.0))
+    dens = np.abs(phi.values) ** 2
+    expected = np.zeros(shape)
+    for i in np.ndindex(*shape):
+        for j in np.ndindex(*shape):
+            k = tuple(a - b + n // 2 for a, b, n in zip(i, j, shape))
+            if all(0 <= kk < n for kk, n in zip(k, shape)):
+                expected[i] += kern.values.real[k] * dens[j]
+    expected *= dom.cell_volume
+    pot = hartree_potential(phi, kern).values
+    assert np.max(np.abs(pot - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_package_import_leaves_scipy_signal_unloaded():
-    # the mean-field convolution goes through scipy.fft, like the kinetic operator
+    # the mean-field convolution goes through numpy.fft, not scipy.signal
     import confinedbose
 
     src = os.path.dirname(os.path.dirname(confinedbose.__file__))
@@ -146,6 +169,20 @@ def test_package_import_leaves_scipy_signal_unloaded():
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "False"
+
+
+def test_package_import_loads_no_fft_quadrature_or_optimizer_module():
+    # the package needs numpy, scipy.linalg and scipy.sparse.linalg only; the
+    # Coulomb quadratures import scipy.integrate when they run
+    import confinedbose
+
+    src = os.path.dirname(os.path.dirname(confinedbose.__file__))
+    heavy = ["scipy.fft", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.signal"]
+    code = ("import sys, confinedbose, confinedbose.cli; "
+            f"print([name for name in {heavy!r} if name in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_hartree_potential_rejects_wide_kernel():
