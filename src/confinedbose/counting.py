@@ -6,10 +6,11 @@ particles orthogonal to phi", weighted operators f-hat = sum f(k) P_{k,N},
 the functionals alpha, beta and their derivative decomposition, the reduced
 one-particle density matrix and the trace distance.
 
-Two independent computation routes exist for every functional: the tensor
-contraction route below (works for any per-site dimension, including full
-grids) and the explicit kron-matrix route in the ``dense_*`` helpers, small
-enough to serve as the other's oracle.
+Three routes compute them: the number frame of ``occupancy_components``,
+``hat_apply`` and ``occupation_distribution`` (the Householder reflector H
+takes phi to a phase times e0, so f-hat = H^(x)N diag(f(#q)) H^(x)N with #q
+the nonzero entries of a multi-index), the contraction chain of
+``_sector_weights`` (the report's p_k), and the dense kron oracle ``dense_*``.
 
 Internally phi is rescaled to unit quadrature weight and psi is read in
 place: the weight of psi enters the returned scalars (and vectors) as a
@@ -19,6 +20,7 @@ representation and no state-sized rescaled copy is made.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -147,34 +149,44 @@ def _project_q_in_place(v: np.ndarray, phi: np.ndarray, axis: int):
         blas.zgeru(-1.0, c[l], phi, a=block[l].T, overwrite_a=1)
 
 
-def occupancy_components(psi: np.ndarray, phi: np.ndarray, weight: float = 1.0):
-    """[P_{0,N} psi, ..., P_{N,N} psi] by per-coordinate splitting.
+def _reflector(phi: np.ndarray) -> np.ndarray:
+    """H = 1 - 2 u u^dagger / |u|^2, u = phi + s e0 with s = phi_0 / |phi_0| (1 if 0):
+    Hermitian, unitary, H phi = -s e0 for a unit phi, so p = H e0 e0^dagger H."""
+    u = phi.copy()
+    u[0] += phi[0] / abs(phi[0]) if phi[0] != 0.0 else 1.0
+    return np.eye(phi.size) - u[:, None] * ((2.0 / np.vdot(u, u).real) * np.conj(u))
 
-    Sweeping the coordinates once and keeping partial sums sorted by the
-    number of q factors costs O(N^2) projector applications instead of the
-    2^N literal operator sum.  Buffers are reused in place: the q part of
-    each component overwrites it, and the new component with one more q
-    factor goes into the previous q part, so at most N + 2 state-sized
-    arrays live at once besides ``psi``, which is only read.
+
+@functools.lru_cache(maxsize=8)
+def _q_counts(m: int, n: int) -> np.ndarray:
+    """#q of every raveled multi-index of (m,)*n: how many of its entries are nonzero."""
+    counts = sum((ix != 0 for ix in np.indices((m,) * n, sparse=True)), np.uint8(0)).ravel()
+    counts.setflags(write=False)
+    return counts
+
+
+def _sweep(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """H on every axis of v, shape (m,)*N, which is only read: each matmul applies
+    H to the first axis and moves it last, so after N the axes are in order."""
+    m, n = h.shape[0], v.ndim
+    ht = np.conj(h)  # h.T, as H is Hermitian, but C-contiguous
+    for _ in range(n):
+        v = v.reshape(m, -1).T @ ht
+    return v.reshape((m,) * n)
+
+
+def occupancy_components(psi: np.ndarray, phi: np.ndarray, weight: float = 1.0):
+    """[P_{0,N} psi, ..., P_{N,N} psi] in the number frame.
+
+    psi, which is only read, is swept into the frame once; component k is
+    the frame vector masked to #q = k and swept back, one k at a time.
     """
     psi, phi, n, amp = _frame(psi, phi, weight)
-    p_part = project_p(psi, phi, 0)
-    comps = [p_part, psi - p_part]
-    for axis in range(1, n):
-        new = []
-        prev_q = None
-        for comp in comps:
-            p_part = project_p(comp, phi, axis)
-            np.subtract(comp, p_part, out=comp)
-            new.append(p_part if prev_q is None else np.add(p_part, prev_q, out=prev_q))
-            del p_part  # before the next projection allocates its own
-            prev_q = comp
-        new.append(prev_q)
-        comps = new
-    if amp != 1.0:
-        for comp in comps:
-            comp *= amp
-    return comps
+    h = _reflector(phi)
+    w = _sweep(psi, h)
+    w *= amp
+    counts = _q_counts(phi.size, n).reshape(w.shape)
+    return [_sweep(np.where(counts == k, w, 0.0), h) for k in range(n + 1)]
 
 
 # -- the functionals ----------------------------------------------------------
@@ -194,9 +206,11 @@ def alpha_density_route(psi, phi) -> float:
 
 
 def occupation_distribution(psi, phi, weight: float = 1.0) -> np.ndarray:
-    """p(k) = <psi, P_{k,N} psi> via the occupancy decomposition."""
-    comps = occupancy_components(psi, phi, weight)
-    return np.array([float(np.vdot(c, c).real) for c in comps])
+    """p(k) = <psi, P_{k,N} psi>: the frame vector's squared entries summed by #q."""
+    psi, phi, n, amp = _frame(psi, phi, weight)
+    w = _sweep(psi, _reflector(phi)).ravel()
+    dens = np.bincount(_q_counts(phi.size, n), weights=w.real**2 + w.imag**2, minlength=n + 1)
+    return amp**2 * dens
 
 
 def occupation_distribution_enumeration(psi, phi) -> np.ndarray:
@@ -330,43 +344,25 @@ class WeightFunction:
         object.__setattr__(w, "values", w._formula(np.arange(n + 1)))
         return w
 
-    @classmethod
-    def sqrt_fraction(cls, n: int) -> "WeightFunction":
-        return cls.from_tag("n", n)
-
-    def inverse(self) -> "WeightFunction":
-        """Formal reciprocal with 1/f(k) := 0 where f vanishes.
-
-        Meant to be applied only after a q_1 factor, which annihilates the
-        k = 0 sector, so the convention never divides by zero in anger.
-        """
-        safe = np.where(self.values != 0.0, self.values, 1.0)
-        return WeightFunction(np.where(self.values != 0.0, 1.0 / safe, 0.0))
-
     def shifted(self, j: int) -> "WeightFunction":
         """(tau_j f)(k) = f(k + j); out-of-range per the class docstring."""
         k = np.arange(self.n_particles + 1) + j
         if self.tag is not None:
-            vals = self._formula(k)
-        else:
-            vals = np.where(
-                (k >= 0) & (k <= self.n_particles),
-                self.values[np.clip(k, 0, self.n_particles)],
-                0.0,
-            )
-        return WeightFunction(vals, None)
+            return WeightFunction(self._formula(k), None)
+        n = self.n_particles
+        return WeightFunction(np.where((k >= 0) & (k <= n), self.values[np.clip(k, 0, n)], 0.0))
 
     def __mul__(self, other: "WeightFunction") -> "WeightFunction":
         return WeightFunction(self.values * other.values, None)
 
 
 def hat_apply(f: WeightFunction, psi, phi) -> np.ndarray:
-    """f-hat psi = sum_k f(k) P_{k,N} psi, in the unit-weight frame."""
-    comps = occupancy_components(psi, phi)
-    out = np.zeros_like(comps[0])
-    for k, c in enumerate(comps):
-        out += f.values[k] * c
-    return out
+    """f-hat psi = H^(x)N diag(f(#q)) H^(x)N psi, in the unit-weight frame."""
+    psi, phi, n, _ = _frame(psi, phi)
+    h = _reflector(phi)
+    w = _sweep(psi, h)
+    w *= f.values[_q_counts(phi.size, n)].reshape(w.shape)
+    return _sweep(w, h)
 
 
 def _apply_Q(v, phi, variant: int, which: int):
@@ -386,8 +382,7 @@ def _apply_two_body(v, T):
     if T.ndim == 2:
         return v * T.reshape(T.shape + (1,) * (v.ndim - 2))
     m = v.shape[0]
-    out = np.tensordot(T.reshape(m, m, m, m), v, axes=([2, 3], [0, 1]))
-    return out
+    return np.tensordot(T.reshape(m, m, m, m), v, axes=([2, 3], [0, 1]))
 
 
 def shift_identity_residual(f: WeightFunction, j: int, k: int, T, psi, phi,

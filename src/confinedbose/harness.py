@@ -433,7 +433,9 @@ def verify_lemmas(seed: int = 0, particle_counts=(2, 3, 4, 5), n_states: int = 2
     """Run the projector-algebra invariant suite on random symmetric states.
 
     Returns one check row per invariant; ``corruption`` deliberately breaks
-    an ingredient ('phi-norm') as a negative control.
+    an ingredient ('phi-norm') as a negative control.  weight-composition mostly checks
+    H^2 = 1 of the reflector frame of ``hat_apply``; number-identity, hat-p-commutation
+    and occupation-routes check that frame against ``project_q``/``_p`` and the enumeration.
     """
     rng = np.random.default_rng(seed)
     dim = _LEMMA_DIM

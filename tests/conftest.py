@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from confinedbose.counting import project_q
+from confinedbose.counting import _frame, project_p, project_q
 from confinedbose.grids import apply_along, axis_groups, axis_operators
 from confinedbose.manybody import pair_phase_array
 from confinedbose.onebody import chi_mode
@@ -139,3 +139,34 @@ def energy_sweep(state, spec):
 def direct_sweeps():
     """The state-sweep oracles ``kinetic_sweep``, ``grad_q_sweep`` and ``energy_sweep``."""
     return SimpleNamespace(kinetic=kinetic_sweep, grad_q=grad_q_sweep, energy=energy_sweep)
+
+
+# -- the per-coordinate projector split: the oracle of the number frame -------
+
+
+def occupancy_split(psi, phi, weight=1.0):
+    """[P_{0,N} psi, ..., P_{N,N} psi] by splitting psi one coordinate at a time.
+
+    Sweeping the coordinates once and keeping partial sums sorted by the
+    number of q factors costs O(N^2) ``project_p`` applications instead of
+    the 2^N literal operator sum.  It uses no reflector and no #q table.
+    """
+    psi, phi, n, amp = _frame(psi, phi, weight)
+    p_part = project_p(psi, phi, 0)
+    comps = [p_part, psi - p_part]
+    for axis in range(1, n):
+        new, prev_q = [], None
+        for comp in comps:
+            p_part = project_p(comp, phi, axis)
+            q_part = comp - p_part
+            new.append(p_part if prev_q is None else p_part + prev_q)
+            prev_q = q_part
+        new.append(prev_q)
+        comps = new
+    return [amp * comp for comp in comps]
+
+
+@pytest.fixture
+def projector_split():
+    """The per-coordinate splitting oracle ``occupancy_split``."""
+    return occupancy_split

@@ -427,7 +427,7 @@ def test_shift_out_of_range_zero_fill():
     assert np.allclose(f.shifted(2).values, [3.0, 0.0, 0.0])
     assert np.allclose(f.shifted(-2).values, [0.0, 0.0, 1.0])
     # tagged weights extend by their formula instead
-    n = cnt.WeightFunction.sqrt_fraction(2)
+    n = cnt.WeightFunction.from_tag("n", 2)
     assert np.allclose(n.shifted(1).values, np.sqrt([1 / 2, 2 / 2, 3 / 2]))
 
 
@@ -448,6 +448,16 @@ def test_weight_difference_bound():
             assert lhs <= rhs + 1e-10
 
 
+def reciprocal(w):
+    """Formal reciprocal weight with 1/f(k) := 0 where f vanishes.
+
+    Meant to be applied only after a q_1 factor, which annihilates the
+    k = 0 sector, so the convention never divides by zero in anger.
+    """
+    safe = np.where(w.values != 0.0, w.values, 1.0)
+    return cnt.WeightFunction(np.where(w.values != 0.0, 1.0 / safe, 0.0))
+
+
 def test_inverse_weight_convention():
     # formal inverse of the sqrt weight annihilates nothing after a q_1,
     # with (n^-1)(0) := 0: n-hat^-1 n-hat q_1 psi recovers q_1 psi
@@ -455,8 +465,8 @@ def test_inverse_weight_convention():
     n, dim = 3, 4
     psi = random_symmetric(rng, dim, n)
     phi = random_unit(rng, dim)
-    w = cnt.WeightFunction.sqrt_fraction(n)
-    inv = w.inverse()
+    w = cnt.WeightFunction.from_tag("n", n)
+    inv = reciprocal(w)
     assert inv.values[0] == 0.0
     psi_l2 = psi.reshape((dim,) * n)
     q1 = cnt.project_q(psi_l2, phi, 0)
@@ -469,7 +479,7 @@ def test_difference_weights_dominated_by_inverse():
     n = 6
     mu = cnt.WeightFunction.from_tag("mu", n)
     mu1 = cnt.WeightFunction.from_tag("mu1", n)
-    ninv = cnt.WeightFunction.sqrt_fraction(n).inverse()
+    ninv = reciprocal(cnt.WeightFunction.from_tag("n", n))
     ks = np.arange(1, n + 1)
     assert np.all(mu.values[ks] <= ninv.values[ks] + 1e-12)
     assert np.all(mu1.values[2:] <= 2 * ninv.values[2:] + 1e-12)
@@ -498,6 +508,65 @@ def test_dense_route_matches_contraction_route():
     f = cnt.WeightFunction(rng.normal(size=n + 1))
     hat_dense = (cnt.dense_hat_matrix(f, phi, n) @ flat).reshape((dim,) * n)
     assert np.linalg.norm((hat_dense - cnt.hat_apply(f, psi, phi)).ravel()) < 1e-10
+
+
+# -- the number frame -------------------------------------------------------------
+
+
+def reflector_cases(rng, dim):
+    """(phi, s) with H phi = -s e0 expected: basis vectors with phases, phi_0 = 0, random."""
+    e0 = np.eye(dim, dtype=complex)[0]
+    off = random_unit(rng, dim)
+    off[0] = 0.0
+    off /= np.linalg.norm(off)
+    rand = random_unit(rng, dim)
+    return [(e0, 1.0), (-e0, -1.0), (1j * e0, 1j), (off, 1.0),
+            (rand, rand[0] / abs(rand[0]))]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 48])
+def test_reflector_hermitian_involution_maps_phi_to_e0(dim):
+    rng = np.random.default_rng(30 + dim)
+    e0 = np.eye(dim)[0]
+    for phi, s in reflector_cases(rng, dim):
+        h = cnt._reflector(phi)
+        assert np.max(np.abs(h - h.conj().T)) < 1e-14
+        assert np.max(np.abs(h @ h - np.eye(dim))) < 1e-14
+        assert abs(abs(s) - 1.0) < 1e-15
+        assert np.max(np.abs(h @ phi + s * e0)) < 1e-14
+
+
+def test_q_counts_table():
+    counts = cnt._q_counts(3, 2)
+    assert counts.tolist() == [0, 1, 1, 1, 2, 2, 1, 2, 2]
+    assert cnt._q_counts(3, 2) is counts and not counts.flags.writeable
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_number_frame_matches_split_and_dense(dim, n, projector_split):
+    # general (not symmetrized) psi; the dense kron matrices only up to
+    # dim^n = 256: at 4^5 each is 16 MiB and 2^5 * 5 products of them are needed
+    rng = np.random.default_rng(40 + 10 * dim + n)
+    phi = random_unit(rng, dim)
+    psi = rng.normal(size=(dim,) * n) + 1j * rng.normal(size=(dim,) * n)
+    psi /= np.linalg.norm(psi.ravel())
+    f = cnt.WeightFunction(rng.normal(size=n + 1))
+    comps = cnt.occupancy_components(psi, phi)
+    hat = cnt.hat_apply(f, psi, phi)
+    pk = cnt.occupation_distribution(psi, phi)
+
+    split = projector_split(psi, phi)
+    references = [(split, sum(f.values[k] * c for k, c in enumerate(split)))]
+    if dim**n <= 256:
+        flat = psi.ravel()
+        dense = [(proj @ flat).reshape(psi.shape) for proj in cnt.dense_sector_projectors(phi, n)]
+        references.append((dense, (cnt.dense_hat_matrix(f, phi, n) @ flat).reshape(psi.shape)))
+    for ref_comps, ref_hat in references:
+        for c, ref in zip(comps, ref_comps, strict=True):
+            assert np.max(np.abs(c - ref)) < 1e-12
+        assert np.max(np.abs(hat - ref_hat)) < 1e-12
+        assert np.max(np.abs(pk - [np.vdot(r, r).real for r in ref_comps])) < 1e-12
 
 
 # -- grid-route functionals ------------------------------------------------------
@@ -611,6 +680,27 @@ def test_grid_route_completeness_and_number_identity():
         for axis in range(3):
             qsum += cnt.project_q(c, phi_l2, axis)
         assert np.linalg.norm((qsum - k * c).ravel()) < 1e-10
+
+
+def test_number_frame_grid_state_with_weight(projector_split):
+    spec, one = grid_setting(n=3)
+    phi_full = one.product_values()
+    vol = spec.domain.cell_volume
+    rng = np.random.default_rng(22)
+    m = int(np.prod(spec.domain.shape))
+    raw = rng.normal(size=(m,) * 3) + 1j * rng.normal(size=(m,) * 3)
+    raw /= np.linalg.norm(raw.ravel()) * np.sqrt(vol**3)
+    split = projector_split(raw, phi_full, weight=vol)
+    comps = cnt.occupancy_components(raw, phi_full, weight=vol)
+    for c, ref in zip(comps, split, strict=True):
+        assert np.max(np.abs(c - ref)) < 1e-12
+    pk = cnt.occupation_distribution(raw, phi_full, weight=vol)
+    assert np.max(np.abs(pk - [np.vdot(r, r).real for r in split])) < 1e-12
+
+    f = cnt.WeightFunction(rng.normal(size=4))
+    psi_l2, phi_l2 = raw * vol**1.5, phi_full.ravel() * np.sqrt(vol)
+    ref_hat = sum(f.values[k] * c for k, c in enumerate(split))
+    assert np.max(np.abs(cnt.hat_apply(f, psi_l2, phi_l2) - ref_hat)) < 1e-12
 
 
 def test_mean_field_sandwich_cancellation():
