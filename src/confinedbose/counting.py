@@ -30,7 +30,7 @@ from scipy.linalg import blas
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, InvariantError
-from .grids import _SLAB_BYTES, apply_kinetic, kinetic_trace
+from .grids import apply_kinetic, kinetic_trace, row_blocks
 from .manybody import SYMMETRY_TOL, ManyBodyState, _transposition_residual, pair_phase_array
 from .manybody import density_matrix  # re-exported: the report's gamma is the energy's
 from .model import ModelSpec
@@ -246,8 +246,9 @@ def _sector_weights(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     contracts psi with phi* on its last l axes: a chain of tensors shrinking
     by m per link, since p = |phi><phi| on an axis only keeps its
     coefficient.  Each c_{N-k}, psi itself at k = N, is walked as its
-    (m, m^(k-1)) view in row blocks of about ``grids._SLAB_BYTES`` (one row
-    when a row is larger), as the many-body substep walks the state.  With
+    (m, m^(k-1)) view in the ``grids.row_blocks`` of its m rows (one row
+    when a row is larger than a slab), as the many-body substep walks the
+    state.  With
     c0 = <phi|c> along the first axis (one gemv), a block's q part on that
     axis, c[rows] - phi[rows] (x) c0, goes into one block buffer; q on the
     other axes acts in place inside it, and its squared norm is summed.  So
@@ -266,13 +267,13 @@ def _sector_weights(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
         rest = m ** (k - 1)
         mat = c.reshape(m, rest)
         c0 = np.conj(phi) @ mat
-        rows = min(m, max(1, _SLAB_BYTES // (psi.itemsize * rest)))
+        row_bytes = psi.itemsize * rest
+        rows = next(row_blocks((m,), row_bytes))[1]  # the first block is the largest
         buf = np.empty((rows, rest), dtype=np.complex128)
         total = 0.0
-        for r in range(0, m, rows):
-            stop = min(r + rows, m)
-            block = np.multiply.outer(phi[r:stop], c0, out=buf[:stop - r])
-            np.subtract(mat[r:stop], block, out=block)
+        for lo, hi, _ in row_blocks((m,), row_bytes):
+            block = np.multiply.outer(phi[lo:hi], c0, out=buf[:hi - lo])
+            np.subtract(mat[lo:hi], block, out=block)
             block = block.reshape((-1,) + (m,) * (k - 1))
             for axis in range(1, k):
                 _project_q_in_place(block, phi, axis)
@@ -637,8 +638,8 @@ def compute_report(state: ManyBodyState, one_body: OneBodyState,
     distribution uses the symmetric route ``_sector_weights`` without
     re-checking; ``manybody._energy_and_residual`` has refused a residual
     above SYMMETRY_TOL and returned gamma.  Besides psi and gamma the report
-    holds one row block of about ``grids._SLAB_BYTES`` (one 1/m-sized row
-    when a row is larger) and 1/m-sized coefficients: psi is not copied.
+    holds one ``grids.row_blocks`` block (at most a slab, or one 1/m-sized
+    row when a row is larger) and 1/m-sized coefficients: psi is not copied.
     """
     psi, phi, n, amp = _grid_frame(state, one_body)
     pk = amp**2 * _sector_weights(psi, phi)

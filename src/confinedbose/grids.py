@@ -336,17 +336,40 @@ def axis_groups(shape) -> tuple[int, ...]:
 _SLAB_BYTES = 1 << 20
 
 
+def row_blocks(shape: tuple, row_bytes: int):
+    """Blocks of at most ``max(1, _SLAB_BYTES // row_bytes)`` rows of a grid of ``shape``.
+
+    A row is one entry of the grid, ``row_bytes`` of the walked array.
+    Yields (lo, hi, box) in raveled order: ``box`` fixes the leading axes,
+    slices one axis and keeps the trailing axes whole, so it holds the rows
+    lo:hi, one contiguous range of any C-ordered array whose leading axes
+    are ``shape``.  The sliced axis is the first whose trailing rows fit the
+    budget, so every block but the last along that axis is as large as the
+    budget allows, and the first block is the largest.
+    """
+    budget = max(1, _SLAB_BYTES // row_bytes)
+    axis = next(a for a in range(len(shape)) if math.prod(shape[a + 1:]) <= budget)
+    inner = math.prod(shape[axis + 1:])
+    step = budget // inner
+    n = shape[axis]
+    for k, lead in enumerate(np.ndindex(*shape[:axis])):  # raveled order
+        for j in range(0, n, step):
+            hi = min(j + step, n)
+            yield (k * n + j) * inner, (k * n + hi) * inner, lead + (slice(j, hi),)
+
+
 def apply_along(values: np.ndarray, mat: np.ndarray, axis: int,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Apply the square matrix ``mat`` to ``values`` along ``axis``.
 
     Writes into ``out`` (any C-contiguous array of the shape of ``values``;
     ``out=values`` acts in place), or into a new array when ``out`` is None,
-    and returns it.  The (left, n, right) view is walked in slabs of about
-    ``_SLAB_BYTES``: row blocks when right == 1, else several whole
-    (n, right) slices, or column chunks of one slice when a slice is larger.
-    Each slab's product goes into one scratch buffer and is copied back into
-    the slab, so an in-place sweep allocates one slab, not a second state
+    and returns it.  The (left, n, right) view is walked in the
+    ``row_blocks`` of its (left, right) columns of n entries: several whole
+    (n, right) slices, or column chunks of one slice when a slice is larger
+    than a slab (row blocks of the (left, n) view when right == 1).  Each
+    block's product goes into one scratch buffer and is copied back into the
+    block, so an in-place sweep allocates one slab, not a second state
     (cache blocking of dense products: Goto & van de Geijn, ACM TOMS 34(3),
     2008).
     """
@@ -358,27 +381,20 @@ def apply_along(values: np.ndarray, mat: np.ndarray, axis: int,
         out = np.empty(shape, np.result_type(values, mat))
     elif out.shape != shape or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous array of the shape of values")
-    per_slab = max(1, _SLAB_BYTES // values.itemsize)  # entries
-    if right == 1:
-        src, dst = values.reshape(left, n), out.reshape(left, n)
-        rows = min(left, max(1, per_slab // n))
-        scratch = np.empty(rows * n, np.result_type(values, mat))
-        for i in range(0, left, rows):
-            block = src[i:i + rows]
-            prod = scratch[:block.size].reshape(block.shape)
-            np.matmul(block, mat.T, out=prod)
-            dst[i:i + rows] = prod
-        return out
     src, dst = values.reshape(left, n, right), out.reshape(left, n, right)
-    cols = min(right, max(1, per_slab // n))
-    slices = min(left, max(1, per_slab // (n * right)))  # 1 when a slice is cut into columns
-    scratch = np.empty(slices * n * cols, np.result_type(values, mat))
-    for i in range(0, left, slices):
-        for j in range(0, right, cols):
-            block = src[i:i + slices, :, j:j + cols]
-            prod = scratch[:block.size].reshape(block.shape)
+    row_bytes = n * values.itemsize
+    rows = next(row_blocks((left, right), row_bytes))[1]  # the first block is the largest
+    scratch = np.empty(rows * n, np.result_type(values, mat))
+    for _, _, box in row_blocks((left, right), row_bytes):
+        # the box of (left, right) columns, with the n axis whole between
+        index = box[:1] + (slice(None),) + (box[1:] if right > 1 else (0,))
+        block = src[index]
+        prod = scratch[:block.size].reshape(block.shape)
+        if right == 1:  # (rows, n) @ mat.T, not one matrix-vector product per row
+            np.matmul(block, mat.T, out=prod)
+        else:
             np.matmul(mat, block, out=prod)
-            dst[i:i + slices, :, j:j + cols] = prod
+        dst[index] = prod
     return out
 
 

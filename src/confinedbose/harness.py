@@ -313,14 +313,15 @@ def _ladder_eps(config: ExperimentConfig, n: int) -> float:
         return config.confined.get("eps", 1.0)
     if rule == "power":
         nu = ladder.get("nu", config.nu)
-        if nu is None:
-            raise ConfigError("eps_rule 'power' needs nu")
+        if not _is_number(nu):
+            raise ConfigError("eps_rule 'power' needs nu, a number")
         return float(n) ** (-float(nu))
     if rule == "list":
-        try:
-            return float(ladder["eps_list"][list(ladder["particle_counts"]).index(n)])
-        except (KeyError, IndexError) as exc:
-            raise ConfigError(f"eps_rule 'list' needs an eps_list entry per point: {exc!r}") from exc
+        eps_list, counts = ladder.get("eps_list"), list(ladder["particle_counts"])
+        if not (isinstance(eps_list, list) and len(eps_list) >= len(counts)
+                and all(_is_number(eps) for eps in eps_list)):
+            raise ConfigError("eps_rule 'list' needs an eps_list with a number per point")
+        return float(eps_list[counts.index(n)])
     raise ConfigError(f"unknown eps rule {rule!r}")
 
 

@@ -7,7 +7,10 @@ propagators of ``grids.axis_operators`` along every particle's merged axes
 (``grids.axis_groups``: 16 x 3 is one 48 x 48 matrix, 64 x 4 x 4 is
 64 | 16), which halves the sweeps over the state without the cost of a
 dense per-particle matrix.  Pair interactions and external potentials act
-by exact pointwise phases.  The integrator is ``grids.strang_steps``, the
+by exact pointwise phases, applied in the grid-aligned blocks of
+``grids.row_blocks``, the walker of every state-sized pass; the pair phase
+is held only as its offset table, whose read-only view (``_pair_view``)
+serves every pair at every N.  The integrator is ``grids.strang_steps``, the
 same second-order Strang schedule as the effective solver.  The evolver
 streams: it yields each reported snapshot and holds only the current
 state.  Energies come from the density matrix and the two-body density.
@@ -38,6 +41,7 @@ from .grids import (
     axis_groups,
     axis_operators,
     kinetic_trace,
+    row_blocks,
     step_count,
     strang_steps,
 )
@@ -116,10 +120,9 @@ _ONE_BODY_ALLOWANCE = 1 << 20  # bytes: one-body arrays, trajectory and report o
 def working_set_bytes(spec: ModelSpec) -> int:
     """Bytes budgeted for a streamed run, whatever its length and N.
 
-    The evolver holds its pair phase for the whole run: the tiled offset
-    table (``_pair_table``, 2^d_f m_f m_c^2 entries) and, at N >= 3 only,
-    its m^2 expansion for the pairs without particle 0.  Besides that, the
-    larger of two moments:
+    The evolver holds its pair phase for the whole run as the tiled offset
+    table (``_pair_table``, 2^d_f m_f m_c^2 entries), whatever N: every pair
+    multiplies by views of it.  Besides that, the larger of two moments:
 
     - a step: two state-sized arrays, the consumer's last snapshot and the
       Strang step's work array.  The first kick sweep after a snapshot
@@ -139,8 +142,6 @@ def working_set_bytes(spec: ModelSpec) -> int:
     state = estimate_state_bytes(spec)
     m_c = math.prod(spec.confined.shape)
     held = 16 * 2**spec.free.dim * math.prod(spec.free.shape) * m_c**2
-    if spec.n_particles > 2:
-        held += 16 * m**2
     step = 2 * state + _SLAB_BYTES
     report = state + 16 * m**2 + max(_SLAB_BYTES, state // m) + 2 * (state // m)
     return held + max(step, report) + _ONE_BODY_ALLOWANCE
@@ -251,59 +252,6 @@ def _pair_view(table: np.ndarray) -> np.ndarray:
     return win.transpose([*range(1, d_f + 1), 0, *range(d_f + 2, 2 * d_f + 2), d_f + 1])
 
 
-def _row_boxes(shape: tuple, start: int, stop: int) -> list[tuple]:
-    """Boxes that tile the raveled range start:stop of an array of ``shape``, in order.
-
-    Each box is an index tuple: leading axes fixed, one axis sliced, the
-    trailing axes whole, so its elements are one contiguous raveled range.
-    At most 2 len(shape) - 1 boxes, however long the range.
-    """
-    if start >= stop:
-        return []
-    if len(shape) == 1:
-        return [(slice(start, stop),)]
-    inner = math.prod(shape[1:])
-    a, b = -(-start // inner), stop // inner  # the whole indices a:b of axis 0
-    if a > b:  # inside index b
-        return [(b,) + box for box in _row_boxes(shape[1:], start - b * inner, stop - b * inner)]
-    boxes = []
-    if start < a * inner:
-        boxes += [(a - 1,) + box
-                  for box in _row_boxes(shape[1:], start - (a - 1) * inner, inner)]
-    if a < b:
-        boxes.append((slice(a, b),))
-    boxes += [(b,) + box for box in _row_boxes(shape[1:], 0, stop - b * inner)]
-    return boxes
-
-
-def _pair_rows(pair: np.ndarray, start: int, stop: int):
-    """Rows start:stop of a pair matrix of shape (grid) x 2, as a few views.
-
-    Yields (lo, hi, rows) per ``_row_boxes`` box of the row axes: ``rows``
-    is pair[box], the rows lo:hi, of shape (the box's sliced and whole
-    axes) + (grid).  A view of ``_pair_view`` is not copied.
-    """
-    half = pair.ndim // 2
-    m = math.prod(pair.shape[half:])
-    lo = start
-    for box in _row_boxes(pair.shape[:half], start, stop):
-        rows = pair[box]
-        hi = lo + rows.size // m
-        yield lo, hi, rows
-        lo = hi
-
-
-def _pair_matrix(pair: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-    """Rows start:stop of ``pair`` (as in ``_pair_rows``) copied into ``out``, which is returned.
-
-    ``out`` has at least stop - start rows of m entries and the pair's dtype.
-    """
-    rows = out[:stop - start]
-    for lo, hi, view in _pair_rows(pair, start, stop):
-        rows[lo - start:hi - start].reshape(view.shape)[...] = view
-    return rows
-
-
 def pair_phase_array(spec: ModelSpec) -> np.ndarray:
     """W(r_i - r_j) for one particle pair, shape (one-body grid) x 2.
 
@@ -357,40 +305,43 @@ def symmetry_residual(state: ManyBodyState) -> float:
     return state._residual * np.sqrt(state.cell_volume)
 
 
-def _apply_phases(values: np.ndarray, n: int, m: int, phase_one, pair, pair_full):
+def _apply_phases(values: np.ndarray, n: int, m: int, phase_one, pair):
     """values *= prod_i phase_one(x_i) prod_{i<j} W_phase(x_i, x_j), in place.
 
     ``values`` is a C-contiguous N-particle state of m points per particle,
-    ``phase_one`` (m,) may be None.  The pair phase is given as ``pair``, a
-    matrix of shape (grid) x 2 such as the ``_pair_view`` of its offset
-    table (None at N = 1), and, for the pairs without particle 0 (N >= 3),
-    as its (m, m) expansion ``pair_full``.  The (m, m^(N-1)) view is walked
-    in row blocks of about ``grids._SLAB_BYTES`` (one row when a row is
-    larger), and each block takes every factor before the next: one pass
-    over memory instead of N + C(N, 2).  The pairs with particle 0 go by the
-    block's ``_pair_rows`` boxes, at most 2 d_f + 1 per block, each
-    multiplied in place by its view of ``pair``.  Per element the factors
-    come in the order of whole-state passes (one-body i = 0..N-1, then the
-    pairs in ``combinations`` order, those with particle 0 first), so the
-    product is the same to the bit.
+    ``phase_one`` (m,) may be None.  The pair phase ``pair`` is a matrix of
+    shape (grid) x 2 such as the ``_pair_view`` of its offset table (None at
+    N = 1).  The (m, m^(N-1)) view is walked in the ``grids.row_blocks`` of
+    the pair's grid (one row when a row is larger than a slab), and each
+    block takes every factor before the next: one pass over memory instead
+    of N + C(N, 2).  A block's pairs with particle 0 multiply it by
+    pair[box]; the other pairs by the whole view, broadcast over the block's
+    per-particle grid axes.  No factor is copied out of the view.  Per
+    element the factors come in the order of whole-state passes (one-body
+    i = 0..N-1, then the pairs in ``combinations`` order, those with
+    particle 0 first), so the product is the same to the bit.
     """
     rest = m ** (n - 1)
-    rows = max(1, _SLAB_BYTES // (values.itemsize * rest))
     view = values.reshape(m, rest)
-    half = 0 if pair is None else pair.ndim // 2
-    for r in range(0, m, rows):
-        block = view[r:r + rows].reshape((-1,) + (m,) * (n - 1))
+    grid = (m,) if pair is None else pair.shape[:pair.ndim // 2]
+    g = len(grid)
+    for lo, hi, box in row_blocks(grid, values.itemsize * rest):
+        block = view[lo:hi].reshape((-1,) + (m,) * (n - 1))
         if phase_one is not None:
             for i in range(n):
-                block *= (phase_one[r:r + rows] if i == 0 else phase_one).reshape(
+                block *= (phase_one[lo:hi] if i == 0 else phase_one).reshape(
                     [-1 if k == i else 1 for k in range(n)])
-        for lo, hi, pair_rows in _pair_rows(pair, r, r + len(block)) if n > 1 else ():
-            box, cols = pair_rows.shape[:-half], pair.shape[half:]
-            for j in range(1, n):
-                piece = view[lo:hi].reshape(box + (m ** (j - 1),) + cols + (m ** (n - 1 - j),))
-                piece *= pair_rows.reshape(box + (1,) + cols + (1,))
-        for pair_ij in itertools.combinations(range(1, n), 2):
-            block *= pair_full.reshape([m if k in pair_ij else 1 for k in range(n)])
+        if n == 1:
+            continue
+        rows = pair[box]
+        lead = rows.shape[:-g]  # the box's sliced and whole axes
+        for j in range(1, n):
+            piece = view[lo:hi].reshape(lead + (m ** (j - 1),) + grid + (m ** (n - 1 - j),))
+            piece *= rows.reshape(lead + (1,) + grid + (1,))
+        by_particle = block.reshape((-1,) + grid * (n - 1))
+        for i, j in itertools.combinations(range(1, n), 2):
+            axes = [slice(None) if k in (i, j) else None for k in range(1, n) for _ in grid]
+            by_particle *= pair[(None,) + tuple(axes)]
 
 
 def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
@@ -432,11 +383,9 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
     half = axis_operators(dom, lambda mult: np.exp(-0.5j * dt * mult)) * n
     full = axis_operators(dom, lambda mult: np.exp(-1j * dt * mult)) * n
     m = math.prod(dom.shape)
-    pair = pair_full = None
+    pair = None
     if n > 1:
         pair = _pair_view(np.exp(-1j * dt * spec.pair_prefactor * _pair_table(spec)))
-    if n > 2:
-        pair_full = np.ascontiguousarray(pair).reshape(m, m)
     t0 = state.t
 
     def substep(k, values):
@@ -444,7 +393,7 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
         if not spec.potential.is_zero:
             t_mid = t0 + k * dt + dt / 2
             phase_one = np.exp(-1j * dt * spec.potential.values(t_mid, dom)).reshape(m)
-        _apply_phases(values, n, m, phase_one, pair, pair_full)
+        _apply_phases(values, n, m, phase_one, pair)
 
     values = state.values.reshape(groups * n)
     return _snapshots(state, strang_steps(values, half, full, substep, steps, stride), dt)
@@ -483,24 +432,24 @@ def density_matrix(psi, weight: float = 1.0) -> np.ndarray:
 def _pair_expectation(state: ManyBodyState, spec: ModelSpec) -> float:
     """sum_{x_1, x_2} W(x_1, x_2) rho_2(x_1, x_2) times the cell volume of Omega^N.
 
-    rho_2(x_1, x_2) = sum_rest |psi(x_1, x_2, rest)|^2 is summed over row
-    blocks of x_1: each block's kernel rows come from the offset table
-    (``_pair_rows``) and its rho_2 rows from one ``einsum`` over the real
-    view of psi, into two buffers of at most a slab.  So neither an
-    m^2-sized kernel nor an m^2-sized rho_2 is formed, and no state-sized
-    product.
+    rho_2(x_1, x_2) = sum_rest |psi(x_1, x_2, rest)|^2 is summed over the
+    ``grids.row_blocks`` of x_1 on the pair view's grid: each block's kernel
+    rows are pair[box], a view of the offset table that ``vdot`` flattens
+    into a transient of at most a slab, and its rho_2 rows come from one
+    ``einsum`` over the real view of psi into one buffer of at most a slab.
+    So neither an m^2-sized kernel nor an m^2-sized rho_2 is formed, and no
+    state-sized product.
     """
     m = math.prod(state.domain.shape)
     pair = _pair_view(_pair_table(spec))  # m_f m_c^2 samples: cheap to rebuild per snapshot
     parts = state.values.reshape(m, m, -1).view(np.float64)
-    rows = min(m, max(1, _SLAB_BYTES // (8 * m)))
-    kernel, rho2 = np.empty((rows, m)), np.empty((rows, m))
+    grid = pair.shape[:pair.ndim // 2]
+    rho2 = np.empty((next(row_blocks(grid, 8 * m))[1], m))  # the first block is the largest
     total = 0.0
-    for r in range(0, m, rows):
-        block = parts[r:r + rows]
-        w = _pair_matrix(pair, r, r + len(block), kernel)
-        total += float(np.vdot(w, np.einsum("abr,abr->ab", block, block,
-                                            out=rho2[:len(block)])))
+    for lo, hi, box in row_blocks(grid, 8 * m):
+        block = parts[lo:hi]
+        rows = np.einsum("abr,abr->ab", block, block, out=rho2[:hi - lo])
+        total += float(np.vdot(pair[box], rows))
     return total * state.cell_volume
 
 

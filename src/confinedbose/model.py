@@ -91,16 +91,6 @@ class InteractionProfile:
         r = 0.5 * self.radius * (_RADIAL_NODES + 1.0)
         return float(2 * np.pi * self.radius * np.dot(_RADIAL_WEIGHTS, r**2 * self.radial(r)))
 
-    def ls_norm_singular(self, s: float | None = None) -> float:
-        """||A/r||_{L^s(B_R)} = (4 pi |A|^s R^(3-s)/(3-s))^(1/s); 0 for bounded kinds."""
-        if self.is_bounded:
-            return 0.0
-        s = self.singular_exponent if s is None else s
-        if s * 1.0 >= 3.0:
-            raise ConfigError("coulomb core is not in L^s for s >= 3")
-        A, R = abs(self.amplitude), self.radius
-        return float((4 * np.pi * A**s * R ** (3 - s) / (3 - s)) ** (1.0 / s))
-
 
 @dataclass(frozen=True)
 class ExternalPotential:

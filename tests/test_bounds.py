@@ -295,27 +295,6 @@ def test_coulomb_norms_domain_check():
         coulomb_confined_norms(0.9)
 
 
-@pytest.mark.parametrize("s", [1.2, 1.8, 2.5])
-def test_ls_norm_singular_matches_closed_form(s):
-    from confinedbose.model import InteractionProfile
-
-    A, R = 1.7, 0.6
-    core = InteractionProfile("coulomb", amplitude=A, radius=R, singular_exponent=s)
-    # ||A/r||_{L^s(B_R)}^s = 4 pi A^s R^(3-s) / (3-s)
-    closed = (4 * np.pi * A**s * R ** (3 - s) / (3 - s)) ** (1 / s)
-    assert core.ls_norm_singular() == pytest.approx(closed, rel=1e-10)
-    assert core.ls_norm_singular(2.0) == pytest.approx((4 * np.pi * A**2 * R) ** 0.5, rel=1e-10)
-
-
-@pytest.mark.parametrize("s", [1.2, 1.8, 2.5])
-def test_ls_norm_singular_matches_adaptive_quadrature(s):
-    from confinedbose.model import InteractionProfile
-
-    core = InteractionProfile("coulomb", amplitude=1.7, radius=0.6, singular_exponent=s)
-    val, _ = quad(lambda r: 4 * np.pi * r**2 * np.abs(core.radial(r)) ** s, 0.0, 0.6, limit=200)
-    assert core.ls_norm_singular() == pytest.approx(val ** (1 / s), rel=1e-10)
-
-
 def _demo_interaction(path):
     w = json.loads(path.read_text())["interaction"]
     return pytest.param(w["amplitude"], w["radius"], w.get("sigma"), id=path.stem)
@@ -337,18 +316,6 @@ def test_integral3_matches_adaptive_quadrature(kind, amplitude, radius, sigma):
     profile = InteractionProfile(kind, amplitude=amplitude, radius=radius, sigma=sigma)
     val, _ = quad(lambda r: 4 * np.pi * r**2 * profile.radial(r), 0.0, radius, limit=200)
     assert profile.integral3() == pytest.approx(val, rel=1e-13)
-
-
-def test_ls_norm_singular_bounded_kind_and_exponent_limit():
-    from confinedbose.model import InteractionProfile
-
-    assert InteractionProfile("gaussian-bump", amplitude=2.0, radius=1.0).ls_norm_singular() == 0.0
-    core = InteractionProfile("coulomb", amplitude=1.0, radius=0.5)
-    for s in (3.0, 3.5):
-        with pytest.raises(ConfigError, match="s >= 3"):
-            core.ls_norm_singular(s)
-    with pytest.raises(ConfigError, match="s >= 3"):
-        InteractionProfile("coulomb", singular_exponent=3.0).ls_norm_singular()
 
 
 def test_bound_report_zero_interaction_trivially_below():

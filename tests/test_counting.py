@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confinedbose import counting as cnt
+from confinedbose import grids
 from confinedbose.errors import ConfigError, InvariantError
 from confinedbose.grids import ConfinedDomain, FreeDomain, GridFunction, ProductDomain, norm
 from confinedbose.manybody import (
@@ -263,7 +264,7 @@ def test_sector_weights_block_walk_matches_enumeration(n, top_rows, monkeypatch)
     # block layout, and the smaller c_{N-k} take several rows per block
     m = 6
     if top_rows is not None:
-        monkeypatch.setattr(cnt, "_SLAB_BYTES", 16 * m ** (n - 1) * top_rows)
+        monkeypatch.setattr(grids, "_SLAB_BYTES", 16 * m ** (n - 1) * top_rows)
     rng = np.random.default_rng(70 + n)
     phi = random_unit(rng, m)
     near = phi
@@ -287,7 +288,7 @@ def test_compute_report_does_not_copy_psi(monkeypatch):
     phi = GridFunction(dom.free, np.exp(-dom.free.meshgrid()[0] ** 2 / 4.0))
     one = OneBodyState(phi.copy_with(phi.values / norm(phi)), chi_mode(dom.confined, 0))
     gamma = density_matrix(psi, dom.cell_volume)
-    monkeypatch.setattr(cnt, "_SLAB_BYTES", state.values.nbytes // 4)
+    monkeypatch.setattr(grids, "_SLAB_BYTES", state.values.nbytes // 4)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -379,6 +379,17 @@ LIST_LADDER = {"particle_counts": [2, 3, 4], "eps_rule": "list"}
     pytest.param("ladder", {"ladder": {"particle_counts": [2, 3, True]}}, id="counts-bool"),
     pytest.param("ladder", {"ladder": {"particle_counts": "234"}}, id="counts-string-list"),
     pytest.param("ladder", {"ladder": {"particle_counts": [2, 2, 3]}}, id="counts-repeated"),
+    pytest.param("ladder", {"ladder": {**LIST_LADDER, "eps_list": ["x", 0.2, 0.2]}},
+                 id="eps-list-string"),
+    pytest.param("ladder", {"ladder": {**LIST_LADDER, "eps_list": [None, 0.2, 0.2]}},
+                 id="eps-list-null"),
+    pytest.param("ladder", {"ladder": {**LIST_LADDER, "eps_list": 0.2}}, id="eps-list-number"),
+    pytest.param("ladder", {"ladder": {**LIST_LADDER, "eps_list": [True, 0.2, 0.2]}},
+                 id="eps-list-bool"),
+    pytest.param("ladder", {"ladder": {**LIST_LADDER, "eps_list": ["0.2", 0.2, 0.2]}},
+                 id="eps-list-numeric-string"),
+    pytest.param("ladder", {"ladder": {**LIST_LADDER, "eps_rule": "power", "nu": "x"}},
+                 id="nu-string"),
 ])
 def test_cli_bad_config_file(tmp_path, command, document):
     path = tmp_path / "broken.json"

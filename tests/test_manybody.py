@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from confinedbose import manybody
+from confinedbose import grids, manybody
 from confinedbose.counting import grad_q_norm
 from confinedbose.errors import ConfigError, GuardError
 from confinedbose.grids import (
@@ -536,24 +536,34 @@ def expand_offsets(table, shape, d_f):
 
 
 @pytest.mark.parametrize("with_potential", [False, True], ids=["pairs", "potential-and-pairs"])
-@pytest.mark.parametrize("n, shape, d_f, block_rows, blocks", [
-    pytest.param(1, (16, 3), 1, None, 1, id="N1"),
-    pytest.param(2, (16, 3), 1, None, 1, id="N2"),
-    pytest.param(3, (16, 3), 1, None, 2, id="N3-28-and-20-rows"),
-    pytest.param(4, (16, 3), 1, None, 48, id="N4-one-row-each"),
-    # blocks of 24 and 7 rows end partway through a free coordinate's 16 and 3 rows
-    pytest.param(2, (64, 4, 4), 1, 24, 43, id="N2-64x4x4-24-rows"),
-    pytest.param(2, (16, 16, 3), 2, 7, 110, id="N2-16x16x3-7-rows"),
+@pytest.mark.parametrize("n, shape, d_f, block_rows, blocks, rows", [
+    pytest.param(1, (16, 3), 1, None, 1, 48, id="N1"),
+    pytest.param(2, (16, 3), 1, None, 1, 48, id="N2"),
+    pytest.param(3, (16, 3), 1, None, 2, 27, id="N3-27-and-21-rows"),
+    pytest.param(4, (16, 3), 1, None, 48, 1, id="N4-one-row-each"),
+    # budgets of 24 and 7 rows: one free coordinate's 16 rows, two second-axis
+    # coordinates' 6 rows, not blocks that end partway through a coordinate
+    pytest.param(2, (64, 4, 4), 1, 24, 64, 16, id="N2-64x4x4-24-rows"),
+    pytest.param(2, (16, 16, 3), 2, 7, 128, 6, id="N2-16x16x3-7-rows"),
+    # two free axes at N = 3: the pair (1, 2) through a d_f = 2 view; a
+    # budget of 6 rows cuts each first-axis coordinate's 8 rows into 6 + 2
+    pytest.param(3, (4, 4, 2), 2, 6, 8, 6, id="N3-4x4x2-6-and-2-rows"),
 ])
 def test_phase_walk_matches_pair_by_pair_passes(monkeypatch, n, shape, d_f, block_rows,
-                                                blocks, with_potential):
+                                                blocks, rows, with_potential):
     # bit for bit: each element takes the same factors in the same order, the
     # pair factor from a random offset table against its m x m expansion
     m = int(np.prod(shape))
     if block_rows is not None:
-        monkeypatch.setattr(manybody, "_SLAB_BYTES", 16 * m ** (n - 1) * block_rows)
-    rows = max(1, manybody._SLAB_BYTES // (16 * m ** (n - 1)))
-    assert -(-m // rows) == blocks
+        monkeypatch.setattr(grids, "_SLAB_BYTES", 16 * m ** (n - 1) * block_rows)
+    walked = []
+
+    def recorded(*args):
+        for lo, hi, box in grids.row_blocks(*args):
+            walked.append(hi - lo)
+            yield lo, hi, box
+
+    monkeypatch.setattr(manybody, "row_blocks", recorded)
     rng = np.random.default_rng(n)
     m_c = int(np.prod(shape[d_f:]))
     phase_one = np.exp(2j * np.pi * rng.random(m)) if with_potential else None
@@ -563,21 +573,28 @@ def test_phase_walk_matches_pair_by_pair_passes(monkeypatch, n, shape, d_f, bloc
     expected = values.copy()
     phases_pair_by_pair(expected, n, m, phase_one, phase_pair)
     pair = manybody._pair_view(manybody._row_layout(table)) if n > 1 else None
-    _apply_phases(values, n, m, phase_one, pair, phase_pair if n > 2 else None)
+    _apply_phases(values, n, m, phase_one, pair)
     assert np.array_equal(values, expected)
+    # blocks aligned to the grid: whole trailing axes, so the last one along
+    # the sliced axis may be short
+    assert len(walked) == blocks and walked[0] == rows and sum(walked) == m
+    assert max(walked) == rows
 
 
 @pytest.mark.parametrize("shape", [(7,), (4, 3), (3, 4, 2), (2, 3, 2, 3)])
-def test_row_boxes_tile_every_range_in_order(shape):
-    # each box is one contiguous raveled range, and together they are start:stop
+def test_row_blocks_tile_the_grid_in_order(monkeypatch, shape):
+    # for every budget, each box is the contiguous raveled range lo:hi, no
+    # larger than the budget, and together the boxes are 0:size in order
     size = int(np.prod(shape))
     index = np.arange(size).reshape(shape)
-    for start in range(size + 1):
-        for stop in range(start, size + 1):
-            boxes = manybody._row_boxes(shape, start, stop)
-            assert len(boxes) <= 2 * len(shape) - 1
-            covered = np.concatenate([index[box].ravel() for box in boxes] + [[]])
-            assert np.array_equal(covered, np.arange(start, stop))
+    for budget in range(1, size + 2):
+        monkeypatch.setattr(grids, "_SLAB_BYTES", 16 * budget)
+        start = 0
+        for lo, hi, box in grids.row_blocks(shape, 16):
+            assert lo == start and 0 < hi - lo <= budget
+            assert np.array_equal(index[box].ravel(), np.arange(lo, hi))
+            start = hi
+        assert start == size
 
 
 TWO_FREE_AXES_M192 = dict(free=FreeDomain((6.0, 6.0), (8, 8)),
@@ -599,7 +616,7 @@ def test_pair_energy_in_row_blocks_matches_sweep(monkeypatch, grid, n, block_row
     m = int(np.prod(spec.domain.shape))
     state = symmetric_random_state(spec.domain, n, np.random.default_rng(60 + n), t=0.0)
     whole = manybody_energy(state, spec)
-    monkeypatch.setattr(manybody, "_SLAB_BYTES", 8 * m * block_rows)
+    monkeypatch.setattr(grids, "_SLAB_BYTES", 8 * m * block_rows)
     assert manybody_energy(state, spec) == pytest.approx(whole, rel=1e-13)
     assert whole == pytest.approx(direct_sweeps.energy(state, spec), rel=1e-12)
 
