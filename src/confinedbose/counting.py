@@ -545,27 +545,13 @@ def mode_projection_split(state: ManyBodyState, one_body: OneBodyState) -> tuple
 # -- operator norm checks -----------------------------------------------------
 
 
-def op_norm_interaction_projected(kernel_flat: np.ndarray, phi_l2: np.ndarray,
-                                  iters: int = 200, seed: int = 0) -> float:
-    """Power-iteration estimate of || w_12 p_1 ||_Op on the two-body grid.
+def op_norm_interaction_projected(kernel_flat: np.ndarray, phi_l2: np.ndarray) -> float:
+    """|| w_12 p_1 ||_Op, exact: sup_b (sum_a |phi(a)|^2 |w(a, b)|^2)^(1/2).
 
-    The square is the top eigenvalue of p_1 w_12^2 p_1.
+    p_1 w_12^2 p_1 = |phi><phi| (x) diag_b(sum_a |phi(a)|^2 |w(a, b)|^2).
     """
-    m = len(phi_l2)
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    w2 = np.abs(kernel_flat) ** 2
-    lam = 0.0
-    for _ in range(iters):
-        u = project_p(v, phi_l2, 0)
-        u = w2 * u
-        u = project_p(u, phi_l2, 0)
-        nrm = np.linalg.norm(u)
-        if nrm < 1e-300:
-            return 0.0
-        lam = nrm
-        v = u / nrm
-    return float(np.sqrt(lam))
+    dens = np.abs(phi_l2) ** 2
+    return float(np.sqrt(np.max(dens @ np.abs(kernel_flat) ** 2)))
 
 
 def op_norm_sandwiched(kernel_flat: np.ndarray, phi_l2: np.ndarray) -> float:

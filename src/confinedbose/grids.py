@@ -14,8 +14,9 @@ and both evolvers step through the one Strang schedule ``strang_steps``.
 Quadrature is uniform-weight, consistent with the eigenbasis sampling.
 
 All operations here are pure functions of immutable inputs, except that
-``apply_along(..., out=)`` writes ``out`` and ``strang_steps`` writes its own
-work array; grid functions are value-like and safe to share between threads.
+``apply_along(..., out=)`` writes ``out`` and ``strang_steps`` writes the
+array it is given; grid functions are value-like and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -448,17 +449,17 @@ def strang_steps(values: np.ndarray, half, full, substep, steps: int, stride: in
     (first-same-as-last, McLachlan & Quispel, Acta Numerica 11, 2002).
     Yields (steps done, values) after every ``stride``-th step and the last.
 
-    The first sweep after each snapshot (and of the run) makes a new array,
-    so neither the caller's input nor a yielded array is written again.
-    Every other sweep and the substep act in place on that work array, and a
-    sweep's slab scratch is freed when it returns.  So two state-sized
-    arrays are alive at once: the caller's last one and the work array.
+    Every sweep and the substep act in place on ``values``, the array it is
+    given, which must be C-contiguous and writeable: a sweep reads each slab
+    whole into its scratch before writing it back, so it is bit for bit the
+    out-of-place product.  The yielded array is ``values`` itself, valid
+    until the next step is requested; a caller that keeps a snapshot copies
+    it.  So one state-sized array is alive, with one slab scratch per sweep.
     """
     for k in range(steps):
         if k % stride == 0:  # otherwise the previous step closed with a full kick
-            values = apply_along(values, half[0], 0)
-            for axis in range(1, len(half)):
-                apply_along(values, half[axis], axis, out=values)
+            for axis, kick in enumerate(half):
+                apply_along(values, kick, axis, out=values)
         substep(k, values)
         snapshot = (k + 1) % stride == 0 or k + 1 == steps
         for axis, kick in enumerate(half if snapshot else full):

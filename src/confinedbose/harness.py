@@ -199,13 +199,14 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
     Writes onebody.csv, manybody.csv, counting.csv/.json, final-state MFL1
     snapshots and run_meta.json into ``out_dir`` (atomically).  The many-body
     run is streamed: each snapshot gets its manybody.csv row and counting
-    report as it arrives, and only the last one is kept.  The CSVs and
-    reports share one evaluation of each snapshot's diagnostics, with one
-    density matrix for the mass, energy and report.  The summary holds
-    ``terminal_beta`` (the last report's beta, for the ladder fit), the
-    report ``times`` and ``alphas``, the ``reports``, the one-body trajectory
-    ``onebody`` and its ``sup_phi`` = sup |phi|, ``sup_Phi`` = sup |Phi| and
-    ``H2_phi`` = ||phi||_{H^2} per state.
+    report as it arrives, before the next is requested, since the evolver
+    lends each one from its single buffer; the last one stays valid for the
+    final MFL1 file.  The CSVs and reports share one evaluation of each
+    snapshot's diagnostics, with one density matrix for the mass, energy and
+    report.  The summary holds ``terminal_beta`` (the last report's beta, for
+    the ladder fit), the report ``times`` and ``alphas``, the ``reports``, the
+    one-body trajectory ``onebody`` and its ``sup_phi`` = sup |phi|,
+    ``sup_Phi`` = sup |Phi| and ``H2_phi`` = ||phi||_{H^2} per state.
     """
     os.makedirs(out_dir, exist_ok=True)
     spec = config.model_spec()
@@ -228,7 +229,7 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
         many_rows.append((mb.t, math.sqrt(np.trace(gamma).real), e_psi, residual))
         if counting_reports:
             reports.append(cnt.compute_report(mb, ob, e_psi, one_row[2], gamma))
-        del gamma  # state-sized at N = 2: freed before the next step makes its work array
+        del gamma  # state-sized at N = 2: freed before the next step, which needs a slab
     _csv(os.path.join(out_dir, "onebody.csv"), "t,mass,E_phi,sup_phi,H2_phi", one_rows)
     _csv(os.path.join(out_dir, "manybody.csv"), "t,mass,E_psi,symmetry_residual", many_rows)
     if counting_reports:

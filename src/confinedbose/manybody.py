@@ -12,14 +12,14 @@ by exact pointwise phases, applied in the grid-aligned blocks of
 is held only as its offset table, whose read-only view (``_pair_view``)
 serves every pair at every N.  The integrator is ``grids.strang_steps``, the
 same second-order Strang schedule as the effective solver.  The evolver
-streams: it yields each reported snapshot and holds only the current
-state.  Energies come from the density matrix and the two-body density.
+holds one state: it steps its input's buffer in place and lends each
+reported snapshot as a view of it, valid until the next is requested.
+Energies come from the density matrix and the two-body density.
 Everything is desk scale: a memory guard refuses runs whose working set
-(``working_set_bytes``: two state-sized arrays whatever N, since all kick
-sweeps but the first after each snapshot act in place through a slab
-scratch, or one state and the density matrix at a snapshot; the pair
-phase on its offset lattice; a one-body allowance) exceeds a configurable
-cap (2 GiB by default).
+(``working_set_bytes``: one state-sized array whatever N, with a slab
+scratch in a step or the density matrix at a snapshot; the pair phase on
+its offset lattice; a one-body allowance) exceeds a configurable cap
+(2 GiB by default).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .grids import (
     strang_steps,
 )
 from .model import ModelSpec
-from .onebody import OneBodyState, chi_mode
+from .onebody import OneBodyState
 
 __all__ = [
     "ManyBodyState",
@@ -54,7 +54,6 @@ __all__ = [
     "evolve_manybody",
     "manybody_energy",
     "density_matrix",
-    "excess_energy_diagnostic",
     "symmetrize",
     "symmetry_residual",
     "product_state",
@@ -124,25 +123,24 @@ def working_set_bytes(spec: ModelSpec) -> int:
     table (``_pair_table``, 2^d_f m_f m_c^2 entries), whatever N: every pair
     multiplies by views of it.  Besides that, the larger of two moments:
 
-    - a step: two state-sized arrays, the consumer's last snapshot and the
-      Strang step's work array.  The first kick sweep after a snapshot
-      writes a new array; every other sweep acts in place on it through one
-      slab scratch of ``grids._SLAB_BYTES``, and the potential substep
-      multiplies it in place by views of the pair table.
-    - a snapshot's diagnostics: the snapshot, which is also the evolver's
-      current array, and the m^2-sized density matrix gamma, with a
-      counting report's row block (one slab, or one 1/m-sized row when a
-      row is larger) and two 1/m-sized coefficient arrays.  gamma is freed
-      before the next step.  The energy's pair blocks and the symmetry
-      check's 1/m-sized buffer come before gamma and are smaller.
+    - a step: the one state-sized array, which is the input's buffer, every
+      snapshot's and the Strang step's, with one slab scratch of
+      ``grids._SLAB_BYTES``: every kick sweep acts in place through it, and
+      the potential substep multiplies in place by views of the pair table.
+    - a snapshot's diagnostics: the snapshot, and the m^2-sized density
+      matrix gamma, with a counting report's row block (one slab, or one
+      1/m-sized row when a row is larger) and two 1/m-sized coefficient
+      arrays.  gamma is freed before the next step.  The energy's pair
+      blocks and the symmetry check's 1/m-sized buffer come before gamma
+      and are smaller.
 
-    At N = 2 gamma is state-sized, so both moments are two states.
+    At N = 2 gamma is state-sized, so the snapshot's moment is two states.
     """
     m = int(np.prod(spec.domain.shape))
     state = estimate_state_bytes(spec)
     m_c = math.prod(spec.confined.shape)
     held = 16 * 2**spec.free.dim * math.prod(spec.free.shape) * m_c**2
-    step = 2 * state + _SLAB_BYTES
+    step = state + _SLAB_BYTES
     report = state + 16 * m**2 + max(_SLAB_BYTES, state // m) + 2 * (state // m)
     return held + max(step, report) + _ONE_BODY_ALLOWANCE
 
@@ -359,9 +357,14 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
     the external part evaluated at the step midpoint, in one slab walk over
     the state (``_apply_phases``).
 
-    The guards run and the propagators are built at call time.  The returned
-    iterator yields the input state, then the state after every ``stride``-th
-    step and after the last; between snapshots it holds only the current one.
+    The guards run and the propagators are built at call time.  The evolver
+    takes over the input's buffer, which must be writeable and C-contiguous
+    (a read-only or strided array is a ``ConfigError``, not a silent copy),
+    and steps it in place.  The returned iterator yields the input state,
+    then the state after every ``stride``-th step and after the last, each a
+    view of that one buffer: a snapshot is lent until the next is requested,
+    when its ``values`` become None, the input's included; the last one
+    stays valid.  A caller that keeps a snapshot copies its values.
     """
     steps = step_count(T, dt)
     if state.n_particles != spec.n_particles or state.domain != spec.domain:
@@ -376,6 +379,14 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
         raise ConfigError("initial state is not normalized")
     if symmetry_residual(state) > SYMMETRY_TOL:
         raise ConfigError("initial state is not permutation symmetric")
+    values = state.values.view()
+    try:
+        values.flags.writeable = True  # refused if the caller's array is read-only
+        if not values.flags.c_contiguous:
+            raise ValueError
+    except ValueError:
+        raise ConfigError("evolve_manybody steps its input in place: pass a state "
+                          "over a writeable C-contiguous array") from None
 
     n = spec.n_particles
     dom = spec.domain
@@ -395,19 +406,24 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
             phase_one = np.exp(-1j * dt * spec.potential.values(t_mid, dom)).reshape(m)
         _apply_phases(values, n, m, phase_one, pair)
 
-    values = state.values.reshape(groups * n)
-    return _snapshots(state, strang_steps(values, half, full, substep, steps, stride), dt)
+    strang = strang_steps(values.reshape(groups * n), half, full, substep, steps, stride)
+    return _snapshots(state, strang, steps, dt)
 
 
-def _snapshots(state, strang, dt):
-    """``state``, then one ManyBodyState per (steps done, grouped values) of ``strang``."""
+def _snapshots(state, strang, steps, dt):
+    """``state``, then one ManyBodyState per (steps done, grouped values) of ``strang``.
+
+    Each is lent: just before ``strang`` writes the buffer again, the last
+    one's ``values`` become None, so a stale read fails rather than return
+    later values.  After the last step nothing writes, so the last stays.
+    """
     dom, n, t0 = state.domain, state.n_particles, state.t
-    yield state
-    del state  # the caller decides how long the initial state lives
-    for k, values in strang:
-        # held until the next one is made, as the consumer holds its last
-        # snapshot: with the step's work array, the two states of working_set_bytes
-        snapshot = ManyBodyState(dom, values.reshape(dom.shape * n), t0 + k * dt)
+    snapshot, done = state, 0
+    yield snapshot
+    while done < steps:
+        object.__setattr__(snapshot, "values", None)
+        done, values = next(strang)
+        snapshot = ManyBodyState(dom, values.reshape(dom.shape * n), t0 + done * dt)
         yield snapshot
 
 
@@ -478,12 +494,6 @@ def _energy_and_residual(state: ManyBodyState, spec: ModelSpec) -> tuple[float, 
 def manybody_energy(state: ManyBodyState, spec: ModelSpec) -> float:
     """Per-particle energy via the symmetric two-body reduction."""
     return _energy_and_residual(state, spec)[0]
-
-
-def excess_energy_diagnostic(state: ManyBodyState, spec: ModelSpec) -> float:
-    """Per-particle energy above the confined ground level, N^-1 <H - N E0/eps^2>."""
-    mode = chi_mode(spec.confined, 0)
-    return manybody_energy(state, spec) - mode.energy_eps
 
 
 def _permutation_average(values: np.ndarray, n: int, block: int) -> np.ndarray:

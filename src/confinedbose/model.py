@@ -38,14 +38,12 @@ class InteractionProfile:
     radius : support radius (bounded kinds truncate there; for coulomb it is
         the radius separating the singular core from the bounded tail)
     sigma : gaussian width (gaussian-bump only)
-    singular_exponent : declared s with w_s in L^s (coulomb only)
     """
 
     kind: str
     amplitude: float = 1.0
     radius: float = 1.0
     sigma: float | None = None
-    singular_exponent: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -54,8 +52,6 @@ class InteractionProfile:
             raise ConfigError("support radius must be positive")
         if self.kind == "gaussian-bump" and self.sigma is None:
             object.__setattr__(self, "sigma", self.radius / 3.0)
-        if self.kind == "coulomb" and self.singular_exponent is None:
-            object.__setattr__(self, "singular_exponent", 1.8)
 
     # -- radial profile -----------------------------------------------------
 

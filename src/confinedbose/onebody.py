@@ -192,7 +192,8 @@ def evolve_effective(state: OneBodyState, spec: ModelSpec, T: float, dt: float,
     the substep start for Hartree, exact for the local NLS phase, external
     potential evaluated at the substep midpoint), half kinetic step.
     Returns states at every ``stride``-th step and the last, starting with
-    the input.
+    the input: independent arrays, since the schedule steps one copy of the
+    input in place and each returned state is copied from it (m_f entries).
     """
     steps = step_count(T, dt)
     dom = state.phi_free.domain
@@ -211,9 +212,9 @@ def evolve_effective(state: OneBodyState, spec: ModelSpec, T: float, dt: float,
         values *= np.exp(-1j * dt * pot).reshape(values.shape)
 
     out = [state]
-    values = state.phi_free.values.reshape(axis_groups(dom.shape))
+    values = state.phi_free.values.reshape(axis_groups(dom.shape)).copy()
     for k, values in strang_steps(values, half, full, substep, steps, stride):
-        phi = GridFunction(dom, values.reshape(dom.shape))
+        phi = GridFunction(dom, values.reshape(dom.shape).copy())
         out.append(OneBodyState(phi, state.mode, state.t + k * dt))
     return out
 

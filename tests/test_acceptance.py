@@ -25,7 +25,7 @@ from confinedbose.bounds import (
 )
 from confinedbose.grids import ConfinedDomain, FreeDomain, GridFunction, norm
 from confinedbose.harness import ExperimentConfig, run_ladder
-from confinedbose.manybody import evolve_manybody, manybody_energy, product_state
+from confinedbose.manybody import ManyBodyState, evolve_manybody, manybody_energy, product_state
 from confinedbose.model import InteractionProfile, ModelSpec, measured_f_eps
 from confinedbose.onebody import (
     OneBodyState,
@@ -206,14 +206,19 @@ def test_criterion_5_solver_fidelity():
     assert energy_drift <= 1e-6
 
     # N = 2 many-body: order, mass, energy
-    psi0 = product_state(one0, 2)
-    refm = list(evolve_manybody(psi0, spec, T, T / 1024))[-1].values
-    m1 = np.linalg.norm((list(evolve_manybody(psi0, spec, T, T / 128))[-1].values - refm).ravel())
-    m2 = np.linalg.norm((list(evolve_manybody(psi0, spec, T, T / 256))[-1].values - refm).ravel())
+    # the evolver steps its input in place and lends each snapshot: a fresh
+    # product state per run, and a copy of each snapshot that is kept
+    def final(dt):
+        return list(evolve_manybody(product_state(one0, 2), spec, T, dt))[-1].values
+
+    refm = final(T / 1024)
+    m1 = np.linalg.norm((final(T / 128) - refm).ravel())
+    m2 = np.linalg.norm((final(T / 256) - refm).ravel())
     ratio_many = m1 / m2
     assert 3.5 < ratio_many < 4.5
 
-    trajm = list(evolve_manybody(psi0, spec, 1.0, 1e-3, stride=250))
+    trajm = [ManyBodyState(mb.domain, mb.values.copy(), mb.t) for mb in
+             evolve_manybody(product_state(one0, 2), spec, 1.0, 1e-3, stride=250)]
     em0 = manybody_energy(trajm[0], spec)
     mass_drift_m = max(abs(st.mass() - 1.0) for st in trajm)
     energy_drift_m = max(abs(manybody_energy(st, spec) - em0) for st in trajm) / abs(em0)
@@ -259,12 +264,11 @@ def test_criterion_6_noninteracting_factorization(n):
 def test_criterion_7_derivative_identity():
     spec = fidelity_spec()
     one0 = gaussian_state(spec)
-    psi0 = product_state(one0, 2)
     T = 0.3
     results = {}
     for dt in (1e-2, 5e-3):
         ones = evolve_effective(one0, spec, T, dt)
-        manys = evolve_manybody(psi0, spec, T, dt)
+        manys = evolve_manybody(product_state(one0, 2), spec, T, dt)
         alphas, totals = [], []
         for mb, ob in zip(manys, ones):
             alphas.append(cnt.alpha(mb.values, ob.product_values(),

@@ -755,12 +755,7 @@ def test_operator_norm_bounds_three_profiles():
         m = phi_l2.size
         kernel = pair_phase_array(spec).reshape(m, m).real
 
-        est = cnt.op_norm_interaction_projected(kernel, phi_l2, iters=300)
-        # exact closed form: sup_b of the kernel-squared weighted density;
-        # power iteration approaches it from below (flat top spectrum -> slow)
-        exact = float(np.sqrt(np.max((np.abs(phi_l2) ** 2) @ (kernel**2))))
-        assert est <= exact * (1.0 + 1e-12)
-        assert est == pytest.approx(exact, rel=1e-3)
+        est = cnt.op_norm_interaction_projected(kernel, phi_l2)
         # Young bound: ||w||_{L^2(relative grid)} ||phi||_inf
         rel_l2 = float(np.sqrt(np.max(np.sum(kernel**2, axis=0)) * vol))
         sup_phi = float(np.max(np.abs(phi_l2)) / np.sqrt(vol))
@@ -769,6 +764,20 @@ def test_operator_norm_bounds_three_profiles():
         sand = cnt.op_norm_sandwiched(kernel, phi_l2)
         rel_l1 = float(np.max(np.sum(np.abs(kernel), axis=0)) * vol)
         assert sand <= rel_l1 * sup_phi**2 + 1e-6
+
+
+def test_op_norm_interaction_projected_is_top_eigenvalue():
+    # the closed form against the spectrum of the dense p_1 w_12^2 p_1 at m = 16
+    rng = np.random.default_rng(23)
+    m = 16
+    phi = rng.normal(size=m) + 1j * rng.normal(size=m)
+    phi /= np.linalg.norm(phi)
+    kernel = rng.normal(size=(m, m))
+    kernel = kernel + kernel.T
+    p1 = np.kron(np.outer(phi, phi.conj()), np.eye(m))
+    top = np.linalg.eigvalsh(p1 @ np.diag(kernel.ravel() ** 2) @ p1)[-1]
+    assert cnt.op_norm_interaction_projected(kernel, phi) == pytest.approx(np.sqrt(top),
+                                                                           rel=1e-12)
 
 
 def test_counting_report_round_trip_and_validation():

@@ -399,6 +399,15 @@ def test_cli_bad_config_file(tmp_path, command, document):
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
 
 
+def test_cli_rejects_singular_exponent(tmp_path, capsys):
+    # a coulomb key that no computation reads is refused, not silently kept
+    cfg = write_config(tmp_path, interaction={"kind": "coulomb", "amplitude": 1.0,
+                                              "radius": 0.5, "singular_exponent": 1.8})
+    assert main(["simulate-onebody", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "singular_exponent" in err
+
+
 @pytest.mark.parametrize("overrides", [{"theta": 0.2}, {"theta": 0.28, "nu": 0.9}],
                          ids=["theta", "nu"])
 def test_cli_bounds_rejects_rate_parameters_before_the_run(tmp_path, overrides):

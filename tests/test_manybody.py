@@ -1,7 +1,7 @@
 """Exact N-particle dynamics: kernels, unitarity, factorization, energy."""
 
 import itertools
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ from confinedbose.manybody import (
     _transposition_residual,
     density_matrix,
     evolve_manybody,
-    excess_energy_diagnostic,
     manybody_energy,
     pair_phase_array,
     product_state,
@@ -269,9 +268,20 @@ def test_transposition_residual_sees_non_adjacent_pair(n):
 STRIDES = pytest.mark.parametrize("stride", [1, None], ids=["stride1", "stride_steps"])
 
 
+def fresh(state):
+    """A state over a copy of ``state``'s values, for the evolver to consume."""
+    return ManyBodyState(state.domain, state.values.copy(), state.t)
+
+
+def kept(snapshots):
+    """Copies of every lent snapshot: a trajectory that outlives the run."""
+    return [fresh(st) for st in snapshots]
+
+
 def final_state(psi0, spec, T, dt, stride=1):
-    """Last snapshot of evolve_manybody; ``stride=None`` means one stride of all steps."""
-    return list(evolve_manybody(psi0, spec, T, dt, stride=stride or round(T / dt)))[-1]
+    """Last snapshot of evolve_manybody on a copy of ``psi0``, which stays
+    valid; ``stride=None`` means one stride of all steps."""
+    return list(evolve_manybody(fresh(psi0), spec, T, dt, stride=stride or round(T / dt)))[-1]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -353,7 +363,7 @@ def test_time_reversal_two_particles(stride):
 def test_symmetry_preserved_and_mass_energy_conserved():
     spec = small_spec(n=3, amplitude=2.0, n_f=16, n_c=2)
     psi0 = product_state(gaussian_one_body(spec), 3)
-    traj = list(evolve_manybody(psi0, spec, 1.0, 1e-3, stride=200))
+    traj = kept(evolve_manybody(psi0, spec, 1.0, 1e-3, stride=200))
     e0 = manybody_energy(traj[0], spec)
     for st in traj:
         assert abs(st.mass() - 1.0) < 1e-9
@@ -381,9 +391,9 @@ def test_stride_invariance_time_dependent_potential():
                       potential=ExternalPotential("gaussian", amplitude=0.8, sigma=2.0, omega=3.0))
     psi0 = product_state(gaussian_one_body(spec), 3)
     T, dt, steps = 0.1, 5e-3, 20
-    every = list(evolve_manybody(psi0, spec, T, dt, stride=1))
+    every = kept(evolve_manybody(fresh(psi0), spec, T, dt, stride=1))
     for stride in (7, steps):
-        traj = list(evolve_manybody(psi0, spec, T, dt, stride=stride))
+        traj = kept(evolve_manybody(fresh(psi0), spec, T, dt, stride=stride))
         picked = every[::stride] + ([every[-1]] if steps % stride else [])
         assert [st.t for st in traj] == [st.t for st in picked]
         for st, ref in zip(traj, picked):
@@ -396,11 +406,6 @@ def test_product_energy_matches_effective_without_interaction():
     psi0 = product_state(one0, 3)
     assert manybody_energy(psi0, spec) == pytest.approx(
         effective_energy(one0, spec), rel=1e-10
-    )
-    # B3-style diagnostic: energy above the confined ground level
-    excess = excess_energy_diagnostic(psi0, spec)
-    assert excess == pytest.approx(
-        effective_energy(one0, spec) - one0.mode.energy_eps, rel=1e-9
     )
 
 
@@ -477,40 +482,83 @@ def test_memory_guard():
 
 
 def test_evolver_releases_earlier_snapshots():
+    # one buffer per run, whatever the stride: the input and every snapshot
+    # are views of the input's array, and each is released as the next comes
     spec = small_spec(n=2)
     for stride in (1, 3):
-        snapshots = evolve_manybody(product_state(gaussian_one_body(spec), 2), spec,
-                                    0.02 * stride, 1e-2, stride=stride)
-        initial = weakref.ref(next(snapshots).values)
-        after_one_stride = weakref.ref(next(snapshots).values)
-        assert initial() is None and after_one_stride() is not None
-        next(snapshots)
-        assert after_one_stride() is None
+        psi0 = product_state(gaussian_one_body(spec), 2)
+        buffer = psi0.values.base
+        snapshots = []
+        for st in evolve_manybody(psi0, spec, 0.02 * stride, 1e-2, stride=stride):
+            assert st.values.base is buffer
+            snapshots.append(st)
+        assert len(snapshots) == 3
+        assert [st.values is None for st in snapshots] == [True, True, False]
+
+
+def test_evolver_peak_above_its_input_is_a_slab():
+    # N = 4, m = 48: an 81 MiB state stepped in place, with fused full kicks
+    # between snapshots and a time-dependent potential.  Beyond its input the
+    # evolver holds the pair table, small one-body arrays and either the
+    # call-time symmetry check's 1/m-sized buffer (1.7 MiB) or a step's slab
+    # scratch: no second state
+    spec = small_spec(n=4, potential=ExternalPotential("gaussian", amplitude=0.8, sigma=2.0,
+                                                       omega=3.0))
+    psi0 = product_state(gaussian_one_body(spec), 4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for st in evolve_manybody(psi0, spec, 0.03, 1e-2, stride=2):
+            assert st.values is not None
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert st.t == pytest.approx(0.03)
+    held = manybody._pair_table(spec).nbytes
+    assert peak <= grids._SLAB_BYTES + held + manybody._ONE_BODY_ALLOWANCE
 
 
 @pytest.mark.parametrize("stride", [1, 2])
-def test_yielded_states_are_not_written_again(stride):
-    # kick sweeps act in place on a work array; the input and every snapshot
-    # must keep the values they had when they were handed out
+def test_snapshots_are_lent_from_the_input_buffer(stride):
+    # the input and every snapshot share one buffer; a snapshot read after the
+    # next is requested fails instead of returning later values, and the last
+    # survives exhaustion
     spec = small_spec(n=3, n_c=2,
                       potential=ExternalPotential("gaussian", amplitude=0.8, sigma=2.0, omega=3.0))
     one0 = gaussian_one_body(spec)
     psi0 = product_state(one0, 3)
-    initial = psi0.values.copy()
-    snapshots, copies = [], []
-    for st in evolve_manybody(psi0, spec, 0.05, 1e-2, stride=stride):
-        snapshots.append(st)
-        copies.append(st.values.copy())
-    assert len(snapshots) == 1 + -(-5 // stride)
-    assert np.array_equal(psi0.values, initial)
-    for st, copy in zip(snapshots, copies):
-        assert np.array_equal(st.values, copy)
+    buffer = psi0.values
+    snapshots = evolve_manybody(psi0, spec, 0.05, 1e-2, stride=stride)
+    lent = []
+    for st in snapshots:
+        assert np.shares_memory(st.values, buffer)
+        if lent:
+            assert lent[-1].values is None
+            with pytest.raises(AttributeError):
+                lent[-1].values.copy()
+        lent.append(st)
+    assert len(lent) == 1 + -(-5 // stride) and lent[0] is psi0
+    assert all(st.values is None for st in lent[:-1])
+    assert lent[-1].t == pytest.approx(0.05) and lent[-1].mass() == pytest.approx(1.0)
+    assert next(snapshots, None) is None and lent[-1].values is not None
 
+    # the effective evolver's states stay independent of each other and of its input
     phi0 = one0.phi_free.values.copy()
     states = evolve_effective(one0, spec, 0.05, 1e-2, stride=stride)
     assert np.array_equal(one0.phi_free.values, phi0)
     for a, b in itertools.combinations(states, 2):
         assert not np.shares_memory(a.phi_free.values, b.phi_free.values)
+
+
+def test_evolver_refuses_a_read_only_input():
+    spec = small_spec(n=2)
+    values = product_state(gaussian_one_body(spec), 2).values.copy()
+    values.flags.writeable = False
+    with pytest.raises(ConfigError, match="writeable"):
+        evolve_manybody(ManyBodyState(spec.domain, values), spec, 0.02, 1e-2)
+    transposed = ManyBodyState(spec.domain, np.ascontiguousarray(values.T).T)
+    with pytest.raises(ConfigError, match="C-contiguous"):
+        evolve_manybody(transposed, spec, 0.02, 1e-2)
 
 
 def phases_pair_by_pair(values, n, m, phase_one, phase_pair):
