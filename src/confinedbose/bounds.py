@@ -2,10 +2,12 @@
 
 The convergence statements are all of Gronwall type: a counting functional
 at time t is dominated by exp(time-integrated coefficient) acting on its
-initial value plus a small additive defect.  This module evaluates those
-right-hand sides, the rate exponents of every regime, the cutoff splitting
-of singular interactions, the divergence-form vector field used to trade a
-singular potential for a gradient, and the confined-Coulomb quadratures.
+initial value plus a small additive defect.  This module evaluates that
+right-hand side in one place (``gronwall_envelope``) for the two regimes a
+run produces, mean-field and short-range.  It also holds the rate exponents
+of every regime, the cutoff splitting of singular interactions, the
+divergence-form vector field used to trade a singular potential for a
+gradient, and the confined-Coulomb quadratures.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from numpy import fft
 from .errors import ConfigError, GuardError, InvariantError
 from .grids import apply_kinetic
 from .model import InteractionProfile, ModelSpec
-from .onebody import OneBodyState, sup_norms
+from .onebody import OneBodyState
 
 __all__ = [
     "RateSpec",
     "RateResult",
-    "EnvelopeInput",
     "gronwall_envelope",
     "mean_field_coefficient",
     "interaction_norms",
@@ -34,7 +35,6 @@ __all__ = [
     "poisson_vector_field",
     "divergence_residual",
     "coulomb_confined_norms",
-    "growth_integrand_singular",
     "growth_integrand_short_range",
     "envelope_report",
     "BoundReport",
@@ -103,30 +103,6 @@ def rate_exponent(spec: RateSpec) -> RateResult:
 # -- Gronwall machinery -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnvelopeInput:
-    """Sampled coefficient C(t) plus the initial value and additive defect."""
-
-    times: np.ndarray
-    coefficient: np.ndarray
-    initial: float
-    defect: float
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        c = np.asarray(self.coefficient, dtype=float)
-        if t.ndim != 1 or t.shape != c.shape:
-            raise ConfigError("times and coefficient must be matching 1-d arrays")
-        if np.any(np.diff(t) <= 0):
-            raise ConfigError("time grid must be strictly increasing")
-        if self.defect < 0:
-            raise ConfigError("additive defect must be nonnegative")
-        if not np.all(np.isfinite(c)):
-            raise ConfigError("coefficient samples must be finite")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "coefficient", c)
-
-
 def _cumtrapz(times, values):
     out = np.zeros_like(np.asarray(values, dtype=float))
     dt = np.diff(times)
@@ -134,10 +110,11 @@ def _cumtrapz(times, values):
     return out
 
 
-def gronwall_envelope(inp: EnvelopeInput) -> np.ndarray:
-    """f(t) <= exp(int C) f(0) + (exp(int C) - 1) delta, trapezoid integral."""
-    growth = np.exp(_cumtrapz(inp.times, inp.coefficient))
-    return growth * inp.initial + (growth - 1.0) * inp.defect
+def gronwall_envelope(cumulative, initial: float, defect: float) -> np.ndarray:
+    """f(t) <= exp(G(t)) f(0) + (exp(G(t)) - 1) delta, for the cumulative
+    growth G on the sample times (G(0) = 0)."""
+    growth = np.exp(np.asarray(cumulative, dtype=float))
+    return growth * initial + (growth - 1.0) * defect
 
 
 def interaction_norms(profile: InteractionProfile, eps: float,
@@ -337,16 +314,7 @@ def coulomb_confined_norms(eps: float) -> CoulombNorms:
     return CoulombNorms(l1, linf, float(logval))
 
 
-# -- growth integrands of the two singular regimes ----------------------------
-
-
-def growth_integrand_singular(states: list[OneBodyState]) -> np.ndarray:
-    """(||phi||_{H^2} + ||phi||_inf)^3 along a trajectory."""
-    out = []
-    for st in states:
-        sup_big, _, h2, _ = sup_norms(st)
-        out.append((h2 + sup_big) ** 3)
-    return np.asarray(out)
+# -- growth integrand of the short-range regime -------------------------------
 
 
 def growth_integrand_short_range(states: list[OneBodyState], spec: ModelSpec,
@@ -405,38 +373,36 @@ def _fit_constant(times, growth_integral, measured, initial, defect) -> float:
 
 def envelope_report(times, measured, rate_spec: RateSpec, spec: ModelSpec,
                     coefficient=None, growth_integrand=None,
-                    initial: float | None = None, f_eps: float = 0.0) -> BoundReport:
-    """Evaluate the relevant Gronwall right-hand side against measurements.
+                    f_eps: float = 0.0) -> BoundReport:
+    """Evaluate the Gronwall right-hand side of a run against its measurements.
 
-    For ``mean-field`` pass the explicit cumulative ``coefficient`` C(t);
-    no constant is fitted.  For the singular and short-range regimes pass
-    the ``growth_integrand`` samples g'(t); the prefactor constant is the
-    smallest one the measurements admit, and the check is a diagnostic,
-    never an assertion.
-    The exponential uses the same g for both the initial-value and defect
-    terms.
+    The two regimes a run produces: for ``mean-field`` (the Hartree run) pass
+    the explicit cumulative ``coefficient`` C(t); no constant is fitted.  For
+    ``short-range`` (the NLS run) pass the ``growth_integrand`` samples g'(t);
+    the prefactor constant is the smallest one the measurements admit, and
+    the check is a diagnostic, never an assertion.  Both evaluate
+    ``gronwall_envelope`` from the measured f(0), and the exponential uses
+    the same g for both the initial-value and defect terms.
     """
+    if rate_spec.regime not in ("mean-field", "short-range"):
+        raise ConfigError(f"no run produces a {rate_spec.regime!r} envelope")
     times = np.asarray(times, dtype=float)
     measured = np.asarray(measured, dtype=float)
-    initial = float(measured[0]) if initial is None else initial
+    initial = float(measured[0])
     res = rate_exponent(rate_spec)
     notes = ""
     if rate_spec.regime == "mean-field":
         if coefficient is None:
             raise ConfigError("the mean-field report needs the explicit coefficient")
-        defect = f_eps + 1.0 / spec.n_particles
-        growth = np.exp(np.asarray(coefficient, dtype=float))
-        envelope = growth * initial + (growth - 1.0) * defect
+        envelope = gronwall_envelope(coefficient, initial, f_eps + 1.0 / spec.n_particles)
         fitted = None
     else:
         if growth_integrand is None:
-            raise ConfigError("fitted-constant reports need the growth integrand")
+            raise ConfigError("the short-range report needs the growth integrand")
         g = _cumtrapz(times, np.asarray(growth_integrand, dtype=float))
         defect = spec.n_particles ** (-res.eta)
-        if rate_spec.regime == "singular":
-            defect += f_eps
         fitted = _fit_constant(times, g, measured, initial, defect)
-        envelope = np.exp(fitted * g) * initial + (np.exp(fitted * g) - 1.0) * defect
+        envelope = gronwall_envelope(fitted * g, initial, defect)
         notes = "defect and initial growth share the same integrand (h = g reading)"
     below = bool(np.all(measured <= envelope + 1e-12))
     return BoundReport(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas
@@ -48,7 +48,6 @@ __all__ = [
     "occupation_distribution_enumeration",
     "occupation_distribution_binomial",
     "beta",
-    "beta_tilde",
     "hat_apply",
     "shift_identity_residual",
     "weight_difference_bound",
@@ -291,11 +290,6 @@ def beta(psi, phi, weight: float = 1.0) -> float:
     n = len(pk) - 1
     w = np.sqrt(np.arange(n + 1) / n)
     return float(np.dot(w, pk))
-
-
-def beta_tilde(psi, phi, e_psi: float, e_phi: float, weight: float = 1.0) -> float:
-    """beta + |E^psi - E^phi|, the energy-augmented functional."""
-    return beta(psi, phi, weight) + abs(e_psi - e_phi)
 
 
 # -- weighted operators -------------------------------------------------------
@@ -562,15 +556,11 @@ def op_norm_sandwiched(kernel_flat: np.ndarray, phi_l2: np.ndarray) -> float:
 
 # -- reports ------------------------------------------------------------------
 
-_REPORT_FIELDS = (
-    "t", "alpha", "beta", "beta_tilde", "p_k", "trace_distance",
-    "E_psi", "E_phi", "grad_q_sq",
-)
-
 
 @dataclass(frozen=True)
 class CountingReport:
-    """Snapshot of every condensation functional at one time."""
+    """Snapshot of every condensation functional at one time (written to
+    counting.csv and counting.json by ``harness.run_single``)."""
 
     t: float
     alpha: float
@@ -596,23 +586,6 @@ class CountingReport:
         if self.alpha > self.beta + tol:
             raise InvariantError("alpha exceeds beta")
         return self
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def csv_row(self) -> str:
-        cells = []
-        for name in _REPORT_FIELDS:
-            value = getattr(self, name)
-            if name == "p_k":
-                cells.append(";".join(f"{p:.12g}" for p in value))
-            else:
-                cells.append(f"{value:.12g}")
-        return ",".join(cells)
-
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(_REPORT_FIELDS)
 
 
 def compute_report(state: ManyBodyState, one_body: OneBodyState,

@@ -431,8 +431,12 @@ def kinetic_trace(gamma: np.ndarray, domain: Domain) -> float:
 
 def step_count(T: float, dt: float) -> int:
     """Number of steps of size ``dt`` in a run over [0, T]."""
+    if not (math.isfinite(dt) and math.isfinite(T)):
+        raise ConfigError("dt and T must be finite")
     if dt <= 0:
         raise ConfigError("dt must be positive")
+    if T < 0:
+        raise ConfigError("T must be nonnegative")
     steps = round(T / dt)
     if abs(steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise ConfigError("T must be an integral number of steps")

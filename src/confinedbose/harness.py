@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -21,9 +21,9 @@ from .manybody import (
     DEFAULT_MEMORY_CAP,
     _energy_and_residual,
     _permutation_average,
+    check_memory_cap,
     evolve_manybody,
     product_state,
-    working_set_bytes,
 )
 from .model import ExternalPotential, InteractionProfile, ModelSpec
 from .onebody import OneBodyState, chi_mode, evolve_effective
@@ -56,7 +56,10 @@ def read_config_document(path) -> dict:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite int or float: bools, NaN and infinities are refused."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return isinstance(x, int) or math.isfinite(x)
 
 
 def read_eps_list(path) -> tuple[float, ...]:
@@ -133,9 +136,6 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def model_spec(self, n_particles: int | None = None) -> ModelSpec:
         """The model objects this document describes; a malformed domain,
         interaction or potential entry is a ``ConfigError``."""
@@ -210,10 +210,7 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
     """
     os.makedirs(out_dir, exist_ok=True)
     spec = config.model_spec()
-    if working_set_bytes(spec) > config.memory_cap_bytes:
-        raise GuardError(
-            "configured run exceeds the memory cap; reduce the grid, N, or raise the cap"
-        )
+    check_memory_cap(spec, config.memory_cap_bytes)
     one0 = initial_state(spec, config.initial)
     ones = evolve_effective(one0, spec, config.time_horizon, config.dt,
                             stride=config.report_stride)
@@ -233,14 +230,13 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
     _csv(os.path.join(out_dir, "onebody.csv"), "t,mass,E_phi,sup_phi,H2_phi", one_rows)
     _csv(os.path.join(out_dir, "manybody.csv"), "t,mass,E_psi,symmetry_residual", many_rows)
     if counting_reports:
-        _atomic_write(
-            os.path.join(out_dir, "counting.json"),
-            json.dumps([r.to_dict() for r in reports], indent=1),
-        )
-        _atomic_write(
-            os.path.join(out_dir, "counting.csv"),
-            "\n".join([cnt.CountingReport.csv_header()] + [r.csv_row() for r in reports]) + "\n",
-        )
+        docs = [asdict(r) for r in reports]
+        _atomic_write(os.path.join(out_dir, "counting.json"), json.dumps(docs, indent=1))
+        for doc in docs:
+            doc["p_k"] = ";".join(f"{p:.12g}" for p in doc["p_k"])
+        _csv(os.path.join(out_dir, "counting.csv"),
+             ",".join(f.name for f in fields(cnt.CountingReport)),
+             [doc.values() for doc in docs])
 
     write_mfl1(os.path.join(out_dir, "final_onebody.mfl1"), spec.free,
                ones[-1].phi_free.values)
@@ -355,8 +351,7 @@ def run_ladder(config: ExperimentConfig, out_dir) -> RateFit:
     jobs = []
     for n in ns:
         cfg_n = _ladder_point(config, n)
-        if working_set_bytes(cfg_n.model_spec()) > config.memory_cap_bytes:
-            raise GuardError(f"ladder point N={n} exceeds the memory cap")
+        check_memory_cap(cfg_n.model_spec(), config.memory_cap_bytes)
         jobs.append((n, cfg_n))
 
     results: dict[int, float | None] = {}

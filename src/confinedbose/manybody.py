@@ -59,6 +59,7 @@ __all__ = [
     "product_state",
     "estimate_state_bytes",
     "working_set_bytes",
+    "check_memory_cap",
     "DEFAULT_MEMORY_CAP",
 ]
 
@@ -143,6 +144,17 @@ def working_set_bytes(spec: ModelSpec) -> int:
     step = state + _SLAB_BYTES
     report = state + 16 * m**2 + max(_SLAB_BYTES, state // m) + 2 * (state // m)
     return held + max(step, report) + _ONE_BODY_ALLOWANCE
+
+
+def check_memory_cap(spec: ModelSpec, cap: int) -> None:
+    """The memory guard of every run: a ``GuardError`` when the run's
+    ``working_set_bytes`` exceeds ``cap`` bytes."""
+    need = working_set_bytes(spec)
+    if need > cap:
+        raise GuardError(
+            f"N={spec.n_particles}: estimated working set {need / 2**20:.4g} MiB exceeds "
+            f"the memory cap {cap / 2**20:.4g} MiB; shrink the grid or N, or raise the cap"
+        )
 
 
 # -- pair interaction ---------------------------------------------------------
@@ -369,12 +381,7 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
     steps = step_count(T, dt)
     if state.n_particles != spec.n_particles or state.domain != spec.domain:
         raise ConfigError("state does not match the model spec's grid or N")
-    need = working_set_bytes(spec)
-    if need > memory_cap:
-        raise GuardError(
-            f"estimated working set {need / 2**30:.2f} GiB exceeds cap "
-            f"{memory_cap / 2**30:.2f} GiB; shrink the grid or raise the cap"
-        )
+    check_memory_cap(spec, memory_cap)
     if abs(state.mass() - 1.0) > 1e-6:
         raise ConfigError("initial state is not normalized")
     if symmetry_residual(state) > SYMMETRY_TOL:

@@ -239,17 +239,15 @@ def effective_energy(state: OneBodyState, spec: ModelSpec) -> float:
     return kinetic + trap + inter + ext
 
 
-def sup_norms(state: OneBodyState) -> tuple[float, float, float, float]:
-    """(sup |phi|, sup |Phi|, ||phi||_{H^2}, ||Delta Phi||_{L^2})."""
+def sup_norms(state: OneBodyState) -> tuple[float, float, float]:
+    """(sup |phi|, sup |Phi|, ||phi||_{H^2})."""
     phi_free = state.phi_free
     sup_big = float(np.max(np.abs(phi_free.values)) * np.max(np.abs(state.mode.chi.values)))
     sup_small = float(np.max(np.abs(phi_free.values)))
     full = state.product_values()
     dom = state.domain
     h2 = float(np.linalg.norm(full + apply_kinetic(full, dom, eps=1.0)) * np.sqrt(dom.cell_volume))
-    lap = float(np.linalg.norm(apply_kinetic(phi_free.values, phi_free.domain))
-                * np.sqrt(phi_free.domain.cell_volume))
-    return sup_big, sup_small, h2, lap
+    return sup_big, sup_small, h2
 
 
 def trajectory_rows(states: list[OneBodyState], spec: ModelSpec):
@@ -257,7 +255,7 @@ def trajectory_rows(states: list[OneBodyState], spec: ModelSpec):
     sup |Phi| of each state, taken from the same ``sup_norms`` pass."""
     rows, sup_free = [], []
     for st in states:
-        sup_big, sup_small, h2, _ = sup_norms(st)
+        sup_big, sup_small, h2 = sup_norms(st)
         rows.append(
             (st.t, st.mass(), effective_energy(st, spec), sup_big, h2)
         )

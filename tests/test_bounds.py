@@ -8,7 +8,6 @@ import pytest
 from scipy.integrate import quad
 
 from confinedbose.bounds import (
-    EnvelopeInput,
     RateSpec,
     interaction_norms,
     coulomb_confined_norms,
@@ -25,34 +24,38 @@ from confinedbose.errors import ConfigError, GuardError
 # -- Gronwall ------------------------------------------------------------------
 
 
+# each test passes the cumulative growth G(t) in closed form; the trapezoid
+# rule that builds G from samples is checked by test_mean_field_coefficient_*
+
+
 def test_gronwall_zero_coefficient():
     t = np.linspace(0, 2, 101)
-    env = gronwall_envelope(EnvelopeInput(t, np.zeros_like(t), initial=0.7, defect=0.3))
+    env = gronwall_envelope(np.zeros_like(t), initial=0.7, defect=0.3)
     assert np.allclose(env, 0.7, atol=1e-14)
 
 
 def test_gronwall_constant_coefficient_exact_exponential():
     t = np.linspace(0, 1.5, 1501)
     c = 0.8
-    env = gronwall_envelope(EnvelopeInput(t, np.full_like(t, c), initial=1.0, defect=0.0))
-    assert np.max(np.abs(env - np.exp(c * t))) < 1e-12  # trapezoid exact for constants
+    env = gronwall_envelope(c * t, initial=1.0, defect=0.0)
+    assert np.max(np.abs(env - np.exp(c * t))) < 1e-12
 
 
 def test_gronwall_linear_coefficient_closed_form():
-    # C(s) = s, delta = 1, f(0) = 0, t = 1: envelope exp(1/2) - 1
+    # C(s) = s, so G(t) = t^2/2; delta = 1, f(0) = 0, t = 1: envelope exp(1/2) - 1
     t = np.linspace(0, 1, 2001)
-    env = gronwall_envelope(EnvelopeInput(t, t, initial=0.0, defect=1.0))
+    env = gronwall_envelope(t**2 / 2, initial=0.0, defect=1.0)
     assert env[-1] == pytest.approx(np.exp(0.5) - 1.0, abs=1e-7)
     assert env[-1] == pytest.approx(0.6487, abs=2e-4)
 
 
 def test_gronwall_monotonicity():
     t = np.linspace(0, 1, 101)
-    c = np.abs(np.sin(3 * t)) + 0.1
-    base = gronwall_envelope(EnvelopeInput(t, c, initial=0.2, defect=0.1))
-    more_init = gronwall_envelope(EnvelopeInput(t, c, initial=0.3, defect=0.1))
-    more_defect = gronwall_envelope(EnvelopeInput(t, c, initial=0.2, defect=0.2))
-    more_coeff = gronwall_envelope(EnvelopeInput(t, c + 0.5, initial=0.2, defect=0.1))
+    g = t**2 / 2 + 0.1 * t  # C(s) = s + 0.1
+    base = gronwall_envelope(g, initial=0.2, defect=0.1)
+    more_init = gronwall_envelope(g, initial=0.3, defect=0.1)
+    more_defect = gronwall_envelope(g, initial=0.2, defect=0.2)
+    more_coeff = gronwall_envelope(g + 0.5 * t, initial=0.2, defect=0.1)
     assert np.all(more_init >= base)
     assert np.all(more_defect >= base)
     assert np.all(more_coeff >= base)
@@ -340,13 +343,14 @@ def test_bound_report_zero_interaction_trivially_below():
 
 
 def test_fitted_constant_stability_across_particle_numbers():
-    # beta-tilde against the cubic growth envelope: the fitted prefactor
+    # beta-tilde against the short-range envelope: the fitted prefactor
     # should not swing more than 2x over the small-N ladder
-    from confinedbose.bounds import growth_integrand_singular, envelope_report
+    from confinedbose.bounds import envelope_report, growth_integrand_short_range
     from confinedbose.grids import ConfinedDomain, FreeDomain, GridFunction, norm
     from confinedbose.manybody import evolve_manybody, manybody_energy, product_state
     from confinedbose.model import InteractionProfile, ModelSpec
-    from confinedbose.onebody import OneBodyState, chi_mode, effective_energy, evolve_effective
+    from confinedbose.onebody import (OneBodyState, chi_mode, effective_energy,
+                                      evolve_effective, trajectory_rows)
     from confinedbose import counting as cnt
 
     fitted = {}
@@ -368,17 +372,41 @@ def test_fitted_constant_stability_across_particle_numbers():
         manys = evolve_manybody(product_state(one0, n), spec, T, dt, stride=stride)
         times = [st.t for st in ones]
         bt = [
-            cnt.beta_tilde(mb.values, ob.product_values(),
-                           manybody_energy(mb, spec), effective_energy(ob, spec),
-                           weight=spec.domain.cell_volume)
+            cnt.beta(mb.values, ob.product_values(), weight=spec.domain.cell_volume)
+            + abs(manybody_energy(mb, spec) - effective_energy(ob, spec))
             for mb, ob in zip(manys, ones)
         ]
-        rep = envelope_report(times, bt, RateSpec("singular", s=1.5), spec,
-                               growth_integrand=growth_integrand_singular(ones))
+        rows, _ = trajectory_rows(ones, spec)
+        integrand = growth_integrand_short_range(
+            ones, spec, [r[3] for r in rows], [r[4] for r in rows])
+        rep = envelope_report(times, bt, RateSpec("short-range", theta=0.3), spec,
+                              growth_integrand=integrand)
         assert rep.below_envelope  # by construction of the fit
         fitted[n] = rep.fitted_constant
     vals = list(fitted.values())
     assert max(vals) <= 2.0 * min(vals)
+
+
+@pytest.mark.parametrize("rate", [RateSpec("singular", s=1.5),
+                                  RateSpec("singular-improved", s=1.5)],
+                         ids=["singular", "singular-improved"])
+def test_envelope_report_refuses_regimes_no_run_produces(rate):
+    from confinedbose.bounds import envelope_report
+    from confinedbose.grids import ConfinedDomain, FreeDomain
+    from confinedbose.model import InteractionProfile, ModelSpec
+
+    spec = ModelSpec(
+        free=FreeDomain((12.0,), (8,)),
+        confined=ConfinedDomain(((-0.5, 0.5),), (3,), eps=0.3),
+        n_particles=3,
+        interaction=InteractionProfile("gaussian-bump", amplitude=1.0,
+                                       radius=1.5, sigma=0.5),
+        regime="hartree-theta0",
+    )
+    times = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ConfigError, match="no run produces"):
+        envelope_report(times, np.zeros_like(times), rate, spec,
+                        growth_integrand=np.ones_like(times))
 
 
 def test_a1_norms_bounded_profile():

@@ -1,5 +1,6 @@
 """Experiment harness: configs, runs, ladders, lemma suite, CLI contract."""
 
+import dataclasses
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from confinedbose import bounds, harness, manybody, onebody
+from confinedbose import harness, manybody, onebody
 from confinedbose.cli import main
 from confinedbose.errors import ConfigError, GuardError
 from confinedbose.harness import (
@@ -19,7 +20,7 @@ from confinedbose.harness import (
     run_single,
     verify_lemmas,
 )
-from confinedbose.counting import compute_report
+from confinedbose.counting import CountingReport, compute_report
 from confinedbose.grids import _SLAB_BYTES
 from confinedbose.manybody import (
     _ONE_BODY_ALLOWANCE,
@@ -53,10 +54,9 @@ def config(**overrides):
 def test_config_round_trip_identity(tmp_path):
     cfg = config()
     path = tmp_path / "cfg.json"
-    path.write_text(cfg.dumps(), encoding="utf-8")
+    path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
     again = ExperimentConfig.load(path)
     assert again == cfg
-    assert again.dumps() == cfg.dumps()
 
 
 def test_config_rejects_unknown_fields():
@@ -370,6 +370,10 @@ LIST_LADDER = {"particle_counts": [2, 3, 4], "eps_rule": "list"}
                  id="center-string"),
     pytest.param("simulate-manybody", {"mode_index": "1"}, id="mode-index-string"),
     pytest.param("simulate-manybody", {"memory_cap_bytes": "x"}, id="memory-cap-string"),
+    pytest.param("counting", {"dt": float("nan")}, id="dt-nan"),
+    pytest.param("counting", {"time_horizon": float("inf")}, id="time-horizon-inf"),
+    pytest.param("counting", {"time_horizon": -0.5}, id="time-horizon-negative"),
+    pytest.param("counting", {"memory_cap_bytes": float("nan")}, id="memory-cap-nan"),
     pytest.param("coulomb-norms", None, id="coulomb-missing-file"),
     pytest.param("coulomb-norms", "{not json", id="coulomb-not-json"),
     pytest.param("coulomb-norms", {"eps_list": ["x"]}, id="coulomb-eps-string"),
@@ -421,7 +425,17 @@ def test_cli_simulate_and_counting(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "run"
     assert main(["counting", "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "counting.csv").exists()
+    # counting.csv holds the counting.json reports: a header of the report's
+    # fields, then one row each at 12 digits, p_k joined with ';'
+    reports = json.loads((out / "counting.json").read_text())
+    header, *rows = (out / "counting.csv").read_text().splitlines()
+    assert header.split(",") == [f.name for f in dataclasses.fields(CountingReport)]
+    assert len(rows) == len(reports)
+    for row, doc in zip(rows, reports):
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert [float(p) for p in cells.pop("p_k").split(";")] == pytest.approx(
+            doc.pop("p_k"), rel=1e-11, abs=1e-15)
+        assert {k: float(v) for k, v in cells.items()} == pytest.approx(doc, rel=1e-11)
     out2 = tmp_path / "ob"
     assert main(["simulate-onebody", "--config", cfg, "--out", str(out2)]) == 0
     assert (out2 / "onebody.csv").exists()
@@ -500,7 +514,6 @@ def test_cli_bounds_short_range_reuses_run(tmp_path, monkeypatch):
     monkeypatch.setattr(onebody, "evolve_effective", counted)
     monkeypatch.setattr(harness, "evolve_effective", counted)
     monkeypatch.setattr(onebody, "sup_norms", counted_norms)
-    monkeypatch.setattr(bounds, "sup_norms", counted_norms)
     demo = json.loads((DEMO_CONFIGS / "nls_theta_two_confined.json").read_text())
     demo["confined"]["points"] = [2, 2]
     demo["time_horizon"] = 10 * demo["dt"]
