@@ -30,9 +30,15 @@ from scipy.linalg import blas
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, InvariantError
-from .grids import apply_kinetic, kinetic_trace, row_blocks
-from .manybody import SYMMETRY_TOL, ManyBodyState, _transposition_residual, pair_phase_array
-from .manybody import density_matrix  # re-exported: the report's gamma is the energy's
+from .grids import apply_kinetic, row_blocks
+from .manybody import (
+    SYMMETRY_TOL,
+    ManyBodyState,
+    OneBodyDensity,
+    _transposition_residual,
+    pair_phase_array,
+)
+from .manybody import density_matrix  # re-exported: the dense gamma of any N
 from .model import ModelSpec
 from .onebody import OneBodyState, chi_mode, hartree_potential, mean_field_kernel
 
@@ -414,17 +420,20 @@ def weight_difference_bound(m_tag: str, l: int, psi, phi) -> tuple[float, float]
 _DENSE_EIG_MAX_DIM = 96  # measured crossover of dense eigvalsh and Lanczos
 
 
-def trace_distance(gamma: np.ndarray, phi: np.ndarray) -> float:
+def trace_distance(gamma, phi: np.ndarray) -> float:
     """Tr |gamma - |phi><phi|| for a positive semidefinite gamma.
+
+    ``gamma`` is an m x m array or a ``manybody.OneBodyDensity``: only its
+    ``trace()``, ``gamma @ v`` and, up to m = 96, ``np.asarray(gamma)`` are used.
 
     gamma - |phi><phi| is a rank-one negative perturbation of a PSD matrix,
     so by Weyl interlacing it has at most one negative eigenvalue
     lambda_min, and its trace norm is tr(gamma - |phi><phi|) -
     2 min(lambda_min, 0).  lambda_min comes from a dense ``eigvalsh`` up to
     m = 96 and above that from Lanczos (ARPACK via ``eigsh``, which="SA")
-    on v -> gamma v - phi <phi, v>, so the difference matrix is never
-    formed.  The start vector is phi and restarts draw from a fixed seed,
-    so the result is reproducible.  Crossover, one BLAS thread on a 2-core
+    on v -> gamma v - phi <phi, v>, so neither the difference matrix nor a
+    factored gamma is formed.  The start vector is phi and restarts draw
+    from a fixed seed, so the result is reproducible.  Crossover, one BLAS thread on a 2-core
     x86-64 box: m = 48 dense 0.33 ms / Lanczos 1.1 ms, m = 96 1.2 / 1.2 ms,
     m = 128 2.4 / 1.4 ms, m = 1024 553 / 22 ms.
     """
@@ -432,9 +441,9 @@ def trace_distance(gamma: np.ndarray, phi: np.ndarray) -> float:
     m = phi.size
     if m > 4096:
         raise ConfigError("trace distance limited to one-body dimension <= 4096")
-    trace = float(np.trace(gamma).real - np.vdot(phi, phi).real)
+    trace = float(gamma.trace().real - np.vdot(phi, phi).real)
     if m <= _DENSE_EIG_MAX_DIM:
-        lam = np.linalg.eigvalsh(gamma - np.outer(phi, np.conj(phi)))[0]
+        lam = np.linalg.eigvalsh(np.asarray(gamma) - np.outer(phi, np.conj(phi)))[0]
     else:
         diff = LinearOperator((m, m), matvec=lambda v: gamma @ v - phi * np.vdot(phi, v),
                               dtype=np.complex128)
@@ -495,22 +504,23 @@ def grad_q_norm(state: ManyBodyState, reference) -> float:
     (``_grad_q_form``) are energy-sized, so on a condensate it reads roundoff
     of either sign, 1e-14 to 1e-12 absolute; it is not clipped.
     """
-    psi, phi, _, _ = _grid_frame(state, reference)
-    return _grad_q_form(density_matrix(psi, state.domain.cell_volume), phi, state.domain)
+    _, phi, _, _ = _grid_frame(state, reference)
+    return _grad_q_form(OneBodyDensity(state), phi)
 
 
-def _grad_q_form(gamma, phi, dom) -> float:
-    """tr(q h~ q gamma) for unit-weight gamma and phi, q = 1 - |phi><phi|, h~ = K - E_0:
+def _grad_q_form(gamma: OneBodyDensity, phi) -> float:
+    """tr(q h~ q gamma) for a unit-weight phi, q = 1 - |phi><phi|, h~ = K - E_0:
 
     tr(K gamma) - 2 Re<gamma phi, K phi> + <phi, K phi><phi, gamma phi>
-    - E_0 (tr gamma - <phi, gamma phi>), with tr(K gamma) by ``grids.kinetic_trace``.
+    - E_0 (tr gamma - <phi, gamma phi>), with tr(K gamma) by ``gamma.kinetic_trace``.
     """
+    dom = gamma.domain
     k_phi = apply_kinetic(phi.reshape(dom.shape), dom).ravel()
     g_phi = gamma @ phi
     occupied = np.vdot(phi, g_phi).real
     e0 = chi_mode(dom.confined, 0).energy_eps
-    return float(kinetic_trace(gamma, dom) - 2.0 * np.vdot(g_phi, k_phi).real
-                 + np.vdot(phi, k_phi).real * occupied - e0 * (np.trace(gamma).real - occupied))
+    return float(gamma.kinetic_trace() - 2.0 * np.vdot(g_phi, k_phi).real
+                 + np.vdot(phi, k_phi).real * occupied - e0 * (gamma.trace() - occupied))
 
 
 def mode_projection_split(state: ManyBodyState, one_body: OneBodyState) -> tuple[float, float]:
@@ -589,16 +599,18 @@ class CountingReport:
 
 
 def compute_report(state: ManyBodyState, one_body: OneBodyState,
-                   e_psi: float, e_phi: float, gamma: np.ndarray) -> CountingReport:
+                   e_psi: float, e_phi: float, gamma: OneBodyDensity) -> CountingReport:
     """Evaluate all counting functionals for one (psi, phi) snapshot; the
-    caller computed its energies and unit-weight ``density_matrix`` gamma.
+    caller computed its energies and its ``manybody.OneBodyDensity`` gamma.
 
     Precondition: the snapshot is permutation symmetric.  The occupation
     distribution uses the symmetric route ``_sector_weights`` without
     re-checking; ``manybody._energy_and_residual`` has refused a residual
-    above SYMMETRY_TOL and returned gamma.  Besides psi and gamma the report
-    holds one ``grids.row_blocks`` block (at most a slab, or one 1/m-sized
-    row when a row is larger) and 1/m-sized coefficients: psi is not copied.
+    above SYMMETRY_TOL and returned gamma.  Besides psi and gamma (m^2 at
+    N >= 3, read through psi at N <= 2) the report holds one
+    ``grids.row_blocks`` block (at most a slab, or one 1/m-sized row when a
+    row is larger) and 1/m-sized coefficients, then the trace distance's
+    Lanczos vectors: psi is not copied.
     """
     psi, phi, n, amp = _grid_frame(state, one_body)
     pk = amp**2 * _sector_weights(psi, phi)
@@ -614,7 +626,7 @@ def compute_report(state: ManyBodyState, one_body: OneBodyState,
         trace_distance=trace_distance(gamma, phi),
         E_psi=float(e_psi),
         E_phi=float(e_phi),
-        grad_q_sq=_grad_q_form(gamma, phi, state.domain),
+        grad_q_sq=_grad_q_form(gamma, phi),
     ).validate()
 
 

@@ -14,12 +14,14 @@ serves every pair at every N.  The integrator is ``grids.strang_steps``, the
 same second-order Strang schedule as the effective solver.  The evolver
 holds one state: it steps its input's buffer in place and lends each
 reported snapshot as a view of it, valid until the next is requested.
-Energies come from the density matrix and the two-body density.
+Energies come from the one-particle density matrix gamma and the two-body
+density.  gamma (``OneBodyDensity``) is formed only where it is smaller
+than the state (N >= 3); at N <= 2 it is read through the snapshot.
 Everything is desk scale: a memory guard refuses runs whose working set
 (``working_set_bytes``: one state-sized array whatever N, with a slab
-scratch in a step or the density matrix at a snapshot; the pair phase on
-its offset lattice; a one-body allowance) exceeds a configurable cap
-(2 GiB by default).
+scratch in a step or a snapshot's diagnostics; the pair phase on its
+offset lattice; a one-body allowance) exceeds a configurable cap (2 GiB by
+default).
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ __all__ = [
     "evolve_manybody",
     "manybody_energy",
     "density_matrix",
+    "OneBodyDensity",
     "symmetrize",
     "symmetry_residual",
     "product_state",
@@ -115,6 +118,7 @@ def estimate_state_bytes(spec: ModelSpec) -> int:
 
 
 _ONE_BODY_ALLOWANCE = 1 << 20  # bytes: one-body arrays, trajectory and report objects
+_LANCZOS_VECTORS = 24  # m-sized: ARPACK's 20 basis vectors for one eigenvalue, 3 work, 1 residual
 
 
 def working_set_bytes(spec: ModelSpec) -> int:
@@ -128,21 +132,27 @@ def working_set_bytes(spec: ModelSpec) -> int:
       snapshot's and the Strang step's, with one slab scratch of
       ``grids._SLAB_BYTES``: every kick sweep acts in place through it, and
       the potential substep multiplies in place by views of the pair table.
-    - a snapshot's diagnostics: the snapshot, and the m^2-sized density
-      matrix gamma, with a counting report's row block (one slab, or one
-      1/m-sized row when a row is larger) and two 1/m-sized coefficient
-      arrays.  gamma is freed before the next step.  The energy's pair
-      blocks and the symmetry check's 1/m-sized buffer come before gamma
-      and are smaller.
-
-    At N = 2 gamma is state-sized, so the snapshot's moment is two states.
+    - a snapshot's diagnostics: the snapshot and its ``OneBodyDensity``,
+      with a counting report's row block (one slab, or one 1/m-sized row
+      when a row is larger), two 1/m-sized coefficient arrays and the
+      trace distance's Lanczos vectors.  The density is the m^2-sized gamma
+      at N >= 3, freed before the next step; at N <= 2
+      (``_density_is_factored``) it is read through the snapshot, and only
+      its largest group-reduced matrix is formed.  The energy's two pair
+      buffers share one slab, and the symmetry check's buffer is 1/m-sized,
+      so neither exceeds the report's row block.
     """
     m = int(np.prod(spec.domain.shape))
     state = estimate_state_bytes(spec)
     m_c = math.prod(spec.confined.shape)
     held = 16 * 2**spec.free.dim * math.prod(spec.free.shape) * m_c**2
     step = state + _SLAB_BYTES
-    report = state + 16 * m**2 + max(_SLAB_BYTES, state // m) + 2 * (state // m)
+    if _density_is_factored(spec.n_particles):
+        gamma = 16 * max(axis_groups(spec.domain.shape)) ** 2
+    else:
+        gamma = 16 * m**2
+    report = (state + gamma + max(_SLAB_BYTES, state // m) + 2 * (state // m)
+              + 16 * m * _LANCZOS_VECTORS)
     return held + max(step, report) + _ONE_BODY_ALLOWANCE
 
 
@@ -452,49 +462,142 @@ def density_matrix(psi, weight: float = 1.0) -> np.ndarray:
     return gamma
 
 
+def _density_is_factored(n_particles: int) -> bool:
+    """Whether a snapshot's gamma is read through the state instead of formed:
+    where the m x m matrix would be as large as the state, m^2 >= m^N."""
+    return n_particles <= 2
+
+
+def _group_density(rows: np.ndarray, sizes: tuple, g: int, scale: float) -> np.ndarray:
+    """Gamma_g^T for gamma = scale * rows rows^dagger, Gamma_g its reduction to group g.
+
+    ``rows`` is C-contiguous with one row per grid point; its regrouped
+    view (L, sizes[g], rest), L the product of the earlier groups, gives
+    Gamma_g = scale sum_l V_l V_l^dagger over its (sizes[g], rest) slices.
+    One BLAS ``zherk`` per slice adds conj(V_l) V_l^T, read in place, into
+    the upper triangle of one sizes[g]^2 buffer; the lower one is filled from it.
+    """
+    upper = np.zeros((sizes[g], sizes[g]), dtype=np.complex128, order="F")
+    for block in rows.reshape(math.prod(sizes[:g]), sizes[g], -1):
+        upper = blas.zherk(scale, block.T, beta=1.0, c=upper, trans=2, overwrite_c=1)
+    return upper + np.triu(upper, 1).conj().T
+
+
+class OneBodyDensity:
+    """A snapshot's gamma = w^N A A^dagger, in the form its size allows.
+
+    A is the (m, m^(N-1)) view of the snapshot's values and w the one-body
+    cell volume.  Consumers call ``trace()``, ``diagonal()``, ``gamma @ v``,
+    ``kinetic_trace()`` and, for a dense form, ``np.asarray(gamma)``; all
+    but ``kinetic_trace`` mean what they mean for the m x m array, so
+    ``counting.trace_distance`` takes either.
+
+    Where the matrix would be as large as the state (``_density_is_factored``,
+    N <= 2) it is never formed, and every call reads A from the snapshot:
+    tr gamma = w^N ||A||^2, diag gamma is the squared row norms of A,
+    gamma v = w^N A (A^dagger v) by two matrix-vector products with no
+    conjugate copy, and tr(K gamma) = sum_g tr(K_g Gamma_g) over the
+    group-reduced Gamma_g of ``_group_density``.  A lent snapshot's values
+    become None when the next is requested, so a later call fails rather
+    than read the next state.  Otherwise gamma is ``density_matrix``'s one
+    ``zherk``, formed here once.
+    """
+
+    def __init__(self, state: ManyBodyState):
+        self.domain = state.domain
+        self._state = state
+        self._shape = (math.prod(state.domain.shape),) * state.n_particles
+        self._scale = state.domain.cell_volume ** state.n_particles
+        self._matrix = None
+        if not _density_is_factored(state.n_particles):
+            self._matrix = density_matrix(self._psi(), state.domain.cell_volume)
+
+    def _psi(self) -> np.ndarray:
+        return self._state.values.reshape(self._shape)
+
+    def _rows(self) -> np.ndarray:
+        return self._state.values.reshape(self._shape[0], -1)
+
+    def trace(self) -> float:
+        if self._matrix is not None:
+            return float(np.trace(self._matrix).real)
+        rows = self._rows()
+        return self._scale * float(np.vdot(rows, rows).real)
+
+    def diagonal(self) -> np.ndarray:
+        if self._matrix is not None:
+            return self._matrix.diagonal().real
+        parts = self._rows().view(np.float64)
+        return self._scale * np.einsum("ar,ar->a", parts, parts)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        if self._matrix is not None:
+            return self._matrix @ v
+        rows = self._rows()
+        return self._scale * (rows @ np.conj(np.conj(v) @ rows))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        gamma = self._matrix
+        if gamma is None:
+            gamma = density_matrix(self._psi(), self.domain.cell_volume)
+        return np.asarray(gamma, dtype=dtype)
+
+    def kinetic_trace(self) -> float:
+        """Re tr(K gamma), K = -Delta_x - eps^-2 Delta_y, summed over the
+        ``grids.axis_operators`` groups: no dense m x m K is formed."""
+        if self._matrix is not None:
+            return kinetic_trace(self._matrix, self.domain)
+        rows = self._rows()
+        sizes = axis_groups(self.domain.shape)
+        ops = axis_operators(self.domain, lambda mult: mult)
+        # tr(K_g Gamma_g) = sum_ab K_g[a, b] Gamma_g^T[a, b]
+        return sum(float(np.sum(op * _group_density(rows, sizes, g, self._scale)).real)
+                   for g, op in enumerate(ops))
+
+
 def _pair_expectation(state: ManyBodyState, spec: ModelSpec) -> float:
     """sum_{x_1, x_2} W(x_1, x_2) rho_2(x_1, x_2) times the cell volume of Omega^N.
 
     rho_2(x_1, x_2) = sum_rest |psi(x_1, x_2, rest)|^2 is summed over the
     ``grids.row_blocks`` of x_1 on the pair view's grid: each block's kernel
     rows are pair[box], a view of the offset table that ``vdot`` flattens
-    into a transient of at most a slab, and its rho_2 rows come from one
-    ``einsum`` over the real view of psi into one buffer of at most a slab.
-    So neither an m^2-sized kernel nor an m^2-sized rho_2 is formed, and no
-    state-sized product.
+    into a transient, and its rho_2 rows come from one ``einsum`` over the
+    real view of psi into one buffer.  A row is 8m bytes in each, so the
+    blocks are budgeted at 16m bytes a row and the two fit one slab
+    together.  So neither an m^2-sized kernel nor an m^2-sized rho_2 is
+    formed, and no state-sized product.
     """
     m = math.prod(state.domain.shape)
     pair = _pair_view(_pair_table(spec))  # m_f m_c^2 samples: cheap to rebuild per snapshot
     parts = state.values.reshape(m, m, -1).view(np.float64)
     grid = pair.shape[:pair.ndim // 2]
-    rho2 = np.empty((next(row_blocks(grid, 8 * m))[1], m))  # the first block is the largest
+    rho2 = np.empty((next(row_blocks(grid, 16 * m))[1], m))  # the first block is the largest
     total = 0.0
-    for lo, hi, box in row_blocks(grid, 8 * m):
+    for lo, hi, box in row_blocks(grid, 16 * m):
         block = parts[lo:hi]
         rows = np.einsum("abr,abr->ab", block, block, out=rho2[:hi - lo])
         total += float(np.vdot(pair[box], rows))
     return total * state.cell_volume
 
 
-def _energy_and_residual(state: ManyBodyState, spec: ModelSpec) -> tuple[float, float, np.ndarray]:
-    """(manybody_energy, the symmetry residual its guard computed, ``density_matrix`` gamma).
+def _energy_and_residual(state: ManyBodyState,
+                         spec: ModelSpec) -> tuple[float, float, OneBodyDensity]:
+    """(manybody_energy, the symmetry residual its guard computed, the ``OneBodyDensity``).
 
-    One-body terms: tr(K gamma) (``grids.kinetic_trace``) + sum_x V(x) gamma(x, x).
+    One-body terms: tr(K gamma) + sum_x V(x) gamma(x, x), from the density.
     The pair term is ``_pair_expectation``, with no m^2-sized array.  It goes
-    first, so that its buffers are freed before gamma, which at N = 2 is
-    state-sized, is formed.
+    first, so that its buffers are freed before an N >= 3 gamma is formed.
     """
     residual = symmetry_residual(state)
     if residual > SYMMETRY_TOL:
         raise ConfigError("manybody_energy expects a symmetric state")
     n, dom = state.n_particles, state.domain
-    m = math.prod(dom.shape)
     inter = 0.0
     if n > 1:
         inter = spec.pair_prefactor * (n * (n - 1) / 2.0) / n * _pair_expectation(state, spec)
-    gamma = density_matrix(state.values.reshape((m,) * n), dom.cell_volume)
+    gamma = OneBodyDensity(state)
     v_one = spec.potential.values(state.t, dom).ravel()  # zeros without a potential
-    one = kinetic_trace(gamma, dom) + float(np.dot(v_one, gamma.diagonal().real))
+    one = gamma.kinetic_trace() + float(np.dot(v_one, gamma.diagonal()))
     return one + inter, residual, gamma
 
 

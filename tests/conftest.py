@@ -1,5 +1,6 @@
-"""Shared test oracles."""
+"""Shared test oracles and the traced-memory helper."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,23 @@ from confinedbose.counting import _frame, project_p, project_q
 from confinedbose.grids import apply_along, axis_groups, axis_operators
 from confinedbose.manybody import pair_phase_array
 from confinedbose.onebody import chi_mode
+
+
+def measure_traced_peak(fn):
+    """(fn(), the peak of memory traced while it ran above what was traced at its start)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """The traced-memory helper ``measure_traced_peak``."""
+    return measure_traced_peak
 
 
 def _free_axis_basis(L, n):

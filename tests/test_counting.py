@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +14,8 @@ from confinedbose.errors import ConfigError, InvariantError
 from confinedbose.grids import ConfinedDomain, FreeDomain, GridFunction, ProductDomain, norm
 from confinedbose.manybody import (
     ManyBodyState,
+    OneBodyDensity,
     _energy_and_residual,
-    density_matrix,
     pair_phase_array,
     product_state,
     symmetrize,
@@ -146,19 +145,13 @@ def test_density_matrix_matches_triple_loop_oracle():
     assert np.min(np.linalg.eigvalsh(gamma)) > -1e-9
 
 
-def test_density_matrix_peak_is_gamma_alone():
+def test_density_matrix_peak_is_gamma_alone(traced_peak):
     # the product A A^dagger is formed in gamma's own buffer: psi is neither
     # conjugated nor copied, and no second m^2-sized array is made
     rng = np.random.default_rng(8)
     m = 1024
     psi = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        gamma = cnt.density_matrix(psi)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    gamma, peak = traced_peak(lambda: cnt.density_matrix(psi))
     assert peak <= 16 * m**2 + 64 * 1024
     assert np.array_equal(gamma, gamma.conj().T)
     assert np.max(np.abs(gamma - psi @ psi.conj().T)) < 1e-12 * np.max(np.abs(gamma))
@@ -277,7 +270,7 @@ def test_sector_weights_block_walk_matches_enumeration(n, top_rows, monkeypatch)
     assert np.all(expected > 1e-6)
 
 
-def test_compute_report_does_not_copy_psi(monkeypatch):
+def test_compute_report_does_not_copy_psi(monkeypatch, traced_peak):
     # symmetric N = 4 state on the smallest grid, 8 x 2 (m = 16); a slab of
     # a quarter state, since the default slab holds this whole 1 MiB state
     dom = ProductDomain(FreeDomain((8.0,), (8,)), ConfinedDomain(UNIT_INTERVAL, (2,), eps=0.5))
@@ -286,15 +279,9 @@ def test_compute_report_does_not_copy_psi(monkeypatch):
     state = ManyBodyState(dom, psi.reshape(dom.shape * 4))
     phi = GridFunction(dom.free, np.exp(-dom.free.meshgrid()[0] ** 2 / 4.0))
     one = OneBodyState(phi.copy_with(phi.values / norm(phi)), chi_mode(dom.confined, 0))
-    gamma = density_matrix(psi, dom.cell_volume)
+    gamma = OneBodyDensity(state)  # at N = 4 the dense m x m matrix, formed here
     monkeypatch.setattr(grids, "_SLAB_BYTES", state.values.nbytes // 4)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        report = cnt.compute_report(state, one, 0.0, 0.0, gamma)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: cnt.compute_report(state, one, 0.0, 0.0, gamma))
     assert peak < state.values.nbytes / 2
     assert sum(report.p_k) == pytest.approx(1.0, abs=1e-12)
 
@@ -375,7 +362,7 @@ def test_completeness_and_number_identity():
             assert np.linalg.norm((qsum - k * c).ravel()) < 1e-10
 
 
-def test_occupancy_sweep_buffer_bound():
+def test_occupancy_sweep_buffer_bound(traced_peak):
     # N + 2 state-sized buffers besides the input, which is only read.  One
     # projection's own scratch (its 1/m-sized coefficients and NumPy's
     # bounded ufunc buffer) is measured first and allowed for.
@@ -384,20 +371,10 @@ def test_occupancy_sweep_buffer_bound():
     psi = random_symmetric(rng, dim, n)
     phi = random_unit(rng, dim)
     before = psi.copy()
-    tracemalloc.start()
-    try:
-        scratch = 0
-        for axis in range(n):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            cnt.project_p(psi, phi, axis)
-            scratch = max(scratch, tracemalloc.get_traced_memory()[1] - base - psi.nbytes)
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        pk = cnt.occupation_distribution(psi, phi)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    scratch = 0
+    for axis in range(n):
+        scratch = max(scratch, traced_peak(lambda: cnt.project_p(psi, phi, axis))[1] - psi.nbytes)
+    pk, peak = traced_peak(lambda: cnt.occupation_distribution(psi, phi))
     assert peak <= (n + 2) * psi.nbytes + scratch + 64 * 1024
     assert np.array_equal(psi, before)
     assert np.max(np.abs(pk - cnt.occupation_distribution_enumeration(psi, phi))) < 1e-12
@@ -805,8 +782,7 @@ def test_counting_report_matches_general_route():
            + 0.1 * np.multiply.outer(np.multiply.outer(perp, perp), perp))
     state = symmetrize(spec.domain, raw)
     vol = spec.domain.cell_volume
-    gamma = cnt.density_matrix(state.values.reshape((phi.size,) * 3), vol)
-    report = cnt.compute_report(state, one, 0.0, 0.0, gamma)
+    report = cnt.compute_report(state, one, 0.0, 0.0, OneBodyDensity(state))
     general = cnt.occupation_distribution(state.values, phi, weight=vol)
     assert min(general) > 1e-4
     assert np.max(np.abs(np.array(report.p_k) - general)) < 1e-12

@@ -4,7 +4,6 @@ import dataclasses
 import json
 import math
 import os
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -94,18 +93,13 @@ def test_run_single_memory_guard(tmp_path):
         run_single(cfg, tmp_path / "run")
 
 
-def traced_peak(cfg, out_dir) -> int:
-    tracemalloc.start()
-    try:
-        run_single(cfg, out_dir)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 TWO_CONFINED_AXES = {  # m = 64 * 4 * 4 = 1024, the NLS demo's one-body grid
     "free": {"extents": [16.0], "points": [64]},
     "confined": {"intervals": [[-0.5, 0.5], [-0.5, 0.5]], "points": [4, 4], "eps": 0.66},
+}
+TWO_FREE_AXES = {  # m = 16 * 16 * 3 = 768, the Hartree demo's one-body grid
+    "free": {"extents": [12.0, 12.0], "points": [16, 16]},
+    "confined": {"intervals": [[-0.5, 0.5]], "points": [3], "eps": 0.2},
 }
 
 
@@ -118,13 +112,14 @@ TWO_CONFINED_AXES = {  # m = 64 * 4 * 4 = 1024, the NLS demo's one-body grid
                  9, False, id="N3-m48-9steps-stride3-potential"),
     pytest.param(2, {}, 1, False, id="N2-m48"),
     pytest.param(2, TWO_CONFINED_AXES, 1, True, id="N2-m1024"),
+    pytest.param(2, TWO_FREE_AXES, 1, True, id="N2-m768"),
     pytest.param(4, {}, 1, True, id="N4-m48"),
 ])
-def test_run_single_peak_within_working_set(tmp_path, n, overrides, steps, tight):
-    # a report at every step unless overridden; at N = 2 gamma is state-sized
+def test_run_single_peak_within_working_set(tmp_path, traced_peak, n, overrides, steps, tight):
+    # a report at every step unless overridden; at N = 2 gamma is read through the state
     cfg = config(**{"n_particles": n, "dt": 1e-2, "time_horizon": steps * 1e-2,
                     "report_stride": 1, **overrides})
-    peak = traced_peak(cfg, tmp_path / "run")
+    _, peak = traced_peak(lambda: run_single(cfg, tmp_path / "run"))
     model = working_set_bytes(cfg.model_spec())
     assert peak <= model
     if tight:  # where the state dominates, the model is close, not just an upper bound
@@ -135,14 +130,16 @@ def test_run_single_peak_within_working_set(tmp_path, n, overrides, steps, tight
     pytest.param(4, {}, id="N4-m48"),
     pytest.param(2, TWO_CONFINED_AXES, id="N2-m1024"),
 ])
-def test_snapshot_diagnostics_peak(n, grid):
+def test_snapshot_diagnostics_peak(traced_peak, n, grid):
     # one snapshot's energy and counting report, traced beyond psi.  The
     # terms are those of working_set_bytes: the report's row block (a slab,
     # or one 1/m-sized row when a row is larger; psi is not copied) and its
-    # two 1/m-sized coefficient arrays, the m^2-sized gamma, the one-body
-    # allowance (which also covers the dense trace distance's m^2 arrays at
-    # m <= 96).  The energy's pair term forms no m^2-sized array: its two
-    # buffers of at most a slab each are freed before gamma is formed.
+    # two 1/m-sized coefficient arrays, the m^2-sized gamma at N >= 3 (at
+    # N = 2 it is read through psi, not formed), the one-body allowance
+    # (which also covers the dense trace distance's m^2 arrays at m <= 96
+    # and the Lanczos vectors above).  The energy's pair term forms no
+    # m^2-sized array: its two buffers share one slab and are freed before
+    # gamma is formed.
     cfg = config(n_particles=n, **grid)
     spec = cfg.model_spec()
     one = harness.initial_state(spec, cfg.initial)
@@ -150,24 +147,23 @@ def test_snapshot_diagnostics_peak(n, grid):
     e_phi = onebody.effective_energy(one, spec)
     m = math.prod(spec.domain.shape)
     state_bytes = estimate_state_bytes(spec)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+
+    def diagnostics():
         e_psi, _, gamma = _energy_and_residual(state, spec)
         compute_report(state, one, e_psi, e_phi, gamma)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    report_terms = max(_SLAB_BYTES, state_bytes // m) + 2 * (state_bytes // m) + 16 * m**2
+
+    _, peak = traced_peak(diagnostics)
+    gamma_bytes = 16 * m**2 if n > 2 else 0
+    report_terms = max(_SLAB_BYTES, state_bytes // m) + 2 * (state_bytes // m) + gamma_bytes
     assert peak <= report_terms + _ONE_BODY_ALLOWANCE
 
 
-def test_run_single_peak_independent_of_report_count(tmp_path):
+def test_run_single_peak_independent_of_report_count(tmp_path, traced_peak):
     # m = 48, N = 3, 10 steps: 11 reported snapshots against 2
     peaks = {}
     for stride in (1, 10):
         cfg = config(n_particles=3, dt=1e-2, time_horizon=0.1, report_stride=stride)
-        peaks[stride] = traced_peak(cfg, tmp_path / f"stride{stride}")
+        peaks[stride] = traced_peak(lambda: run_single(cfg, tmp_path / f"stride{stride}"))[1]
     assert abs(peaks[1] - peaks[10]) <= estimate_state_bytes(cfg.model_spec())
 
 
@@ -401,6 +397,18 @@ def test_cli_bad_config_file(tmp_path, command, document):
         text = document if isinstance(document, str) else json.dumps({**BASE, **document})
         path.write_text(text, encoding="utf-8")
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+
+
+@pytest.mark.parametrize("command", ["counting", "simulate-manybody", "bounds"])
+def test_cli_refused_time_grid_leaves_no_directory(tmp_path, capsys, command):
+    # the model, the memory cap and the time grid are checked before --out is made
+    document = json.loads((DEMO_CONFIGS / "hartree_theta0_one_confined.json").read_text())
+    path = tmp_path / "negative_horizon.json"
+    path.write_text(json.dumps({**document, "time_horizon": -0.5}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 4
+    assert "T must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_singular_exponent(tmp_path, capsys):

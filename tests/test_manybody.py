@@ -1,25 +1,27 @@
 """Exact N-particle dynamics: kernels, unitarity, factorization, energy."""
 
 import itertools
-import tracemalloc
+import math
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from confinedbose import grids, manybody
-from confinedbose.counting import grad_q_norm
+from confinedbose.counting import grad_q_norm, trace_distance
 from confinedbose.errors import ConfigError, GuardError
 from confinedbose.grids import (
     ConfinedDomain,
     FreeDomain,
     GridFunction,
+    ProductDomain,
     axis_groups,
     kinetic_trace,
     norm,
 )
 from confinedbose.manybody import (
     ManyBodyState,
+    OneBodyDensity,
     _apply_phases,
     _transposition_residual,
     density_matrix,
@@ -474,6 +476,66 @@ def test_density_matrix_route_matches_sweeps(grid, n, groups, potential, direct_
     assert grad_q_norm(state, phi) == pytest.approx(direct_sweeps.grad_q(state, phi), rel=1e-12)
 
 
+@pytest.mark.parametrize("free, confined, groups", [
+    # one confined axis: 16 | 48 (m = 768, Lanczos) and 32 | 3 (m = 96, eigvalsh)
+    pytest.param(FreeDomain((12.0, 12.0), (16, 16)), ConfinedDomain(UNIT_INTERVAL, (3,), eps=0.2),
+                 (16, 48), id="16x16x3"),
+    pytest.param(FreeDomain((8.0,), (32,)), ConfinedDomain(UNIT_INTERVAL, (3,), eps=0.5),
+                 (32, 3), id="32x3"),
+    # two confined axes: 64 | 16 (m = 1024, Lanczos) and 32 | 3 (m = 96, eigvalsh)
+    pytest.param(FreeDomain((16.0,), (64,)), ConfinedDomain(UNIT_INTERVAL * 2, (4, 4), eps=0.66),
+                 (64, 16), id="64x4x4"),
+    pytest.param(FreeDomain((8.0,), (16,)), ConfinedDomain(UNIT_INTERVAL * 2, (2, 3), eps=0.5),
+                 (32, 3), id="16x2x3"),
+])
+def test_factored_density_matches_dense(free, confined, groups):
+    # at N = 2 gamma is read through the state, never formed: its trace,
+    # diagonal, gamma phi, tr(K gamma) and trace distance against the dense
+    # density_matrix (the N >= 3 form), on a random symmetric state near phi
+    assert manybody._density_is_factored(2) and not manybody._density_is_factored(3)
+    dom = ProductDomain(free, confined)
+    assert axis_groups(dom.shape) == groups
+    m = math.prod(dom.shape)
+    rng = np.random.default_rng(m)
+    phi = rng.normal(size=m) + 1j * rng.normal(size=m)
+    phi /= np.linalg.norm(phi)
+    noise = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    noise += noise.T
+    psi = 0.9 * np.outer(phi, phi) + 0.3 * noise / np.linalg.norm(noise)
+    psi /= np.linalg.norm(psi) * dom.cell_volume
+    gamma = OneBodyDensity(ManyBodyState(dom, psi.reshape(dom.shape * 2)))
+    dense = density_matrix(psi, dom.cell_volume)
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    assert gamma.trace() == pytest.approx(np.trace(dense).real, rel=1e-12)
+    assert close(gamma.diagonal(), dense.diagonal().real)
+    assert close(gamma @ phi, dense @ phi)
+    assert gamma.kinetic_trace() == pytest.approx(kinetic_trace(dense, dom), rel=1e-12)
+    assert np.array_equal(np.asarray(gamma), dense)
+    lam = np.linalg.eigvalsh(dense - np.outer(phi, np.conj(phi)))[0]
+    assert lam < -1e-4  # the one negative eigenvalue
+    expected = np.trace(dense).real - 1.0 - 2.0 * lam
+    assert trace_distance(gamma, phi) == pytest.approx(expected, rel=1e-12)
+
+
+def test_factored_density_of_a_lent_snapshot_fails_once_released():
+    # the factored gamma reads the snapshot at every call: after the next
+    # snapshot is requested it fails instead of reading the next state
+    spec = small_spec(n=2)
+    snapshots = evolve_manybody(product_state(gaussian_one_body(spec), 2), spec, 0.02, 1e-2)
+    gamma = OneBodyDensity(next(snapshots))
+    mass = gamma.trace()
+    phi = np.ones(gamma.diagonal().size)
+    later = OneBodyDensity(next(snapshots))
+    for read in (gamma.trace, gamma.diagonal, gamma.kinetic_trace,
+                 lambda: gamma @ phi, lambda: np.asarray(gamma)):
+        with pytest.raises(AttributeError):
+            read()
+    assert later.trace() == pytest.approx(mass, rel=1e-12)
+
+
 def test_memory_guard():
     spec = small_spec(n=2)
     psi0 = product_state(gaussian_one_body(spec), 2)
@@ -496,7 +558,7 @@ def test_evolver_releases_earlier_snapshots():
         assert [st.values is None for st in snapshots] == [True, True, False]
 
 
-def test_evolver_peak_above_its_input_is_a_slab():
+def test_evolver_peak_above_its_input_is_a_slab(traced_peak):
     # N = 4, m = 48: an 81 MiB state stepped in place, with fused full kicks
     # between snapshots and a time-dependent potential.  Beyond its input the
     # evolver holds the pair table, small one-body arrays and either the
@@ -505,14 +567,13 @@ def test_evolver_peak_above_its_input_is_a_slab():
     spec = small_spec(n=4, potential=ExternalPotential("gaussian", amplitude=0.8, sigma=2.0,
                                                        omega=3.0))
     psi0 = product_state(gaussian_one_body(spec), 4)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+
+    def run():
         for st in evolve_manybody(psi0, spec, 0.03, 1e-2, stride=2):
             assert st.values is not None
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+        return st
+
+    st, peak = traced_peak(run)
     assert st.t == pytest.approx(0.03)
     held = manybody._pair_table(spec).nbytes
     assert peak <= grids._SLAB_BYTES + held + manybody._ONE_BODY_ALLOWANCE
