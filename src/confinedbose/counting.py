@@ -156,10 +156,22 @@ def _project_q_in_place(v: np.ndarray, phi: np.ndarray, axis: int):
 
 def _reflector(phi: np.ndarray) -> np.ndarray:
     """H = 1 - 2 u u^dagger / |u|^2, u = phi + s e0 with s = phi_0 / |phi_0| (1 if 0):
-    Hermitian, unitary, H phi = -s e0 for a unit phi, so p = H e0 e0^dagger H."""
+    Hermitian, unitary, H phi = -s e0 for a unit phi, so p = H e0 e0^dagger H.
+
+    Built once per phi: the read-only H is cached under phi's bytes, so a
+    phi edited in place after a call gets its own H.
+    """
+    return _reflector_of(np.ascontiguousarray(phi, dtype=np.complex128).tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _reflector_of(key: bytes) -> np.ndarray:
+    phi = np.frombuffer(key, dtype=np.complex128)
     u = phi.copy()
     u[0] += phi[0] / abs(phi[0]) if phi[0] != 0.0 else 1.0
-    return np.eye(phi.size) - u[:, None] * ((2.0 / np.vdot(u, u).real) * np.conj(u))
+    h = np.eye(phi.size) - u[:, None] * ((2.0 / np.vdot(u, u).real) * np.conj(u))
+    h.setflags(write=False)
+    return h
 
 
 @functools.lru_cache(maxsize=8)
@@ -219,16 +231,27 @@ def occupation_distribution(psi, phi, weight: float = 1.0) -> np.ndarray:
 
 
 def occupation_distribution_enumeration(psi, phi) -> np.ndarray:
-    """Brute-force oracle: explicit sum over all 2^N projector patterns (unit weight)."""
+    """Brute-force oracle: explicit sum over all 2^N projector patterns (unit weight).
+
+    The patterns are walked depth first, p before q on each axis, so each
+    prefix of projections is applied once and shared by the patterns below
+    it: 2^(N+1) - 2 projector applications, not N 2^N.  Every pattern is
+    still its explicit product of ``project_p``/``project_q`` in axis
+    order, and its squared norm is added in ``itertools.product`` order.
+    """
     psi, phi, n, _ = _frame(psi, phi)
     if n > 6:
         raise ConfigError("pattern enumeration limited to N <= 6")
     out = np.zeros(n + 1)
-    for pattern in itertools.product((0, 1), repeat=n):
-        v = psi
-        for axis, is_q in enumerate(pattern):
-            v = project_q(v, phi, axis) if is_q else project_p(v, phi, axis)
-        out[sum(pattern)] += float(np.vdot(v, v).real)
+
+    def walk(v, axis, k):
+        if axis == n:
+            out[k] += float(np.vdot(v, v).real)
+            return
+        walk(project_p(v, phi, axis), axis + 1, k)
+        walk(project_q(v, phi, axis), axis + 1, k + 1)
+
+    walk(psi, 0, 0)
     return out
 
 
@@ -417,7 +440,7 @@ def weight_difference_bound(m_tag: str, l: int, psi, phi) -> tuple[float, float]
     return lhs, l / n
 
 
-_DENSE_EIG_MAX_DIM = 96  # measured crossover of dense eigvalsh and Lanczos
+_DENSE_EIG_MAX_DIM = 96  # measured crossover of dense eigvalsh and ARPACK
 
 
 def trace_distance(gamma, phi: np.ndarray) -> float:
@@ -430,12 +453,15 @@ def trace_distance(gamma, phi: np.ndarray) -> float:
     so by Weyl interlacing it has at most one negative eigenvalue
     lambda_min, and its trace norm is tr(gamma - |phi><phi|) -
     2 min(lambda_min, 0).  lambda_min comes from a dense ``eigvalsh`` up to
-    m = 96 and above that from Lanczos (ARPACK via ``eigsh``, which="SA")
-    on v -> gamma v - phi <phi, v>, so neither the difference matrix nor a
-    factored gamma is formed.  The start vector is phi and restarts draw
-    from a fixed seed, so the result is reproducible.  Crossover, one BLAS thread on a 2-core
-    x86-64 box: m = 48 dense 0.33 ms / Lanczos 1.1 ms, m = 96 1.2 / 1.2 ms,
-    m = 128 2.4 / 1.4 ms, m = 1024 553 / 22 ms.
+    m = 96 and above that from ARPACK on v -> gamma v - phi <phi, v>, so
+    neither the difference matrix nor a factored gamma is formed.  The call
+    is ``eigsh(which="SA")``, but for a complex operator scipy hands it to
+    ``eigs`` (which="SR"): ARPACK's implicitly restarted Arnoldi
+    (``znaupd``, 20 basis vectors for the one eigenvalue), not its
+    Hermitian Lanczos.  The start vector is phi and restarts draw from a
+    fixed seed, so the result is reproducible.  Crossover, one BLAS thread
+    on a 2-core x86-64 box: m = 48 dense 0.33 ms / Arnoldi 1.1 ms, m = 96
+    1.2 / 1.2 ms, m = 128 2.4 / 1.4 ms, m = 1024 553 / 22 ms.
     """
     phi = np.asarray(phi, dtype=np.complex128).ravel()
     m = phi.size
@@ -610,7 +636,7 @@ def compute_report(state: ManyBodyState, one_body: OneBodyState,
     N >= 3, read through psi at N <= 2) the report holds one
     ``grids.row_blocks`` block (at most a slab, or one 1/m-sized row when a
     row is larger) and 1/m-sized coefficients, then the trace distance's
-    Lanczos vectors: psi is not copied.
+    Arnoldi vectors: psi is not copied.
     """
     psi, phi, n, amp = _grid_frame(state, one_body)
     pk = amp**2 * _sector_weights(psi, phi)

@@ -435,6 +435,8 @@ def verify_lemmas(seed: int = 0, particle_counts=(2, 3, 4, 5), n_states: int = 2
     an ingredient ('phi-norm') as a negative control.  weight-composition mostly checks
     H^2 = 1 of the reflector frame of ``hat_apply``; number-identity, hat-p-commutation
     and occupation-routes check that frame against ``project_q``/``_p`` and the enumeration.
+    Each check's state-sized vectors are deleted before the next check runs, so the
+    traced peak is that of one check, not of several checks' vectors held at once.
     """
     rng = np.random.default_rng(seed)
     dim = _LEMMA_DIM
@@ -473,6 +475,7 @@ def verify_lemmas(seed: int = 0, particle_counts=(2, 3, 4, 5), n_states: int = 2
                     worst["number-identity"],
                     float(np.linalg.norm((qsum - k * c).ravel())),
                 )
+            del comps, total, c, qsum
 
             f = cnt.WeightFunction(rng.normal(size=n + 1))
             g = cnt.WeightFunction(rng.normal(size=n + 1))
@@ -482,12 +485,14 @@ def verify_lemmas(seed: int = 0, particle_counts=(2, 3, 4, 5), n_states: int = 2
                 worst["weight-composition"],
                 float(np.linalg.norm((fg_psi - f_g_psi).ravel())),
             )
+            del fg_psi, f_g_psi
             for axis in (0, n - 1):
                 a = cnt.hat_apply(f, cnt.project_p(psi, phi, axis), phi)
                 b = cnt.project_p(cnt.hat_apply(f, psi, phi), phi, axis)
                 worst["hat-p-commutation"] = max(
                     worst["hat-p-commutation"], float(np.linalg.norm((a - b).ravel()))
                 )
+            del a, b
 
             tmat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             for j, k in ((0, 2), (1, 1), (2, 0), (0, 0)):
@@ -510,6 +515,7 @@ def verify_lemmas(seed: int = 0, particle_counts=(2, 3, 4, 5), n_states: int = 2
             tr = cnt.trace_distance(gamma, phi)
             violation = max(a_q - tr, tr - math.sqrt(8.0 * a_q))
             worst["trace-sandwich"] = max(worst["trace-sandwich"], violation)
+            del gamma
 
             pk_fast = cnt.occupation_distribution(psi, phi)
             pk_enum = cnt.occupation_distribution_enumeration(psi, phi)

@@ -118,7 +118,7 @@ def estimate_state_bytes(spec: ModelSpec) -> int:
 
 
 _ONE_BODY_ALLOWANCE = 1 << 20  # bytes: one-body arrays, trajectory and report objects
-_LANCZOS_VECTORS = 24  # m-sized: ARPACK's 20 basis vectors for one eigenvalue, 3 work, 1 residual
+_ARNOLDI_VECTORS = 24  # m-sized: ARPACK's 20 basis vectors for one eigenvalue, 3 work, 1 residual
 
 
 def working_set_bytes(spec: ModelSpec) -> int:
@@ -135,7 +135,7 @@ def working_set_bytes(spec: ModelSpec) -> int:
     - a snapshot's diagnostics: the snapshot and its ``OneBodyDensity``,
       with a counting report's row block (one slab, or one 1/m-sized row
       when a row is larger), two 1/m-sized coefficient arrays and the
-      trace distance's Lanczos vectors.  The density is the m^2-sized gamma
+      trace distance's Arnoldi vectors.  The density is the m^2-sized gamma
       at N >= 3, freed before the next step; at N <= 2
       (``_density_is_factored``) it is read through the snapshot, and only
       its largest group-reduced matrix is formed.  The energy's two pair
@@ -152,7 +152,7 @@ def working_set_bytes(spec: ModelSpec) -> int:
     else:
         gamma = 16 * m**2
     report = (state + gamma + max(_SLAB_BYTES, state // m) + 2 * (state // m)
-              + 16 * m * _LANCZOS_VECTORS)
+              + 16 * m * _ARNOLDI_VECTORS)
     return held + max(step, report) + _ONE_BODY_ALLOWANCE
 
 
@@ -509,6 +509,7 @@ class OneBodyDensity:
         self._shape = (math.prod(state.domain.shape),) * state.n_particles
         self._scale = state.domain.cell_volume ** state.n_particles
         self._matrix = None
+        self._kinetic = None
         if not _density_is_factored(state.n_particles):
             self._matrix = density_matrix(self._psi(), state.domain.cell_volume)
 
@@ -544,15 +545,21 @@ class OneBodyDensity:
 
     def kinetic_trace(self) -> float:
         """Re tr(K gamma), K = -Delta_x - eps^-2 Delta_y, summed over the
-        ``grids.axis_operators`` groups: no dense m x m K is formed."""
+        ``grids.axis_operators`` groups: no dense m x m K is formed.  Taken
+        once and kept: the snapshot's energy and its report both read it."""
+        if self._kinetic is not None:
+            return self._kinetic
         if self._matrix is not None:
-            return kinetic_trace(self._matrix, self.domain)
-        rows = self._rows()
-        sizes = axis_groups(self.domain.shape)
-        ops = axis_operators(self.domain, lambda mult: mult)
-        # tr(K_g Gamma_g) = sum_ab K_g[a, b] Gamma_g^T[a, b]
-        return sum(float(np.sum(op * _group_density(rows, sizes, g, self._scale)).real)
-                   for g, op in enumerate(ops))
+            self._kinetic = kinetic_trace(self._matrix, self.domain)
+        else:
+            rows = self._rows()
+            sizes = axis_groups(self.domain.shape)
+            ops = axis_operators(self.domain, lambda mult: mult)
+            # tr(K_g Gamma_g) = sum_ab K_g[a, b] Gamma_g^T[a, b]
+            self._kinetic = sum(
+                float(np.sum(op * _group_density(rows, sizes, g, self._scale)).real)
+                for g, op in enumerate(ops))
+        return self._kinetic
 
 
 def _pair_expectation(state: ManyBodyState, spec: ModelSpec) -> float:
@@ -607,16 +614,33 @@ def manybody_energy(state: ManyBodyState, spec: ModelSpec) -> float:
 
 
 def _permutation_average(values: np.ndarray, n: int, block: int) -> np.ndarray:
-    """Mean of ``values`` over all orders of its n particle blocks of ``block`` axes."""
-    acc = np.zeros_like(values)
-    for order in itertools.permutations(range(n)):
-        acc += np.transpose(values, [b * block + a for b in order for a in range(block)])
-    acc /= math.factorial(n)
+    """Mean of ``values`` over all orders of its n particle blocks of ``block`` axes.
+
+    The average S_n over the symmetric group is built by its coset
+    factorization S_k = (1/k)(1 + sum_{i<k-1} sigma_{i,k-1}) S_{k-1}, with
+    sigma_{i,j} the transposition of blocks i and j: after step k the
+    result is symmetric in the first k blocks.  That is n(n-1)/2
+    transposed adds (10 at n = 5), not n! (120), and it holds two arrays
+    of the size of ``values``.
+    """
+    acc = np.array(values)
+    for k in range(2, n + 1):
+        new = acc.copy()
+        for i in range(k - 1):
+            order = list(range(n))
+            order[i], order[k - 1] = k - 1, i
+            new += np.transpose(acc, [b * block + a for b in order for a in range(block)])
+        new /= k
+        acc = new
     return acc
 
 
 def symmetrize(domain: ProductDomain, values: np.ndarray, t: float = 0.0) -> ManyBodyState:
-    """Average over all particle permutations and renormalize."""
+    """Average over all particle permutations and renormalize.
+
+    The average is ``_permutation_average``'s coset product of
+    N(N-1)/2 transpositions, not a sum over the N! orders.
+    """
     raw = ManyBodyState(domain, values, t)
     n = raw.n_particles
     if n > 6:

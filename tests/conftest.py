@@ -1,5 +1,7 @@
 """Shared test oracles and the traced-memory helper."""
 
+import itertools
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -188,3 +190,38 @@ def occupancy_split(psi, phi, weight=1.0):
 def projector_split():
     """The per-coordinate splitting oracle ``occupancy_split``."""
     return occupancy_split
+
+
+# -- literal sums: the oracles of the coset symmetrizer and the pattern walk --
+
+
+def permutation_average_all_orders(values, n, block):
+    """Mean of ``values`` over all n! orders of its n particle blocks of ``block`` axes,
+    one transposed add per order."""
+    acc = np.zeros_like(values, dtype=np.complex128)
+    for order in itertools.permutations(range(n)):
+        acc += np.transpose(values, [b * block + a for b in order for a in range(block)])
+    acc /= math.factorial(n)
+    return acc
+
+
+def occupation_enumeration_per_pattern(psi, phi):
+    """p(k) as the literal sum over the 2^N projector patterns (unit weight):
+    each pattern's product of ``project_p``/``project_q`` applied from psi,
+    N projector applications per pattern, with no prefix shared."""
+    psi, phi, n, _ = _frame(psi, phi)
+    out = np.zeros(n + 1)
+    for pattern in itertools.product((0, 1), repeat=n):
+        v = psi
+        for axis, is_q in enumerate(pattern):
+            v = project_q(v, phi, axis) if is_q else project_p(v, phi, axis)
+        out[sum(pattern)] += float(np.vdot(v, v).real)
+    return out
+
+
+@pytest.fixture
+def literal_sums():
+    """The literal-sum oracles ``permutation_average_all_orders`` and
+    ``occupation_enumeration_per_pattern``."""
+    return SimpleNamespace(permutation_average=permutation_average_all_orders,
+                           occupation=occupation_enumeration_per_pattern)

@@ -186,7 +186,7 @@ def full_spectrum_trace_distance(gamma, phi):
 
 @pytest.mark.parametrize("m", [48, 128, 1024])
 def test_trace_distance_rank_one_matches_full_spectrum(m):
-    # m = 48 takes the dense branch, 128 and 1024 the Lanczos one
+    # m = 48 takes the dense branch, 128 and 1024 the Arnoldi one
     assert 48 <= cnt._DENSE_EIG_MAX_DIM < 128
     rng = np.random.default_rng(30 + m)
     phi = random_unit(rng, m)
@@ -511,6 +511,36 @@ def test_reflector_hermitian_involution_maps_phi_to_e0(dim):
         assert np.max(np.abs(h @ h - np.eye(dim))) < 1e-14
         assert abs(abs(s) - 1.0) < 1e-15
         assert np.max(np.abs(h @ phi + s * e0)) < 1e-14
+
+
+def test_reflector_is_cached_per_phi():
+    rng = np.random.default_rng(36)
+    phi = random_unit(rng, 4)
+    h = cnt._reflector(phi)
+    assert cnt._reflector(phi.copy()) is h  # equal phi, equal H
+    assert not h.flags.writeable
+    with pytest.raises(ValueError):
+        h[0, 0] = 0.0
+    kept = h.copy()
+    phi[1] += 0.5  # edited in place after the call: its own H
+    phi /= np.linalg.norm(phi)
+    edited = cnt._reflector(phi)
+    assert edited is not h and np.array_equal(h, kept)
+    s = phi[0] / abs(phi[0])
+    assert np.max(np.abs(edited @ phi + s * np.eye(4)[0])) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_enumeration_walk_matches_per_pattern_loop(n, literal_sums):
+    # the depth-first walk shares prefixes but applies the same projectors in
+    # the same order to the same vectors, so p(k) is equal to the bit
+    rng = np.random.default_rng(70 + n)
+    dim = 3
+    phi = random_unit(rng, dim)
+    psi = rng.normal(size=(dim,) * n) + 1j * rng.normal(size=(dim,) * n)
+    psi /= np.linalg.norm(psi.ravel())
+    assert np.array_equal(cnt.occupation_distribution_enumeration(psi, phi),
+                          literal_sums.occupation(psi, phi))
 
 
 def test_q_counts_table():

@@ -137,7 +137,7 @@ def test_snapshot_diagnostics_peak(traced_peak, n, grid):
     # two 1/m-sized coefficient arrays, the m^2-sized gamma at N >= 3 (at
     # N = 2 it is read through psi, not formed), the one-body allowance
     # (which also covers the dense trace distance's m^2 arrays at m <= 96
-    # and the Lanczos vectors above).  The energy's pair term forms no
+    # and the Arnoldi vectors above).  The energy's pair term forms no
     # m^2-sized array: its two buffers share one slab and are freed before
     # gamma is formed.
     cfg = config(n_particles=n, **grid)

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from confinedbose import grids, manybody
-from confinedbose.counting import grad_q_norm, trace_distance
+from confinedbose.counting import compute_report, grad_q_norm, trace_distance
 from confinedbose.errors import ConfigError, GuardError
 from confinedbose.grids import (
     ConfinedDomain,
@@ -203,6 +203,22 @@ def test_symmetrize_identity_on_symmetric_input():
     state = symmetrize(spec.domain, sym)
     again = symmetrize(spec.domain, state.values)
     assert np.max(np.abs(again.values - state.values)) < 1e-12
+
+
+@pytest.mark.parametrize("n, shape", [(2, (4,)), (3, (4,)), (4, (4,)), (5, (4,)),
+                                      (3, (16, 3))])
+def test_permutation_average_matches_all_orders(n, shape, literal_sums):
+    # the coset product of n(n-1)/2 transpositions against the n!-term sum:
+    # one axis per particle, and the (free, confined) blocks of a grid state
+    rng = np.random.default_rng(10 * n + len(shape))
+    size = shape * n
+    raw = rng.normal(size=size) + 1j * rng.normal(size=size)
+    block = len(shape)
+    got = manybody._permutation_average(raw, n, block)
+    expected = literal_sums.permutation_average(raw, n, block)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+    unit = got / np.linalg.norm(got.ravel())
+    assert _transposition_residual(unit, n, block) <= 1e-15
 
 
 def test_symmetrize_two_term_average():
@@ -477,12 +493,12 @@ def test_density_matrix_route_matches_sweeps(grid, n, groups, potential, direct_
 
 
 @pytest.mark.parametrize("free, confined, groups", [
-    # one confined axis: 16 | 48 (m = 768, Lanczos) and 32 | 3 (m = 96, eigvalsh)
+    # one confined axis: 16 | 48 (m = 768, Arnoldi) and 32 | 3 (m = 96, eigvalsh)
     pytest.param(FreeDomain((12.0, 12.0), (16, 16)), ConfinedDomain(UNIT_INTERVAL, (3,), eps=0.2),
                  (16, 48), id="16x16x3"),
     pytest.param(FreeDomain((8.0,), (32,)), ConfinedDomain(UNIT_INTERVAL, (3,), eps=0.5),
                  (32, 3), id="32x3"),
-    # two confined axes: 64 | 16 (m = 1024, Lanczos) and 32 | 3 (m = 96, eigvalsh)
+    # two confined axes: 64 | 16 (m = 1024, Arnoldi) and 32 | 3 (m = 96, eigvalsh)
     pytest.param(FreeDomain((16.0,), (64,)), ConfinedDomain(UNIT_INTERVAL * 2, (4, 4), eps=0.66),
                  (64, 16), id="64x4x4"),
     pytest.param(FreeDomain((8.0,), (16,)), ConfinedDomain(UNIT_INTERVAL * 2, (2, 3), eps=0.5),
@@ -534,6 +550,28 @@ def test_factored_density_of_a_lent_snapshot_fails_once_released():
         with pytest.raises(AttributeError):
             read()
     assert later.trace() == pytest.approx(mass, rel=1e-12)
+
+
+def test_kinetic_trace_taken_once_per_snapshot(monkeypatch):
+    # the energy and the report share the snapshot's tr(K gamma): at N = 2
+    # one group reduction per merged axis (32 | 3 here) and snapshot, not two
+    spec = small_spec(n=2, n_f=32)
+    groups = axis_groups(spec.domain.shape)
+    assert len(groups) == 2
+    one = gaussian_one_body(spec)
+    calls = []
+    reduce = manybody._group_density
+
+    def counted(rows, sizes, g, scale):
+        calls.append(g)
+        return reduce(rows, sizes, g, scale)
+
+    monkeypatch.setattr(manybody, "_group_density", counted)
+    e_phi = effective_energy(one, spec)
+    for k, snap in enumerate(evolve_manybody(product_state(one, 2), spec, 0.02, 1e-2)):
+        e_psi, _, gamma = manybody._energy_and_residual(snap, spec)
+        compute_report(snap, one, e_psi, e_phi, gamma)
+        assert calls == list(range(len(groups))) * (k + 1)
 
 
 def test_memory_guard():
