@@ -21,7 +21,7 @@ from numpy import fft
 
 from .errors import ConfigError, GuardError, InvariantError
 from .grids import apply_kinetic
-from .model import InteractionProfile, ModelSpec
+from .model import ModelSpec
 from .onebody import OneBodyState
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "RateResult",
     "gronwall_envelope",
     "mean_field_coefficient",
-    "interaction_norms",
     "rate_exponent",
     "potential_split",
     "poisson_vector_field",
@@ -117,45 +116,19 @@ def gronwall_envelope(cumulative, initial: float, defect: float) -> np.ndarray:
     return growth * initial + (growth - 1.0) * defect
 
 
-def interaction_norms(profile: InteractionProfile, eps: float,
-                         free, confined) -> dict:
-    """The four interaction norms entering the explicit mean-field coefficient.
+def mean_field_coefficient(times, sup_phi, sup_big_phi, w_sup: float) -> np.ndarray:
+    """Explicit coefficient C(t) = 4 K int_0^t (1 + sup|phi| + sup|Phi|)^2 ds.
 
-    Keys: w0_l1 (L^1 of the singular mean-field part), w0_sup, weps_l2
-    (L^2 of the singular scaled part over the difference cylinder), weps_sup.
-    Bounded profiles have empty singular parts.
-    """
-    if profile.is_bounded:
-        sup = profile.sup_norm()
-        return {"w0_l1": 0.0, "w0_sup": sup, "weps_l2": 0.0, "weps_sup": sup}
-    if free.dim != 2 or confined.dim != 1:
-        raise ConfigError("coulomb norms are implemented for one confined direction")
-    from scipy import integrate  # here, not at the top: only a Coulomb run needs it
-    A, R = profile.amplitude, profile.radius
-    w0_l1 = A * 2.0 * np.pi * R  # integral of 1/|x| over the 2-d disc of radius R
-    width = confined.widths[0]
-    val, err = integrate.dblquad(
-        lambda y, r: 2.0 * np.pi * r / (r**2 + (eps * y) ** 2),
-        0.0, R, lambda r: -width, lambda r: width,
-    )
-    return {
-        "w0_l1": w0_l1,
-        "w0_sup": A / R,
-        "weps_l2": A * np.sqrt(val),
-        "weps_sup": A / R,
-    }
-
-
-def mean_field_coefficient(times, sup_phi, sup_big_phi, norms: dict) -> np.ndarray:
-    """Explicit coefficient 4 (sum of interaction norms) int (1 + norms)^2 ds.
-
-    Returns the cumulative coefficient C(t) on the sample times; it vanishes
-    at t = 0 and is nondecreasing.
+    The paper's K is the sum of four interaction norms,
+    ||w_s||_1 + ||w_inf||_inf of the mean-field kernel plus
+    ||w_s^eps||_2 + ||w_inf^eps||_inf of the scaled one.  The model's
+    profiles are bounded (``model.InteractionProfile``), so both singular
+    parts w_s vanish and both sup norms are ``w_sup`` = sup |w|: K = 2 w_sup.
+    Returns C on the sample times; it vanishes at t = 0 and is nondecreasing.
     """
     times = np.asarray(times, dtype=float)
-    k = norms["w0_l1"] + norms["w0_sup"] + norms["weps_l2"] + norms["weps_sup"]
     integrand = (1.0 + np.asarray(sup_phi) + np.asarray(sup_big_phi)) ** 2
-    return 4.0 * k * _cumtrapz(times, integrand)
+    return 4.0 * (2.0 * w_sup) * _cumtrapz(times, integrand)
 
 
 # -- cutoff splitting ---------------------------------------------------------
@@ -291,7 +264,7 @@ def coulomb_confined_norms(eps: float) -> CoulombNorms:
     """
     if not 0.0 < eps <= 0.5:
         raise ConfigError("eps must lie in (0, 1/2]")
-    from scipy import integrate  # as in interaction_norms
+    from scipy import integrate  # here, not at the top: only these quadratures need it
 
     val, err = integrate.dblquad(
         lambda y, r: 4.0 * np.pi * (1.0 - r / np.hypot(r, eps * y)),

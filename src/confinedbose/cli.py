@@ -14,7 +14,6 @@ import sys
 
 from .bounds import (
     RateSpec,
-    interaction_norms,
     coulomb_confined_norms,
     growth_integrand_short_range,
     mean_field_coefficient,
@@ -60,9 +59,9 @@ def _cmd_simulate_onebody(args) -> int:
 
     cfg = _load_config(args)
     spec = cfg.model_spec()
-    os.makedirs(args.out, exist_ok=True)
     states = evolve_effective(initial_state(spec, cfg.initial), spec,
                               cfg.time_horizon, cfg.dt, stride=cfg.report_stride)
+    os.makedirs(args.out, exist_ok=True)
     _csv(os.path.join(args.out, "onebody.csv"),
          "t,mass,E_phi,sup_phi,H2_phi", onebody_rows(states, spec)[0])
     return EXIT_OK
@@ -81,8 +80,6 @@ def _cmd_counting(args) -> int:
 
 
 def _cmd_ladder(args) -> int:
-    if args.workers != 1:
-        raise ConfigError("ladder points run one after another; --workers must be 1")
     fit = run_ladder(_load_config(args), args.out)
     if not fit.complete:
         print(f"ladder incomplete: {fit.note}", file=sys.stderr)
@@ -116,9 +113,9 @@ def _cmd_bounds(args) -> int:
     reports, ones = summary["reports"], summary["onebody"]
     times = summary["times"]
     if hartree:
-        norms = interaction_norms(spec.interaction, spec.eps, spec.free, spec.confined)
         f_eps = measured_f_eps(spec.interaction, spec.eps, spec.free, spec.confined)
-        coeff = mean_field_coefficient(times, summary["sup_phi"], summary["sup_Phi"], norms)
+        coeff = mean_field_coefficient(times, summary["sup_phi"], summary["sup_Phi"],
+                                       spec.interaction.sup_norm())
         report = envelope_report(
             times, [r.alpha for r in reports], rate, spec,
             coefficient=coeff, f_eps=f_eps,
@@ -163,6 +160,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.workers != 1:
+            raise ConfigError("every run is sequential; --workers must be 1")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -101,8 +101,8 @@ class FreeDomain(_Part):
         if len(self.points) != len(self.extents):
             raise ValueError("points/extents length mismatch")
         for L, n in zip(self.extents, self.points):
-            if L <= 0:
-                raise ValueError("extent must be positive")
+            if not 0.0 < L < math.inf:
+                raise ValueError("extent must be positive and finite")
             if n < 8 or n & (n - 1):  # n & (n - 1) clears the lowest set bit
                 raise ValueError("free point count must be a power of two >= 8")
 
@@ -152,8 +152,8 @@ class ConfinedDomain(_Part):
         if len(self.points) != len(self.intervals):
             raise ValueError("points/intervals length mismatch")
         for (c, d), n in zip(self.intervals, self.points):
-            if not (c < 0.0 < d):
-                raise ValueError("interval must satisfy c < 0 < d")
+            if not -math.inf < c < 0.0 < d < math.inf:
+                raise ValueError("interval must satisfy c < 0 < d, both finite")
             if n < 2:
                 raise ValueError("need at least 2 interior nodes per confined axis")
         if not 0.0 < self.eps <= 1.0:

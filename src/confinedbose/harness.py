@@ -16,7 +16,9 @@ import numpy as np
 
 from . import counting as cnt
 from .errors import ConfigError, GuardError, InvariantError
-from .grids import ConfinedDomain, FreeDomain, GridFunction, _atomic_write, norm, write_mfl1
+from .grids import (
+    ConfinedDomain, FreeDomain, GridFunction, _atomic_write, norm, step_count, write_mfl1,
+)
 from .manybody import (
     DEFAULT_MEMORY_CAP,
     _energy_and_residual,
@@ -98,7 +100,8 @@ class ExperimentConfig:
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP
 
     def __post_init__(self):
-        """Type checks of the scalar fields and ``initial``; ``model_spec`` checks the model."""
+        """Type checks of the scalar fields and ``initial``, and the time grid
+        (``grids.step_count``); ``model_spec`` checks the model."""
         for name in ("n_particles", "mode_index", "report_stride", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -106,6 +109,7 @@ class ExperimentConfig:
         for name in ("theta", "time_horizon", "dt", "memory_cap_bytes"):
             if not _is_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a number")
+        step_count(self.time_horizon, self.dt)
         if self.report_stride < 1:
             raise ConfigError("report_stride must be positive")
         if self.ladder is not None and not isinstance(self.ladder, dict):
@@ -335,8 +339,9 @@ def _ladder_point(config: ExperimentConfig, n: int) -> ExperimentConfig:
 def run_ladder(config: ExperimentConfig, out_dir) -> RateFit:
     """Run the N-ladder and fit the log-log slope of the terminal beta.
 
-    The points run one after another.  Failing points leave partial results
-    and mark the fit incomplete.
+    The points run one after another, once every point's model and memory
+    cap are checked; ``out_dir`` is made only then.  Points that fail while
+    running leave partial results and mark the fit incomplete.
     """
     if not config.ladder or not config.ladder.get("particle_counts"):
         raise ConfigError("ladder config with particle_counts is required")
@@ -348,13 +353,12 @@ def run_ladder(config: ExperimentConfig, out_dir) -> RateFit:
         raise ConfigError("ladder particle_counts must be distinct")
     if len(ns) < 3:
         raise ConfigError("a rate fit needs at least 3 ladder points")
-    os.makedirs(out_dir, exist_ok=True)
-
     jobs = []
     for n in ns:
         cfg_n = _ladder_point(config, n)
         check_memory_cap(cfg_n.model_spec(), config.memory_cap_bytes)
         jobs.append((n, cfg_n))
+    os.makedirs(out_dir, exist_ok=True)
 
     results: dict[int, float | None] = {}
     failures: list[str] = []

@@ -186,11 +186,6 @@ def _kernel_scaling(spec: ModelSpec) -> tuple[float, float]:
 def _resolvability_guard(spec: ModelSpec):
     if spec.interaction.amplitude == 0.0:
         return
-    if not spec.interaction.is_bounded:
-        raise GuardError(
-            "grid pair dynamics needs a bounded interaction kind; the coulomb "
-            "profile is for the norm and quadrature machinery"
-        )
     _, arg_scale = _kernel_scaling(spec)
     r_scaled = spec.interaction.radius / arg_scale
     for h in spec.free.spacings:

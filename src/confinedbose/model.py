@@ -1,15 +1,16 @@
 """Problem definition: pair interactions, external potential, model spec.
 
-The pair interaction is a spherically symmetric profile w on R^3 split into
-a singular part w_s (finite L^s norm) and a bounded part w_inf.  Bounded
-kinds (gaussian-bump, compact-polynomial-bump) have compact support and an
-empty singular part; the coulomb kind is split at a fixed radius into
-singular core and bounded tail.  ``harness.ExperimentConfig.model_spec``
-builds these objects from a config document.
+The pair interaction is a spherically symmetric profile w on R^3, bounded
+and compactly supported (gaussian-bump, compact-polynomial-bump), since the
+grid pair dynamics samples it pointwise; its singular part is empty.  The
+Coulomb results (``bounds.coulomb_confined_norms``) build their own inputs.
+``harness.ExperimentConfig.model_spec`` builds these objects from a config
+document.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ from .grids import ConfinedDomain, Domain, FreeDomain, ProductDomain
 
 __all__ = ["InteractionProfile", "ExternalPotential", "ModelSpec", "measured_f_eps"]
 
-_KINDS = ("gaussian-bump", "compact-polynomial-bump", "coulomb")
+_KINDS = ("gaussian-bump", "compact-polynomial-bump")
 
 # Gauss-Legendre rule on [-1, 1] for integral3: exact for the polynomial bump,
 # within 1e-15 of adaptive quadrature for the gaussian bumps of the demo configs
@@ -29,15 +30,14 @@ _RADIAL_NODES, _RADIAL_WEIGHTS = leggauss(32)
 
 @dataclass(frozen=True)
 class InteractionProfile:
-    """Radial two-body potential w(|r|) with its singular/bounded split.
+    """Bounded radial two-body potential w(|r|), truncated at ``radius``.
 
     Parameters
     ----------
-    kind : one of gaussian-bump, compact-polynomial-bump, coulomb
-    amplitude : overall strength
-    radius : support radius (bounded kinds truncate there; for coulomb it is
-        the radius separating the singular core from the bounded tail)
-    sigma : gaussian width (gaussian-bump only)
+    kind : one of gaussian-bump, compact-polynomial-bump
+    amplitude : overall strength, finite
+    radius : support radius, positive and finite
+    sigma : gaussian width, positive and finite (gaussian-bump only)
     """
 
     kind: str
@@ -48,10 +48,14 @@ class InteractionProfile:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown interaction kind {self.kind!r}")
-        if self.radius <= 0:
-            raise ConfigError("support radius must be positive")
+        if not math.isfinite(self.amplitude):
+            raise ConfigError("interaction amplitude must be finite")
+        if not 0.0 < self.radius < math.inf:
+            raise ConfigError("support radius must be positive and finite")
         if self.kind == "gaussian-bump" and self.sigma is None:
             object.__setattr__(self, "sigma", self.radius / 3.0)
+        if self.sigma is not None and not 0.0 < self.sigma < math.inf:
+            raise ConfigError("gaussian width sigma must be positive and finite")
 
     # -- radial profile -----------------------------------------------------
 
@@ -62,28 +66,15 @@ class InteractionProfile:
         if self.kind == "gaussian-bump":
             out = A * np.exp(-(r**2) / (2 * self.sigma**2))
             return np.where(r <= self.radius, out, 0.0)
-        if self.kind == "compact-polynomial-bump":
-            u = np.clip(r / self.radius, 0.0, 1.0)
-            return A * np.where(r <= self.radius, (1 - u**2) ** 2, 0.0)
-        # coulomb
-        with np.errstate(divide="ignore"):
-            return np.where(r > 0, A / np.maximum(r, 1e-300), np.inf)
-
-    @property
-    def is_bounded(self) -> bool:
-        return self.kind != "coulomb"
+        u = np.clip(r / self.radius, 0.0, 1.0)  # compact-polynomial-bump
+        return A * np.where(r <= self.radius, (1 - u**2) ** 2, 0.0)
 
     def sup_norm(self) -> float:
-        """sup |w| (bounded part only for coulomb: sup outside the core)."""
-        if self.kind == "coulomb":
-            return self.amplitude / self.radius
-        r = np.linspace(0.0, self.radius, 4097)
-        return float(np.max(np.abs(self.radial(r))))
+        """sup |w| = |amplitude|: both kinds peak at r = 0 with value amplitude."""
+        return float(abs(self.amplitude))
 
     def integral3(self) -> float:
-        """Integral of w over R^3; rejects the non-integrable coulomb kind."""
-        if self.kind == "coulomb":
-            raise ConfigError("coulomb interaction is not integrable on R^3")
+        """Integral of w over R^3."""
         r = 0.5 * self.radius * (_RADIAL_NODES + 1.0)
         return float(2 * np.pi * self.radius * np.dot(_RADIAL_WEIGHTS, r**2 * self.radial(r)))
 
@@ -107,6 +98,10 @@ class ExternalPotential:
     def __post_init__(self):
         if self.kind not in ("none", "gaussian"):
             raise ConfigError(f"unknown potential kind {self.kind!r}")
+        if not (math.isfinite(self.amplitude) and math.isfinite(self.omega)):
+            raise ConfigError("potential amplitude and omega must be finite")
+        if not 0.0 < self.sigma < math.inf:
+            raise ConfigError("potential width sigma must be positive and finite")
 
     @property
     def is_zero(self) -> bool:
@@ -202,9 +197,9 @@ def measured_f_eps(profile: InteractionProfile, eps: float, free: FreeDomain,
                    confined: ConfinedDomain) -> float:
     """Measured convergence defect f(eps) of w(x, eps y) towards w(x, 0).
 
-    Returns max of the L^1 defect of the singular part and the sup defect of
-    the bounded part over Omega_f x (difference set of Omega_c), evaluated on
-    a ``_F_EPS_REFINE``-times finer tensor grid.
+    Returns the sup defect over Omega_f x (difference set of Omega_c),
+    evaluated on a ``_F_EPS_REFINE``-times finer tensor grid; the profile is
+    bounded, so there is no singular L^1 defect.
     """
     axes = [np.linspace(-L / 2, L / 2, _F_EPS_REFINE * n, endpoint=False)
             for L, n in zip(free.extents, free.points)]
@@ -217,15 +212,4 @@ def measured_f_eps(profile: InteractionProfile, eps: float, free: FreeDomain,
     y2 = sum(g**2 for g in grids_[d_f:])
     r_eps = np.sqrt(x2 + eps**2 * y2)
     r_0 = np.sqrt(x2)
-    if profile.is_bounded:
-        diff = np.abs(profile.radial(r_eps) - profile.radial(r_0))
-        return float(np.max(diff))
-    # singular kind: L^1 defect of the core plus sup defect of the tail
-    w_eps = profile.radial(r_eps)
-    w_0 = profile.radial(r_0)
-    core = r_0 < profile.radius
-    cell = float(np.prod([a[1] - a[0] for a in axes]))
-    finite = np.isfinite(w_eps) & np.isfinite(w_0)
-    l1 = float(np.sum(np.abs(w_eps - w_0)[core & finite]) * cell)
-    sup = float(np.max(np.abs(w_eps - w_0)[~core & finite]))
-    return max(l1, sup)
+    return float(np.max(np.abs(profile.radial(r_eps) - profile.radial(r_0))))

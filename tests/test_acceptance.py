@@ -15,7 +15,6 @@ import pytest
 from confinedbose import counting as cnt
 from confinedbose.bounds import (
     RateSpec,
-    interaction_norms,
     coulomb_confined_norms,
     divergence_residual,
     poisson_vector_field,
@@ -306,9 +305,9 @@ def test_criterion_8_mean_field_envelope_explicit_constant():
     alphas = [cnt.alpha(mb.values, ob.product_values(), weight=spec.domain.cell_volume)
               for mb, ob in zip(manys, ones)]
     sups = [sup_norms(st) for st in ones]
-    norms = interaction_norms(spec.interaction, eps, spec.free, spec.confined)
     f_eps = measured_f_eps(spec.interaction, eps, spec.free, spec.confined)
-    coeff = mean_field_coefficient(times, [s[0] for s in sups], [s[1] for s in sups], norms)
+    coeff = mean_field_coefficient(times, [s[0] for s in sups], [s[1] for s in sups],
+                                   spec.interaction.sup_norm())
     rep = envelope_report(times, alphas, RateSpec("mean-field"), spec,
                            coefficient=coeff, f_eps=f_eps)
     assert rep.fitted_constant is None  # explicit coefficient, nothing fitted

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from confinedbose.bounds import (
     RateSpec,
-    interaction_norms,
     coulomb_confined_norms,
     divergence_residual,
     gronwall_envelope,
@@ -66,13 +65,11 @@ def test_gronwall_monotonicity():
 
 def test_mean_field_coefficient_zero_and_linear():
     t = np.linspace(0, 2, 201)
-    zero = {"w0_l1": 0.0, "w0_sup": 0.0, "weps_l2": 0.0, "weps_sup": 0.0}
-    assert np.allclose(mean_field_coefficient(t, np.ones_like(t), np.ones_like(t), zero), 0.0)
+    assert np.allclose(mean_field_coefficient(t, np.ones_like(t), np.ones_like(t), 0.0), 0.0)
 
     a, b = 0.7, 0.4
-    norms = {"w0_l1": 1.0, "w0_sup": 0.5, "weps_l2": 0.25, "weps_sup": 0.25}
-    coeff = mean_field_coefficient(t, np.full_like(t, a), np.full_like(t, b), norms)
-    k = 2.0
+    coeff = mean_field_coefficient(t, np.full_like(t, a), np.full_like(t, b), 1.0)
+    k = 2.0  # two sup norms of 1.0; the singular norms vanish
     expected = 4.0 * k * (1 + a + b) ** 2 * t
     assert np.max(np.abs(coeff - expected)) < 1e-12  # constant integrand: trapz exact
 
@@ -81,7 +78,7 @@ def test_mean_field_coefficient_matches_refined_quadrature():
     # smooth synthetic sup-norm histories; a 16x refined trapezoid is the oracle
     t_coarse = np.linspace(0, 1, 4001)
     t_fine = np.linspace(0, 1, 64001)
-    norms = {"w0_l1": 0.3, "w0_sup": 0.2, "weps_l2": 0.1, "weps_sup": 0.15}
+    w_sup = 0.375
 
     def sup_phi(t):
         return 1.2 + 0.3 * np.sin(2.0 * t)
@@ -89,8 +86,8 @@ def test_mean_field_coefficient_matches_refined_quadrature():
     def sup_big(t):
         return 0.8 + 0.2 * np.cos(3.0 * t)
 
-    coarse = mean_field_coefficient(t_coarse, sup_phi(t_coarse), sup_big(t_coarse), norms)
-    fine = mean_field_coefficient(t_fine, sup_phi(t_fine), sup_big(t_fine), norms)
+    coarse = mean_field_coefficient(t_coarse, sup_phi(t_coarse), sup_big(t_coarse), w_sup)
+    fine = mean_field_coefficient(t_fine, sup_phi(t_fine), sup_big(t_fine), w_sup)
     assert abs(coarse[-1] - fine[-1]) <= 1e-8 * abs(fine[-1])
 
 
@@ -410,11 +407,12 @@ def test_envelope_report_refuses_regimes_no_run_produces(rate):
 
 
 def test_a1_norms_bounded_profile():
-    from confinedbose.grids import ConfinedDomain, FreeDomain
+    # both sup norms of the mean-field coefficient are sup |w| = |amplitude|;
+    # a dense radial sample through r = 0 is the oracle
     from confinedbose.model import InteractionProfile
 
-    prof = InteractionProfile("gaussian-bump", amplitude=2.0, radius=1.5, sigma=0.5)
-    norms = interaction_norms(prof, 0.2, FreeDomain((8.0,), (16,)),
-                                 ConfinedDomain(((-0.5, 0.5),), (4,), eps=0.2))
-    assert norms["w0_l1"] == 0.0 and norms["weps_l2"] == 0.0
-    assert norms["w0_sup"] == pytest.approx(2.0, rel=1e-6)
+    for kind in ("gaussian-bump", "compact-polynomial-bump"):
+        for amplitude in (2.0, -0.7):
+            prof = InteractionProfile(kind, amplitude=amplitude, radius=1.5, sigma=0.5)
+            r = np.linspace(0.0, 2.0 * prof.radius, 100001)
+            assert prof.sup_norm() == np.max(np.abs(prof.radial(r))) == abs(amplitude)

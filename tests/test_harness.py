@@ -327,6 +327,7 @@ def test_cli_requires_config(tmp_path):
 
 
 LIST_LADDER = {"particle_counts": [2, 3, 4], "eps_rule": "list"}
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("command, document", [
@@ -390,6 +391,29 @@ LIST_LADDER = {"particle_counts": [2, 3, 4], "eps_rule": "list"}
                  id="eps-list-numeric-string"),
     pytest.param("ladder", {"ladder": {**LIST_LADDER, "eps_rule": "power", "nu": "x"}},
                  id="nu-string"),
+    pytest.param("simulate-onebody", {"interaction": {**BASE["interaction"], "amplitude": NAN}},
+                 id="interaction-amplitude-nan"),
+    pytest.param("simulate-onebody", {"interaction": {**BASE["interaction"], "sigma": NAN}},
+                 id="interaction-sigma-nan"),
+    pytest.param("simulate-onebody", {"interaction": {**BASE["interaction"], "sigma": 0.0}},
+                 id="interaction-sigma-zero"),
+    pytest.param("simulate-onebody",
+                 {"regime": "nls-theta", "theta": 0.3,
+                  "interaction": {**BASE["interaction"], "radius": INF}},
+                 id="interaction-radius-inf"),
+    pytest.param("simulate-onebody", {"potential": {"kind": "gaussian", "amplitude": NAN}},
+                 id="potential-amplitude-nan"),
+    pytest.param("simulate-onebody",
+                 {"potential": {"kind": "gaussian", "amplitude": 0.5, "omega": INF}},
+                 id="potential-omega-inf"),
+    pytest.param("simulate-onebody",
+                 {"potential": {"kind": "gaussian", "amplitude": 0.5, "sigma": 0.0}},
+                 id="potential-sigma-zero"),
+    pytest.param("simulate-onebody", {"free": {"extents": [NAN], "points": [16]}},
+                 id="free-extent-nan"),
+    pytest.param("simulate-onebody",
+                 {"confined": {**BASE["confined"], "intervals": [[-INF, 0.5]]}},
+                 id="confined-interval-inf"),
 ])
 def test_cli_bad_config_file(tmp_path, command, document):
     path = tmp_path / "broken.json"
@@ -399,10 +423,12 @@ def test_cli_bad_config_file(tmp_path, command, document):
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
 
 
-@pytest.mark.parametrize("command", ["counting", "simulate-manybody", "bounds"])
+@pytest.mark.parametrize("command",
+                         ["counting", "simulate-manybody", "bounds", "simulate-onebody", "ladder"])
 def test_cli_refused_time_grid_leaves_no_directory(tmp_path, capsys, command):
     # the model, the memory cap and the time grid are checked before --out is made
-    document = json.loads((DEMO_CONFIGS / "hartree_theta0_one_confined.json").read_text())
+    name = "ladder_theta0" if command == "ladder" else "hartree_theta0_one_confined"
+    document = json.loads((DEMO_CONFIGS / f"{name}.json").read_text())
     path = tmp_path / "negative_horizon.json"
     path.write_text(json.dumps({**document, "time_horizon": -0.5}), encoding="utf-8")
     out = tmp_path / "out"
@@ -412,9 +438,8 @@ def test_cli_refused_time_grid_leaves_no_directory(tmp_path, capsys, command):
 
 
 def test_cli_rejects_singular_exponent(tmp_path, capsys):
-    # a coulomb key that no computation reads is refused, not silently kept
-    cfg = write_config(tmp_path, interaction={"kind": "coulomb", "amplitude": 1.0,
-                                              "radius": 0.5, "singular_exponent": 1.8})
+    # an interaction key that no computation reads is refused, not silently kept
+    cfg = write_config(tmp_path, interaction={**BASE["interaction"], "singular_exponent": 1.8})
     assert main(["simulate-onebody", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "singular_exponent" in err
@@ -462,15 +487,38 @@ def test_cli_seed_zero_overrides_config(tmp_path):
 
 
 def test_cli_guard_exit_code(tmp_path):
-    cfg = write_config(tmp_path, memory_cap_bytes=1000)
-    assert main(["counting", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    # a refused memory cap leaves no --out behind, for a run and for the ladder's points
+    for command, overrides in (("counting", {}), ("ladder", LADDER_FAILING_AT_4)):
+        cfg = write_config(tmp_path, **overrides, memory_cap_bytes=1000)
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
 
 
-def test_cli_ladder_refuses_parallel_points(tmp_path):
+@pytest.mark.parametrize("command", ["simulate-onebody", "simulate-manybody", "counting",
+                                     "ladder", "verify-lemmas", "bounds", "coulomb-norms"])
+def test_cli_refuses_parallel_workers(tmp_path, command):
+    # every run is sequential: any --workers other than 1 is refused up front
     cfg = write_config(tmp_path, **LADDER_FAILING_AT_4)
-    out = tmp_path / "ladder"
-    assert main(["ladder", "--config", cfg, "--out", str(out), "--workers", "2"]) == 4
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--workers", "2"]) == 4
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate-onebody", "simulate-manybody", "counting",
+                                     "bounds", "ladder"])
+def test_cli_refuses_coulomb_kind_without_directory(tmp_path, capsys, command):
+    # the interaction is one bounded profile; the Coulomb quadratures build their own inputs
+    document = json.loads((DEMO_CONFIGS / "ladder_theta0.json").read_text())
+    path = tmp_path / "coulomb.json"
+    path.write_text(json.dumps({**document, "interaction": {"kind": "coulomb", "amplitude": 1.0,
+                                                           "radius": 0.5}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "unknown interaction kind 'coulomb'" in err
+    assert not out.exists()
+
 
 
 def test_cli_verify_lemmas(tmp_path):

@@ -171,16 +171,6 @@ def test_resolvability_guard():
         pair_phase_array(spec)
 
 
-def test_unbounded_kind_rejected_for_dynamics():
-    spec = small_spec()
-    coul = ModelSpec(
-        free=spec.free, confined=spec.confined, n_particles=2,
-        interaction=InteractionProfile("coulomb"), regime="hartree-theta0",
-    )
-    with pytest.raises(GuardError, match="bounded"):
-        pair_phase_array(coul)
-
-
 # -- symmetrization ------------------------------------------------------------
 
 

@@ -97,12 +97,6 @@ def test_coupling_b_unit_mass_gaussian():
     assert coupling_b(profile, chi_mode(dom, 0)) == pytest.approx(1.5, rel=1e-8)
 
 
-def test_coupling_b_rejects_coulomb():
-    dom = ConfinedDomain(UNIT_INTERVAL, (16,))
-    with pytest.raises(ConfigError):
-        coupling_b(InteractionProfile("coulomb"), chi_mode(dom, 0))
-
-
 def test_hartree_potential_narrow_kernel_refinement_study():
     # kernel -> Dirac: sup |w0 * |Phi|^2 - |Phi|^2| shrinks under refinement
     errs = []
