@@ -6,11 +6,12 @@ particles orthogonal to phi", weighted operators f-hat = sum f(k) P_{k,N},
 the functionals alpha, beta and their derivative decomposition, the reduced
 one-particle density matrix and the trace distance.
 
-Three routes compute them: the number frame of ``occupancy_components``,
+Two routes compute them: the number frame of ``occupancy_components``,
 ``hat_apply`` and ``occupation_distribution`` (the Householder reflector H
 takes phi to a phase times e0, so f-hat = H^(x)N diag(f(#q)) H^(x)N with #q
-the nonzero entries of a multi-index), the contraction chain of
-``_sector_weights`` (the report's p_k), and the dense kron oracle ``dense_*``.
+the nonzero entries of a multi-index), and the contraction chain of
+``_sector_weights`` (the report's p_k).  Their dense Kronecker-matrix oracle
+lives with the tests, in ``tests/conftest.py``.
 
 Internally phi is rescaled to unit quadrature weight and psi is read in
 place: the weight of psi enters the returned scalars (and vectors) as a
@@ -21,7 +22,6 @@ representation and no state-sized rescaled copy is made.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,15 +59,8 @@ __all__ = [
     "weight_difference_bound",
     "trace_distance",
     "derivative_terms",
-    "grad_q_norm",
-    "mode_projection_split",
-    "op_norm_interaction_projected",
-    "op_norm_sandwiched",
     "CountingReport",
     "compute_report",
-    "dense_p_matrices",
-    "dense_sector_projectors",
-    "dense_hat_matrix",
 ]
 
 
@@ -521,24 +514,14 @@ def derivative_terms(state: ManyBodyState, one_body: OneBodyState,
     return term1, term2, term3, total
 
 
-def grad_q_norm(state: ManyBodyState, reference) -> float:
-    """<q_1 psi, h~_1 q_1 psi> with h~ = -Delta_x - eps^-2 Delta_y - E_0/eps^2.
-
-    The confined axes carry the eps^-2 weight and the confined ground level
-    is subtracted, so the value vanishes on pure condensates and is
-    nonnegative by the spectral gap.  It is taken from gamma, whose terms
-    (``_grad_q_form``) are energy-sized, so on a condensate it reads roundoff
-    of either sign, 1e-14 to 1e-12 absolute; it is not clipped.
-    """
-    _, phi, _, _ = _grid_frame(state, reference)
-    return _grad_q_form(OneBodyDensity(state), phi)
-
-
 def _grad_q_form(gamma: OneBodyDensity, phi) -> float:
-    """tr(q h~ q gamma) for a unit-weight phi, q = 1 - |phi><phi|, h~ = K - E_0:
+    """tr(q h~ q gamma) for a unit-weight phi, q = 1 - |phi><phi|, h~ = K - E_0
+    with K = -Delta_x - eps^-2 Delta_y and E_0 the confined ground level:
 
     tr(K gamma) - 2 Re<gamma phi, K phi> + <phi, K phi><phi, gamma phi>
     - E_0 (tr gamma - <phi, gamma phi>), with tr(K gamma) by ``gamma.kinetic_trace``.
+    It is nonnegative by the spectral gap, but its terms are energy-sized, so on a
+    condensate it reads roundoff of either sign, 1e-14 to 1e-12 absolute; it is not clipped.
     """
     dom = gamma.domain
     k_phi = apply_kinetic(phi.reshape(dom.shape), dom).ravel()
@@ -547,47 +530,6 @@ def _grad_q_form(gamma: OneBodyDensity, phi) -> float:
     e0 = chi_mode(dom.confined, 0).energy_eps
     return float(gamma.kinetic_trace() - 2.0 * np.vdot(g_phi, k_phi).real
                  + np.vdot(phi, k_phi).real * occupied - e0 * (gamma.trace() - occupied))
-
-
-def mode_projection_split(state: ManyBodyState, one_body: OneBodyState) -> tuple[float, float]:
-    """(||q_1^chi psi||^2, ||p_1^chi q_1^Phi psi||^2); the parts sum to alpha.
-
-    Splits the first-coordinate deviation from the condensate into confined
-    excitations and free-direction excitations of the ground confined mode.
-    """
-    dom = state.domain
-    d_f, d_c = dom.free.dim, dom.confined.dim
-    chi = one_body.mode.chi.values * np.sqrt(dom.confined.cell_volume)
-    phi_free = one_body.phi_free.values * np.sqrt(dom.free.cell_volume)
-    psi, _, _, amp = _grid_frame(state, one_body)
-    psi = psi.reshape(dom.shape + (-1,))  # the first particle's axes, then the rest
-
-    conf_axes = tuple(range(d_f, d_f + d_c))
-    c = np.tensordot(np.conj(chi), psi, axes=(tuple(range(d_c)), conf_axes))
-    q_chi = psi - np.moveaxis(np.multiply.outer(chi, c), tuple(range(d_c)), conf_axes)
-    # p_1^chi psi = chi (x) c with chi of unit norm, so q_1^Phi acts on c alone
-    cf = np.tensordot(np.conj(phi_free), c, axes=(tuple(range(d_f)), tuple(range(d_f))))
-    q_phi_c = c - np.multiply.outer(phi_free, cf)
-    return (amp**2 * float(np.vdot(q_chi, q_chi).real),
-            amp**2 * float(np.vdot(q_phi_c, q_phi_c).real))
-
-
-# -- operator norm checks -----------------------------------------------------
-
-
-def op_norm_interaction_projected(kernel_flat: np.ndarray, phi_l2: np.ndarray) -> float:
-    """|| w_12 p_1 ||_Op, exact: sup_b (sum_a |phi(a)|^2 |w(a, b)|^2)^(1/2).
-
-    p_1 w_12^2 p_1 = |phi><phi| (x) diag_b(sum_a |phi(a)|^2 |w(a, b)|^2).
-    """
-    dens = np.abs(phi_l2) ** 2
-    return float(np.sqrt(np.max(dens @ np.abs(kernel_flat) ** 2)))
-
-
-def op_norm_sandwiched(kernel_flat: np.ndarray, phi_l2: np.ndarray) -> float:
-    """|| p_1 g_12 p_1 ||_Op, exact: sup_b |sum_a |phi(a)|^2 g(a, b)|."""
-    dens = np.abs(phi_l2) ** 2
-    return float(np.max(np.abs(dens @ kernel_flat)))
 
 
 # -- reports ------------------------------------------------------------------
@@ -654,39 +596,3 @@ def compute_report(state: ManyBodyState, one_body: OneBodyState,
         E_phi=float(e_phi),
         grad_q_sq=_grad_q_form(gamma, phi),
     ).validate()
-
-
-# -- dense kron-matrix route (the oracle) -------------------------------------
-
-
-def dense_p_matrices(phi: np.ndarray, n: int) -> list[np.ndarray]:
-    """[p_1, ..., p_N] as explicit d^N x d^N matrices."""
-    phi = np.asarray(phi, dtype=np.complex128).ravel()
-    d = len(phi)
-    p = np.outer(phi, np.conj(phi))
-    eye = np.eye(d)
-    out = []
-    for i in range(n):
-        mat = np.ones((1, 1), dtype=np.complex128)
-        for j in range(n):
-            mat = np.kron(mat, p if j == i else eye)
-        out.append(mat)
-    return out
-
-def dense_sector_projectors(phi: np.ndarray, n: int) -> list[np.ndarray]:
-    """[P_{0,N}, ..., P_{N,N}] as explicit matrices (2^N pattern sum)."""
-    ps = dense_p_matrices(phi, n)
-    dim = ps[0].shape[0]
-    qs = [np.eye(dim) - p for p in ps]
-    out = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(n + 1)]
-    for pattern in itertools.product((0, 1), repeat=n):
-        mat = np.eye(dim, dtype=np.complex128)
-        for i, is_q in enumerate(pattern):
-            mat = mat @ (qs[i] if is_q else ps[i])
-        out[sum(pattern)] += mat
-    return out
-
-
-def dense_hat_matrix(f: WeightFunction, phi: np.ndarray, n: int) -> np.ndarray:
-    projs = dense_sector_projectors(phi, n)
-    return sum(f.values[k] * projs[k] for k in range(n + 1))

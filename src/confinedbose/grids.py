@@ -78,6 +78,11 @@ class _Part:
     def meshgrid(self):
         return np.meshgrid(*(self.axis_nodes(a) for a in range(self.dim)), indexing="ij")
 
+    def _set_points(self):
+        if not all(isinstance(n, (int, np.integer)) for n in self.points):  # 16.7, "16" refused
+            raise ValueError(f"point counts must be integers, got {list(self.points)}")
+        object.__setattr__(self, "points", tuple(int(n) for n in self.points))
+
 
 @dataclass(frozen=True)
 class FreeDomain(_Part):
@@ -95,7 +100,7 @@ class FreeDomain(_Part):
 
     def __post_init__(self):
         object.__setattr__(self, "extents", tuple(float(L) for L in self.extents))
-        object.__setattr__(self, "points", tuple(int(n) for n in self.points))
+        self._set_points()
         if not 1 <= len(self.extents) <= 2:
             raise ValueError("free dimension must be 1 or 2")
         if len(self.points) != len(self.extents):
@@ -145,7 +150,7 @@ class ConfinedDomain(_Part):
         object.__setattr__(
             self, "intervals", tuple((float(c), float(d)) for c, d in self.intervals)
         )
-        object.__setattr__(self, "points", tuple(int(n) for n in self.points))
+        self._set_points()
         object.__setattr__(self, "eps", float(self.eps))
         if not 1 <= len(self.intervals) <= 2:
             raise ValueError("confined dimension must be 1 or 2")
@@ -227,35 +232,6 @@ class GridFunction:
                 f"value shape {values.shape} does not match grid {self.domain.shape}"
             )
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def sample(cls, domain: Domain, func) -> "GridFunction":
-        """Sample ``func(*coords)`` on the grid.
-
-        On the axes of a non-periodic part the function is also evaluated at
-        the walls and rejected if it does not vanish there (|f| > 1e-12),
-        since the sine representation silently assumes the hard-wall
-        condition.
-        """
-        axes = [part.axis_nodes(a) for part in domain.parts for a in range(part.dim)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        values = np.asarray(func(*grids), dtype=np.complex128)
-
-        start = 0  # value axis of the part's first axis
-        for part in domain.parts:
-            if not part.periodic:
-                for local_a, interval in enumerate(part.intervals):
-                    for wall in interval:
-                        probe = [g.copy() for g in grids]
-                        probe[start + local_a] = np.full_like(probe[start + local_a], wall)
-                        boundary = np.asarray(func(*probe), dtype=np.complex128)
-                        if np.max(np.abs(boundary)) > 1e-12:
-                            raise ValueError(
-                                "sampled function does not vanish on the hard wall "
-                                f"(confined axis {local_a}, wall {wall})"
-                            )
-            start += part.dim
-        return cls(domain, values)
 
     def copy_with(self, values) -> "GridFunction":
         return GridFunction(self.domain, values)

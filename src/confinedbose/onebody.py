@@ -37,7 +37,6 @@ __all__ = [
     "chi_mode",
     "coupling_b",
     "hartree_potential",
-    "narrow_kernel",
     "evolve_effective",
     "effective_energy",
     "sup_norms",
@@ -129,19 +128,6 @@ def hartree_potential(phi: GridFunction, kernel: GridFunction) -> GridFunction:
     slices = tuple(slice(n // 2, n // 2 + n) for n in dom.shape)
     out = full[slices] * dom.cell_volume
     return GridFunction(dom, out)
-
-
-def narrow_kernel(domain: FreeDomain, width: float, total: float) -> GridFunction:
-    """Gaussian difference kernel with grid integral exactly ``total``.
-
-    Used for probing the narrow-interaction (Hartree -> NLS) limit; the
-    normalization uses the same uniform quadrature as the convolution.
-    """
-    xs = domain.meshgrid()
-    r2 = sum(x**2 for x in xs)
-    raw = np.exp(-r2 / (2 * width**2))
-    raw_int = float(np.sum(raw) * domain.cell_volume)
-    return GridFunction(domain, raw * (total / raw_int))
 
 
 @dataclass(frozen=True)

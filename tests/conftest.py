@@ -1,4 +1,4 @@
-"""Shared test oracles and the traced-memory helper."""
+"""Shared test oracles, grid builders and the traced-memory helper."""
 
 import itertools
 import math
@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from confinedbose.counting import _frame, project_p, project_q
-from confinedbose.grids import apply_along, axis_groups, axis_operators
-from confinedbose.manybody import pair_phase_array
+from confinedbose.counting import _frame, _grad_q_form, _grid_frame, project_p, project_q
+from confinedbose.grids import GridFunction, apply_along, axis_groups, axis_operators
+from confinedbose.manybody import OneBodyDensity, pair_phase_array
 from confinedbose.onebody import chi_mode
 
 
@@ -225,3 +225,141 @@ def literal_sums():
     ``occupation_enumeration_per_pattern``."""
     return SimpleNamespace(permutation_average=permutation_average_all_orders,
                            occupation=occupation_enumeration_per_pattern)
+
+
+# -- the dense Kronecker route: the oracle of the number frame at small d^N ----
+
+
+def dense_p_matrices(phi, n):
+    """[p_1, ..., p_N] as explicit d^N x d^N matrices."""
+    phi = np.asarray(phi, dtype=np.complex128).ravel()
+    p, eye = np.outer(phi, np.conj(phi)), np.eye(len(phi))
+    out = []
+    for i in range(n):
+        mat = np.ones((1, 1), dtype=np.complex128)
+        for j in range(n):
+            mat = np.kron(mat, p if j == i else eye)
+        out.append(mat)
+    return out
+
+
+def dense_sector_projectors(phi, n):
+    """[P_{0,N}, ..., P_{N,N}] as explicit matrices (2^N pattern sum)."""
+    ps = dense_p_matrices(phi, n)
+    dim = ps[0].shape[0]
+    qs = [np.eye(dim) - p for p in ps]
+    out = [np.zeros((dim, dim), dtype=np.complex128) for _ in range(n + 1)]
+    for pattern in itertools.product((0, 1), repeat=n):
+        mat = np.eye(dim, dtype=np.complex128)
+        for i, is_q in enumerate(pattern):
+            mat = mat @ (qs[i] if is_q else ps[i])
+        out[sum(pattern)] += mat
+    return out
+
+
+def dense_hat_matrix(f, phi, n):
+    """f-hat = sum_k f(k) P_{k,N} as an explicit matrix, for a ``WeightFunction`` f."""
+    projs = dense_sector_projectors(phi, n)
+    return sum(f.values[k] * projs[k] for k in range(n + 1))
+
+
+@pytest.fixture
+def dense_kron():
+    """The dense Kronecker oracles ``dense_sector_projectors`` and ``dense_hat_matrix``."""
+    return SimpleNamespace(sector_projectors=dense_sector_projectors, hat=dense_hat_matrix)
+
+
+# -- grid-route helpers: the mode split and the report's grad_q form -------------
+
+
+def mode_projection_split(state, one_body):
+    """(||q_1^chi psi||^2, ||p_1^chi q_1^Phi psi||^2); the parts sum to alpha.
+
+    Splits the first-coordinate deviation from the condensate into confined
+    excitations and free-direction excitations of the ground confined mode.
+    """
+    dom = state.domain
+    d_f, d_c = dom.free.dim, dom.confined.dim
+    chi = one_body.mode.chi.values * np.sqrt(dom.confined.cell_volume)
+    phi_free = one_body.phi_free.values * np.sqrt(dom.free.cell_volume)
+    psi, _, _, amp = _grid_frame(state, one_body)
+    psi = psi.reshape(dom.shape + (-1,))  # the first particle's axes, then the rest
+
+    conf_axes = tuple(range(d_f, d_f + d_c))
+    c = np.tensordot(np.conj(chi), psi, axes=(tuple(range(d_c)), conf_axes))
+    q_chi = psi - np.moveaxis(np.multiply.outer(chi, c), tuple(range(d_c)), conf_axes)
+    # p_1^chi psi = chi (x) c with chi of unit norm, so q_1^Phi acts on c alone
+    cf = np.tensordot(np.conj(phi_free), c, axes=(tuple(range(d_f)), tuple(range(d_f))))
+    q_phi_c = c - np.multiply.outer(phi_free, cf)
+    return (amp**2 * float(np.vdot(q_chi, q_chi).real),
+            amp**2 * float(np.vdot(q_phi_c, q_phi_c).real))
+
+
+def grad_q_density_route(state, reference):
+    """<q_1 psi, h~_1 q_1 psi> as the counting report takes it: ``counting._grad_q_form``
+    on the state's ``OneBodyDensity``.  ``reference`` is a ``OneBodyState`` or the
+    L^2-normalized one-body values on the grid."""
+    _, phi, _, _ = _grid_frame(state, reference)
+    return _grad_q_form(OneBodyDensity(state), phi)
+
+
+@pytest.fixture
+def grid_routes():
+    """The grid-route helpers ``mode_projection_split`` and ``grad_q_density_route``."""
+    return SimpleNamespace(mode_split=mode_projection_split, grad_q=grad_q_density_route)
+
+
+# -- grid builders: sampled functions and narrow kernels --------------------------
+
+
+def sample_grid_function(domain, func):
+    """``func(*coords)`` sampled on the grid, as a ``GridFunction``.
+
+    On the axes of a non-periodic part the function is also evaluated at
+    the walls and rejected if it does not vanish there (|f| > 1e-12),
+    since the sine representation silently assumes the hard-wall
+    condition.
+    """
+    axes = [part.axis_nodes(a) for part in domain.parts for a in range(part.dim)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    values = np.asarray(func(*grids), dtype=np.complex128)
+
+    start = 0  # value axis of the part's first axis
+    for part in domain.parts:
+        if not part.periodic:
+            for local_a, interval in enumerate(part.intervals):
+                for wall in interval:
+                    probe = [g.copy() for g in grids]
+                    probe[start + local_a] = np.full_like(probe[start + local_a], wall)
+                    boundary = np.asarray(func(*probe), dtype=np.complex128)
+                    if np.max(np.abs(boundary)) > 1e-12:
+                        raise ValueError(
+                            "sampled function does not vanish on the hard wall "
+                            f"(confined axis {local_a}, wall {wall})"
+                        )
+        start += part.dim
+    return GridFunction(domain, values)
+
+
+@pytest.fixture
+def grid_sample():
+    """The wall-checked grid sampler ``sample_grid_function``."""
+    return sample_grid_function
+
+
+def narrow_kernel_function(domain, width, total):
+    """Gaussian difference kernel on a free domain with grid integral exactly ``total``.
+
+    Used for probing the narrow-interaction (Hartree -> NLS) limit; the
+    normalization uses the same uniform quadrature as the convolution.
+    """
+    xs = domain.meshgrid()
+    raw = np.exp(-sum(x**2 for x in xs) / (2 * width**2))
+    raw_int = float(np.sum(raw) * domain.cell_volume)
+    return GridFunction(domain, raw * (total / raw_int))
+
+
+@pytest.fixture
+def narrow_kernel():
+    """The kernel builder ``narrow_kernel_function``."""
+    return narrow_kernel_function

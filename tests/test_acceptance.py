@@ -403,7 +403,8 @@ def test_criterion_12_ladder_trend():
     values = fit.terminal_values
     assert values[0] > values[1] > values[2]  # strictly decreasing in N
     assert fit.slope is not None and fit.slope < 0
-    # the asymptotic slope -1 is out of desk-scale reach and NOT asserted
+    # beta's asymptotic log-log slope in N, -1/2 (sqrt(N) beta_N tends to a constant),
+    # is out of desk-scale reach and NOT asserted
     report(12, f"terminal beta strictly decreases over N in {fit.particle_counts}: "
                f"{[f'{v:.3e}' for v in values]}; log-log slope {fit.slope:.2f} "
                f"(residual {fit.residual:.2e})")

@@ -469,13 +469,13 @@ def test_difference_weights_dominated_by_inverse():
 # -- dense matrix route crosschecks --------------------------------------------
 
 
-def test_dense_route_matches_contraction_route():
+def test_dense_route_matches_contraction_route(dense_kron):
     rng = np.random.default_rng(17)
     dim, n = 3, 3
     phi = random_unit(rng, dim)
     psi = random_symmetric(rng, dim, n)
     flat = psi.ravel()
-    projs = cnt.dense_sector_projectors(phi, n)
+    projs = dense_kron.sector_projectors(phi, n)
     comps = cnt.occupancy_components(psi, phi)
     assert np.max(np.abs(sum(projs) - np.eye(dim**n))) < 1e-10
     for k in range(n + 1):
@@ -483,7 +483,7 @@ def test_dense_route_matches_contraction_route():
         assert np.linalg.norm((dense - comps[k]).ravel()) < 1e-10
 
     f = cnt.WeightFunction(rng.normal(size=n + 1))
-    hat_dense = (cnt.dense_hat_matrix(f, phi, n) @ flat).reshape((dim,) * n)
+    hat_dense = (dense_kron.hat(f, phi, n) @ flat).reshape((dim,) * n)
     assert np.linalg.norm((hat_dense - cnt.hat_apply(f, psi, phi)).ravel()) < 1e-10
 
 
@@ -551,7 +551,7 @@ def test_q_counts_table():
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_number_frame_matches_split_and_dense(dim, n, projector_split):
+def test_number_frame_matches_split_and_dense(dim, n, projector_split, dense_kron):
     # general (not symmetrized) psi; the dense kron matrices only up to
     # dim^n = 256: at 4^5 each is 16 MiB and 2^5 * 5 products of them are needed
     rng = np.random.default_rng(40 + 10 * dim + n)
@@ -567,8 +567,8 @@ def test_number_frame_matches_split_and_dense(dim, n, projector_split):
     references = [(split, sum(f.values[k] * c for k, c in enumerate(split)))]
     if dim**n <= 256:
         flat = psi.ravel()
-        dense = [(proj @ flat).reshape(psi.shape) for proj in cnt.dense_sector_projectors(phi, n)]
-        references.append((dense, (cnt.dense_hat_matrix(f, phi, n) @ flat).reshape(psi.shape)))
+        dense = [(proj @ flat).reshape(psi.shape) for proj in dense_kron.sector_projectors(phi, n)]
+        references.append((dense, (dense_kron.hat(f, phi, n) @ flat).reshape(psi.shape)))
     for ref_comps, ref_hat in references:
         for c, ref in zip(comps, ref_comps, strict=True):
             assert np.max(np.abs(c - ref)) < 1e-12
@@ -613,14 +613,14 @@ def orthogonal_one_body(spec, one, kind):
     return np.multiply.outer(bump, chi0)
 
 
-def test_grid_alpha_and_mode_split():
+def test_grid_alpha_and_mode_split(grid_routes):
     spec, one = grid_setting()
     phi_full = one.product_values()
     vol = spec.domain.cell_volume
 
     psi_prod = product_state(one, 2)
     assert cnt.alpha(psi_prod.values, phi_full, weight=vol) < 1e-12
-    qc, qf = cnt.mode_projection_split(psi_prod, one)
+    qc, qf = grid_routes.mode_split(psi_prod, one)
     assert qc < 1e-12 and qf < 1e-12
 
     for kind, expect_confined in (("confined", True), ("free", False)):
@@ -628,7 +628,7 @@ def test_grid_alpha_and_mode_split():
         raw = np.multiply.outer(perp, phi_full)
         state = symmetrize(spec.domain, raw)
         a = cnt.alpha(state.values, phi_full, weight=vol)
-        qc, qf = cnt.mode_projection_split(state, one)
+        qc, qf = grid_routes.mode_split(state, one)
         assert qc + qf == pytest.approx(a, abs=1e-10)
         if expect_confined:
             assert qc == pytest.approx(a, abs=1e-10) and qf < 1e-10
@@ -636,10 +636,10 @@ def test_grid_alpha_and_mode_split():
             assert qf == pytest.approx(a, abs=1e-10) and qc < 1e-10
 
 
-def test_grad_q_norm_product_and_closed_form():
+def test_grad_q_norm_product_and_closed_form(grid_routes):
     spec, one = grid_setting()
     psi_prod = product_state(one, 2)
-    assert cnt.grad_q_norm(psi_prod, one) < 1e-10
+    assert grid_routes.grad_q(psi_prod, one) < 1e-10
 
     # plane-wave condensate makes orthogonality to other modes grid-exact:
     # Sym(phi (x) perp) has q_1 part perp (x) phi / sqrt(2), so the h~ form
@@ -656,7 +656,7 @@ def test_grad_q_norm_product_and_closed_form():
     perp = np.multiply.outer(plane, chi0)
     raw = np.multiply.outer(perp, one_pw.product_values())
     state = symmetrize(spec.domain, raw)
-    val = cnt.grad_q_norm(state, one_pw)
+    val = grid_routes.grad_q(state, one_pw)
     assert val == pytest.approx(k0**2 / 2.0, rel=1e-10)
 
     # adding higher-frequency content to the q component only increases it
@@ -665,7 +665,7 @@ def test_grad_q_norm_product_and_closed_form():
     perp2 = np.multiply.outer(plane2, chi0)
     mix = 0.8 * perp + 0.6 * perp2
     raw2 = np.multiply.outer(mix, one_pw.product_values())
-    val2 = cnt.grad_q_norm(symmetrize(spec.domain, raw2), one_pw)
+    val2 = grid_routes.grad_q(symmetrize(spec.domain, raw2), one_pw)
     assert val2 > val
 
 
@@ -735,55 +735,6 @@ def test_derivative_terms_product_state():
     t1, t2, t3, total = cnt.derivative_terms(psi_prod, one, spec)
     assert t2 < 1e-12 and t3 < 1e-12
     assert abs(total) <= t1 + t2 + t3 + 1e-12
-
-
-def test_operator_norm_bounds_three_profiles():
-    rng = np.random.default_rng(19)
-    profiles = [
-        InteractionProfile("gaussian-bump", amplitude=2.0, radius=1.5, sigma=0.5),
-        InteractionProfile("compact-polynomial-bump", amplitude=3.0, radius=1.6),
-        InteractionProfile("gaussian-bump", amplitude=0.7, radius=2.0, sigma=0.8),
-    ]
-    for prof in profiles:
-        spec = ModelSpec(
-            free=FreeDomain((8.0,), (16,)),
-            confined=ConfinedDomain(UNIT_INTERVAL, (3,), eps=0.5),
-            n_particles=2,
-            interaction=prof,
-            regime="hartree-theta0",
-        )
-        xs = spec.free.meshgrid()
-        phi = GridFunction(spec.free, np.exp(-xs[0] ** 2 / 4.0))
-        phi = phi.copy_with(phi.values / norm(phi))
-        one = OneBodyState(phi, chi_mode(spec.confined, 0))
-        vol = spec.domain.cell_volume
-        phi_l2 = one.product_values().ravel() * np.sqrt(vol)
-        m = phi_l2.size
-        kernel = pair_phase_array(spec).reshape(m, m).real
-
-        est = cnt.op_norm_interaction_projected(kernel, phi_l2)
-        # Young bound: ||w||_{L^2(relative grid)} ||phi||_inf
-        rel_l2 = float(np.sqrt(np.max(np.sum(kernel**2, axis=0)) * vol))
-        sup_phi = float(np.max(np.abs(phi_l2)) / np.sqrt(vol))
-        assert est <= rel_l2 * sup_phi + 1e-6
-
-        sand = cnt.op_norm_sandwiched(kernel, phi_l2)
-        rel_l1 = float(np.max(np.sum(np.abs(kernel), axis=0)) * vol)
-        assert sand <= rel_l1 * sup_phi**2 + 1e-6
-
-
-def test_op_norm_interaction_projected_is_top_eigenvalue():
-    # the closed form against the spectrum of the dense p_1 w_12^2 p_1 at m = 16
-    rng = np.random.default_rng(23)
-    m = 16
-    phi = rng.normal(size=m) + 1j * rng.normal(size=m)
-    phi /= np.linalg.norm(phi)
-    kernel = rng.normal(size=(m, m))
-    kernel = kernel + kernel.T
-    p1 = np.kron(np.outer(phi, phi.conj()), np.eye(m))
-    top = np.linalg.eigvalsh(p1 @ np.diag(kernel.ravel() ** 2) @ p1)[-1]
-    assert cnt.op_norm_interaction_projected(kernel, phi) == pytest.approx(np.sqrt(top),
-                                                                           rel=1e-12)
 
 
 def test_counting_report_round_trip_and_validation():

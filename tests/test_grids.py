@@ -69,10 +69,10 @@ def test_laplacian_free_constant_in_kernel():
     assert np.max(np.abs(out)) < 1e-12
 
 
-def test_laplacian_free_fourier_eigenfunction():
+def test_laplacian_free_fourier_eigenfunction(grid_sample):
     L = 7.0
     dom = FreeDomain((L,), (64,))
-    f = GridFunction.sample(dom, lambda x: np.sin(2 * np.pi * x / L))
+    f = grid_sample(dom, lambda x: np.sin(2 * np.pi * x / L))
     out = apply_kinetic(f.values, dom)
     expected = (2 * np.pi / L) ** 2 * f.values
     assert np.max(np.abs(out - expected)) < 1e-10
@@ -89,14 +89,14 @@ def fd_laplacian_periodic(values, spacings):
 
 
 @pytest.mark.parametrize("shape", [(64,), (32, 32)])
-def test_laplacian_free_matches_fd_oracle_at_second_order(shape):
+def test_laplacian_free_matches_fd_oracle_at_second_order(shape, grid_sample):
     rng = np.random.default_rng(7)
     errs = []
     for factor in (1, 2):
         pts = tuple(n * factor for n in shape)
         dom = FreeDomain((6.0,) * len(shape), pts)
         func = band_limited(dom, np.random.default_rng(7), max_mode=3)
-        f = GridFunction.sample(dom, func)
+        f = grid_sample(dom, func)
         exact = apply_kinetic(f.values, dom)
         approx = fd_laplacian_periodic(f.values, dom.spacings)
         errs.append(np.max(np.abs(exact - approx)) / np.max(np.abs(exact)))
@@ -105,10 +105,10 @@ def test_laplacian_free_matches_fd_oracle_at_second_order(shape):
     assert 3.0 < ratio < 5.0  # O(h^2) convergence of the stencil to the spectral value
 
 
-def test_laplacian_confined_ground_mode_and_eps_scaling():
+def test_laplacian_confined_ground_mode_and_eps_scaling(grid_sample):
     dom1 = ConfinedDomain(((0.0 - 0.5, 0.5),), (31,), eps=1.0)
     w = 1.0
-    f = GridFunction.sample(dom1, lambda y: np.sin(np.pi * (y + 0.5) / w))
+    f = grid_sample(dom1, lambda y: np.sin(np.pi * (y + 0.5) / w))
     out = apply_kinetic(f.values, dom1)
     assert np.allclose(out, (np.pi / w) ** 2 * f.values, atol=1e-10)
 
@@ -118,39 +118,39 @@ def test_laplacian_confined_ground_mode_and_eps_scaling():
     assert np.allclose(out01, 100.0 * (np.pi / w) ** 2 * f.values, atol=1e-8)
 
 
-def test_laplacian_confined_second_mode():
+def test_laplacian_confined_second_mode(grid_sample):
     dom = ConfinedDomain(((-0.25, 0.75),), (40,), eps=1.0)
     w = 1.0
-    f = GridFunction.sample(dom, lambda y: np.sin(2 * np.pi * (y + 0.25) / w))
+    f = grid_sample(dom, lambda y: np.sin(2 * np.pi * (y + 0.25) / w))
     out = apply_kinetic(f.values, dom)
     assert np.allclose(out, 4 * (np.pi / w) ** 2 * f.values, atol=1e-9)
 
 
-def test_inner_product_basics():
+def test_inner_product_basics(grid_sample):
     dom = ConfinedDomain(((-0.5, 0.5),), (24,))
     rng = np.random.default_rng(3)
     f = GridFunction(dom, rng.normal(size=24) + 1j * rng.normal(size=24))
     ip = inner_product(f, f)
     assert abs(ip.imag) < 1e-12 and ip.real >= 0
 
-    g1 = GridFunction.sample(dom, lambda y: np.sin(np.pi * (y + 0.5)))
-    g2 = GridFunction.sample(dom, lambda y: np.sin(3 * np.pi * (y + 0.5)))
+    g1 = grid_sample(dom, lambda y: np.sin(np.pi * (y + 0.5)))
+    g2 = grid_sample(dom, lambda y: np.sin(3 * np.pi * (y + 0.5)))
     assert abs(inner_product(g1, g2)) < 1e-12
     with pytest.raises(ValueError, match="different domains"):
         inner_product(f, GridFunction(ConfinedDomain(((-0.5, 0.5),), (24,), eps=0.5), f.values))
 
 
-def test_inner_product_matches_refined_grid_oracle():
+def test_inner_product_matches_refined_grid_oracle(grid_sample):
     # band-limited integrands: refined uniform quadrature is the oracle
     L = 6.0
     rng = np.random.default_rng(11)
     coarse = FreeDomain((L,), (32,))
     fine = FreeDomain((L,), (256,))
     ffun, gfun = band_limited(coarse, rng), band_limited(coarse, rng)
-    f_c = GridFunction.sample(coarse, ffun)
-    g_c = GridFunction.sample(coarse, gfun)
-    f_f = GridFunction.sample(fine, ffun)
-    g_f = GridFunction.sample(fine, gfun)
+    f_c = grid_sample(coarse, ffun)
+    g_c = grid_sample(coarse, gfun)
+    f_f = grid_sample(fine, ffun)
+    g_f = grid_sample(fine, gfun)
     ip_c = inner_product(f_c, g_c)
     ip_f = inner_product(f_f, g_f)
     assert abs(ip_c - ip_f) <= 1e-8 * max(1.0, abs(ip_f))
@@ -179,13 +179,26 @@ def test_confined_spectrum_nonnegative_and_gap():
     assert lam_min >= gap * (1 - 1e-6)
 
 
-def test_sample_rejects_nonvanishing_boundary():
+def test_point_counts_take_integer_types_only():
+    # numpy integers (and the ints of an MFL1 header) pass as Python ints
+    free = FreeDomain((8.0,), (np.int64(16),))
+    conf = ConfinedDomain(((-0.5, 0.5),), (np.int32(3),))
+    assert free.points == (16,) and conf.points == (3,)
+    assert type(free.points[0]) is int and type(conf.points[0]) is int
+    for bad in (16.0, 16.7, "16"):
+        with pytest.raises(ValueError, match="must be integers"):
+            FreeDomain((8.0,), (bad,))
+        with pytest.raises(ValueError, match="must be integers"):
+            ConfinedDomain(((-0.5, 0.5),), (bad,))
+
+
+def test_sample_rejects_nonvanishing_boundary(grid_sample):
     dom = ConfinedDomain(((-0.5, 0.5),), (16,))
     with pytest.raises(ValueError, match="hard wall"):
-        GridFunction.sample(dom, lambda y: np.cos(np.pi * y) + 1.0)
+        grid_sample(dom, lambda y: np.cos(np.pi * y) + 1.0)
     product = ProductDomain(FreeDomain((4.0,), (8,)), dom)
     with pytest.raises(ValueError, match="hard wall"):
-        GridFunction.sample(product, lambda x, y: np.cos(np.pi * y) + 1.0 + 0.0 * x)
+        grid_sample(product, lambda x, y: np.cos(np.pi * y) + 1.0 + 0.0 * x)
 
 
 MFL1_DOMAINS = {
@@ -273,12 +286,12 @@ def test_apply_along_matches_tensordot_in_and_out_of_place(shape):
         apply_along(values, mat, 0, out=np.empty(shape[::-1], dtype=complex).T)
 
 
-def test_apply_kinetic_eps_weighting():
+def test_apply_kinetic_eps_weighting(grid_sample):
     dom = ProductDomain(
         FreeDomain((4.0,), (8,)), ConfinedDomain(((-0.5, 0.5),), (5,), eps=0.5)
     )
     # a free plane wave times the confined ground mode
-    f = GridFunction.sample(
+    f = grid_sample(
         dom, lambda x, y: np.exp(2j * np.pi * x / 4.0) * np.sin(np.pi * (y + 0.5))
     )
     free_term, conf_term = (2 * np.pi / 4.0) ** 2, np.pi**2

@@ -339,6 +339,12 @@ NAN, INF = float("nan"), float("inf")
     pytest.param("simulate-onebody", {"free": {"extents": [12.0]}}, id="free-points-missing"),
     pytest.param("simulate-onebody", {"free": {"extents": [12.0], "points": [12]}},
                  id="free-points-12"),
+    pytest.param("simulate-onebody", {"free": {"extents": [12.0], "points": [16.7]}},
+                 id="free-points-fractional"),
+    pytest.param("simulate-onebody", {"free": {"extents": [12.0], "points": ["16"]}},
+                 id="free-points-string"),
+    pytest.param("simulate-onebody", {"confined": {**BASE["confined"], "points": [3.9]}},
+                 id="confined-points-fractional"),
     pytest.param("simulate-onebody",
                  {"interaction": {"kind": "tabulated", "table": [[0.0, 1.0], [1.0, 0.0]]}},
                  id="tabulated"),

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from confinedbose import grids, manybody
-from confinedbose.counting import compute_report, grad_q_norm, trace_distance
+from confinedbose.counting import compute_report, trace_distance
 from confinedbose.errors import ConfigError, GuardError
 from confinedbose.grids import (
     ConfinedDomain,
@@ -459,7 +459,8 @@ def symmetric_random_state(dom, n, rng, t, terms=4):
     pytest.param(TWO_GROUPS_M256, 2, 2, id="16x4x4-N2"),
     pytest.param(TWO_GROUPS_M72, 3, 2, id="8x3x3-N3"),
 ])
-def test_density_matrix_route_matches_sweeps(grid, n, groups, potential, direct_sweeps):
+def test_density_matrix_route_matches_sweeps(grid, n, groups, potential, direct_sweeps,
+                                             grid_routes):
     # tr(K gamma) over partial traces, the energy and <q_1 psi, h~ q_1 psi>
     # against direct sweeps over psi and q_1 psi
     spec = ModelSpec(n_particles=n, regime="hartree-theta0",
@@ -479,7 +480,8 @@ def test_density_matrix_route_matches_sweeps(grid, n, groups, potential, direct_
     assert kinetic_trace(gamma, dom) == pytest.approx(sweep, rel=1e-12)
     assert manybody_energy(state, spec) == pytest.approx(
         direct_sweeps.energy(state, spec), rel=1e-12)
-    assert grad_q_norm(state, phi) == pytest.approx(direct_sweeps.grad_q(state, phi), rel=1e-12)
+    assert grid_routes.grad_q(state, phi) == pytest.approx(direct_sweeps.grad_q(state, phi),
+                                                          rel=1e-12)
 
 
 @pytest.mark.parametrize("free, confined, groups", [

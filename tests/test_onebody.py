@@ -18,7 +18,6 @@ from confinedbose.onebody import (
     evolve_effective,
     hartree_potential,
     mean_field_kernel,
-    narrow_kernel,
     sup_norms,
 )
 
@@ -97,7 +96,7 @@ def test_coupling_b_unit_mass_gaussian():
     assert coupling_b(profile, chi_mode(dom, 0)) == pytest.approx(1.5, rel=1e-8)
 
 
-def test_hartree_potential_narrow_kernel_refinement_study():
+def test_hartree_potential_narrow_kernel_refinement_study(narrow_kernel):
     # kernel -> Dirac: sup |w0 * |Phi|^2 - |Phi|^2| shrinks under refinement
     errs = []
     for n, width in ((64, 0.4), (128, 0.2), (256, 0.1)):
@@ -113,7 +112,7 @@ def test_hartree_potential_narrow_kernel_refinement_study():
     assert 3.0 < errs[1] / errs[2] < 5.0
 
 
-def test_hartree_potential_shift_equivariance_and_positivity():
+def test_hartree_potential_shift_equivariance_and_positivity(narrow_kernel):
     dom = FreeDomain((16.0,), (128,))
     x = dom.axis_nodes(0)
     phi = unit_gaussian(dom, width=0.8)
