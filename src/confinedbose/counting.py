@@ -91,7 +91,7 @@ def _frame(psi, phi, weight: float = 1.0):
     if weight != 1.0:
         phi = phi * weight**0.5
     nrm = np.linalg.norm(phi)
-    if abs(nrm - 1.0) > 1e-6:
+    if not abs(nrm - 1.0) <= 1e-6:  # NaN fails too
         raise InvariantError(f"condensate reference is not normalized (|phi| = {nrm:.2e})")
     return psi, phi, n, weight ** (n / 2.0)
 
@@ -255,7 +255,7 @@ def occupation_distribution_binomial(psi, phi) -> np.ndarray:
     ``_sector_weights`` for the route and its error.
     """
     psi, phi, n, _ = _frame(psi, phi)
-    if _transposition_residual(psi, n, 1) > SYMMETRY_TOL:
+    if not _transposition_residual(psi, n, 1) <= SYMMETRY_TOL:
         raise ConfigError("binomial shortcut requires a symmetric state")
     return _sector_weights(psi, phi)
 

@@ -7,6 +7,7 @@ files written atomically, byte-reproducible for a fixed (config, seed).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -112,6 +113,8 @@ class ExperimentConfig:
         step_count(self.time_horizon, self.dt)
         if self.report_stride < 1:
             raise ConfigError("report_stride must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.ladder is not None and not isinstance(self.ladder, dict):
             raise ConfigError("ladder must be an object")
         if not isinstance(self.initial, dict):
@@ -119,8 +122,9 @@ class ExperimentConfig:
         unknown = sorted(set(self.initial) - set(_INITIAL_KEYS))
         if unknown:
             raise ConfigError(f"unknown initial keys {unknown}; known: {_INITIAL_KEYS}")
-        if not _is_number(self.initial.get("width", 1.0)):
-            raise ConfigError("initial width must be a number")
+        width = self.initial.get("width", 1.0)
+        if not (_is_number(width) and width > 0):
+            raise ConfigError("initial width must be a positive number")
         for key in ("center", "momentum"):
             entries = self.initial.get(key, [])
             if not isinstance(entries, list) or not all(_is_number(v) for v in entries):
@@ -294,7 +298,8 @@ def fit_rate(ns, values, complete: bool = True, note: str = "") -> RateFit:
     ns = tuple(int(n) for n in ns)
     values = tuple(float(v) for v in values)
     if len(ns) < 3:
-        return RateFit(ns, values, None, None, None, complete, "fewer than 3 ladder points")
+        return RateFit(ns, values, None, None, None, complete,
+                       note or "fewer than 3 ladder points")
     if any(v <= 1e-14 for v in values):  # zero up to roundoff
         return RateFit(ns, values, None, None, None, complete,
                        "degenerate ladder (terminal values vanish); no slope")
@@ -371,14 +376,8 @@ def run_ladder(config: ExperimentConfig, out_dir) -> RateFit:
             results[n] = None
 
     good_ns = [n for n in ns if results.get(n) is not None]
-    good_vals = [results[n] for n in good_ns]
-    complete = len(good_ns) == len(ns)
-    note = "; ".join(failures)
-    if len(good_ns) < 3:
-        fit = RateFit(tuple(good_ns), tuple(good_vals), None, None, None, complete,
-                      note or "fewer than 3 successful points")
-    else:
-        fit = fit_rate(good_ns, good_vals, complete=complete, note=note)
+    fit = fit_rate(good_ns, [results[n] for n in good_ns], complete=len(good_ns) == len(ns),
+                   note="; ".join(failures))
     _csv(os.path.join(out_dir, "ladder.csv"), "N,terminal_beta",
          [(n, results[n]) for n in good_ns])
     _atomic_write(os.path.join(out_dir, "rate_fit.json"), fit.to_json())
@@ -430,120 +429,92 @@ def _random_unit(rng, dim: int) -> np.ndarray:
 
 _LEMMA_DIM = 4  # one-body dimension of the random lemma states
 
+# invariant name -> tolerance on its worst violation, in report order
+_LEMMA_TOLERANCES = {
+    "reference-normalization": 1e-10,
+    "completeness": 1e-10,
+    "number-identity": 1e-10,
+    "weight-composition": 1e-10,
+    "hat-p-commutation": 1e-10,
+    "shift-identity": 1e-9,
+    "weight-difference-bound": 1e-10,
+    "trace-sandwich": 1e-9,
+    "alpha-two-routes": 1e-10,
+    "occupation-routes": 1e-9,
+}
 
-def verify_lemmas(seed: int = 0, particle_counts=(2, 3, 4, 5), n_states: int = 20,
-                  corruption: str | None = None) -> list[LemmaCheck]:
+
+def _number_frame_checks(psi, phi, n):
+    """|phi| = 1, sum_k P_k psi = psi, and sum_i q_i = k on the k-th component."""
+    yield "reference-normalization", abs(np.linalg.norm(phi) - 1.0)
+    comps = cnt.occupancy_components(psi, phi)
+    yield "completeness", float(np.linalg.norm((sum(comps) - psi).ravel()))
+    for k, c in enumerate(comps):
+        qsum = sum(cnt.project_q(c, phi, axis) for axis in range(n))
+        yield "number-identity", float(np.linalg.norm((qsum - k * c).ravel()))
+
+
+def _weighted_operator_checks(rng, psi, phi, n, variant):
+    """(fg)^ = f^ g^, f^ p_i = p_i f^, the shift identity and the weight-difference
+    bound, for random weights f, g and a random two-body block T drawn here."""
+    f = cnt.WeightFunction(rng.normal(size=n + 1))
+    g = cnt.WeightFunction(rng.normal(size=n + 1))
+    fg = cnt.hat_apply(f * g, psi, phi)
+    f_g = cnt.hat_apply(f, cnt.hat_apply(g, psi, phi), phi)
+    yield "weight-composition", float(np.linalg.norm((fg - f_g).ravel()))
+    for axis in (0, n - 1):
+        a = cnt.hat_apply(f, cnt.project_p(psi, phi, axis), phi)
+        b = cnt.project_p(cnt.hat_apply(f, psi, phi), phi, axis)
+        yield "hat-p-commutation", float(np.linalg.norm((a - b).ravel()))
+    tmat = rng.normal(size=(_LEMMA_DIM,) * 2) + 1j * rng.normal(size=(_LEMMA_DIM,) * 2)
+    for j, k in ((0, 2), (1, 1), (2, 0), (0, 0)):
+        yield "shift-identity", cnt.shift_identity_residual(f, j, k, tmat, psi, phi, variant)
+    for tag in ("k/N", "n"):
+        for l in (1, 2):
+            lhs, rhs = cnt.weight_difference_bound(tag, l, psi, phi)
+            yield "weight-difference-bound", lhs - rhs
+
+
+def _route_checks(psi, phi, n):
+    """alpha by q_1 and by gamma, alpha <= Tr|gamma - p| <= sqrt(8 alpha), and
+    p(k) by the frame, the pattern enumeration and the binomial shortcut."""
+    a_q = cnt.alpha(psi, phi)
+    yield "alpha-two-routes", abs(a_q - cnt.alpha_density_route(psi, phi))
+    tr = cnt.trace_distance(cnt.density_matrix(psi.reshape((_LEMMA_DIM,) * n)), phi)
+    yield "trace-sandwich", max(a_q - tr, tr - math.sqrt(8.0 * a_q))
+    pk_fast = cnt.occupation_distribution(psi, phi)
+    for oracle in (cnt.occupation_distribution_enumeration, cnt.occupation_distribution_binomial):
+        yield "occupation-routes", float(np.max(np.abs(pk_fast - oracle(psi, phi))))
+
+
+def verify_lemmas(seed: int = 0, particle_counts=(2, 3, 4, 5),
+                  n_states: int = 20) -> list[LemmaCheck]:
     """Run the projector-algebra invariant suite on random symmetric states.
 
-    Returns one check row per invariant; ``corruption`` deliberately breaks
-    an ingredient ('phi-norm') as a negative control.  weight-composition mostly checks
-    H^2 = 1 of the reflector frame of ``hat_apply``; number-identity, hat-p-commutation
-    and occupation-routes check that frame against ``project_q``/``_p`` and the enumeration.
-    Each check's state-sized vectors are deleted before the next check runs, so the
-    traced peak is that of one check, not of several checks' vectors held at once.
+    Returns one check row per ``_LEMMA_TOLERANCES`` entry, with its largest
+    violation over every state.  Each state draws phi, psi, then the weights
+    and two-body block of ``_weighted_operator_checks``; the three check
+    generators run one after another, and each frees its state-sized vectors
+    when it is exhausted, so the traced peak is that of one group of checks.
+    weight-composition mostly checks H^2 = 1 of the reflector frame of
+    ``hat_apply``; number-identity, hat-p-commutation and occupation-routes
+    check that frame against ``project_q``/``_p`` and the enumeration.  A
+    negative seed is a ``ConfigError``.
     """
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
     rng = np.random.default_rng(seed)
-    dim = _LEMMA_DIM
-    tol_tight, tol_bound = 1e-9, 1e-10
-
-    worst = {name: 0.0 for name in (
-        "reference-normalization", "completeness", "number-identity",
-        "weight-composition", "hat-p-commutation", "shift-identity",
-        "weight-difference-bound", "trace-sandwich", "alpha-two-routes",
-        "occupation-routes",
-    )}
+    worst = dict.fromkeys(_LEMMA_TOLERANCES, 0.0)
     cases = 0
     for n in particle_counts:
         for _ in range(n_states):
             cases += 1
-            phi = _random_unit(rng, dim)
-            if corruption == "phi-norm":
-                phi = phi * 1.01
-            worst["reference-normalization"] = max(
-                worst["reference-normalization"], abs(np.linalg.norm(phi) - 1.0)
-            )
-            if corruption == "phi-norm":
-                phi = phi / np.linalg.norm(phi)
-            psi = _random_symmetric(rng, dim, n)
-
-            comps = cnt.occupancy_components(psi, phi)
-            total = sum(comps)
-            worst["completeness"] = max(
-                worst["completeness"], float(np.linalg.norm((total - psi).ravel()))
-            )
-            for k, c in enumerate(comps):
-                qsum = np.zeros_like(c)
-                for axis in range(n):
-                    qsum += cnt.project_q(c, phi, axis)
-                worst["number-identity"] = max(
-                    worst["number-identity"],
-                    float(np.linalg.norm((qsum - k * c).ravel())),
-                )
-            del comps, total, c, qsum
-
-            f = cnt.WeightFunction(rng.normal(size=n + 1))
-            g = cnt.WeightFunction(rng.normal(size=n + 1))
-            fg_psi = cnt.hat_apply(f * g, psi, phi)
-            f_g_psi = cnt.hat_apply(f, cnt.hat_apply(g, psi, phi), phi)
-            worst["weight-composition"] = max(
-                worst["weight-composition"],
-                float(np.linalg.norm((fg_psi - f_g_psi).ravel())),
-            )
-            del fg_psi, f_g_psi
-            for axis in (0, n - 1):
-                a = cnt.hat_apply(f, cnt.project_p(psi, phi, axis), phi)
-                b = cnt.project_p(cnt.hat_apply(f, psi, phi), phi, axis)
-                worst["hat-p-commutation"] = max(
-                    worst["hat-p-commutation"], float(np.linalg.norm((a - b).ravel()))
-                )
-            del a, b
-
-            tmat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            for j, k in ((0, 2), (1, 1), (2, 0), (0, 0)):
-                resid = cnt.shift_identity_residual(f, j, k, tmat, psi, phi,
-                                                    variant=cases % 2)
-                worst["shift-identity"] = max(worst["shift-identity"], resid)
-
-            for tag in ("k/N", "n"):
-                for l in (1, 2):
-                    lhs, rhs = cnt.weight_difference_bound(tag, l, psi, phi)
-                    worst["weight-difference-bound"] = max(
-                        worst["weight-difference-bound"], lhs - rhs
-                    )
-
-            a_q = cnt.alpha(psi, phi)
-            a_g = cnt.alpha_density_route(psi, phi)
-            worst["alpha-two-routes"] = max(worst["alpha-two-routes"], abs(a_q - a_g))
-
-            gamma = cnt.density_matrix(psi.reshape((dim,) * n))
-            tr = cnt.trace_distance(gamma, phi)
-            violation = max(a_q - tr, tr - math.sqrt(8.0 * a_q))
-            worst["trace-sandwich"] = max(worst["trace-sandwich"], violation)
-            del gamma
-
-            pk_fast = cnt.occupation_distribution(psi, phi)
-            pk_enum = cnt.occupation_distribution_enumeration(psi, phi)
-            pk_binom = cnt.occupation_distribution_binomial(psi, phi)
-            worst["occupation-routes"] = max(
-                worst["occupation-routes"],
-                float(np.max(np.abs(pk_fast - pk_enum))),
-                float(np.max(np.abs(pk_fast - pk_binom))),
-            )
-
-    tolerances = {
-        "reference-normalization": 1e-10,
-        "completeness": tol_bound,
-        "number-identity": tol_bound,
-        "weight-composition": tol_bound,
-        "hat-p-commutation": tol_bound,
-        "shift-identity": tol_tight,
-        "weight-difference-bound": tol_bound,
-        "trace-sandwich": tol_tight,
-        "alpha-two-routes": tol_bound,
-        "occupation-routes": tol_tight,
-    }
-    return [
-        LemmaCheck(name, bool(worst[name] <= tolerances[name]), float(worst[name]),
-                   tolerances[name], cases)
-        for name in worst
-    ]
+            phi = _random_unit(rng, _LEMMA_DIM)
+            psi = _random_symmetric(rng, _LEMMA_DIM, n)
+            for name, violation in itertools.chain(
+                    _number_frame_checks(psi, phi, n),
+                    _weighted_operator_checks(rng, psi, phi, n, cases % 2),
+                    _route_checks(psi, phi, n)):
+                worst[name] = max(worst[name], violation)
+    return [LemmaCheck(name, bool(worst[name] <= tol), float(worst[name]), tol, cases)
+            for name, tol in _LEMMA_TOLERANCES.items()]

@@ -387,9 +387,9 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
     if state.n_particles != spec.n_particles or state.domain != spec.domain:
         raise ConfigError("state does not match the model spec's grid or N")
     check_memory_cap(spec, memory_cap)
-    if abs(state.mass() - 1.0) > 1e-6:
+    if not abs(state.mass() - 1.0) <= 1e-6:  # NaN fails too
         raise ConfigError("initial state is not normalized")
-    if symmetry_residual(state) > SYMMETRY_TOL:
+    if not symmetry_residual(state) <= SYMMETRY_TOL:
         raise ConfigError("initial state is not permutation symmetric")
     values = state.values.view()
     try:
@@ -443,18 +443,27 @@ def density_matrix(psi, weight: float = 1.0) -> np.ndarray:
     """Reduced one-particle density matrix gamma = weight^N A A^dagger, unit-weight basis.
 
     ``psi`` has one axis per particle, A is its (m, m^(N-1)) reshape and
-    ``weight`` the one-body cell volume.  One BLAS ``zherk`` reads psi in
-    place and writes one triangle, so besides psi only gamma is allocated;
-    the other triangle is filled row by row from the conjugate.
+    ``weight`` the one-body cell volume; gamma is the transpose of
+    ``_hermitian_sum`` of A as one slice, C-contiguous.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    rows = psi.reshape(psi.shape[0], -1)
-    # zherk forms A^dagger A of the F-ordered (cols, m) view rows.T, which is
-    # gamma^T; its transpose is gamma as a C-ordered array with the lower triangle set
-    gamma = blas.zherk(weight**psi.ndim, rows.T, trans=2).T
-    for i in range(len(gamma) - 1):
-        gamma[i, i + 1:] = gamma[i + 1:, i].conj()
-    return gamma
+    return _hermitian_sum(psi.reshape(1, psi.shape[0], -1), weight**psi.ndim).T
+
+
+def _hermitian_sum(blocks: np.ndarray, scale: float) -> np.ndarray:
+    """scale * sum_l conj(V_l) V_l^T over the (k, rest) slices V_l of ``blocks``.
+
+    One BLAS ``zherk`` per slice, read in place, adds into the upper triangle
+    of one F-ordered k^2 buffer; the lower one is then filled in place from
+    its conjugate, column by column, so no other k^2-sized array is made.
+    """
+    k = blocks.shape[1]
+    out = np.zeros((k, k), dtype=np.complex128, order="F")
+    for block in blocks:
+        out = blas.zherk(scale, block.T, beta=1.0, c=out, trans=2, overwrite_c=1)
+    for j in range(k - 1):
+        np.conjugate(out[j, j + 1:], out=out[j + 1:, j])
+    return out
 
 
 def _density_is_factored(n_particles: int) -> bool:
@@ -469,13 +478,8 @@ def _group_density(rows: np.ndarray, sizes: tuple, g: int, scale: float) -> np.n
     ``rows`` is C-contiguous with one row per grid point; its regrouped
     view (L, sizes[g], rest), L the product of the earlier groups, gives
     Gamma_g = scale sum_l V_l V_l^dagger over its (sizes[g], rest) slices.
-    One BLAS ``zherk`` per slice adds conj(V_l) V_l^T, read in place, into
-    the upper triangle of one sizes[g]^2 buffer; the lower one is filled from it.
     """
-    upper = np.zeros((sizes[g], sizes[g]), dtype=np.complex128, order="F")
-    for block in rows.reshape(math.prod(sizes[:g]), sizes[g], -1):
-        upper = blas.zherk(scale, block.T, beta=1.0, c=upper, trans=2, overwrite_c=1)
-    return upper + np.triu(upper, 1).conj().T
+    return _hermitian_sum(rows.reshape(math.prod(sizes[:g]), sizes[g], -1), scale)
 
 
 class OneBodyDensity:
@@ -591,7 +595,7 @@ def _energy_and_residual(state: ManyBodyState,
     first, so that its buffers are freed before an N >= 3 gamma is formed.
     """
     residual = symmetry_residual(state)
-    if residual > SYMMETRY_TOL:
+    if not residual <= SYMMETRY_TOL:
         raise ConfigError("manybody_energy expects a symmetric state")
     n, dom = state.n_particles, state.domain
     inter = 0.0

@@ -141,7 +141,7 @@ class OneBodyState:
     def __post_init__(self):
         if not isinstance(self.phi_free.domain, FreeDomain):
             raise ConfigError("phi_free must live on a free domain")
-        if abs(norm(self.phi_free) - 1.0) > 1e-6:
+        if not abs(norm(self.phi_free) - 1.0) <= 1e-6:  # NaN fails too
             raise ConfigError("Phi must be normalized")
 
     @property

@@ -1,8 +1,11 @@
-"""Shared test oracles, grid builders and the traced-memory helper."""
+"""Shared test oracles, grid builders, the traced-memory helper and the record comparison."""
 
+import csv
 import itertools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +27,67 @@ def measure_traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def _assert_close(value, recorded, where):
+    """Numbers within max(1e-10, 1e-11 |recorded|); booleans, text and null equal."""
+    numeric = (int, float)
+    if isinstance(recorded, numeric) and not isinstance(recorded, bool):
+        assert isinstance(value, numeric) and not isinstance(value, bool), where
+        assert abs(value - recorded) <= max(1e-10, 1e-11 * abs(recorded)), \
+            f"{where}: {value!r} against the recorded {recorded!r}"
+    elif isinstance(recorded, dict):
+        assert isinstance(value, dict) and list(value) == list(recorded), where
+        for key in recorded:
+            _assert_close(value[key], recorded[key], f"{where}.{key}")
+    elif isinstance(recorded, list):
+        assert isinstance(value, list) and len(value) == len(recorded), where
+        for i, (v, r) in enumerate(zip(value, recorded)):
+            _assert_close(v, r, f"{where}[{i}]")
+    else:
+        assert value == recorded and type(value) is type(recorded), where
+
+
+def _csv_cell(text):
+    """A CSV cell as a number, a list of ';'-joined numbers, or its text."""
+    try:
+        parts = [float(part) for part in text.split(";")]
+    except ValueError:
+        return text
+    return parts if ";" in text else parts[0]
+
+
+def _csv_rows(path):
+    return [[_csv_cell(cell) for cell in row] for row in csv.reader(path.read_text().splitlines())]
+
+
+def assert_matches_record(out_dir, record_dir):
+    """The CSV and JSON outputs in ``out_dir`` against the committed record in
+    ``record_dir`` (its ``record.json`` aside): the same files, the same CSV
+    columns and row counts, numbers within max(1e-10, 1e-11 |value|), equal
+    text and booleans."""
+    out_dir, record_dir = Path(out_dir), Path(record_dir)
+
+    def outputs(folder):
+        return sorted(p.name for p in folder.iterdir()
+                      if p.suffix in (".csv", ".json") and p.name != "record.json")
+
+    assert outputs(out_dir) == outputs(record_dir)
+    for name in outputs(record_dir):
+        if name.endswith(".json"):
+            _assert_close(json.loads((out_dir / name).read_text()),
+                          json.loads((record_dir / name).read_text()), name)
+            continue
+        rows, recorded = _csv_rows(out_dir / name), _csv_rows(record_dir / name)
+        assert rows[0] == recorded[0], f"{name}: columns"
+        assert len(rows) == len(recorded), f"{name}: row count"
+        _assert_close(rows[1:], recorded[1:], name)
+
+
+@pytest.fixture
+def matches_record():
+    """The record comparison ``assert_matches_record``."""
+    return assert_matches_record
 
 
 @pytest.fixture

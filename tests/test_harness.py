@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from confinedbose import harness, manybody, onebody
+from confinedbose import counting, harness, manybody, onebody
 from confinedbose.cli import main
 from confinedbose.errors import ConfigError, GuardError
 from confinedbose.harness import (
@@ -307,10 +307,13 @@ def test_verify_lemmas_pass_and_seed_stability():
     assert outcomes_a == outcomes_b
 
 
-def test_verify_lemmas_negative_control():
-    checks = verify_lemmas(seed=1, particle_counts=(2,), n_states=2, corruption="phi-norm")
-    by_name = {c.name: c for c in checks}
-    assert not by_name["reference-normalization"].passed
+def test_verify_lemmas_negative_control(monkeypatch):
+    # one p(k) route broken by 1e-6 fails occupation-routes and no other check
+    frame_route = counting.occupation_distribution
+    monkeypatch.setattr(counting, "occupation_distribution",
+                        lambda psi, phi: frame_route(psi, phi) + 1e-6)
+    checks = verify_lemmas(seed=1, particle_counts=(2,), n_states=2)
+    assert [c.name for c in checks if not c.passed] == ["occupation-routes"]
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -417,6 +420,11 @@ NAN, INF = float("nan"), float("inf")
                  id="potential-sigma-zero"),
     pytest.param("simulate-onebody", {"free": {"extents": [NAN], "points": [16]}},
                  id="free-extent-nan"),
+    pytest.param("simulate-onebody", {"initial": {"kind": "gaussian", "width": 0.0}},
+                 id="initial-width-zero"),
+    pytest.param("simulate-onebody", {"initial": {"kind": "gaussian", "width": -0.8}},
+                 id="initial-width-negative"),
+    pytest.param("simulate-manybody", {"seed": -1}, id="seed-negative"),
     pytest.param("simulate-onebody",
                  {"confined": {**BASE["confined"], "intervals": [[-INF, 0.5]]}},
                  id="confined-interval-inf"),
@@ -532,6 +540,13 @@ def test_cli_verify_lemmas(tmp_path):
     assert main(["verify-lemmas", "--out", str(out), "--seed", "3"]) == 0
     table = json.loads((out / "verify_lemmas.json").read_text())
     assert all(entry["passed"] for entry in table.values())
+
+
+def test_cli_verify_lemmas_refuses_negative_seed(tmp_path, capsys):
+    out = tmp_path / "v"
+    assert main(["verify-lemmas", "--out", str(out), "--seed", "-1"]) == 4
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_coulomb_norms(tmp_path):

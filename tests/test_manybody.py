@@ -8,8 +8,8 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from confinedbose import grids, manybody
-from confinedbose.counting import compute_report, trace_distance
-from confinedbose.errors import ConfigError, GuardError
+from confinedbose.counting import alpha, compute_report, trace_distance
+from confinedbose.errors import ConfigError, GuardError, InvariantError
 from confinedbose.grids import (
     ConfinedDomain,
     FreeDomain,
@@ -571,6 +571,23 @@ def test_memory_guard():
     psi0 = product_state(gaussian_one_body(spec), 2)
     with pytest.raises(GuardError, match="cap"):
         evolve_manybody(psi0, spec, 0.1, 1e-2, memory_cap=1000)
+
+
+def test_nan_states_are_refused():
+    # NaN compares False with every tolerance, so each state guard reads
+    # `not value <= tol`: a NaN Phi, psi or phi is refused, not run to NaN rows
+    spec = small_spec(n=2)
+    one = gaussian_one_body(spec)
+    nan_free = one.phi_free.copy_with(np.full_like(one.phi_free.values, np.nan))
+    with pytest.raises(ConfigError, match="normalized"):
+        OneBodyState(nan_free, one.mode)
+    nan_values = np.full_like(product_state(one, 2).values, np.nan)
+    with pytest.raises(ConfigError, match="normalized"):
+        evolve_manybody(ManyBodyState(spec.domain, nan_values), spec, 0.1, 1e-2)
+    psi = np.zeros((4, 4), dtype=complex)
+    psi[0, 0] = 1.0
+    with pytest.raises(InvariantError, match="normalized"):
+        alpha(psi, np.full(4, np.nan))
 
 
 def test_evolver_releases_earlier_snapshots():
