@@ -4,9 +4,10 @@ The convergence statements are all of Gronwall type: a counting functional
 at time t is dominated by exp(time-integrated coefficient) acting on its
 initial value plus a small additive defect.  This module evaluates that
 right-hand side in one place (``gronwall_envelope``) for the two regimes a
-run produces, mean-field and short-range.  It also holds the rate exponents
-of every regime, the cutoff splitting of singular interactions, the
-divergence-form vector field used to trade a singular potential for a
+run produces, mean-field and short-range, and ``run_envelope`` is the one
+place that pairs a run's regime with its envelope.  It also holds the rate
+exponents of every regime, the cutoff splitting of singular interactions,
+the divergence-form vector field used to trade a singular potential for a
 gradient, and the confined-Coulomb quadratures.
 """
 
@@ -21,7 +22,7 @@ from numpy import fft
 
 from .errors import ConfigError, GuardError, InvariantError
 from .grids import apply_kinetic
-from .model import ModelSpec
+from .model import ModelSpec, measured_f_eps
 from .onebody import OneBodyState
 
 __all__ = [
@@ -36,6 +37,8 @@ __all__ = [
     "coulomb_confined_norms",
     "growth_integrand_short_range",
     "envelope_report",
+    "run_rate",
+    "run_envelope",
     "BoundReport",
 ]
 
@@ -393,3 +396,31 @@ def envelope_report(times, measured, rate_spec: RateSpec, spec: ModelSpec,
         below_envelope=below,
         notes=notes,
     )
+
+
+def run_rate(spec: ModelSpec) -> RateSpec:
+    """The rate a run of ``spec`` is bounded at: mean-field for the Hartree
+    regime, else short-range at the run's theta and nu, which ``RateSpec``
+    checks (a ``ConfigError`` outside their windows)."""
+    if spec.regime == "hartree-theta0":
+        return RateSpec("mean-field")
+    return RateSpec("short-range", theta=spec.theta, nu=spec.nu)
+
+
+def run_envelope(spec: ModelSpec, reports, states: list[OneBodyState], rows) -> BoundReport:
+    """A run's bound report from what ``harness.run_single`` returns: beta-tilde
+    against the fitted short-range envelope, with the growth integrand from
+    the onebody.csv ``rows``, or alpha against the explicit mean-field one,
+    with f(eps) and sup |phi| (``rows``) and sup |Phi| (``states``)."""
+    rate = run_rate(spec)
+    times = [r.t for r in reports]
+    sup_phi = [row[3] for row in rows]
+    if rate.regime == "short-range":
+        integrand = growth_integrand_short_range(states, spec, sup_phi, [row[4] for row in rows])
+        return envelope_report(times, [r.beta_tilde for r in reports], rate, spec,
+                               growth_integrand=integrand)
+    sup_big_phi = [float(np.max(np.abs(st.phi_free.values))) for st in states]
+    coefficient = mean_field_coefficient(times, sup_phi, sup_big_phi, spec.interaction.sup_norm())
+    f_eps = measured_f_eps(spec.interaction, spec.eps, spec.free, spec.confined)
+    return envelope_report(times, [r.alpha for r in reports], rate, spec,
+                           coefficient=coefficient, f_eps=f_eps)

@@ -1,8 +1,9 @@
 """Command-line front end: `python -m confinedbose <subcommand> ...`.
 
 Exit codes: 0 success, 2 invariant failure, 3 guard violation, 4 config
-error.  All heavy lifting lives in the library; this module only parses
-flags, loads configs and writes result files.
+error.  All heavy lifting lives in the library, including which envelope
+bounds a run (``bounds.run_envelope``); this module only parses flags,
+loads configs and writes result files.
 """
 
 from __future__ import annotations
@@ -12,18 +13,11 @@ import json
 import os
 import sys
 
-from .bounds import (
-    RateSpec,
-    coulomb_confined_norms,
-    growth_integrand_short_range,
-    mean_field_coefficient,
-    envelope_report,
-)
+from .bounds import coulomb_confined_norms, run_envelope, run_rate
 from .errors import ConfigError, GuardError, InvariantError
 from .grids import _atomic_write
 from .harness import ExperimentConfig, read_eps_list, run_ladder, run_single, verify_lemmas
-from .model import measured_f_eps
-from .onebody import trajectory_rows as onebody_rows
+from .onebody import trajectory_rows
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -63,7 +57,7 @@ def _cmd_simulate_onebody(args) -> int:
                               cfg.time_horizon, cfg.dt, stride=cfg.report_stride)
     os.makedirs(args.out, exist_ok=True)
     _csv(os.path.join(args.out, "onebody.csv"),
-         "t,mass,E_phi,sup_phi,H2_phi", onebody_rows(states, spec)[0])
+         "t,mass,E_phi,sup_phi,H2_phi", trajectory_rows(states, spec))
     return EXIT_OK
 
 
@@ -106,26 +100,8 @@ def _cmd_verify_lemmas(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
     spec = cfg.model_spec()
-    hartree = spec.regime == "hartree-theta0"
-    rate = (RateSpec("mean-field") if hartree
-            else RateSpec("short-range", theta=spec.theta, nu=spec.nu))  # checks theta, nu
-    summary = run_single(cfg, args.out, counting_reports=True)
-    reports, ones = summary["reports"], summary["onebody"]
-    times = summary["times"]
-    if hartree:
-        f_eps = measured_f_eps(spec.interaction, spec.eps, spec.free, spec.confined)
-        coeff = mean_field_coefficient(times, summary["sup_phi"], summary["sup_Phi"],
-                                       spec.interaction.sup_norm())
-        report = envelope_report(
-            times, [r.alpha for r in reports], rate, spec,
-            coefficient=coeff, f_eps=f_eps,
-        )
-    else:
-        report = envelope_report(
-            times, [r.beta_tilde for r in reports], rate, spec,
-            growth_integrand=growth_integrand_short_range(
-                ones, spec, summary["sup_phi"], summary["H2_phi"]),
-        )
+    run_rate(spec)  # a theta or nu outside its window exits before the run writes
+    report = run_envelope(spec, *run_single(cfg, args.out, counting_reports=True))
     _atomic_write(os.path.join(args.out, "bounds.json"), report.to_json())
     print(f"below_envelope: {report.below_envelope}")
     return EXIT_OK

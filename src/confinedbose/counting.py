@@ -458,8 +458,6 @@ def trace_distance(gamma, phi: np.ndarray) -> float:
     """
     phi = np.asarray(phi, dtype=np.complex128).ravel()
     m = phi.size
-    if m > 4096:
-        raise ConfigError("trace distance limited to one-body dimension <= 4096")
     trace = float(gamma.trace().real - np.vdot(phi, phi).real)
     if m <= _DENSE_EIG_MAX_DIM:
         lam = np.linalg.eigvalsh(np.asarray(gamma) - np.outer(phi, np.conj(phi)))[0]

@@ -29,8 +29,7 @@ from .manybody import (
     product_state,
 )
 from .model import ExternalPotential, InteractionProfile, ModelSpec
-from .onebody import OneBodyState, chi_mode, evolve_effective
-from .onebody import trajectory_rows as onebody_rows
+from .onebody import OneBodyState, chi_mode, evolve_effective, trajectory_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -201,8 +200,8 @@ def _csv(path, header: str, rows):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True) -> dict:
-    """Run one configured experiment; returns a summary dict.
+def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True):
+    """Run one configured experiment; returns (reports, states, rows).
 
     Writes onebody.csv, manybody.csv, counting.csv/.json, final-state MFL1
     snapshots and run_meta.json into ``out_dir`` (atomically), which is
@@ -212,11 +211,10 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
     requested, since the evolver lends each one from its single buffer; the
     last one stays valid for the final MFL1 file.  The CSVs and reports
     share one evaluation of each snapshot's diagnostics, with one
-    ``manybody.OneBodyDensity`` for the mass, energy and report.  The
-    summary holds ``terminal_beta`` (the last report's beta, for the ladder
-    fit), the report ``times`` and ``alphas``, the ``reports``, the one-body
-    trajectory ``onebody`` and its ``sup_phi`` = sup |phi|, ``sup_Phi`` =
-    sup |Phi| and ``H2_phi`` = ||phi||_{H^2} per state.
+    ``manybody.OneBodyDensity`` for the mass, energy and report.  Returns
+    the counting reports (empty without ``counting_reports``), the one-body
+    trajectory and its onebody.csv rows (``onebody.trajectory_rows``), which
+    ``bounds.run_envelope`` turns into the run's bound report.
     """
     spec = config.model_spec()
     check_memory_cap(spec, config.memory_cap_bytes)
@@ -229,7 +227,7 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
     )
     os.makedirs(out_dir, exist_ok=True)
 
-    one_rows, sup_free = onebody_rows(ones, spec)
+    one_rows = trajectory_rows(ones, spec)
     many_rows, reports = [], []
     for mb, ob, one_row in zip(manys, ones, one_rows):
         e_psi, residual, gamma = _energy_and_residual(mb, spec)
@@ -262,17 +260,7 @@ def run_single(config: ExperimentConfig, out_dir, counting_reports: bool = True)
         meta["note"] = ("exploratory run: excited confined mode; the singular-regime "
                         "bounds assume the ground mode")
     _atomic_write(os.path.join(out_dir, "run_meta.json"), json.dumps(meta, indent=2))
-    summary = {
-        "terminal_beta": reports[-1].beta if reports else None,
-        "times": [r.t for r in reports],
-        "alphas": [r.alpha for r in reports],
-        "reports": reports,
-        "onebody": ones,
-        "sup_phi": [row[3] for row in one_rows],
-        "H2_phi": [row[4] for row in one_rows],
-        "sup_Phi": sup_free,
-    }
-    return summary
+    return reports, ones, one_rows
 
 
 @dataclass(frozen=True)
@@ -365,43 +353,22 @@ def run_ladder(config: ExperimentConfig, out_dir) -> RateFit:
         jobs.append((n, cfg_n))
     os.makedirs(out_dir, exist_ok=True)
 
-    results: dict[int, float | None] = {}
+    results: dict[int, float] = {}  # terminal beta of each point that ran
     failures: list[str] = []
     for n, cfg_n in jobs:
         try:
-            summary = run_single(cfg_n, os.path.join(out_dir, f"N{n}"))
-            results[n] = summary["terminal_beta"]
+            reports, _, _ = run_single(cfg_n, os.path.join(out_dir, f"N{n}"))
+            results[n] = reports[-1].beta
         except (GuardError, ConfigError, InvariantError) as exc:
             failures.append(f"N={n}: {exc}")
-            results[n] = None
 
-    good_ns = [n for n in ns if results.get(n) is not None]
+    good_ns = [n for n in ns if n in results]
     fit = fit_rate(good_ns, [results[n] for n in good_ns], complete=len(good_ns) == len(ns),
                    note="; ".join(failures))
     _csv(os.path.join(out_dir, "ladder.csv"), "N,terminal_beta",
          [(n, results[n]) for n in good_ns])
     _atomic_write(os.path.join(out_dir, "rate_fit.json"), fit.to_json())
-    _atomic_write(os.path.join(out_dir, "plot_ladder.py"), _PLOT_STUB)
     return fit
-
-
-_PLOT_STUB = """\
-# Stub: log-log plot of the ladder produced alongside this file.
-import csv
-import math
-
-import matplotlib.pyplot as plt
-
-ns, vals = [], []
-with open("ladder.csv") as fh:
-    for row in csv.DictReader(fh):
-        ns.append(float(row["N"]))
-        vals.append(float(list(row.values())[1]))
-plt.loglog(ns, vals, "o-")
-plt.xlabel("N")
-plt.ylabel("terminal functional")
-plt.savefig("ladder.png", dpi=150)
-"""
 
 
 # -- lemma verification -------------------------------------------------------

@@ -237,13 +237,9 @@ def sup_norms(state: OneBodyState) -> tuple[float, float, float]:
 
 
 def trajectory_rows(states: list[OneBodyState], spec: ModelSpec):
-    """CSV rows (t, mass, E_phi, sup_phi, H2_phi) for a trajectory, and the
-    sup |Phi| of each state, taken from the same ``sup_norms`` pass."""
-    rows, sup_free = [], []
+    """CSV rows (t, mass, E_phi, sup_phi, H2_phi) for a trajectory."""
+    rows = []
     for st in states:
-        sup_big, sup_small, h2 = sup_norms(st)
-        rows.append(
-            (st.t, st.mass(), effective_energy(st, spec), sup_big, h2)
-        )
-        sup_free.append(sup_small)
-    return rows, sup_free
+        sup_big, _, h2 = sup_norms(st)
+        rows.append((st.t, st.mass(), effective_energy(st, spec), sup_big, h2))
+    return rows

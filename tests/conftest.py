@@ -1,9 +1,12 @@
-"""Shared test oracles, grid builders, the traced-memory helper and the record comparison."""
+"""Shared test oracles, grid builders, the traced-memory helper, the committed
+records' runs and their comparison."""
 
+import contextlib
 import csv
 import itertools
 import json
 import math
+import tempfile
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,10 +15,14 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
+from confinedbose.cli import main
 from confinedbose.counting import _frame, _grad_q_form, _grid_frame, project_p, project_q
 from confinedbose.grids import GridFunction, apply_along, axis_groups, axis_operators
 from confinedbose.manybody import OneBodyDensity, pair_phase_array
 from confinedbose.onebody import chi_mode
+
+ROOT = Path(__file__).resolve().parents[1]
+RECORDS = ROOT / "demos" / "records"
 
 
 def measure_traced_peak(fn):
@@ -62,15 +69,15 @@ def _csv_rows(path):
 
 
 def assert_matches_record(out_dir, record_dir):
-    """The CSV and JSON outputs in ``out_dir`` against the committed record in
-    ``record_dir`` (its ``record.json`` aside): the same files, the same CSV
-    columns and row counts, numbers within max(1e-10, 1e-11 |value|), equal
-    text and booleans."""
+    """The CSV and JSON outputs in ``out_dir`` and its subfolders against the
+    committed record in ``record_dir`` (its ``record.json`` aside): the same
+    files, the same CSV columns and row counts, numbers within
+    max(1e-10, 1e-11 |value|), equal text and booleans."""
     out_dir, record_dir = Path(out_dir), Path(record_dir)
 
     def outputs(folder):
-        return sorted(p.name for p in folder.iterdir()
-                      if p.suffix in (".csv", ".json") and p.name != "record.json")
+        return sorted(p.relative_to(folder).as_posix() for p in folder.rglob("*")
+                      if p.suffix in (".csv", ".json") and p != folder / "record.json")
 
     assert outputs(out_dir) == outputs(record_dir)
     for name in outputs(record_dir):
@@ -88,6 +95,27 @@ def assert_matches_record(out_dir, record_dir):
 def matches_record():
     """The record comparison ``assert_matches_record``."""
     return assert_matches_record
+
+
+@pytest.fixture(scope="session")
+def recorded_run():
+    """``run(name)``: the output folder of the command in
+    ``demos/records/<name>/record.json``, run through ``cli.main`` once per
+    session; the folders are removed when the session ends."""
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def run(name):
+            if name not in runs:
+                command = json.loads((RECORDS / name / "record.json").read_text())["command"]
+                assert command[:3] == ["python", "-m", "confinedbose"] and command[-2] == "--out"
+                out = Path(tmp) / name
+                with contextlib.chdir(ROOT):  # the command's paths are relative to the repo root
+                    assert main(command[3:-2] + ["--out", str(out)]) == 0
+                runs[name] = out
+            return runs[name]
+
+        yield run
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ unreachable limits themselves.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from confinedbose.bounds import (
     envelope_report,
 )
 from confinedbose.grids import ConfinedDomain, FreeDomain, GridFunction, norm
-from confinedbose.harness import ExperimentConfig, run_ladder
+from confinedbose.harness import RateFit
 from confinedbose.manybody import ManyBodyState, evolve_manybody, manybody_energy, product_state
 from confinedbose.model import InteractionProfile, ModelSpec, measured_f_eps
 from confinedbose.onebody import (
@@ -380,25 +381,9 @@ def test_criterion_11_confined_coulomb_quadratures():
                f"log increments agree to {rel:.3f} (<= 0.15)")
 
 
-def test_criterion_12_ladder_trend():
-    cfg = ExperimentConfig.from_dict({
-        "regime": "hartree-theta0",
-        "free": {"extents": [12.0], "points": [16]},
-        "confined": {"intervals": [[-0.5, 0.5]], "points": [3], "eps": 0.2},
-        "interaction": {"kind": "gaussian-bump", "amplitude": 2.5,
-                        "radius": 2.4, "sigma": 0.8},
-        "n_particles": 2,
-        "initial": {"kind": "gaussian", "width": 0.8},
-        "time_horizon": 0.6,
-        "dt": 1e-2,
-        "report_stride": 60,
-        "ladder": {"particle_counts": [2, 3, 4], "eps_rule": "fixed"},
-        "seed": 1,
-    })
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        fit = run_ladder(cfg, tmp)
+def test_criterion_12_ladder_trend(recorded_run):
+    # the ladder of demos/configs/ladder_theta0.json, run once for this test and its record
+    fit = RateFit(**json.loads((recorded_run("ladder-ladder_theta0") / "rate_fit.json").read_text()))
     assert fit.complete
     values = fit.terminal_values
     assert values[0] > values[1] > values[2]  # strictly decreasing in N

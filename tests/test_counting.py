@@ -208,6 +208,22 @@ def test_trace_distance_rank_one_matches_full_spectrum(m):
     assert cnt.trace_distance(gamma, phi) == tr  # reproducible to the bit
 
 
+def test_trace_distance_above_4096_of_a_pure_state():
+    # m = 8192 takes the Arnoldi route on the factored N = 1 gamma = |psi><psi|,
+    # whose trace distance to |phi><phi| is 2 sqrt(1 - |<phi, psi>|^2)
+    dom = ProductDomain(FreeDomain((12.0, 12.0), (64, 64)),
+                        ConfinedDomain(((-0.5, 0.5),), (2,), eps=0.2))
+    m = math.prod(dom.shape)
+    assert m == 8192
+    rng = np.random.default_rng(8192)
+    phi = random_unit(rng, m)
+    u = 0.999 * phi + 0.05 * random_unit(rng, m)
+    u /= np.linalg.norm(u)
+    gamma = OneBodyDensity(ManyBodyState(dom, (u / math.sqrt(dom.cell_volume)).reshape(dom.shape)))
+    expected = 2.0 * math.sqrt(1.0 - abs(np.vdot(phi, u)) ** 2)
+    assert cnt.trace_distance(gamma, phi) == pytest.approx(expected, abs=1e-12)
+
+
 # -- occupation routes ----------------------------------------------------------
 
 
