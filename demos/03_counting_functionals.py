@@ -55,8 +55,8 @@ acc = np.zeros_like(raw)
 for perm in itertools.permutations(range(n)):
     acc += np.transpose(raw, perm)
 psi = acc / np.linalg.norm(acc.ravel())
-f = cnt.WeightFunction(rng.normal(size=n + 1))
-g = cnt.WeightFunction(rng.normal(size=n + 1))
+f = rng.normal(size=n + 1)
+g = rng.normal(size=n + 1)
 comp = cnt.hat_apply(f, cnt.hat_apply(g, psi, phi), phi)
 prod = cnt.hat_apply(f * g, psi, phi)
 print(f"  || f-hat g-hat psi - (fg)-hat psi || = "

@@ -299,11 +299,11 @@ def growth_integrand_short_range(states: list[OneBodyState], spec: ModelSpec,
     run's per-state sup |phi| and ||phi||_{H^2} (``onebody.sup_norms``)."""
     chi_sup = float(np.max(np.abs(states[0].mode.chi.values)))
     out = []
-    for st, sup_big, h2 in zip(states, sup_phi, h2_phi, strict=True):
+    for st, sup, h2 in zip(states, sup_phi, h2_phi, strict=True):
         dom = st.domain
         dens = np.abs(st.product_values()) ** 2
         lap = float(np.linalg.norm(apply_kinetic(dens, dom, eps=1.0)) * np.sqrt(dom.cell_volume))
-        term = (h2 + sup_big) + lap * sup_big
+        term = (h2 + sup) + lap * sup
         term += spec.potential.dot_sup_norm(st.t) + np.sqrt(spec.potential.sup_norm(st.t))
         out.append(chi_sup**2 * term)
     return np.asarray(out)

@@ -109,10 +109,10 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_coulomb_norms(args) -> int:
     eps_list = read_eps_list(args.config)
+    norms = [coulomb_confined_norms(eps) for eps in eps_list]  # every eps checked first
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for eps in eps_list:
-        res = coulomb_confined_norms(eps)
+    for eps, res in zip(eps_list, norms):
         rows.append({"eps": eps, "l1_defect": res.l1_defect,
                      "linf_defect": res.linf_defect,
                      "log_divergence": res.log_divergence})

@@ -43,7 +43,6 @@ from .model import ModelSpec
 from .onebody import OneBodyState, chi_mode, hartree_potential, mean_field_kernel
 
 __all__ = [
-    "WeightFunction",
     "project_p",
     "project_q",
     "occupancy_components",
@@ -316,70 +315,23 @@ def beta(psi, phi, weight: float = 1.0) -> float:
 
 # -- weighted operators -------------------------------------------------------
 
-_TAGS = ("n", "k/N", "mu", "mu1")
 
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """Tabulated weight f(0..N), optionally tagged with its formula.
-
-    Tagged weights shift by their natural formula beyond k = N (the counting
-    bounds need e.g. sqrt((k+l)/N) there); untagged tables shift with the
-    zero-fill convention, which is all the exchange identities require.
-    """
-
-    values: np.ndarray
-    tag: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.tag is not None and self.tag not in _TAGS:
-            raise ConfigError(f"unknown weight tag {self.tag!r}")
-
-    @property
-    def n_particles(self) -> int:
-        return len(self.values) - 1
-
-    def _formula(self, k: np.ndarray) -> np.ndarray:
-        n = float(self.n_particles)
-        k = np.asarray(k, dtype=float)
-        pos = np.maximum(k, 0.0)
-        if self.tag == "n":
-            out = np.sqrt(pos / n)
-        elif self.tag == "k/N":
-            out = pos / n
-        elif self.tag == "mu":
-            out = np.sqrt(n) * (np.sqrt(pos) - np.sqrt(np.maximum(pos - 1, 0.0)))
-        else:  # mu1
-            out = np.sqrt(n) * (np.sqrt(pos) - np.sqrt(np.maximum(pos - 2, 0.0)))
-        return np.where(k < 0, 0.0, out)
-
-    @classmethod
-    def from_tag(cls, tag: str, n: int) -> "WeightFunction":
-        w = cls(np.zeros(n + 1), None)
-        object.__setattr__(w, "tag", tag)
-        object.__setattr__(w, "values", w._formula(np.arange(n + 1)))
-        return w
-
-    def shifted(self, j: int) -> "WeightFunction":
-        """(tau_j f)(k) = f(k + j); out-of-range per the class docstring."""
-        k = np.arange(self.n_particles + 1) + j
-        if self.tag is not None:
-            return WeightFunction(self._formula(k), None)
-        n = self.n_particles
-        return WeightFunction(np.where((k >= 0) & (k <= n), self.values[np.clip(k, 0, n)], 0.0))
-
-    def __mul__(self, other: "WeightFunction") -> "WeightFunction":
-        return WeightFunction(self.values * other.values, None)
-
-
-def hat_apply(f: WeightFunction, psi, phi) -> np.ndarray:
-    """f-hat psi = H^(x)N diag(f(#q)) H^(x)N psi, in the unit-weight frame."""
+def hat_apply(f, psi, phi) -> np.ndarray:
+    """f-hat psi = H^(x)N diag(f(#q)) H^(x)N psi for the weight f(0..N), at unit weight."""
     psi, phi, n, _ = _frame(psi, phi)
+    f = np.asarray(f, dtype=float)
+    if f.shape != (n + 1,):
+        raise ConfigError(f"a weight for N = {n} takes {n + 1} values, got shape {f.shape}")
     h = _reflector(phi)
     w = _sweep(psi, h)
-    w *= f.values[_q_counts(phi.size, n)].reshape(w.shape)
+    w *= f[_q_counts(phi.size, n)].reshape(w.shape)
     return _sweep(w, h)
+
+
+def _shifted(f: np.ndarray, j: int) -> np.ndarray:
+    """(tau_j f)(k) = f(k + j), zero where k + j falls outside 0..N."""
+    k = np.arange(len(f)) + j
+    return np.where((k >= 0) & (k < len(f)), np.take(f, np.clip(k, 0, len(f) - 1)), 0.0)
 
 
 def _apply_Q(v, phi, variant: int, which: int):
@@ -402,7 +354,7 @@ def _apply_two_body(v, T):
     return np.tensordot(T.reshape(m, m, m, m), v, axes=([2, 3], [0, 1]))
 
 
-def shift_identity_residual(f: WeightFunction, j: int, k: int, T, psi, phi,
+def shift_identity_residual(f, j: int, k: int, T, psi, phi,
                             variant: int = 0) -> float:
     """|| f-hat Q_j T Q_k psi - Q_j T Q_k (tau_{j-k} f)-hat psi ||.
 
@@ -411,7 +363,7 @@ def shift_identity_residual(f: WeightFunction, j: int, k: int, T, psi, phi,
     vanishing sectors.  psi and phi are taken at unit weight.
     """
     psi, phi, _, _ = _frame(psi, phi)
-    rhs_in = hat_apply(f.shifted(j - k), psi, phi)
+    rhs_in = hat_apply(_shifted(f, j - k), psi, phi)
     rhs = _apply_Q(_apply_two_body(_apply_Q(rhs_in, phi, variant, k), T), phi, variant, j)
     mid = _apply_Q(_apply_two_body(_apply_Q(psi, phi, variant, k), T), phi, variant, j)
     lhs = hat_apply(f, mid, phi)
@@ -421,15 +373,17 @@ def shift_identity_residual(f: WeightFunction, j: int, k: int, T, psi, phi,
 def weight_difference_bound(m_tag: str, l: int, psi, phi) -> tuple[float, float]:
     """(lhs, rhs) of || (m-hat - (tau_l m)-hat) q_1 psi || <= l/N, unit weight.
 
-    ``m_tag`` is 'k/N' or 'n'; the shift uses the tagged formula extension.
+    ``m_tag`` is 'k/N' (m(k) = k/N) or 'n' (m(k) = sqrt(k/N)); tau_l m takes
+    m's formula at k + l, also beyond k = N, and is 0 where k + l < 0.
     """
     if m_tag not in ("k/N", "n"):
         raise ConfigError("the difference bound holds for the k/N and sqrt(k/N) weights")
     psi, phi, n, _ = _frame(psi, phi)
-    m = WeightFunction.from_tag(m_tag, n)
-    diff = WeightFunction(m.values - m.shifted(l).values, None)
-    v = project_q(psi, phi, 0)
-    lhs = float(np.linalg.norm(hat_apply(diff, v, phi).ravel()))
+    ks = np.arange(n + 1.0)
+    m = np.maximum(np.array([ks, ks + l]), 0.0) / n  # m(k), (tau_l m)(k) for k = 0..N
+    if m_tag == "n":
+        m = np.sqrt(m)
+    lhs = float(np.linalg.norm(hat_apply(m[0] - m[1], project_q(psi, phi, 0), phi).ravel()))
     return lhs, l / n
 
 

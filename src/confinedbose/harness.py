@@ -332,9 +332,9 @@ def _ladder_point(config: ExperimentConfig, n: int) -> ExperimentConfig:
 def run_ladder(config: ExperimentConfig, out_dir) -> RateFit:
     """Run the N-ladder and fit the log-log slope of the terminal beta.
 
-    The points run one after another, once every point's model and memory
-    cap are checked; ``out_dir`` is made only then.  Points that fail while
-    running leave partial results and mark the fit incomplete.
+    The points run one after another, once every point's model, memory cap
+    and initial state are checked; ``out_dir`` is made only then.  Points
+    that fail while running leave partial results and mark the fit incomplete.
     """
     if not config.ladder or not config.ladder.get("particle_counts"):
         raise ConfigError("ladder config with particle_counts is required")
@@ -349,7 +349,9 @@ def run_ladder(config: ExperimentConfig, out_dir) -> RateFit:
     jobs = []
     for n in ns:
         cfg_n = _ladder_point(config, n)
-        check_memory_cap(cfg_n.model_spec(), config.memory_cap_bytes)
+        spec_n = cfg_n.model_spec()
+        check_memory_cap(spec_n, config.memory_cap_bytes)
+        initial_state(spec_n, cfg_n.initial)
         jobs.append((n, cfg_n))
     os.makedirs(out_dir, exist_ok=True)
 
@@ -424,8 +426,8 @@ def _number_frame_checks(psi, phi, n):
 def _weighted_operator_checks(rng, psi, phi, n, variant):
     """(fg)^ = f^ g^, f^ p_i = p_i f^, the shift identity and the weight-difference
     bound, for random weights f, g and a random two-body block T drawn here."""
-    f = cnt.WeightFunction(rng.normal(size=n + 1))
-    g = cnt.WeightFunction(rng.normal(size=n + 1))
+    f = rng.normal(size=n + 1)
+    g = rng.normal(size=n + 1)
     fg = cnt.hat_apply(f * g, psi, phi)
     f_g = cnt.hat_apply(f, cnt.hat_apply(g, psi, phi), phi)
     yield "weight-composition", float(np.linalg.norm((fg - f_g).ravel()))

@@ -228,18 +228,18 @@ def effective_energy(state: OneBodyState, spec: ModelSpec) -> float:
 def sup_norms(state: OneBodyState) -> tuple[float, float, float]:
     """(sup |phi|, sup |Phi|, ||phi||_{H^2})."""
     phi_free = state.phi_free
-    sup_big = float(np.max(np.abs(phi_free.values)) * np.max(np.abs(state.mode.chi.values)))
-    sup_small = float(np.max(np.abs(phi_free.values)))
+    sup_phi = float(np.max(np.abs(phi_free.values)) * np.max(np.abs(state.mode.chi.values)))
+    sup_big_phi = float(np.max(np.abs(phi_free.values)))
     full = state.product_values()
     dom = state.domain
     h2 = float(np.linalg.norm(full + apply_kinetic(full, dom, eps=1.0)) * np.sqrt(dom.cell_volume))
-    return sup_big, sup_small, h2
+    return sup_phi, sup_big_phi, h2
 
 
 def trajectory_rows(states: list[OneBodyState], spec: ModelSpec):
     """CSV rows (t, mass, E_phi, sup_phi, H2_phi) for a trajectory."""
     rows = []
     for st in states:
-        sup_big, _, h2 = sup_norms(st)
-        rows.append((st.t, st.mass(), effective_energy(st, spec), sup_big, h2))
+        sup_phi, _, h2 = sup_norms(st)
+        rows.append((st.t, st.mass(), effective_energy(st, spec), sup_phi, h2))
     return rows

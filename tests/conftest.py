@@ -350,9 +350,9 @@ def dense_sector_projectors(phi, n):
 
 
 def dense_hat_matrix(f, phi, n):
-    """f-hat = sum_k f(k) P_{k,N} as an explicit matrix, for a ``WeightFunction`` f."""
+    """f-hat = sum_k f(k) P_{k,N} as an explicit matrix, for the weight array f(0..N)."""
     projs = dense_sector_projectors(phi, n)
-    return sum(f.values[k] * projs[k] for k in range(n + 1))
+    return sum(f[k] * projs[k] for k in range(n + 1))
 
 
 @pytest.fixture

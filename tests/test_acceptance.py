@@ -82,8 +82,8 @@ def test_criterion_1_projector_algebra_suite():
             for axis in range(n):
                 qsum += cnt.project_q(c, phi, axis)
             worst = max(worst, float(np.linalg.norm((qsum - k * c).ravel())))
-        f = cnt.WeightFunction(rng.normal(size=n + 1))
-        g = cnt.WeightFunction(rng.normal(size=n + 1))
+        f = rng.normal(size=n + 1)
+        g = rng.normal(size=n + 1)
         fg = cnt.hat_apply(f * g, psi, phi)
         f_of_g = cnt.hat_apply(f, cnt.hat_apply(g, psi, phi), phi)
         worst = max(worst, float(np.linalg.norm((fg - f_of_g).ravel())))

@@ -319,7 +319,7 @@ def test_hat_identity_and_eigenvalue_action():
     n = 4
     psi = random_symmetric(rng, 3, n)
     phi = random_unit(rng, 3)
-    ones = cnt.WeightFunction(np.ones(n + 1))
+    ones = np.ones(n + 1)
     assert np.max(np.abs(cnt.hat_apply(ones, psi, phi) - psi)) < 1e-12
 
     perp = random_unit(rng, 3)
@@ -327,7 +327,7 @@ def test_hat_identity_and_eigenvalue_action():
     perp /= np.linalg.norm(perp)
     for k in (1, 3):
         sharp = sharp_state(phi, [perp] * k, n)
-        counts = cnt.WeightFunction(np.arange(n + 1, dtype=float))
+        counts = np.arange(n + 1, dtype=float)
         out = cnt.hat_apply(counts, sharp, phi)
         assert np.max(np.abs(out - k * sharp)) < 1e-10
 
@@ -337,8 +337,8 @@ def test_hat_composition_law():
     for n in (2, 4):
         psi = random_symmetric(rng, 4, n)
         phi = random_unit(rng, 4)
-        f = cnt.WeightFunction(rng.normal(size=n + 1))
-        g = cnt.WeightFunction(rng.normal(size=n + 1))
+        f = rng.normal(size=n + 1)
+        g = rng.normal(size=n + 1)
         lhs = cnt.hat_apply(f, cnt.hat_apply(g, psi, phi), phi)
         rhs = cnt.hat_apply(f * g, psi, phi)
         assert np.linalg.norm((lhs - rhs).ravel()) < 1e-10
@@ -353,8 +353,8 @@ def test_hat_composition_and_commutation_property(n, seed):
     rng = np.random.default_rng(seed)
     psi = random_symmetric(rng, 3, n)
     phi = random_unit(rng, 3)
-    f = cnt.WeightFunction(rng.normal(size=n + 1))
-    g = cnt.WeightFunction(rng.normal(size=n + 1))
+    f = rng.normal(size=n + 1)
+    g = rng.normal(size=n + 1)
     fg = cnt.hat_apply(f * g, psi, phi)
     gf = cnt.hat_apply(g, cnt.hat_apply(f, psi, phi), phi)
     assert np.linalg.norm((fg - gf).ravel()) < 1e-10
@@ -401,7 +401,7 @@ def test_shift_identity_trivial_and_random():
     n, dim = 4, 4
     psi = random_symmetric(rng, dim, n)
     phi = random_unit(rng, dim)
-    f = cnt.WeightFunction(rng.normal(size=n + 1))
+    f = rng.normal(size=n + 1)
     eye = np.ones((dim, dim))
     assert cnt.shift_identity_residual(f, 1, 1, eye, psi, phi) < 1e-12
 
@@ -416,12 +416,36 @@ def test_shift_identity_trivial_and_random():
 
 
 def test_shift_out_of_range_zero_fill():
-    f = cnt.WeightFunction(np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(f.shifted(2).values, [3.0, 0.0, 0.0])
-    assert np.allclose(f.shifted(-2).values, [0.0, 0.0, 1.0])
-    # tagged weights extend by their formula instead
-    n = cnt.WeightFunction.from_tag("n", 2)
-    assert np.allclose(n.shifted(1).values, np.sqrt([1 / 2, 2 / 2, 3 / 2]))
+    f = np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(cnt._shifted(f, 2), [3.0, 0.0, 0.0])
+    assert np.array_equal(cnt._shifted(f, -2), [0.0, 0.0, 1.0])
+    assert np.array_equal(cnt._shifted(f, 0), f)
+
+
+@pytest.mark.parametrize("tag, l, lhs_expected, rhs_expected", [
+    ("n", 1, np.sqrt(1.5) - 1.0, 0.5),
+    ("n", 2, np.sqrt(2.0) - 1.0, 1.0),
+    ("k/N", 1, 0.5, 0.5),
+    ("k/N", 2, 1.0, 1.0),
+])
+def test_weight_difference_bound_extends_by_formula(tag, l, lhs_expected, rhs_expected):
+    # N = 2, phi = e0, psi = e1 (x) e1: q_1 psi = psi lies in sector 2, so the
+    # lhs is |m(2) - m(2 + l)| with m taken by its formula beyond k = N (a
+    # zero-fill shift would give lhs = 1 for ("n", 1), above its bound)
+    e0, e1 = np.eye(3)[0], np.eye(3)[1]
+    lhs, rhs = cnt.weight_difference_bound(tag, l, np.multiply.outer(e1, e1), e0)
+    assert abs(lhs - lhs_expected) < 1e-12
+    assert abs(rhs - rhs_expected) < 1e-12
+
+
+def test_weighted_operators_refuse_unknown_weights():
+    rng = np.random.default_rng(15)
+    phi, psi = random_unit(rng, 3), random_symmetric(rng, 3, 2)
+    with pytest.raises(ConfigError):
+        cnt.weight_difference_bound("mu", 1, psi, phi)
+    for f in (np.ones(2), np.ones(4), np.ones((3, 1))):  # N = 2 takes f(0..2)
+        with pytest.raises(ConfigError):
+            cnt.hat_apply(f, psi, phi)
 
 
 def test_weight_difference_bound():
@@ -447,8 +471,8 @@ def reciprocal(w):
     Meant to be applied only after a q_1 factor, which annihilates the
     k = 0 sector, so the convention never divides by zero in anger.
     """
-    safe = np.where(w.values != 0.0, w.values, 1.0)
-    return cnt.WeightFunction(np.where(w.values != 0.0, 1.0 / safe, 0.0))
+    safe = np.where(w != 0.0, w, 1.0)
+    return np.where(w != 0.0, 1.0 / safe, 0.0)
 
 
 def test_inverse_weight_convention():
@@ -458,28 +482,13 @@ def test_inverse_weight_convention():
     n, dim = 3, 4
     psi = random_symmetric(rng, dim, n)
     phi = random_unit(rng, dim)
-    w = cnt.WeightFunction.from_tag("n", n)
+    w = np.sqrt(np.arange(n + 1) / n)
     inv = reciprocal(w)
-    assert inv.values[0] == 0.0
+    assert inv[0] == 0.0
     psi_l2 = psi.reshape((dim,) * n)
     q1 = cnt.project_q(psi_l2, phi, 0)
     back = cnt.hat_apply(inv, cnt.hat_apply(w, q1, phi), phi)
     assert np.linalg.norm((back - q1).ravel()) < 1e-10
-
-
-def test_difference_weights_dominated_by_inverse():
-    # the one- and two-step difference weights sit below n^-1 and 2 n^-1
-    n = 6
-    mu = cnt.WeightFunction.from_tag("mu", n)
-    mu1 = cnt.WeightFunction.from_tag("mu1", n)
-    ninv = reciprocal(cnt.WeightFunction.from_tag("n", n))
-    ks = np.arange(1, n + 1)
-    assert np.all(mu.values[ks] <= ninv.values[ks] + 1e-12)
-    assert np.all(mu1.values[2:] <= 2 * ninv.values[2:] + 1e-12)
-    # closed forms at small k
-    assert mu.values[1] == pytest.approx(np.sqrt(n), abs=1e-12)
-    assert mu1.values[1] == pytest.approx(np.sqrt(n), abs=1e-12)
-    assert mu.values[0] == 0.0 and mu1.values[0] == 0.0
 
 
 # -- dense matrix route crosschecks --------------------------------------------
@@ -498,7 +507,7 @@ def test_dense_route_matches_contraction_route(dense_kron):
         dense = (projs[k] @ flat).reshape((dim,) * n)
         assert np.linalg.norm((dense - comps[k]).ravel()) < 1e-10
 
-    f = cnt.WeightFunction(rng.normal(size=n + 1))
+    f = rng.normal(size=n + 1)
     hat_dense = (dense_kron.hat(f, phi, n) @ flat).reshape((dim,) * n)
     assert np.linalg.norm((hat_dense - cnt.hat_apply(f, psi, phi)).ravel()) < 1e-10
 
@@ -574,13 +583,13 @@ def test_number_frame_matches_split_and_dense(dim, n, projector_split, dense_kro
     phi = random_unit(rng, dim)
     psi = rng.normal(size=(dim,) * n) + 1j * rng.normal(size=(dim,) * n)
     psi /= np.linalg.norm(psi.ravel())
-    f = cnt.WeightFunction(rng.normal(size=n + 1))
+    f = rng.normal(size=n + 1)
     comps = cnt.occupancy_components(psi, phi)
     hat = cnt.hat_apply(f, psi, phi)
     pk = cnt.occupation_distribution(psi, phi)
 
     split = projector_split(psi, phi)
-    references = [(split, sum(f.values[k] * c for k, c in enumerate(split)))]
+    references = [(split, sum(f[k] * c for k, c in enumerate(split)))]
     if dim**n <= 256:
         flat = psi.ravel()
         dense = [(proj @ flat).reshape(psi.shape) for proj in dense_kron.sector_projectors(phi, n)]
@@ -720,9 +729,9 @@ def test_number_frame_grid_state_with_weight(projector_split):
     pk = cnt.occupation_distribution(raw, phi_full, weight=vol)
     assert np.max(np.abs(pk - [np.vdot(r, r).real for r in split])) < 1e-12
 
-    f = cnt.WeightFunction(rng.normal(size=4))
+    f = rng.normal(size=4)
     psi_l2, phi_l2 = raw * vol**1.5, phi_full.ravel() * np.sqrt(vol)
-    ref_hat = sum(f.values[k] * c for k, c in enumerate(split))
+    ref_hat = sum(f[k] * c for k, c in enumerate(split))
     assert np.max(np.abs(cnt.hat_apply(f, psi_l2, phi_l2) - ref_hat)) < 1e-12
 
 

@@ -431,13 +431,21 @@ NAN, INF = float("nan"), float("inf")
     pytest.param("simulate-onebody",
                  {"confined": {**BASE["confined"], "intervals": [[-INF, 0.5]]}},
                  id="confined-interval-inf"),
+    pytest.param("ladder", {"ladder": {"particle_counts": [2, 3, 4]},
+                            "initial": {**BASE["initial"], "center": [0.0, 0.0]}},
+                 id="ladder-center-long"),
+    pytest.param("coulomb-norms", {"eps_list": [0.1, 0.9]}, id="coulomb-eps-above-half"),
 ])
-def test_cli_bad_config_file(tmp_path, command, document):
+def test_cli_bad_config_file(tmp_path, capsys, command, document):
+    # every config is refused before --out is made and before a result is printed
     path = tmp_path / "broken.json"
     if document is not None:  # None: the file does not exist
         text = document if isinstance(document, str) else json.dumps({**BASE, **document})
         path.write_text(text, encoding="utf-8")
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 4
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("command",
@@ -517,9 +525,14 @@ def test_cli_seed_zero_overrides_config(tmp_path):
 
 
 def test_cli_guard_exit_code(tmp_path):
-    # a refused memory cap leaves no --out behind, for a run and for the ladder's points
-    for command, overrides in (("counting", {}), ("ladder", LADDER_FAILING_AT_4)):
-        cfg = write_config(tmp_path, **overrides, memory_cap_bytes=1000)
+    # a refused memory cap, or a ladder point's initial state with mass at the box
+    # edge, leaves no --out behind, for a run and for the ladder's points
+    edge = {"ladder": {"particle_counts": [2, 3, 4]},
+            "initial": {**BASE["initial"], "center": [5.0]}}
+    for command, overrides in (("counting", {"memory_cap_bytes": 1000}),
+                               ("ladder", {**LADDER_FAILING_AT_4, "memory_cap_bytes": 1000}),
+                               ("ladder", edge)):
+        cfg = write_config(tmp_path, **overrides)
         out = tmp_path / command
         assert main([command, "--config", cfg, "--out", str(out)]) == 3
         assert not out.exists()
