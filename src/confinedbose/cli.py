@@ -1,9 +1,9 @@
 """Command-line front end: `python -m confinedbose <subcommand> ...`.
 
 Exit codes: 0 success, 2 invariant failure, 3 guard violation, 4 config
-error.  All heavy lifting lives in the library, including which envelope
-bounds a run (``bounds.run_envelope``); this module only parses flags,
-loads configs and writes result files.
+or usage error.  All heavy lifting lives in the library, including which
+envelope bounds a run (``bounds.run_envelope``); this module only parses
+flags, loads configs and writes result files.
 """
 
 from __future__ import annotations
@@ -25,8 +25,15 @@ EXIT_GUARD = 3
 EXIT_CONFIG = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ``ConfigError`` (exit 4); subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="confinedbose")
+    p = _Parser(prog="confinedbose")
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("simulate-onebody", "simulate-manybody", "counting", "ladder",
                  "verify-lemmas", "bounds", "coulomb-norms"):
@@ -61,15 +68,8 @@ def _cmd_simulate_onebody(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate_manybody(args) -> int:
-    cfg = _load_config(args)
-    run_single(cfg, args.out, counting_reports=False)
-    return EXIT_OK
-
-
-def _cmd_counting(args) -> int:
-    cfg = _load_config(args)
-    run_single(cfg, args.out, counting_reports=True)
+def _cmd_run_single(args) -> int:
+    run_single(_load_config(args), args.out, counting_reports=args.command == "counting")
     return EXIT_OK
 
 
@@ -124,8 +124,8 @@ def _cmd_coulomb_norms(args) -> int:
 
 _COMMANDS = {
     "simulate-onebody": _cmd_simulate_onebody,
-    "simulate-manybody": _cmd_simulate_manybody,
-    "counting": _cmd_counting,
+    "simulate-manybody": _cmd_run_single,
+    "counting": _cmd_run_single,
     "ladder": _cmd_ladder,
     "verify-lemmas": _cmd_verify_lemmas,
     "bounds": _cmd_bounds,
@@ -134,8 +134,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.workers != 1:
             raise ConfigError("every run is sequential; --workers must be 1")
         return _COMMANDS[args.command](args)

@@ -35,8 +35,9 @@ from .manybody import (
     SYMMETRY_TOL,
     ManyBodyState,
     OneBodyDensity,
+    _pair_table,
+    _pair_view,
     _transposition_residual,
-    pair_phase_array,
 )
 from .manybody import density_matrix  # re-exported: the dense gamma of any N
 from .model import ModelSpec
@@ -432,14 +433,17 @@ def derivative_terms(state: ManyBodyState, one_body: OneBodyState,
 
     Valid in the theta = 0 regime: W_12 = w(x_1-x_2, eps(y_1-y_2)) minus the
     mean field (w0 * |Phi|^2)(x_1).  The signed total is
-    -2 Im <psi, p_1 W_12 q_1 psi>; |d alpha/dt| <= I + II + III.
+    -2 Im <psi, p_1 W_12 q_1 psi>; |d alpha/dt| <= I + II + III.  The pair
+    kernel is the read-only ``manybody._pair_view`` of its offset table,
+    broadcast over the other particles: no m x m kernel is formed.
     """
     if spec.regime != "hartree-theta0":
         raise ConfigError("the derivative decomposition is a theta = 0 statement")
     psi, phi, n, amp = _grid_frame(state, one_body)
     if n < 2:
         raise ConfigError("need at least two particles")
-    kernel = pair_phase_array(spec).reshape(phi.size, phi.size)
+    pair = _pair_view(_pair_table(spec))
+    grid = pair.shape[:pair.ndim // 2]
 
     mf = hartree_potential(one_body.phi_free, mean_field_kernel(spec)).values.real
     mf_one = np.broadcast_to(
@@ -447,7 +451,7 @@ def derivative_terms(state: ManyBodyState, one_body: OneBodyState,
     ).reshape(-1)
 
     def w12(v):
-        out = v * kernel.reshape(kernel.shape + (1,) * (n - 2))
+        out = (v.reshape(grid * 2 + (-1,)) * pair[..., None]).reshape(v.shape)
         out -= v * mf_one.reshape((-1,) + (1,) * (n - 1))
         return out
 

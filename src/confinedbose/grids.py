@@ -511,22 +511,26 @@ def write_mfl1(path, domain: Domain, values: np.ndarray, n_particles: int = 1):
 
 
 def read_mfl1(path):
-    """Read an MFL1 container; returns (domain, values, n_particles)."""
+    """Read an MFL1 container; returns (domain, values, n_particles).  A
+    malformed or truncated file is a ``ValueError``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _MAGIC:
         raise ValueError("not an MFL1 container")
     off = 4
-    space_flag, kind, d_f, d_c, n_particles = struct.unpack_from("<5I", raw, off)
-    off += 20
-    if space_flag != 0:
-        raise ValueError(f"MFL1 space word must be 0, got {space_flag}")
-    counts = struct.unpack_from(f"<{d_f + d_c}I", raw, off)
-    off += 4 * (d_f + d_c)
-    (eps,) = struct.unpack_from("<d", raw, off)
-    off += 8
-    geom = struct.unpack_from(f"<{d_f + 2 * d_c}d", raw, off)
-    off += 8 * (d_f + 2 * d_c)
+    try:
+        space_flag, kind, d_f, d_c, n_particles = struct.unpack_from("<5I", raw, off)
+        off += 20
+        if space_flag != 0:
+            raise ValueError(f"MFL1 space word must be 0, got {space_flag}")
+        counts = struct.unpack_from(f"<{d_f + d_c}I", raw, off)
+        off += 4 * (d_f + d_c)
+        (eps,) = struct.unpack_from("<d", raw, off)
+        off += 8
+        geom = struct.unpack_from(f"<{d_f + 2 * d_c}d", raw, off)
+        off += 8 * (d_f + 2 * d_c)
+    except struct.error as exc:
+        raise ValueError(f"truncated MFL1 header: {exc}") from exc
     free = FreeDomain(tuple(geom[:d_f]), tuple(counts[:d_f])) if d_f else None
     conf = None
     if d_c:

@@ -109,6 +109,8 @@ class ExperimentConfig:
         for name in ("theta", "time_horizon", "dt", "memory_cap_bytes"):
             if not _is_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a number")
+        if self.nu is not None and not _is_number(self.nu):
+            raise ConfigError("nu must be a number or null")
         step_count(self.time_horizon, self.dt)
         if self.report_stride < 1:
             raise ConfigError("report_stride must be positive")

@@ -52,7 +52,6 @@ from .onebody import OneBodyState
 
 __all__ = [
     "ManyBodyState",
-    "pair_phase_array",
     "evolve_manybody",
     "manybody_energy",
     "density_matrix",
@@ -210,7 +209,8 @@ def _pair_table(spec: ModelSpec) -> np.ndarray:
     mod n.  C[d, y_1, y_2] = W((d, y_1), (0, y_2)), with d the free offsets
     and y_1, y_2 the raveled confined nodes, is sampled once per entry
     (m_f m_c^2 radial evaluations, not m^2): free offsets from node 0 to
-    the minimum image, confined differences compressed by eps.
+    the minimum image, confined differences compressed by eps.  The
+    Hamiltonian's 1/(N-1) or 1/N (``spec.pair_prefactor``) is not included.
     """
     _resolvability_guard(spec)
     pref, arg_scale = _kernel_scaling(spec)
@@ -265,18 +265,6 @@ def _pair_view(table: np.ndarray) -> np.ndarray:
     # axes: y_1, window starts s = n - 1 - i, y_2, offsets j in the window
     win = win[tuple([slice(None)] + [slice(n - 1, None, -1) for n in free])]
     return win.transpose([*range(1, d_f + 1), 0, *range(d_f + 2, 2 * d_f + 2), d_f + 1])
-
-
-def pair_phase_array(spec: ModelSpec) -> np.ndarray:
-    """W(r_i - r_j) for one particle pair, shape (one-body grid) x 2.
-
-    The package's one sampler of the scaled pair kernel: the offset table
-    of ``_pair_table``, expanded.  Differences on periodic axes use the
-    minimum image; on hard-wall axes they enter the profile compressed by
-    eps, as in the rescaled Hamiltonian.  The prefactor of the Hamiltonian
-    (1/(N-1) or 1/N) is *not* included.
-    """
-    return np.ascontiguousarray(_pair_view(_pair_table(spec))).reshape(spec.domain.shape * 2)
 
 
 # -- dynamics -----------------------------------------------------------------

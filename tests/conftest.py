@@ -18,7 +18,7 @@ from scipy import fft as sfft
 from confinedbose.cli import main
 from confinedbose.counting import _frame, _grad_q_form, _grid_frame, project_p, project_q
 from confinedbose.grids import GridFunction, apply_along, axis_groups, axis_operators
-from confinedbose.manybody import OneBodyDensity, pair_phase_array
+from confinedbose.manybody import OneBodyDensity
 from confinedbose.onebody import chi_mode
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -231,17 +231,44 @@ def grad_q_sweep(state, phi):
     return state.cell_volume * (kinetic_sweep(q1, dom) - shift)
 
 
+def brute_force_kernel(spec):
+    """w(|x_1 - x_2|, eps |y_1 - y_2|) per node pair, as an (m, m) matrix.
+
+    Nodes are built here: the free axes at -L/2 + k L/n with the minimum
+    image of each difference taken by modulo, the confined axes at
+    c + k (d - c)/(n + 1) with the difference compressed by eps.  This is
+    the theta = 0 kernel, with no N-dependent prefactor or argument scale.
+    """
+    assert spec.regime == "hartree-theta0"
+    free, conf = spec.free, spec.confined
+    axes = [-L / 2 + L / n * np.arange(n) for L, n in zip(free.extents, free.points)]
+    axes += [c + (d - c) / (n + 1) * (1 + np.arange(n))
+             for (c, d), n in zip(conf.intervals, conf.points)]
+    coords = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    diff = coords[:, None, :] - coords[None, :, :]
+    for a, L in enumerate(free.extents):
+        diff[..., a] = (diff[..., a] + L / 2) % L - L / 2
+    diff[..., free.dim:] *= conf.eps
+    return spec.interaction.radial(np.sqrt(np.sum(diff**2, axis=-1)))
+
+
+@pytest.fixture
+def dense_pair_kernel():
+    """The pair-kernel oracle ``brute_force_kernel``: no offset table, no view."""
+    return brute_force_kernel
+
+
 def energy_sweep(state, spec):
     """Per-particle energy from state-sized products: <psi, (K_1 + V_1) psi>
     by ``kinetic_sweep`` and vdot(psi, V_1 psi), plus the pair term from
-    vdot(psi, W_12 psi)."""
+    vdot(psi, W_12 psi) with the ``brute_force_kernel``."""
     dom, n, psi = state.domain, state.n_particles, state.values
     block = len(dom.shape)
     one = kinetic_sweep(psi, dom)
     if not spec.potential.is_zero:
         v_one = spec.potential.values(state.t, dom)
         one += float(np.vdot(psi, v_one.reshape(dom.shape + (1,) * (block * (n - 1))) * psi).real)
-    pair = pair_phase_array(spec).reshape(dom.shape * 2 + (1,) * (block * (n - 2)))
+    pair = brute_force_kernel(spec).reshape(dom.shape * 2 + (1,) * (block * (n - 2)))
     pair_exp = float(np.vdot(psi, pair * psi).real)
     coeff = spec.pair_prefactor * (n * (n - 1) / 2.0) / n
     return state.cell_volume * (one + coeff * pair_exp)

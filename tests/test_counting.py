@@ -16,12 +16,17 @@ from confinedbose.manybody import (
     ManyBodyState,
     OneBodyDensity,
     _energy_and_residual,
-    pair_phase_array,
     product_state,
     symmetrize,
 )
 from confinedbose.model import InteractionProfile, ModelSpec
-from confinedbose.onebody import OneBodyState, chi_mode, effective_energy
+from confinedbose.onebody import (
+    OneBodyState,
+    chi_mode,
+    effective_energy,
+    hartree_potential,
+    mean_field_kernel,
+)
 
 
 def random_unit(rng, dim):
@@ -735,14 +740,14 @@ def test_number_frame_grid_state_with_weight(projector_split):
     assert np.max(np.abs(cnt.hat_apply(f, psi_l2, phi_l2) - ref_hat)) < 1e-12
 
 
-def test_mean_field_sandwich_cancellation():
+def test_mean_field_sandwich_cancellation(dense_pair_kernel):
     # p_2 w_12 p_2 acts as multiplication by the kernel-weighted density:
     # the exact grid statement behind the mean-field cancellation
     spec, one = grid_setting()
     vol = spec.domain.cell_volume
     m = int(np.prod(spec.domain.shape))
     phi_full = one.product_values().ravel() * np.sqrt(vol)
-    kernel = pair_phase_array(spec).reshape(m, m)
+    kernel = dense_pair_kernel(spec)
     rng = np.random.default_rng(18)
     psi = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
     psi /= np.linalg.norm(psi.ravel())
@@ -760,6 +765,45 @@ def test_derivative_terms_product_state():
     t1, t2, t3, total = cnt.derivative_terms(psi_prod, one, spec)
     assert t2 < 1e-12 and t3 < 1e-12
     assert abs(total) <= t1 + t2 + t3 + 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_derivative_terms_match_dense_kernel(n, dense_pair_kernel):
+    # I, II, III and d alpha/dt from the brute-force m x m kernel and dense
+    # projector matrices, against the offset-table view route.  I is small
+    # by the mean-field cancellation; eps = 1 and a large excitation keep
+    # its summands' roundoff well inside the tolerance
+    spec, one = grid_setting(n=n, eps=1.0)
+    vol, m = spec.domain.cell_volume, int(np.prod(spec.domain.shape))
+    phi = one.product_values()
+    rng = np.random.default_rng(80 + n)
+    noise = rng.normal(size=(m,) * n) + 1j * rng.normal(size=(m,) * n)
+    raw = phi.ravel()
+    for _ in range(n - 1):
+        raw = np.multiply.outer(raw, phi.ravel())
+    raw = raw + 0.5 * noise * np.linalg.norm(raw) / np.linalg.norm(noise)
+    state = symmetrize(spec.domain, raw.reshape(spec.domain.shape * n))
+
+    unit = phi.ravel() * np.sqrt(vol)
+    p = np.outer(unit, np.conj(unit))
+    q = np.eye(m) - p
+    mf = hartree_potential(one.phi_free, mean_field_kernel(spec)).values.real
+    w12 = dense_pair_kernel(spec) - np.repeat(mf.ravel(), m // mf.size)[:, None]
+    psi = state.values.reshape(m, m, -1) * vol ** (n / 2)
+
+    def on_12(a, b, v):
+        return np.einsum("ia,jb,abr->ijr", a, b, v)
+
+    def form(u, v):
+        return 2.0 * np.vdot(u, w12[:, :, None] * v)
+
+    pp, qp = on_12(p, p, psi), on_12(q, p, psi)
+    pq, qq = on_12(p, q, psi), on_12(q, q, psi)
+    expected = (abs(form(pp, qp)), abs(form(pp, qq)), abs(form(pq, qq)),
+                -form(pp + pq, qp + qq).imag)
+    got = cnt.derivative_terms(state, one, spec)
+    assert min(expected[:3]) > 1e-6  # each term is exercised
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_counting_report_round_trip_and_validation():

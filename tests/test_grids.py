@@ -248,6 +248,17 @@ def test_mfl1_rejects_nonzero_space_word(tmp_path):
         read_mfl1(path)
 
 
+@pytest.mark.parametrize("cut", [10, 30, 40])
+def test_mfl1_rejects_truncated_header(tmp_path, cut):
+    # the 96-byte header of a product domain, cut in its five words, its counts, its eps
+    dom = MFL1_DOMAINS["product"]
+    path = tmp_path / "state.mfl1"
+    write_mfl1(path, dom, np.ones(dom.shape))
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError, match="truncated MFL1 header"):
+        read_mfl1(path)
+
+
 def test_mfl1_many_particle_axis(tmp_path):
     dom = ProductDomain(
         FreeDomain((4.0,), (8,)), ConfinedDomain(((-0.5, 0.5),), (3,), eps=0.5)

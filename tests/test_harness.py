@@ -332,6 +332,25 @@ def test_cli_requires_config(tmp_path):
     assert main(["counting", "--out", str(tmp_path / "o")]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["bounds", "--nope"], id="unknown-flag"),
+    pytest.param(["ladder", "--workers", "two"], id="workers-not-integer"),
+    pytest.param([], id="no-subcommand"),
+])
+def test_cli_usage_error_is_config_error(capsys, argv):
+    # exit 2 is an invariant failure, so argparse's own exit code is not used
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"]])
+def test_cli_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: confinedbose" in capsys.readouterr().out
+
+
 LIST_LADDER = {"particle_counts": [2, 3, 4], "eps_rule": "list"}
 NAN, INF = float("nan"), float("inf")
 
@@ -403,6 +422,9 @@ NAN, INF = float("nan"), float("inf")
                  id="eps-list-numeric-string"),
     pytest.param("ladder", {"ladder": {**LIST_LADDER, "eps_rule": "power", "nu": "x"}},
                  id="nu-string"),
+    pytest.param("simulate-manybody", {"nu": NAN}, id="nu-nan"),
+    pytest.param("simulate-manybody", {"nu": INF}, id="nu-inf"),
+    pytest.param("simulate-manybody", {"nu": True}, id="nu-bool"),
     pytest.param("simulate-onebody", {"interaction": {**BASE["interaction"], "amplitude": NAN}},
                  id="interaction-amplitude-nan"),
     pytest.param("simulate-onebody", {"interaction": {**BASE["interaction"], "sigma": NAN}},

@@ -27,7 +27,6 @@ from confinedbose.manybody import (
     density_matrix,
     evolve_manybody,
     manybody_energy,
-    pair_phase_array,
     product_state,
     symmetrize,
     symmetry_residual,
@@ -61,6 +60,11 @@ def gaussian_one_body(spec, width=1.0):
 # -- pair kernels --------------------------------------------------------------
 
 
+def pair_view(spec):
+    """The solver's pair matrix: the read-only view of its offset table."""
+    return manybody._pair_view(manybody._pair_table(spec))
+
+
 def test_pair_kernel_theta0_matches_raw_profile():
     # theta = 0, eps = 1: the raw profile at the minimum-image free offset
     spec = small_spec(eps=1.0)
@@ -71,32 +75,13 @@ def test_pair_kernel_theta0_matches_raw_profile():
     dy = y[:, None] - y[None, :]
     expected = spec.interaction.radial(np.sqrt(dx[:, None, :, None] ** 2
                                                + dy[None, :, None, :] ** 2))
-    assert np.max(np.abs(pair_phase_array(spec) - expected)) < 1e-14
+    assert np.max(np.abs(pair_view(spec) - expected)) < 1e-14
 
 
 def test_pair_kernel_amplitude_linearity():
-    k1 = pair_phase_array(small_spec(amplitude=2.0))
-    k2 = pair_phase_array(small_spec(amplitude=4.0))
+    k1 = manybody._pair_table(small_spec(amplitude=2.0))
+    k2 = manybody._pair_table(small_spec(amplitude=4.0))
     assert np.allclose(k2, 2.0 * k1, rtol=1e-14)
-
-
-def brute_force_kernel(spec):
-    """w(|x_1 - x_2|, eps |y_1 - y_2|) per node pair, as an (m, m) matrix.
-
-    Nodes are built here: the free axes at -L/2 + k L/n with the minimum
-    image of each difference taken by modulo, the confined axes at
-    c + k (d - c)/(n + 1) with the difference compressed by eps.
-    """
-    free, conf = spec.free, spec.confined
-    axes = [-L / 2 + L / n * np.arange(n) for L, n in zip(free.extents, free.points)]
-    axes += [c + (d - c) / (n + 1) * (1 + np.arange(n))
-             for (c, d), n in zip(conf.intervals, conf.points)]
-    coords = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    diff = coords[:, None, :] - coords[None, :, :]
-    for a, L in enumerate(free.extents):
-        diff[..., a] = (diff[..., a] + L / 2) % L - L / 2
-    diff[..., free.dim:] *= conf.eps
-    return spec.interaction.radial(np.sqrt(np.sum(diff**2, axis=-1)))
 
 
 @pytest.mark.parametrize("extents, free_points, confined_points", [
@@ -104,7 +89,8 @@ def brute_force_kernel(spec):
     pytest.param((16.0,), (64,), (4, 4), id="64x4x4"),
     pytest.param((8.0, 6.0), (16, 16), (3,), id="16x16x3"),
 ])
-def test_pair_phase_array_matches_brute_force_sampler(extents, free_points, confined_points):
+def test_pair_phase_array_matches_brute_force_sampler(extents, free_points, confined_points,
+                                                     dense_pair_kernel):
     # the support (3.1) reaches past half the box, so the wrap is exercised
     spec = ModelSpec(
         free=FreeDomain(extents, free_points),
@@ -114,9 +100,9 @@ def test_pair_phase_array_matches_brute_force_sampler(extents, free_points, conf
         interaction=InteractionProfile("gaussian-bump", amplitude=1.3, radius=3.1, sigma=1.2),
         regime="hartree-theta0",
     )
-    expected = brute_force_kernel(spec)
-    kernel = pair_phase_array(spec)
-    assert kernel.shape == spec.domain.shape * 2
+    expected = dense_pair_kernel(spec)
+    kernel = pair_view(spec)
+    assert kernel.shape == (spec.free.shape + (math.prod(confined_points),)) * 2
     m = expected.shape[0]
     assert np.max(np.abs(kernel.reshape(m, m) - expected)) <= 1e-15 * np.max(np.abs(expected))
 
@@ -140,7 +126,8 @@ def relative_integral(spec):
     over every minimum image) and, on each confined axis, offset d from the
     entry [max(d, 0), max(-d, 0)].
     """
-    kernel = pair_phase_array(spec)[0]
+    dom = spec.domain
+    kernel = pair_view(spec)[0].reshape(dom.shape[1:] + dom.shape)  # one free axis
     offsets = np.meshgrid(*(np.arange(-(n - 1), n) for n in spec.confined.points),
                           indexing="ij")
     rows = tuple(np.maximum(d, 0) for d in offsets)
@@ -168,7 +155,7 @@ def test_scaled_kernel_integral_change_of_variables_oracle():
 def test_resolvability_guard():
     spec = nls_spec(40, 0.32, 0.1, n_f=16, n_c=2)
     with pytest.raises(GuardError, match="under-resolved"):
-        pair_phase_array(spec)
+        manybody._pair_table(spec)
 
 
 # -- symmetrization ------------------------------------------------------------
@@ -311,18 +298,18 @@ def test_noninteracting_factorization(n):
         assert err < 1e-7
 
 
-def dense_hamiltonian(spec, analytic_kinetic):
+def dense_hamiltonian(spec, analytic_kinetic, dense_pair_kernel):
     """Explicit matrix of the two-particle Hamiltonian (CN oracle input).
 
     The one-body kinetic block comes from the analytic eigenbasis, not from
-    the per-axis operators the solver uses.
+    the per-axis operators the solver uses, and the pair kernel from the
+    brute-force sampler, not from the offset table the solver uses.
     """
     dom = spec.domain
     m = int(np.prod(dom.shape))
     k_one = analytic_kinetic(dom, lambda lam: lam)
     h = np.kron(k_one, np.eye(m)) + np.kron(np.eye(m), k_one)
-    pair = pair_phase_array(spec).reshape(m, m)
-    h += spec.pair_prefactor * np.diag(pair.ravel())
+    h += spec.pair_prefactor * np.diag(dense_pair_kernel(spec).ravel())
     if not spec.potential.is_zero:
         v_one = spec.potential.values(0.0, dom).ravel()
         h += np.diag(np.add.outer(v_one, v_one).ravel())
@@ -330,7 +317,7 @@ def dense_hamiltonian(spec, analytic_kinetic):
 
 
 @STRIDES
-def test_two_particle_matches_crank_nicolson_oracle(stride, analytic_kinetic):
+def test_two_particle_matches_crank_nicolson_oracle(stride, analytic_kinetic, dense_pair_kernel):
     # three confined points: at two, the DST-I and DST-II bases coincide up to
     # scale, so the oracle could not tell the confined transform type.  The
     # 8-point free axis keeps the dense CN solve at a few seconds; L = 4 keeps
@@ -342,7 +329,7 @@ def test_two_particle_matches_crank_nicolson_oracle(stride, analytic_kinetic):
     T = 0.2
     final = final_state(psi0, spec, T, 1e-3, stride)
 
-    h = dense_hamiltonian(spec, analytic_kinetic)
+    h = dense_hamiltonian(spec, analytic_kinetic, dense_pair_kernel)
     dt = 5e-5
     steps = round(T / dt)
     m2 = h.shape[0]

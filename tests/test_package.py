@@ -19,6 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # exported names whose callers are tests and readers, each kept for its reason
 KEPT_WITHOUT_CALLER = {
     "derivative_terms": "criterion 7 checks the paper's derivative decomposition with it",
+    "manybody_energy": "the public per-particle energy of a many-body state; runs take it "
+                       "with the symmetry residual and gamma from _energy_and_residual",
     "symmetrize": "the public way to build a symmetric many-body state from raw values",
     "read_mfl1": "the reader of the MFL1 files that every run writes",
 }
@@ -33,9 +35,8 @@ def test_every_all_name_exists(name):
 
 def program_references():
     """Every identifier read as a name, an attribute or an import in src/, demos/ and
-    perfbench/, plus the ``"<module>.<name>"`` strings by which the benchmark counts
-    calls.  Definitions, docstrings and the strings of ``__all__`` lists are not reads."""
-    modules = {name.rpartition(".")[2] for name in MODULES}
+    perfbench/.  Definitions and strings, the benchmark's ``"<module>.<name>"`` call
+    counters and the strings of ``__all__`` lists among them, are not reads."""
     used = set()
     for folder in ("src", "demos", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
@@ -46,10 +47,6 @@ def program_references():
                     used.add(node.attr)
                 elif isinstance(node, ast.alias):
                     used.add(node.name.rpartition(".")[2])
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    module, dot, attr = node.value.partition(".")
-                    if dot and module in modules and attr.isidentifier():
-                        used.add(attr)
     return used
 
 
