@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, InvariantError
 from .grids import apply_kinetic, row_blocks
 from .manybody import (
     SYMMETRY_TOL,
+    _LANCZOS_BASIS,
     ManyBodyState,
     OneBodyDensity,
     _pair_table,
@@ -293,7 +293,12 @@ def _sector_weights(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
         buf = np.empty((rows, rest), dtype=np.complex128)
         total = 0.0
         for lo, hi, _ in row_blocks((m,), row_bytes):
-            block = np.multiply.outer(phi[lo:hi], c0, out=buf[:hi - lo])
+            block = buf[:hi - lo]
+            if block.size <= np.getbufsize():
+                np.multiply(phi[lo:hi, None], c0, out=block)
+            else:  # row by row: a broadcast product would take two ufunc buffers
+                for i, p in enumerate(phi[lo:hi]):
+                    np.multiply(p, c0, out=block[i])
             np.subtract(mat[lo:hi], block, out=block)
             block = block.reshape((-1,) + (m,) * (k - 1))
             for axis in range(1, k):
@@ -388,7 +393,7 @@ def weight_difference_bound(m_tag: str, l: int, psi, phi) -> tuple[float, float]
     return lhs, l / n
 
 
-_DENSE_EIG_MAX_DIM = 96  # measured crossover of dense eigvalsh and ARPACK
+_DENSE_EIG_MAX_DIM = 96  # dense eigvalsh up to here, the m = 48 ladder's route; Lanczos wins from 64
 
 
 def trace_distance(gamma, phi: np.ndarray) -> float:
@@ -401,27 +406,65 @@ def trace_distance(gamma, phi: np.ndarray) -> float:
     so by Weyl interlacing it has at most one negative eigenvalue
     lambda_min, and its trace norm is tr(gamma - |phi><phi|) -
     2 min(lambda_min, 0).  lambda_min comes from a dense ``eigvalsh`` up to
-    m = 96 and above that from ARPACK on v -> gamma v - phi <phi, v>, so
-    neither the difference matrix nor a factored gamma is formed.  The call
-    is ``eigsh(which="SA")``, but for a complex operator scipy hands it to
-    ``eigs`` (which="SR"): ARPACK's implicitly restarted Arnoldi
-    (``znaupd``, 20 basis vectors for the one eigenvalue), not its
-    Hermitian Lanczos.  The start vector is phi and restarts draw from a
-    fixed seed, so the result is reproducible.  Crossover, one BLAS thread
-    on a 2-core x86-64 box: m = 48 dense 0.33 ms / Arnoldi 1.1 ms, m = 96
-    1.2 / 1.2 ms, m = 128 2.4 / 1.4 ms, m = 1024 553 / 22 ms.
+    m = 96 and above that from ``_lanczos_min`` on v -> gamma v - phi <phi, v>
+    started at phi, so neither the difference matrix nor a factored gamma
+    is formed.  Best of 9, one BLAS thread on a 2-core x86-64 box, the
+    gamma of a random N = 2 state near phi: dense 0.15 / Lanczos 0.20 ms at
+    m = 48, 0.26 / 0.20 ms at m = 64, 0.66 / 0.22 ms at m = 96, 1.50 / 0.24 ms
+    at m = 128 and 326 / 4.4 ms at m = 1024, where ARPACK's Arnoldi
+    (``eigsh``, 21 products against Lanczos's 6) took 15 ms.
     """
     phi = np.asarray(phi, dtype=np.complex128).ravel()
     m = phi.size
-    trace = float(gamma.trace().real - np.vdot(phi, phi).real)
+    tr, norm2 = float(gamma.trace().real), float(np.vdot(phi, phi).real)
     if m <= _DENSE_EIG_MAX_DIM:
         lam = np.linalg.eigvalsh(np.asarray(gamma) - np.outer(phi, np.conj(phi)))[0]
-    else:
-        diff = LinearOperator((m, m), matvec=lambda v: gamma @ v - phi * np.vdot(phi, v),
-                              dtype=np.complex128)
-        lam = eigsh(diff, k=1, which="SA", v0=phi, rng=np.random.default_rng(0),
-                    return_eigenvectors=False)[0].real
-    return trace - 2.0 * min(float(lam), 0.0)
+    else:  # ||gamma - |phi><phi||| <= tr gamma + |phi|^2 scales the stopping test
+        lam = _lanczos_min(lambda v: gamma @ v - phi * np.vdot(phi, v), phi, tr + norm2)
+    return tr - norm2 - 2.0 * min(float(lam), 0.0)
+
+
+def _lanczos_min(apply, v0: np.ndarray, scale: float) -> float:
+    """The smallest eigenvalue of the Hermitian ``apply`` on the Krylov space of v0.
+
+    Hermitian Lanczos with full reorthogonalisation (classical Gram-Schmidt,
+    twice) on at most ``_LANCZOS_BASIS`` vectors; when the basis fills, it
+    restarts from the Ritz vector of the smallest Ritz value.  It stops when
+    that Ritz pair's residual estimate beta_j |s_j| is at most eps * scale,
+    ``scale`` a bound on the operator's norm, so the value is within
+    eps * scale of an eigenvalue; a breakdown (an invariant Krylov space)
+    stops it the same way.  For v -> gamma v - phi <phi, v> from v0 = phi the
+    Krylov space of phi holds the one negative eigenvector, if any: its
+    complement is invariant and on it the operator is gamma, which is PSD.
+    The iteration is deterministic, so the value reproduces to the bit.
+    It gives up with an ``InvariantError`` after 10 m products.
+    """
+    m = v0.size
+    k = min(_LANCZOS_BASIS, m)
+    basis = np.empty((k, m), dtype=np.complex128)  # rows are the Lanczos vectors
+    tol = np.finfo(float).eps * scale
+    diag, off = np.zeros(k), np.zeros(k)
+    v = v0
+    for _ in range(-(-10 * m // k)):
+        basis[0] = v / np.linalg.norm(v)
+        for j in range(k):
+            w = apply(basis[j])
+            span = basis[:j + 1]
+            coef = blas.zgemv(1.0, span.T, w, trans=2)  # conj(span) @ w, no conjugate copy
+            w -= coef @ span
+            again = blas.zgemv(1.0, span.T, w, trans=2)  # a second pass: twice is enough
+            w -= again @ span
+            diag[j] = (coef[j] + again[j]).real
+            beta = np.linalg.norm(w)
+            ritz, vecs = np.linalg.eigh(np.diag(diag[:j + 1]) + np.diag(off[:j], 1)
+                                        + np.diag(off[:j], -1))
+            if beta * abs(vecs[j, 0]) <= tol:
+                return float(ritz[0])
+            if j + 1 < k:
+                off[j] = beta
+                basis[j + 1] = w / beta
+        v = vecs[:, 0] @ basis
+    raise InvariantError(f"trace distance: Lanczos did not converge in {10 * m} products")
 
 
 # -- derivative decomposition and energy-lemma ingredients --------------------
@@ -533,8 +576,9 @@ def compute_report(state: ManyBodyState, one_body: OneBodyState,
     above SYMMETRY_TOL and returned gamma.  Besides psi and gamma (m^2 at
     N >= 3, read through psi at N <= 2) the report holds one
     ``grids.row_blocks`` block (at most a slab, or one 1/m-sized row when a
-    row is larger) and 1/m-sized coefficients, then the trace distance's
-    Arnoldi vectors: psi is not copied.
+    row is larger) and 1/m-sized coefficients, then, above m = 96, the
+    trace distance's Lanczos basis of ``_LANCZOS_BASIS`` m-sized vectors:
+    psi is not copied.
     """
     psi, phi, n, amp = _grid_frame(state, one_body)
     pk = amp**2 * _sector_weights(psi, phi)

@@ -307,10 +307,13 @@ def axis_groups(shape) -> tuple[int, ...]:
     return tuple(math.prod(shape[a] for a in axes) for axes in _group_axes(shape))
 
 
-# sweep block: a slab and its scratch fit a 2 MiB L2.  Four sweeps over the
-# (48)^4 state (one BLAS thread, medians of 12) took 351 ms as one unblocked
-# matmul each and 272, 282 and 277 ms in place with 256 KiB, 1 MiB and 4 MiB slabs
-_SLAB_BYTES = 1 << 20
+# sweep block: a slab and its scratch fit a core's 2 MiB L2 many times over, and
+# every state-sized pass's transient is one slab.  Four in-place sweeps (one BLAS
+# thread, medians of 12) took 171, 188 and 167 ms on the (48)^4 state and 31, 29
+# and 30 ms on the (64, 16, 64, 16) one with 256 KiB, 512 KiB and 1 MiB slabs
+# (best of 12: 161, 162, 161 and 29, 28, 28 ms), against 208 ms on (48)^4 as one
+# unblocked out-of-place matmul each
+_SLAB_BYTES = 1 << 18
 
 
 def row_blocks(shape: tuple, row_bytes: int):

@@ -112,6 +112,8 @@ class ExperimentConfig:
         if self.nu is not None and not _is_number(self.nu):
             raise ConfigError("nu must be a number or null")
         step_count(self.time_horizon, self.dt)
+        if self.memory_cap_bytes <= 0:
+            raise ConfigError("memory_cap_bytes must be positive")
         if self.report_stride < 1:
             raise ConfigError("report_stride must be positive")
         if self.seed < 0:

@@ -117,7 +117,7 @@ def estimate_state_bytes(spec: ModelSpec) -> int:
 
 
 _ONE_BODY_ALLOWANCE = 1 << 20  # bytes: one-body arrays, trajectory and report objects
-_ARNOLDI_VECTORS = 24  # m-sized: ARPACK's 20 basis vectors for one eigenvalue, 3 work, 1 residual
+_LANCZOS_BASIS = 16  # m-sized vectors of the trace distance's Lanczos basis (counting)
 
 
 def working_set_bytes(spec: ModelSpec) -> int:
@@ -134,12 +134,14 @@ def working_set_bytes(spec: ModelSpec) -> int:
     - a snapshot's diagnostics: the snapshot and its ``OneBodyDensity``,
       with a counting report's row block (one slab, or one 1/m-sized row
       when a row is larger), two 1/m-sized coefficient arrays and the
-      trace distance's Arnoldi vectors.  The density is the m^2-sized gamma
-      at N >= 3, freed before the next step; at N <= 2
-      (``_density_is_factored``) it is read through the snapshot, and only
-      its largest group-reduced matrix is formed.  The energy's two pair
-      buffers share one slab, and the symmetry check's buffer is 1/m-sized,
-      so neither exceeds the report's row block.
+      trace distance's Lanczos basis (``_LANCZOS_BASIS`` m-sized vectors;
+      its few work vectors come after the row block is freed).  The
+      density is the m^2-sized gamma at N >= 3, freed before the next
+      step; at N <= 2 (``_density_is_factored``) it is read through the
+      snapshot, and only its largest group-reduced matrix is formed.  The
+      energy's two pair buffers share one slab, and the symmetry check
+      walks its differences through one slab, so neither exceeds the
+      report's row block.
     """
     m = int(np.prod(spec.domain.shape))
     state = estimate_state_bytes(spec)
@@ -151,7 +153,7 @@ def working_set_bytes(spec: ModelSpec) -> int:
     else:
         gamma = 16 * m**2
     report = (state + gamma + max(_SLAB_BYTES, state // m) + 2 * (state // m)
-              + 16 * m * _ARNOLDI_VECTORS)
+              + 16 * m * _LANCZOS_BASIS)
     return held + max(step, report) + _ONE_BODY_ALLOWANCE
 
 
@@ -211,16 +213,18 @@ def _pair_table(spec: ModelSpec) -> np.ndarray:
     (m_f m_c^2 radial evaluations, not m^2): free offsets from node 0 to
     the minimum image, confined differences compressed by eps.  The
     Hamiltonian's 1/(N-1) or 1/N (``spec.pair_prefactor``) is not included.
+    C is built in one array, each axis's squared differences added and the
+    radial profile taken in place, so the build holds C and the table.
     """
     _resolvability_guard(spec)
     pref, arg_scale = _kernel_scaling(spec)
     d_c = spec.confined.dim
-    r2 = np.zeros(spec.free.shape + spec.confined.shape * 2)
+    c = np.zeros(spec.free.shape + spec.confined.shape * 2)
     axis = 0
     for part in spec.domain.parts:
         for a in range(part.dim):
             nodes = part.axis_nodes(a)
-            sh = [1] * r2.ndim
+            sh = [1] * c.ndim
             if part.periodic:
                 L = part.extents[a]
                 diff = nodes - nodes[0]
@@ -229,10 +233,13 @@ def _pair_table(spec: ModelSpec) -> np.ndarray:
             else:
                 diff = part.eps * (nodes[:, None] - nodes[None, :])
                 sh[axis] = sh[axis + d_c] = len(nodes)
-            r2 = r2 + (diff**2).reshape(sh)
+            c += (diff**2).reshape(sh)
             axis += 1
+    np.sqrt(c, out=c)
+    np.multiply(arg_scale, c, out=c)
+    spec.interaction.radial(c, out=c)
+    np.multiply(pref, c, out=c)
     m_c = math.prod(spec.confined.shape)
-    c = pref * spec.interaction.radial(arg_scale * np.sqrt(r2))
     return _row_layout(c.reshape(spec.free.shape + (m_c, m_c)))
 
 
@@ -245,10 +252,22 @@ def _row_layout(c: np.ndarray) -> np.ndarray:
     C[(i - j) mod n, y_1, y_2] = T[y_1, n - 1 - i + j, y_2], so the row of
     x_1 is the slice T[y_1, n - 1 - i : 2n - 1 - i, :]: with y_1 first, its
     last free axis and y_2 are one contiguous run, the whole row at d_f = 1.
+    C is written once into the first tile (k < n on every free axis), which
+    each free axis's second half then copies, so T is the only array made.
+    The copies go y_1 by y_1: the first axis's halves of one y_1 are disjoint
+    ranges, which numpy copies without a temporary.
     """
     d_f = c.ndim - 2
-    tiled = np.tile(c, (2,) * d_f + (1, 1))
-    return np.ascontiguousarray(np.moveaxis(np.flip(tiled, tuple(range(d_f))), -2, 0))
+    free = c.shape[:d_f]
+    table = np.empty(c.shape[-2:-1] + tuple(2 * n for n in free) + c.shape[-1:], c.dtype)
+    first = table[(slice(None),) + tuple(slice(n - 1, None, -1) for n in free)]
+    first[...] = np.moveaxis(c, -2, 0)
+    for row in table:
+        for a, n in enumerate(free):
+            done = (slice(None),) * a  # the free axes already tiled
+            rest = tuple(slice(0, k) for k in free[a + 1:])  # first tiles of the others
+            row[done + (slice(n, 2 * n),) + rest] = row[done + (slice(0, n),) + rest]
+    return table
 
 
 def _pair_view(table: np.ndarray) -> np.ndarray:
@@ -278,13 +297,20 @@ def _transposition_residual(values: np.ndarray, n: int, block: int) -> float:
     of one block, P = m^i, Q = m^(j-i-1), R = m^(n-j-1), and sigma swaps
     the two m-sized axes.  The difference vanishes on the a = b diagonal
     and is antisymmetric in (a, b), so ||values - sigma values||^2 is twice
-    its sum over a < b.  For each a, the slab [:, a, :, b > a, :] minus the
-    transposed slab [:, b > a, :, a, :] goes into one reused buffer of 1/m
-    of the state.  Not 2||v||^2 - 2 Re<v, sigma v>: its cancellation leaves
-    ~1e-8 on states symmetric up to roundoff.
+    its sum over a < b.  For each a, the piece [:, a, :, b > a, :] minus the
+    transposed piece [:, b > a, :, a, :] is taken in the ``grids.row_blocks``
+    of the piece, each block into one reused buffer of at most a slab; a
+    piece that fits the buffer is one block.  Not 2||v||^2 - 2 Re<v, sigma v>:
+    its cancellation leaves ~1e-8 on states symmetric up to roundoff.
     """
     m = math.prod(values.shape[:block])
-    buf = np.empty(values.size // m, dtype=values.dtype)
+    buf = np.empty(min(values.size // m, _SLAB_BYTES // values.itemsize), dtype=values.dtype)
+
+    def squared(upper, lower):  # ||upper - lower||^2 through the buffer
+        d = buf[:upper.size].reshape(upper.shape)
+        np.subtract(upper, lower, out=d)
+        return np.vdot(d, d).real
+
     worst = 0.0
     for i, j in itertools.combinations(range(n), 2):
         v = values.reshape(m**i, m, m ** (j - i - 1), m, m ** (n - j - 1))
@@ -292,9 +318,11 @@ def _transposition_residual(values: np.ndarray, n: int, block: int) -> float:
         for a in range(m - 1):
             upper = v[:, a, :, a + 1:, :]  # (P, Q, m - a - 1, R)
             lower = v[:, a + 1:, :, a, :].transpose(0, 2, 1, 3)
-            d = buf[:upper.size].reshape(upper.shape)
-            np.subtract(upper, lower, out=d)
-            total += np.vdot(d, d).real
+            if upper.size <= buf.size:
+                total += squared(upper, lower)
+                continue
+            for _, _, box in row_blocks(upper.shape, values.itemsize):
+                total += squared(upper[box], lower[box])
         worst = max(worst, math.sqrt(2.0 * total))
     return worst
 
@@ -396,7 +424,8 @@ def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
     m = math.prod(dom.shape)
     pair = None
     if n > 1:
-        pair = _pair_view(np.exp(-1j * dt * spec.pair_prefactor * _pair_table(spec)))
+        phase = np.multiply(_pair_table(spec), -1j * dt * spec.pair_prefactor)
+        pair = _pair_view(np.exp(phase, out=phase))
     t0 = state.t
 
     def substep(k, values):

@@ -59,15 +59,33 @@ class InteractionProfile:
 
     # -- radial profile -----------------------------------------------------
 
-    def radial(self, r):
-        """w(|r|), vectorized over r >= 0."""
+    def radial(self, r, out=None):
+        """w(|r|), vectorized over r >= 0.
+
+        Written into ``out`` (a float array of r's shape, which may be r
+        itself) when given, else into a new array, and returned.  Every
+        operation acts in place on it, with a boolean mask as the only
+        scratch: A exp(-r^2 / (2 sigma^2)) or A (1 - u^2)^2 with
+        u = min(r / radius, 1), and 0 beyond the radius.
+        """
         r = np.asarray(r, dtype=float)
-        A = self.amplitude
+        outside = ~(r <= self.radius)
+        out = np.empty(r.shape) if out is None else out
         if self.kind == "gaussian-bump":
-            out = A * np.exp(-(r**2) / (2 * self.sigma**2))
-            return np.where(r <= self.radius, out, 0.0)
-        u = np.clip(r / self.radius, 0.0, 1.0)  # compact-polynomial-bump
-        return A * np.where(r <= self.radius, (1 - u**2) ** 2, 0.0)
+            np.square(r, out=out)
+            np.negative(out, out=out)
+            np.divide(out, 2 * self.sigma**2, out=out)
+            np.exp(out, out=out)
+            np.multiply(self.amplitude, out, out=out)
+            np.copyto(out, 0.0, where=outside)
+            return out
+        np.divide(r, self.radius, out=out)  # compact-polynomial-bump
+        np.clip(out, 0.0, 1.0, out=out)
+        np.square(out, out=out)
+        np.subtract(1.0, out, out=out)
+        np.square(out, out=out)
+        np.copyto(out, 0.0, where=outside)
+        return np.multiply(self.amplitude, out, out=out)
 
     def sup_norm(self) -> float:
         """sup |w| = |amplitude|: both kinds peak at r = 0 with value amplitude."""

@@ -189,10 +189,35 @@ def full_spectrum_trace_distance(gamma, phi):
     return float(np.sum(np.abs(np.linalg.eigvalsh(gamma - np.outer(phi, np.conj(phi))))))
 
 
-@pytest.mark.parametrize("m", [48, 128, 1024])
-def test_trace_distance_rank_one_matches_full_spectrum(m):
-    # m = 48 takes the dense branch, 128 and 1024 the Arnoldi one
+class CountedProducts:
+    """A dense gamma that counts its products gamma @ v."""
+
+    def __init__(self, gamma):
+        self.gamma, self.products = gamma, 0
+
+    def trace(self):
+        return self.gamma.trace()
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.gamma @ v
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.gamma, dtype=dtype)
+
+
+@pytest.mark.parametrize("m, basis", [
+    pytest.param(48, None, id="48"),
+    pytest.param(128, None, id="128"),
+    pytest.param(1024, None, id="1024"),
+    # two Lanczos vectors: the iteration restarts from its Ritz vector many times
+    pytest.param(128, 2, id="128-forced-restarts"),
+])
+def test_trace_distance_rank_one_matches_full_spectrum(monkeypatch, m, basis):
+    # m = 48 takes the dense branch, 128 and 1024 the Lanczos one
     assert 48 <= cnt._DENSE_EIG_MAX_DIM < 128
+    if basis is not None:
+        monkeypatch.setattr(cnt, "_LANCZOS_BASIS", basis)
     rng = np.random.default_rng(30 + m)
     phi = random_unit(rng, m)
     product = np.multiply.outer(phi, phi)
@@ -208,13 +233,16 @@ def test_trace_distance_rank_one_matches_full_spectrum(m):
     diff = gamma - np.outer(phi, np.conj(phi))
     evals = np.linalg.eigvalsh(diff)
     assert evals[0] < -1e-4 and evals[1] > -1e-12  # one negative eigenvalue
-    tr = cnt.trace_distance(gamma, phi)
+    counted = CountedProducts(gamma)
+    tr = cnt.trace_distance(counted, phi)
     assert tr == pytest.approx(full_spectrum_trace_distance(gamma, phi), abs=1e-12)
     assert cnt.trace_distance(gamma, phi) == tr  # reproducible to the bit
+    if basis is not None:
+        assert counted.products > 4 * basis
 
 
 def test_trace_distance_above_4096_of_a_pure_state():
-    # m = 8192 takes the Arnoldi route on the factored N = 1 gamma = |psi><psi|,
+    # m = 8192 takes the Lanczos route on the factored N = 1 gamma = |psi><psi|,
     # whose trace distance to |phi><phi| is 2 sqrt(1 - |<phi, psi>|^2)
     dom = ProductDomain(FreeDomain((12.0, 12.0), (64, 64)),
                         ConfinedDomain(((-0.5, 0.5),), (2,), eps=0.2))
@@ -292,8 +320,8 @@ def test_sector_weights_block_walk_matches_enumeration(n, top_rows, monkeypatch)
 
 
 def test_compute_report_does_not_copy_psi(monkeypatch, traced_peak):
-    # symmetric N = 4 state on the smallest grid, 8 x 2 (m = 16); a slab of
-    # a quarter state, since the default slab holds this whole 1 MiB state
+    # symmetric N = 4 state on the smallest grid, 8 x 2 (m = 16), a 1 MiB
+    # state; a slab of a quarter state, whatever the default slab
     dom = ProductDomain(FreeDomain((8.0,), (8,)), ConfinedDomain(UNIT_INTERVAL, (2,), eps=0.5))
     m = math.prod(dom.shape)
     psi = random_symmetric(np.random.default_rng(21), m, 4) / dom.cell_volume**2

@@ -22,6 +22,7 @@ from confinedbose.harness import (
 from confinedbose.counting import CountingReport, compute_report
 from confinedbose.grids import _SLAB_BYTES
 from confinedbose.manybody import (
+    _LANCZOS_BASIS,
     _ONE_BODY_ALLOWANCE,
     ManyBodyState,
     _energy_and_residual,
@@ -135,11 +136,13 @@ def test_snapshot_diagnostics_peak(traced_peak, n, grid):
     # terms are those of working_set_bytes: the report's row block (a slab,
     # or one 1/m-sized row when a row is larger; psi is not copied) and its
     # two 1/m-sized coefficient arrays, the m^2-sized gamma at N >= 3 (at
-    # N = 2 it is read through psi, not formed), the one-body allowance
-    # (which also covers the dense trace distance's m^2 arrays at m <= 96
-    # and the Arnoldi vectors above).  The energy's pair term forms no
-    # m^2-sized array: its two buffers share one slab and are freed before
-    # gamma is formed.
+    # N = 2 it is read through psi, not formed), and above m = 96 the trace
+    # distance's Lanczos basis, whose few m-sized work vectors fit the freed
+    # row block.  At m <= 96 the one-body allowance covers the dense trace
+    # distance's m^2 arrays; above, no allowance is granted.  The energy's
+    # pair term forms no m^2-sized array: its two buffers share one slab,
+    # and the pair table it reads (2 m_f m_c^2 reals at N2-m1024, the size
+    # of the Lanczos basis) is freed with them before gamma is formed.
     cfg = config(n_particles=n, **grid)
     spec = cfg.model_spec()
     one = harness.initial_state(spec, cfg.initial)
@@ -155,7 +158,10 @@ def test_snapshot_diagnostics_peak(traced_peak, n, grid):
     _, peak = traced_peak(diagnostics)
     gamma_bytes = 16 * m**2 if n > 2 else 0
     report_terms = max(_SLAB_BYTES, state_bytes // m) + 2 * (state_bytes // m) + gamma_bytes
-    assert peak <= report_terms + _ONE_BODY_ALLOWANCE
+    if m > counting._DENSE_EIG_MAX_DIM:
+        assert peak <= report_terms + 16 * m * _LANCZOS_BASIS
+    else:
+        assert peak <= report_terms + _ONE_BODY_ALLOWANCE
 
 
 def test_run_single_peak_independent_of_report_count(tmp_path, traced_peak):
@@ -402,6 +408,8 @@ NAN, INF = float("nan"), float("inf")
     pytest.param("counting", {"time_horizon": float("inf")}, id="time-horizon-inf"),
     pytest.param("counting", {"time_horizon": -0.5}, id="time-horizon-negative"),
     pytest.param("counting", {"memory_cap_bytes": float("nan")}, id="memory-cap-nan"),
+    pytest.param("counting", {"memory_cap_bytes": 0}, id="memory-cap-zero"),
+    pytest.param("simulate-manybody", {"memory_cap_bytes": -5}, id="memory-cap-negative"),
     pytest.param("coulomb-norms", None, id="coulomb-missing-file"),
     pytest.param("coulomb-norms", "{not json", id="coulomb-not-json"),
     pytest.param("coulomb-norms", {"eps_list": ["x"]}, id="coulomb-eps-string"),

@@ -472,12 +472,12 @@ def test_density_matrix_route_matches_sweeps(grid, n, groups, potential, direct_
 
 
 @pytest.mark.parametrize("free, confined, groups", [
-    # one confined axis: 16 | 48 (m = 768, Arnoldi) and 32 | 3 (m = 96, eigvalsh)
+    # one confined axis: 16 | 48 (m = 768, Lanczos) and 32 | 3 (m = 96, eigvalsh)
     pytest.param(FreeDomain((12.0, 12.0), (16, 16)), ConfinedDomain(UNIT_INTERVAL, (3,), eps=0.2),
                  (16, 48), id="16x16x3"),
     pytest.param(FreeDomain((8.0,), (32,)), ConfinedDomain(UNIT_INTERVAL, (3,), eps=0.5),
                  (32, 3), id="32x3"),
-    # two confined axes: 64 | 16 (m = 1024, Arnoldi) and 32 | 3 (m = 96, eigvalsh)
+    # two confined axes: 64 | 16 (m = 1024, Lanczos) and 32 | 3 (m = 96, eigvalsh)
     pytest.param(FreeDomain((16.0,), (64,)), ConfinedDomain(UNIT_INTERVAL * 2, (4, 4), eps=0.66),
                  (64, 16), id="64x4x4"),
     pytest.param(FreeDomain((8.0,), (16,)), ConfinedDomain(UNIT_INTERVAL * 2, (2, 3), eps=0.5),
@@ -596,8 +596,8 @@ def test_evolver_peak_above_its_input_is_a_slab(traced_peak):
     # N = 4, m = 48: an 81 MiB state stepped in place, with fused full kicks
     # between snapshots and a time-dependent potential.  Beyond its input the
     # evolver holds the pair table, small one-body arrays and either the
-    # call-time symmetry check's 1/m-sized buffer (1.7 MiB) or a step's slab
-    # scratch: no second state
+    # call-time symmetry check's slab buffer (a 1/m-sized one would be 1.7 MiB)
+    # or a step's slab scratch: no second state
     spec = small_spec(n=4, potential=ExternalPotential("gaussian", amplitude=0.8, sigma=2.0,
                                                        omega=3.0))
     psi0 = product_state(gaussian_one_body(spec), 4)
@@ -682,7 +682,8 @@ def expand_offsets(table, shape, d_f):
 @pytest.mark.parametrize("n, shape, d_f, block_rows, blocks, rows", [
     pytest.param(1, (16, 3), 1, None, 1, 48, id="N1"),
     pytest.param(2, (16, 3), 1, None, 1, 48, id="N2"),
-    pytest.param(3, (16, 3), 1, None, 2, 27, id="N3-27-and-21-rows"),
+    # a budget of 27 rows: nine free coordinates' 3 rows, then the other 21
+    pytest.param(3, (16, 3), 1, 27, 2, 27, id="N3-27-and-21-rows"),
     pytest.param(4, (16, 3), 1, None, 48, 1, id="N4-one-row-each"),
     # budgets of 24 and 7 rows: one free coordinate's 16 rows, two second-axis
     # coordinates' 6 rows, not blocks that end partway through a coordinate

@@ -165,12 +165,14 @@ def test_package_import_leaves_scipy_signal_unloaded():
 
 
 def test_package_import_loads_no_fft_quadrature_or_optimizer_module():
-    # the package needs numpy, scipy.linalg and scipy.sparse.linalg only; the
-    # Coulomb quadratures import scipy.integrate when they run
+    # the package needs numpy and scipy.linalg only: the trace distance's
+    # Lanczos iteration loads no scipy.sparse (ARPACK's wrappers among it),
+    # and the Coulomb quadratures import scipy.integrate when they run
     import confinedbose
 
     src = os.path.dirname(os.path.dirname(confinedbose.__file__))
-    heavy = ["scipy.fft", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.signal"]
+    heavy = ["scipy.fft", "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.signal",
+             "scipy.sparse"]
     code = ("import sys, confinedbose, confinedbose.cli; "
             f"print([name for name in {heavy!r} if name in sys.modules])")
     run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
