@@ -393,32 +393,29 @@ def weight_difference_bound(m_tag: str, l: int, psi, phi) -> tuple[float, float]
     return lhs, l / n
 
 
-_DENSE_EIG_MAX_DIM = 96  # dense eigvalsh up to here, the m = 48 ladder's route; Lanczos wins from 64
-
-
 def trace_distance(gamma, phi: np.ndarray) -> float:
     """Tr |gamma - |phi><phi|| for a positive semidefinite gamma.
 
-    ``gamma`` is an m x m array or a ``manybody.OneBodyDensity``: only its
-    ``trace()``, ``gamma @ v`` and, up to m = 96, ``np.asarray(gamma)`` are used.
+    ``gamma`` is an m x m ``numpy`` array or a ``manybody.OneBodyDensity``,
+    of which only ``trace()`` and ``gamma @ v`` are used.
 
     gamma - |phi><phi| is a rank-one negative perturbation of a PSD matrix,
     so by Weyl interlacing it has at most one negative eigenvalue
     lambda_min, and its trace norm is tr(gamma - |phi><phi|) -
-    2 min(lambda_min, 0).  lambda_min comes from a dense ``eigvalsh`` up to
-    m = 96 and above that from ``_lanczos_min`` on v -> gamma v - phi <phi, v>
-    started at phi, so neither the difference matrix nor a factored gamma
-    is formed.  Best of 9, one BLAS thread on a 2-core x86-64 box, the
-    gamma of a random N = 2 state near phi: dense 0.15 / Lanczos 0.20 ms at
-    m = 48, 0.26 / 0.20 ms at m = 64, 0.66 / 0.22 ms at m = 96, 1.50 / 0.24 ms
-    at m = 128 and 326 / 4.4 ms at m = 1024, where ARPACK's Arnoldi
-    (``eigsh``, 21 products against Lanczos's 6) took 15 ms.
+    2 min(lambda_min, 0).  An array's lambda_min comes from a dense
+    ``eigvalsh`` (the lemma suite's 4 x 4 matrices: 0.01 ms against
+    Lanczos's 0.1 ms); any other gamma's from ``_lanczos_min`` on
+    v -> gamma v - phi <phi, v> started at phi, so neither the difference
+    matrix nor a dense form of a factored gamma is made.  Best of 200, one
+    BLAS thread on a 2-core x86-64 box, the m = 48 ladder's snapshots took
+    0.18 / 0.15 ms dense / Lanczos at N = 2 and 0.12 / 0.13 ms at N = 3
+    and 4; a random N = 2 gamma at m = 1024 took 326 / 4.4 ms, and
+    ARPACK's Arnoldi (``eigsh``, 21 products against Lanczos's 6) 15 ms.
     """
     phi = np.asarray(phi, dtype=np.complex128).ravel()
-    m = phi.size
     tr, norm2 = float(gamma.trace().real), float(np.vdot(phi, phi).real)
-    if m <= _DENSE_EIG_MAX_DIM:
-        lam = np.linalg.eigvalsh(np.asarray(gamma) - np.outer(phi, np.conj(phi)))[0]
+    if isinstance(gamma, np.ndarray):
+        lam = np.linalg.eigvalsh(gamma - np.outer(phi, np.conj(phi)))[0]
     else:  # ||gamma - |phi><phi||| <= tr gamma + |phi|^2 scales the stopping test
         lam = _lanczos_min(lambda v: gamma @ v - phi * np.vdot(phi, v), phi, tr + norm2)
     return tr - norm2 - 2.0 * min(float(lam), 0.0)
@@ -576,9 +573,8 @@ def compute_report(state: ManyBodyState, one_body: OneBodyState,
     above SYMMETRY_TOL and returned gamma.  Besides psi and gamma (m^2 at
     N >= 3, read through psi at N <= 2) the report holds one
     ``grids.row_blocks`` block (at most a slab, or one 1/m-sized row when a
-    row is larger) and 1/m-sized coefficients, then, above m = 96, the
-    trace distance's Lanczos basis of ``_LANCZOS_BASIS`` m-sized vectors:
-    psi is not copied.
+    row is larger) and 1/m-sized coefficients, then the trace distance's
+    Lanczos basis of ``_LANCZOS_BASIS`` m-sized vectors: psi is not copied.
     """
     psi, phi, n, amp = _grid_frame(state, one_body)
     pk = amp**2 * _sector_weights(psi, phi)

@@ -125,12 +125,18 @@ def working_set_bytes(spec: ModelSpec) -> int:
 
     The evolver holds its pair phase for the whole run as the tiled offset
     table (``_pair_table``, 2^d_f m_f m_c^2 entries), whatever N: every pair
-    multiplies by views of it.  Besides that, the larger of two moments:
+    multiplies by views of it.  Besides that, the largest of three moments:
 
     - a step: the one state-sized array, which is the input's buffer, every
       snapshot's and the Strang step's, with one slab scratch of
       ``grids._SLAB_BYTES``: every kick sweep acts in place through it, and
       the potential substep multiplies in place by views of the pair table.
+    - a snapshot's pair energy (``_pair_expectation``): the snapshot and the
+      real table it rebuilds, first with the m_f m_c^2 kernel C that fills
+      it, then with its rho_2 buffer and the flattened kernel rows, which
+      share one slab (16m bytes when one row is larger).  The evolver's
+      setup holds less: the input state and the real table, beside the
+      complex phase made from it.
     - a snapshot's diagnostics: the snapshot and its ``OneBodyDensity``,
       with a counting report's row block (one slab, or one 1/m-sized row
       when a row is larger), two 1/m-sized coefficient arrays and the
@@ -139,22 +145,22 @@ def working_set_bytes(spec: ModelSpec) -> int:
       density is the m^2-sized gamma at N >= 3, freed before the next
       step; at N <= 2 (``_density_is_factored``) it is read through the
       snapshot, and only its largest group-reduced matrix is formed.  The
-      energy's two pair buffers share one slab, and the symmetry check
-      walks its differences through one slab, so neither exceeds the
-      report's row block.
+      symmetry check walks its differences through one slab, so it does not
+      exceed the report's row block.
     """
     m = int(np.prod(spec.domain.shape))
     state = estimate_state_bytes(spec)
-    m_c = math.prod(spec.confined.shape)
-    held = 16 * 2**spec.free.dim * math.prod(spec.free.shape) * m_c**2
+    kernel = 8 * math.prod(spec.free.shape) * math.prod(spec.confined.shape) ** 2
+    table = 2**spec.free.dim * kernel  # real; the held phase is complex
     step = state + _SLAB_BYTES
+    pair = state + table + max(kernel, _SLAB_BYTES, 16 * m)
     if _density_is_factored(spec.n_particles):
         gamma = 16 * max(axis_groups(spec.domain.shape)) ** 2
     else:
         gamma = 16 * m**2
     report = (state + gamma + max(_SLAB_BYTES, state // m) + 2 * (state // m)
               + 16 * m * _LANCZOS_BASIS)
-    return held + max(step, report) + _ONE_BODY_ALLOWANCE
+    return 2 * table + max(step, pair, report) + _ONE_BODY_ALLOWANCE
 
 
 def check_memory_cap(spec: ModelSpec, cap: int) -> None:
@@ -503,10 +509,9 @@ class OneBodyDensity:
     """A snapshot's gamma = w^N A A^dagger, in the form its size allows.
 
     A is the (m, m^(N-1)) view of the snapshot's values and w the one-body
-    cell volume.  Consumers call ``trace()``, ``diagonal()``, ``gamma @ v``,
-    ``kinetic_trace()`` and, for a dense form, ``np.asarray(gamma)``; all
-    but ``kinetic_trace`` mean what they mean for the m x m array, so
-    ``counting.trace_distance`` takes either.
+    cell volume.  Consumers call ``trace()``, ``diagonal()``, ``gamma @ v``
+    and ``kinetic_trace()``; the first three mean what they mean for the
+    m x m array, and ``counting.trace_distance`` reads only two of them.
 
     Where the matrix would be as large as the state (``_density_is_factored``,
     N <= 2) it is never formed, and every call reads A from the snapshot:
@@ -527,10 +532,8 @@ class OneBodyDensity:
         self._matrix = None
         self._kinetic = None
         if not _density_is_factored(state.n_particles):
-            self._matrix = density_matrix(self._psi(), state.domain.cell_volume)
-
-    def _psi(self) -> np.ndarray:
-        return self._state.values.reshape(self._shape)
+            self._matrix = density_matrix(state.values.reshape(self._shape),
+                                          state.domain.cell_volume)
 
     def _rows(self) -> np.ndarray:
         return self._state.values.reshape(self._shape[0], -1)
@@ -552,12 +555,6 @@ class OneBodyDensity:
             return self._matrix @ v
         rows = self._rows()
         return self._scale * (rows @ np.conj(np.conj(v) @ rows))
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        gamma = self._matrix
-        if gamma is None:
-            gamma = density_matrix(self._psi(), self.domain.cell_volume)
-        return np.asarray(gamma, dtype=dtype)
 
     def kinetic_trace(self) -> float:
         """Re tr(K gamma), K = -Delta_x - eps^-2 Delta_y, summed over the

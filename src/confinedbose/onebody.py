@@ -187,7 +187,7 @@ def evolve_effective(state: OneBodyState, spec: ModelSpec, T: float, dt: float,
     full = axis_operators(dom, lambda mult: np.exp(-1j * dt * mult))
     hartree = spec.regime == "hartree-theta0"
     kernel0 = mean_field_kernel(spec) if hartree else None
-    b = None if hartree else coupling_b(spec.interaction, chi_mode(spec.confined, 0))
+    b = None if hartree else coupling_b(spec.interaction, chi_mode(spec.confined, spec.mode_index))
 
     def substep(k, values):
         pot = _mean_field(spec, GridFunction(dom, values.reshape(dom.shape)), kernel0, b)
@@ -217,7 +217,7 @@ def effective_energy(state: OneBodyState, spec: ModelSpec) -> float:
         mf = hartree_potential(phi, mean_field_kernel(spec)).values.real
         inter = 0.5 * float(np.sum(mf * dens) * cell)
     else:
-        b = coupling_b(spec.interaction, chi_mode(spec.confined, 0))
+        b = coupling_b(spec.interaction, chi_mode(spec.confined, spec.mode_index))
         inter = 0.5 * b * float(np.sum(dens**2) * cell)
     ext = 0.0
     if not spec.potential.is_zero:

@@ -190,7 +190,8 @@ def full_spectrum_trace_distance(gamma, phi):
 
 
 class CountedProducts:
-    """A dense gamma that counts its products gamma @ v."""
+    """A dense gamma that counts its products gamma @ v: not an array, so
+    ``trace_distance`` takes its Lanczos route."""
 
     def __init__(self, gamma):
         self.gamma, self.products = gamma, 0
@@ -202,9 +203,6 @@ class CountedProducts:
         self.products += 1
         return self.gamma @ v
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.gamma, dtype=dtype)
-
 
 @pytest.mark.parametrize("m, basis", [
     pytest.param(48, None, id="48"),
@@ -214,17 +212,17 @@ class CountedProducts:
     pytest.param(128, 2, id="128-forced-restarts"),
 ])
 def test_trace_distance_rank_one_matches_full_spectrum(monkeypatch, m, basis):
-    # m = 48 takes the dense branch, 128 and 1024 the Lanczos one
-    assert 48 <= cnt._DENSE_EIG_MAX_DIM < 128
+    # an array takes the dense branch, a CountedProducts the Lanczos one, at every m
     if basis is not None:
         monkeypatch.setattr(cnt, "_LANCZOS_BASIS", basis)
     rng = np.random.default_rng(30 + m)
     phi = random_unit(rng, m)
     product = np.multiply.outer(phi, phi)
     gamma0 = cnt.density_matrix(product)
-    assert cnt.trace_distance(gamma0, phi) == pytest.approx(
-        full_spectrum_trace_distance(gamma0, phi), abs=1e-12)
-    assert cnt.trace_distance(gamma0, phi) < 1e-12
+    for route in (gamma0, CountedProducts(gamma0)):
+        assert cnt.trace_distance(route, phi) == pytest.approx(
+            full_spectrum_trace_distance(gamma0, phi), abs=1e-12)
+        assert cnt.trace_distance(route, phi) < 1e-12
 
     noise = random_symmetric(rng, m, 2)
     psi = 0.95 * product + 0.05 * noise
@@ -236,7 +234,8 @@ def test_trace_distance_rank_one_matches_full_spectrum(monkeypatch, m, basis):
     counted = CountedProducts(gamma)
     tr = cnt.trace_distance(counted, phi)
     assert tr == pytest.approx(full_spectrum_trace_distance(gamma, phi), abs=1e-12)
-    assert cnt.trace_distance(gamma, phi) == tr  # reproducible to the bit
+    assert cnt.trace_distance(CountedProducts(gamma), phi) == tr  # reproducible to the bit
+    assert cnt.trace_distance(gamma, phi) == pytest.approx(tr, abs=1e-12)
     if basis is not None:
         assert counted.products > 4 * basis
 
@@ -255,6 +254,41 @@ def test_trace_distance_above_4096_of_a_pure_state():
     gamma = OneBodyDensity(ManyBodyState(dom, (u / math.sqrt(dom.cell_volume)).reshape(dom.shape)))
     expected = 2.0 * math.sqrt(1.0 - abs(np.vdot(phi, u)) ** 2)
     assert cnt.trace_distance(gamma, phi) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_trace_distance_of_a_dense_snapshot_density(monkeypatch, n):
+    # the criterion-12 grid (demos/configs/ladder_theta0.json, 16 x 3, m = 48)
+    # at N = 3 and 4, where a snapshot's OneBodyDensity holds the dense gamma:
+    # its trace distance takes the Lanczos route, as every run's report does
+    dom = ProductDomain(FreeDomain((12.0,), (16,)),
+                        ConfinedDomain(((-0.5, 0.5),), (3,), eps=0.2))
+    m = math.prod(dom.shape)
+    assert m == 48
+    rng = np.random.default_rng(40 + n)
+    phi = random_unit(rng, m)
+    values = np.zeros((m,) * n, dtype=np.complex128)
+    for c, u in ((1.0, phi), (0.3, random_unit(rng, m)), (0.2j, random_unit(rng, m))):
+        power = u
+        for _ in range(n - 1):
+            power = np.multiply.outer(power, u)
+        power *= c
+        values += power  # symmetric: a sum of product states u^(x)N
+    values /= np.linalg.norm(values) * dom.cell_volume ** (n / 2)
+    gamma = OneBodyDensity(ManyBodyState(dom, values.reshape(dom.shape * n)))
+    dense = cnt.density_matrix(values, dom.cell_volume)
+    assert np.linalg.eigvalsh(dense - np.outer(phi, np.conj(phi)))[0] < -1e-2
+    runs = []
+    lanczos = cnt._lanczos_min
+
+    def counted(*args):
+        runs.append(args)
+        return lanczos(*args)
+
+    monkeypatch.setattr(cnt, "_lanczos_min", counted)
+    assert cnt.trace_distance(gamma, phi) == pytest.approx(
+        full_spectrum_trace_distance(dense, phi), abs=1e-12)
+    assert len(runs) == 1
 
 
 # -- occupation routes ----------------------------------------------------------

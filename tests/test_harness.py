@@ -23,7 +23,6 @@ from confinedbose.counting import CountingReport, compute_report
 from confinedbose.grids import _SLAB_BYTES
 from confinedbose.manybody import (
     _LANCZOS_BASIS,
-    _ONE_BODY_ALLOWANCE,
     ManyBodyState,
     _energy_and_residual,
     estimate_state_bytes,
@@ -32,6 +31,7 @@ from confinedbose.manybody import (
 )
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+NLS_DEMO = json.loads((DEMO_CONFIGS / "nls_theta_two_confined.json").read_text())
 
 BASE = {
     "regime": "hartree-theta0",
@@ -104,6 +104,11 @@ TWO_FREE_AXES = {  # m = 16 * 16 * 3 = 768, the Hartree demo's one-body grid
 }
 
 
+def confined_square(points):  # m = 16 * points^2: the pair table outgrows a slab
+    return {"confined": {"intervals": [[-0.5, 0.5], [-0.5, 0.5]], "points": [points] * 2,
+                         "eps": 0.5}}
+
+
 @pytest.mark.parametrize("n, overrides, steps, tight", [
     pytest.param(3, {}, 1, False, id="N3-m48-1step"),
     pytest.param(3, {}, 9, False, id="N3-m48-9steps"),
@@ -114,6 +119,9 @@ TWO_FREE_AXES = {  # m = 16 * 16 * 3 = 768, the Hartree demo's one-body grid
     pytest.param(2, {}, 1, False, id="N2-m48"),
     pytest.param(2, TWO_CONFINED_AXES, 1, True, id="N2-m1024"),
     pytest.param(2, TWO_FREE_AXES, 1, True, id="N2-m768"),
+    # the snapshot's pair energy rebuilds a 1 MiB (2.4 MiB) real table and its kernel
+    pytest.param(2, confined_square(8), 1, True, id="N2-m1024-8x8"),
+    pytest.param(2, confined_square(10), 1, True, id="N2-m1600-10x10"),
     pytest.param(4, {}, 1, True, id="N4-m48"),
 ])
 def test_run_single_peak_within_working_set(tmp_path, traced_peak, n, overrides, steps, tight):
@@ -133,16 +141,15 @@ def test_run_single_peak_within_working_set(tmp_path, traced_peak, n, overrides,
 ])
 def test_snapshot_diagnostics_peak(traced_peak, n, grid):
     # one snapshot's energy and counting report, traced beyond psi.  The
-    # terms are those of working_set_bytes: the report's row block (a slab,
-    # or one 1/m-sized row when a row is larger; psi is not copied) and its
-    # two 1/m-sized coefficient arrays, the m^2-sized gamma at N >= 3 (at
-    # N = 2 it is read through psi, not formed), and above m = 96 the trace
-    # distance's Lanczos basis, whose few m-sized work vectors fit the freed
-    # row block.  At m <= 96 the one-body allowance covers the dense trace
-    # distance's m^2 arrays; above, no allowance is granted.  The energy's
-    # pair term forms no m^2-sized array: its two buffers share one slab,
-    # and the pair table it reads (2 m_f m_c^2 reals at N2-m1024, the size
-    # of the Lanczos basis) is freed with them before gamma is formed.
+    # terms are those of working_set_bytes, the larger of two moments.  The
+    # energy's pair term rebuilds the real pair table (2^d_f m_f m_c^2
+    # reals), first beside its kernel C (m_f m_c^2), then beside its two
+    # buffers, which share one slab; it forms no m^2-sized array.  The
+    # report holds its row block (a slab, or one 1/m-sized row when a row
+    # is larger; psi is not copied), its two 1/m-sized coefficient arrays,
+    # the m^2-sized gamma at N >= 3 (at N = 2 it is read through psi, not
+    # formed) and the trace distance's Lanczos basis, whose few m-sized
+    # work vectors fit the freed row block.  No allowance is granted.
     cfg = config(n_particles=n, **grid)
     spec = cfg.model_spec()
     one = harness.initial_state(spec, cfg.initial)
@@ -156,12 +163,13 @@ def test_snapshot_diagnostics_peak(traced_peak, n, grid):
         compute_report(state, one, e_psi, e_phi, gamma)
 
     _, peak = traced_peak(diagnostics)
+    kernel = 8 * math.prod(spec.free.shape) * math.prod(spec.confined.shape) ** 2
+    table = 2**spec.free.dim * kernel
+    pair_terms = table + max(kernel, _SLAB_BYTES, 16 * m)
     gamma_bytes = 16 * m**2 if n > 2 else 0
-    report_terms = max(_SLAB_BYTES, state_bytes // m) + 2 * (state_bytes // m) + gamma_bytes
-    if m > counting._DENSE_EIG_MAX_DIM:
-        assert peak <= report_terms + 16 * m * _LANCZOS_BASIS
-    else:
-        assert peak <= report_terms + _ONE_BODY_ALLOWANCE
+    report_terms = (max(_SLAB_BYTES, state_bytes // m) + 2 * (state_bytes // m) + gamma_bytes
+                    + 16 * m * _LANCZOS_BASIS)
+    assert peak <= max(pair_terms, report_terms)
 
 
 def test_run_single_peak_independent_of_report_count(tmp_path, traced_peak):
@@ -465,6 +473,9 @@ NAN, INF = float("nan"), float("inf")
                             "initial": {**BASE["initial"], "center": [0.0, 0.0]}},
                  id="ladder-center-long"),
     pytest.param("coulomb-norms", {"eps_list": [0.1, 0.9]}, id="coulomb-eps-above-half"),
+    # an NLS run's coupling b is defined for the ground confined mode only
+    pytest.param("bounds", json.dumps({**NLS_DEMO, "mode_index": 1, "time_horizon": 0.05}),
+                 id="nls-excited-mode"),
 ])
 def test_cli_bad_config_file(tmp_path, capsys, command, document):
     # every config is refused before --out is made and before a result is printed
