@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
+from . import grids
 from .errors import ConfigError, InvariantError
 from .grids import apply_kinetic, row_blocks
 from .manybody import (
@@ -264,51 +265,88 @@ def _sector_weights(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """p(k) = C(N,k) ||q^(x)k c_{N-k}||^2 (euclidean) for a symmetric psi.
 
     ``psi`` has one axis per particle and is only read.  c_l = <phi^(x)l|psi>
-    contracts psi with phi* on its last l axes: a chain of tensors shrinking
-    by m per link, since p = |phi><phi| on an axis only keeps its
-    coefficient.  Each c_{N-k}, psi itself at k = N, is walked as its
-    (m, m^(k-1)) view in the ``grids.row_blocks`` of its m rows (one row
-    when a row is larger than a slab), as the many-body substep walks the
-    state.  With
-    c0 = <phi|c> along the first axis (one gemv), a block's q part on that
-    axis, c[rows] - phi[rows] (x) c0, goes into one block buffer; q on the
-    other axes acts in place inside it, and its squared norm is summed.  So
-    besides psi only the block buffer and 1/m-sized coefficients are made.
+    contracts psi with phi* on its first l axes: a chain of tensors
+    shrinking by m per link, since p = |phi><phi| on an axis only keeps its
+    coefficient.  Each link c = c_{N-k}, psi itself at k = N, gives
+    c0 = <phi|c> on its first axis (one gemv), which is both the q part's
+    correction on that axis and the next link, so the chain only ever
+    contracts axis 0 and holds psi, one link and c0.  ``_q_weight`` walks
+    c's (m, m^(k-1)) view through one slab: the q part on axis 0 of a block
+    of rows, or of an axis-1 slice of one row when a row is larger than a
+    slab, goes into one buffer, q on the other axes acts in place inside
+    it, and its squared norm is summed.
 
     Precondition: psi is permutation symmetric, which makes every pattern
-    of k q's and N - k p's as heavy as the first-k one.  Off symmetry the
+    of k q's and N - k p's as heavy as the last-k one (p on the first N - k
+    axes, q on the rest) that the axis-0 chain computes.  Off symmetry the
     error of p(k) is at most 2 min(k, N-k) C(N,k) r ||psi|| for a
-    transposition residual r (each pattern is the first-k one conjugated by
+    transposition residual r (each pattern is the last-k one conjugated by
     at most min(k, N-k) transpositions), so it scales with the residual.
     """
     n, m = psi.ndim, phi.size
     out = np.empty(n + 1)
     c = psi
     for k in range(n, 0, -1):  # c = c_{N-k}
-        rest = m ** (k - 1)
-        mat = c.reshape(m, rest)
+        mat = c.reshape(m, -1)
         c0 = np.conj(phi) @ mat
-        row_bytes = psi.itemsize * rest
+        out[k] = math.comb(n, k) * _q_weight(mat, c0, phi, k)
+        c = c0  # the walk's buffer was freed on its return
+    out[0] = abs(c.item()) ** 2
+    return out
+
+
+def _q_weight(mat: np.ndarray, c0: np.ndarray, phi: np.ndarray, k: int) -> float:
+    """||q^(x)k c||^2 for the link c = mat.reshape((m,)*k) and c0 = <phi|c> on axis 0.
+
+    A row of c (m^(k-1) entries) that fits a slab is walked in the
+    ``grids.row_blocks`` of the m rows: a block's q part on axis 0,
+    c[rows] - phi[rows] (x) c0, goes into one block buffer.  A larger row i
+    is walked in blocks of its m axis-1 slices (m^(k-2) entries each): one
+    gemv gives the row's axis-1 coefficients d_i = <phi|c[i]>_1 -
+    phi_i <phi|c0>_1, and a block J's q part on axes 0 and 1,
+    c[i, J] - phi_i c0[J] - phi_J (x) d_i, goes into the buffer.  q on the
+    remaining axes then acts in place inside it.  Either way the scratch is
+    one slab: the row blocks, or the slice blocks beside d_i and
+    <phi|c0>_1 (one slice and the two when a slice is over a third of a
+    slab).  It is freed on return, before the caller makes the next link.
+    """
+    m, rest = mat.shape
+    row_bytes = mat.itemsize * rest
+    total = 0.0
+    if k == 1 or row_bytes <= grids._SLAB_BYTES:
         rows = next(row_blocks((m,), row_bytes))[1]  # the first block is the largest
         buf = np.empty((rows, rest), dtype=np.complex128)
-        total = 0.0
         for lo, hi, _ in row_blocks((m,), row_bytes):
             block = buf[:hi - lo]
-            if block.size <= np.getbufsize():
-                np.multiply(phi[lo:hi, None], c0, out=block)
-            else:  # row by row: a broadcast product would take two ufunc buffers
-                for i, p in enumerate(phi[lo:hi]):
-                    np.multiply(p, c0, out=block[i])
-            np.subtract(mat[lo:hi], block, out=block)
+            np.copyto(block, mat[lo:hi])
+            blas.zgeru(-1.0, c0, phi[lo:hi], a=block.T, overwrite_a=1)
             block = block.reshape((-1,) + (m,) * (k - 1))
             for axis in range(1, k):
                 _project_q_in_place(block, phi, axis)
             total += np.vdot(block, block).real
-        out[k] = math.comb(n, k) * total
-        del buf, block  # before the next link and buffer are made
-        c = c.reshape(-1, m) @ np.conj(phi)
-    out[0] = abs(c.item()) ** 2
-    return out
+        return total
+    unit = rest // m
+    step = max(1, grids._SLAB_BYTES // (row_bytes // m) - 2)
+    buf = np.empty((step + 2, unit), dtype=np.complex128)
+    e0, d = buf[0], buf[1]
+    phi_conj = np.conj(phi)
+    c0 = c0.reshape(m, unit)
+    np.matmul(phi_conj, c0, out=e0)  # <phi|c0>_1
+    for i in range(m):
+        row = mat[i].reshape(m, unit)
+        np.multiply(e0, -phi[i], out=d)  # then d_i += row^T phi*, on the F-ordered row.T
+        blas.zgemv(1.0, row.T, phi_conj, beta=1.0, y=d, overwrite_y=1)
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            block = buf[2:2 + hi - lo]
+            np.multiply(c0[lo:hi], phi[i], out=block)
+            np.subtract(row[lo:hi], block, out=block)
+            blas.zgeru(-1.0, d, phi[lo:hi], a=block.T, overwrite_a=1)
+            block = block.reshape((-1,) + (m,) * (k - 2))
+            for axis in range(1, k - 1):
+                _project_q_in_place(block, phi, axis)
+            total += np.vdot(block, block).real
+    return total
 
 
 def beta(psi, phi, weight: float = 1.0) -> float:
@@ -571,10 +609,10 @@ def compute_report(state: ManyBodyState, one_body: OneBodyState,
     distribution uses the symmetric route ``_sector_weights`` without
     re-checking; ``manybody._energy_and_residual`` has refused a residual
     above SYMMETRY_TOL and returned gamma.  Besides psi and gamma (m^2 at
-    N >= 3, read through psi at N <= 2) the report holds one
-    ``grids.row_blocks`` block (at most a slab, or one 1/m-sized row when a
-    row is larger) and 1/m-sized coefficients, then the trace distance's
-    Lanczos basis of ``_LANCZOS_BASIS`` m-sized vectors: psi is not copied.
+    N >= 3, read through psi at N <= 2) the report holds the chain's one
+    1/m-sized link, its slab of walk scratch and two 1/m^2-sized arrays,
+    then the trace distance's Lanczos basis of ``_LANCZOS_BASIS`` m-sized
+    vectors: neither psi nor a row of it is copied.
     """
     psi, phi, n, amp = _grid_frame(state, one_body)
     pk = amp**2 * _sector_weights(psi, phi)

@@ -133,20 +133,23 @@ def working_set_bytes(spec: ModelSpec) -> int:
       the potential substep multiplies in place by views of the pair table.
     - a snapshot's pair energy (``_pair_expectation``): the snapshot and the
       real table it rebuilds, first with the m_f m_c^2 kernel C that fills
-      it, then with its rho_2 buffer and the flattened kernel rows, which
-      share one slab (16m bytes when one row is larger).  The evolver's
+      it, then with its rho_2 buffer, which is half a slab (8m bytes when
+      one row is larger), and the kernel rows, read in place.  The evolver's
       setup holds less: the input state and the real table, beside the
       complex phase made from it.
     - a snapshot's diagnostics: the snapshot and its ``OneBodyDensity``,
-      with a counting report's row block (one slab, or one 1/m-sized row
-      when a row is larger), two 1/m-sized coefficient arrays and the
-      trace distance's Lanczos basis (``_LANCZOS_BASIS`` m-sized vectors;
-      its few work vectors come after the row block is freed).  The
-      density is the m^2-sized gamma at N >= 3, freed before the next
+      with a counting report's occupation chain (``counting._sector_weights``)
+      and the trace distance's Lanczos basis (``_LANCZOS_BASIS`` m-sized
+      vectors; its few work vectors come after the chain is freed).  The
+      chain holds one 1/m-sized link, one slab of walk scratch (one
+      1/m^2-sized axis-1 slice when that is larger) and two 1/m^2-sized
+      arrays: the next link beside the second link's walk, or the first
+      link's axis-1 coefficients when a slice crowds them out of the slab.
+      The density is the m^2-sized gamma at N >= 3, freed before the next
       step; at N <= 2 (``_density_is_factored``) it is read through the
       snapshot, and only its largest group-reduced matrix is formed.  The
-      symmetry check walks its differences through one slab, so it does not
-      exceed the report's row block.
+      symmetry check walks its differences through one slab, so it does
+      not exceed the chain's scratch.
     """
     m = int(np.prod(spec.domain.shape))
     state = estimate_state_bytes(spec)
@@ -158,8 +161,8 @@ def working_set_bytes(spec: ModelSpec) -> int:
         gamma = 16 * max(axis_groups(spec.domain.shape)) ** 2
     else:
         gamma = 16 * m**2
-    report = (state + gamma + max(_SLAB_BYTES, state // m) + 2 * (state // m)
-              + 16 * m * _LANCZOS_BASIS)
+    report = (state + gamma + state // m + max(_SLAB_BYTES, state // m**2)
+              + 2 * (state // m**2) + 16 * m * _LANCZOS_BASIS)
     return 2 * table + max(step, pair, report) + _ONE_BODY_ALLOWANCE
 
 
@@ -579,13 +582,14 @@ def _pair_expectation(state: ManyBodyState, spec: ModelSpec) -> float:
     """sum_{x_1, x_2} W(x_1, x_2) rho_2(x_1, x_2) times the cell volume of Omega^N.
 
     rho_2(x_1, x_2) = sum_rest |psi(x_1, x_2, rest)|^2 is summed over the
-    ``grids.row_blocks`` of x_1 on the pair view's grid: each block's kernel
-    rows are pair[box], a view of the offset table that ``vdot`` flattens
-    into a transient, and its rho_2 rows come from one ``einsum`` over the
-    real view of psi into one buffer.  A row is 8m bytes in each, so the
-    blocks are budgeted at 16m bytes a row and the two fit one slab
-    together.  So neither an m^2-sized kernel nor an m^2-sized rho_2 is
-    formed, and no state-sized product.
+    ``grids.row_blocks`` of x_1 on the pair view's grid: each block's rho_2
+    rows come from one ``einsum`` over the real view of psi into one
+    buffer, and a second ``einsum`` contracts them with the block's kernel
+    rows pair[box], a strided view of the offset table that it reads in
+    place (``vdot`` would flatten a copy of it).  The blocks are budgeted
+    at 16m bytes a row, twice a rho_2 row, so the buffer is half a slab.
+    So neither an m^2-sized kernel nor an m^2-sized rho_2 is formed, and no
+    state-sized product.
     """
     m = math.prod(state.domain.shape)
     pair = _pair_view(_pair_table(spec))  # m_f m_c^2 samples: cheap to rebuild per snapshot
@@ -596,7 +600,9 @@ def _pair_expectation(state: ManyBodyState, spec: ModelSpec) -> float:
     for lo, hi, box in row_blocks(grid, 16 * m):
         block = parts[lo:hi]
         rows = np.einsum("abr,abr->ab", block, block, out=rho2[:hi - lo])
-        total += float(np.vdot(pair[box], rows))
+        kernel = pair[box]
+        axes = list(range(kernel.ndim))
+        total += float(np.einsum(kernel, axes, rows.reshape(kernel.shape), axes, []))
     return total * state.cell_volume
 
 

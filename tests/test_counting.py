@@ -13,6 +13,7 @@ from confinedbose import grids
 from confinedbose.errors import ConfigError, InvariantError
 from confinedbose.grids import ConfinedDomain, FreeDomain, GridFunction, ProductDomain, norm
 from confinedbose.manybody import (
+    _LANCZOS_BASIS,
     ManyBodyState,
     OneBodyDensity,
     _energy_and_residual,
@@ -331,15 +332,25 @@ def test_project_q_in_place_matches_project_q(shape):
         assert np.max(np.abs(v - cnt.project_q(psi, phi, axis))) < 1e-12
 
 
-@pytest.mark.parametrize("top_rows", [1, 4, None], ids=["one-row", "4-rows-uneven", "one-block"])
+@pytest.mark.parametrize("slab", [
+    pytest.param(lambda row, m: row, id="one-row"),
+    pytest.param(lambda row, m: 4 * row, id="4-rows-uneven"),
+    pytest.param(None, id="one-block"),
+    pytest.param(lambda row, m: row // 2, id="half-row"),
+    pytest.param(lambda row, m: 5 * (row // m), id="3-slices-uneven"),
+    pytest.param(lambda row, m: row // m // 2, id="under-a-slice"),
+])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_sector_weights_block_walk_matches_enumeration(n, top_rows, monkeypatch):
-    # c_{N-k} is walked in row blocks; a slab of top_rows rows of psi (one
-    # row; 4 + 2 rows; the default slab, all rows at once) reaches every
-    # block layout, and the smaller c_{N-k} take several rows per block
-    m = 6
-    if top_rows is not None:
-        monkeypatch.setattr(grids, "_SLAB_BYTES", 16 * m ** (n - 1) * top_rows)
+def test_sector_weights_block_walk_matches_enumeration(n, slab, monkeypatch):
+    # c_{N-k} is walked in row blocks, or in blocks of axis-1 slices of one
+    # row when a row is larger than the slab; a slab sized from a row of
+    # psi (one row; 4 + 3 rows; the default slab, all rows at once; half a
+    # row, so one slice beside d_i and <phi|c0>_1; five slices, so blocks of
+    # 3 + 3 + 1 slices; half a slice, so one slice past the slab) reaches
+    # every layout, and the smaller c_{N-k} take several rows per block
+    m = 7
+    if slab is not None:
+        monkeypatch.setattr(grids, "_SLAB_BYTES", slab(16 * m ** (n - 1), m))
     rng = np.random.default_rng(70 + n)
     phi = random_unit(rng, m)
     near = phi
@@ -355,7 +366,7 @@ def test_sector_weights_block_walk_matches_enumeration(n, top_rows, monkeypatch)
 
 def test_compute_report_does_not_copy_psi(monkeypatch, traced_peak):
     # symmetric N = 4 state on the smallest grid, 8 x 2 (m = 16), a 1 MiB
-    # state; a slab of a quarter state, whatever the default slab
+    # state with 64 KiB rows
     dom = ProductDomain(FreeDomain((8.0,), (8,)), ConfinedDomain(UNIT_INTERVAL, (2,), eps=0.5))
     m = math.prod(dom.shape)
     psi = random_symmetric(np.random.default_rng(21), m, 4) / dom.cell_volume**2
@@ -363,10 +374,21 @@ def test_compute_report_does_not_copy_psi(monkeypatch, traced_peak):
     phi = GridFunction(dom.free, np.exp(-dom.free.meshgrid()[0] ** 2 / 4.0))
     one = OneBodyState(phi.copy_with(phi.values / norm(phi)), chi_mode(dom.confined, 0))
     gamma = OneBodyDensity(state)  # at N = 4 the dense m x m matrix, formed here
+    link = state.values.nbytes // m
+
+    # a slab of a quarter state, whatever the default slab: blocks of rows
     monkeypatch.setattr(grids, "_SLAB_BYTES", state.values.nbytes // 4)
     report, peak = traced_peak(lambda: cnt.compute_report(state, one, 0.0, 0.0, gamma))
     assert peak < state.values.nbytes / 2
     assert sum(report.p_k) == pytest.approx(1.0, abs=1e-12)
+
+    # a slab of half a row: the rows of psi are walked in axis-1 slices, not
+    # copied, so the chain holds one link, the slab and two 1/m^2-sized
+    # arrays (working_set_bytes' terms), then the Lanczos basis
+    monkeypatch.setattr(grids, "_SLAB_BYTES", link // 2)
+    sliced, peak = traced_peak(lambda: cnt.compute_report(state, one, 0.0, 0.0, gamma))
+    assert peak <= link + grids._SLAB_BYTES + 2 * (link // m) + 16 * m * _LANCZOS_BASIS
+    assert np.max(np.abs(np.subtract(sliced.p_k, report.p_k))) < 1e-14
 
 
 def test_binomial_route_rejects_asymmetric():

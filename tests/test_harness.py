@@ -143,13 +143,13 @@ def test_snapshot_diagnostics_peak(traced_peak, n, grid):
     # one snapshot's energy and counting report, traced beyond psi.  The
     # terms are those of working_set_bytes, the larger of two moments.  The
     # energy's pair term rebuilds the real pair table (2^d_f m_f m_c^2
-    # reals), first beside its kernel C (m_f m_c^2), then beside its two
-    # buffers, which share one slab; it forms no m^2-sized array.  The
-    # report holds its row block (a slab, or one 1/m-sized row when a row
-    # is larger; psi is not copied), its two 1/m-sized coefficient arrays,
+    # reals), first beside its kernel C (m_f m_c^2), then beside its rho_2
+    # buffer (at most a slab); it forms no m^2-sized array.  The report's
+    # occupation chain holds one 1/m-sized link, a slab of walk scratch
+    # (psi and its rows are not copied) and two 1/m^2-sized arrays, beside
     # the m^2-sized gamma at N >= 3 (at N = 2 it is read through psi, not
-    # formed) and the trace distance's Lanczos basis, whose few m-sized
-    # work vectors fit the freed row block.  No allowance is granted.
+    # formed), then the trace distance's Lanczos basis, whose few m-sized
+    # work vectors fit the freed scratch.  No allowance is granted.
     cfg = config(n_particles=n, **grid)
     spec = cfg.model_spec()
     one = harness.initial_state(spec, cfg.initial)
@@ -167,8 +167,8 @@ def test_snapshot_diagnostics_peak(traced_peak, n, grid):
     table = 2**spec.free.dim * kernel
     pair_terms = table + max(kernel, _SLAB_BYTES, 16 * m)
     gamma_bytes = 16 * m**2 if n > 2 else 0
-    report_terms = (max(_SLAB_BYTES, state_bytes // m) + 2 * (state_bytes // m) + gamma_bytes
-                    + 16 * m * _LANCZOS_BASIS)
+    report_terms = (state_bytes // m + max(_SLAB_BYTES, state_bytes // m**2)
+                    + 2 * (state_bytes // m**2) + gamma_bytes + 16 * m * _LANCZOS_BASIS)
     assert peak <= max(pair_terms, report_terms)
 
 
