@@ -16,7 +16,8 @@ Quadrature is uniform-weight, consistent with the eigenbasis sampling.
 All operations here are pure functions of immutable inputs, except that
 ``apply_along(..., out=)`` writes ``out`` and ``strang_steps`` writes the
 array it is given; grid functions are value-like and safe to share between
-threads.
+threads.  A state-sized slab walk runs on every CPU of the process's
+affinity mask (``_walk_in_parts``), with the same results to the bit.
 """
 
 from __future__ import annotations
@@ -338,6 +339,63 @@ def row_blocks(shape: tuple, row_bytes: int):
             yield (k * n + j) * inner, (k * n + hi) * inner, lead + (slice(j, hi),)
 
 
+_pool = None  # the slab walks' W - 1 worker threads, made on first use
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _workers() -> int:
+    """W, the number of parts of a slab walk: the CPUs in the process's affinity mask
+    (all CPUs where the platform has no affinity mask, as on macOS and Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _walk_in_parts(blocks, walk) -> list:
+    """``walk`` on W contiguous parts of the sequence ``blocks``; its results in block order.
+
+    ``walk(part)`` takes a slice of ``blocks`` (a list, or a range of block
+    numbers), allocates its own scratch, and returns a list of its results
+    in block order (empty for a walk that only writes).  W is
+    ``_workers()``, capped at the number of blocks.  The calling thread
+    walks the first part, and a process-wide pool of W - 1 threads, made on
+    first use, walks the others; the caller waits for every part before it
+    returns or raises.  numpy's matmul, ufuncs and vdot release the GIL, so
+    the parts run at the same time.  A reduction adds the returned values
+    in order on the caller, which is the sequential summation order, so
+    results are the same to the bit whatever W.  One block, or one CPU, is
+    the plain loop on the calling thread.  ``walk`` runs block bodies only:
+    it calls no public function of the package (``perfbench``'s tracer
+    keeps one span stack) and never walks in parts itself (a worker would
+    wait on the pool it occupies).
+    """
+    global _pool
+    w = min(_workers(), len(blocks))
+    if w <= 1:
+        return walk(blocks)
+    from concurrent.futures import ThreadPoolExecutor, wait  # not loaded at import
+
+    if _pool is None:
+        _pool = ThreadPoolExecutor(w - 1, thread_name_prefix="slab-walk")
+    cuts = [len(blocks) * p // w for p in range(w + 1)]
+    futures = [_pool.submit(walk, blocks[lo:hi]) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        results = walk(blocks[:cuts[1]])
+    finally:
+        wait(futures)
+    for future in futures:
+        results += future.result()
+    return results
+
+
 def apply_along(values: np.ndarray, mat: np.ndarray, axis: int,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Apply the square matrix ``mat`` to ``values`` along ``axis``.
@@ -348,33 +406,39 @@ def apply_along(values: np.ndarray, mat: np.ndarray, axis: int,
     ``row_blocks`` of its (left, right) columns of n entries: several whole
     (n, right) slices, or column chunks of one slice when a slice is larger
     than a slab (row blocks of the (left, n) view when right == 1).  Each
-    block's product goes into one scratch buffer and is copied back into the
-    block, so an in-place sweep allocates one slab, not a second state
-    (cache blocking of dense products: Goto & van de Geijn, ACM TOMS 34(3),
-    2008).
+    block's product goes into its part's scratch buffer and is copied back
+    into the block, so an in-place sweep allocates one slab per worker of
+    ``_walk_in_parts``, not a second state (cache blocking of dense
+    products: Goto & van de Geijn, ACM TOMS 34(3), 2008).
     """
     shape = values.shape
     n = shape[axis]
     left = math.prod(shape[:axis])
     right = math.prod(shape[axis + 1:])
+    dtype = np.result_type(values, mat)
     if out is None:
-        out = np.empty(shape, np.result_type(values, mat))
+        out = np.empty(shape, dtype)
     elif out.shape != shape or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous array of the shape of values")
     src, dst = values.reshape(left, n, right), out.reshape(left, n, right)
-    row_bytes = n * values.itemsize
-    rows = next(row_blocks((left, right), row_bytes))[1]  # the first block is the largest
-    scratch = np.empty(rows * n, np.result_type(values, mat))
-    for _, _, box in row_blocks((left, right), row_bytes):
-        # the box of (left, right) columns, with the n axis whole between
-        index = box[:1] + (slice(None),) + (box[1:] if right > 1 else (0,))
-        block = src[index]
-        prod = scratch[:block.size].reshape(block.shape)
-        if right == 1:  # (rows, n) @ mat.T, not one matrix-vector product per row
-            np.matmul(block, mat.T, out=prod)
-        else:
-            np.matmul(mat, block, out=prod)
-        dst[index] = prod
+    blocks = list(row_blocks((left, right), n * values.itemsize))
+    size = blocks[0][1] * n  # the first block is the largest
+
+    def walk(part):
+        scratch = np.empty(size, dtype)
+        for _, _, box in part:
+            # the box of (left, right) columns, with the n axis whole between
+            index = box[:1] + (slice(None),) + (box[1:] if right > 1 else (0,))
+            block = src[index]
+            prod = scratch[:block.size].reshape(block.shape)
+            if right == 1:  # (rows, n) @ mat.T, not one matrix-vector product per row
+                np.matmul(block, mat.T, out=prod)
+            else:
+                np.matmul(mat, block, out=prod)
+            dst[index] = prod
+        return []
+
+    _walk_in_parts(blocks, walk)
     return out
 
 
@@ -437,7 +501,8 @@ def strang_steps(values: np.ndarray, half, full, substep, steps: int, stride: in
     whole into its scratch before writing it back, so it is bit for bit the
     out-of-place product.  The yielded array is ``values`` itself, valid
     until the next step is requested; a caller that keeps a snapshot copies
-    it.  So one state-sized array is alive, with one slab scratch per sweep.
+    it.  So one state-sized array is alive, with one slab scratch per worker
+    of a sweep (``_walk_in_parts``).
     """
     for k in range(steps):
         if k % stride == 0:  # otherwise the previous step closed with a full kick

@@ -19,9 +19,10 @@ density.  gamma (``OneBodyDensity``) is formed only where it is smaller
 than the state (N >= 3); at N <= 2 it is read through the snapshot.
 Everything is desk scale: a memory guard refuses runs whose working set
 (``working_set_bytes``: one state-sized array whatever N, with a slab
-scratch in a step or a snapshot's diagnostics; the pair phase on its
-offset lattice; a one-body allowance) exceeds a configurable cap (2 GiB by
-default).
+scratch per worker in a step or a snapshot's diagnostics; the pair phase on
+its offset lattice; a one-body allowance) exceeds a configurable cap (2 GiB
+by default).  Every slab walk runs on the CPUs of the process's affinity
+mask (``grids._walk_in_parts``) with the same results to the bit.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from .errors import ConfigError, GuardError
 from .grids import (
     _SLAB_BYTES,
     ProductDomain,
+    _walk_in_parts,
+    _workers,
     axis_groups,
     axis_operators,
     kinetic_trace,
@@ -117,6 +120,9 @@ def estimate_state_bytes(spec: ModelSpec) -> int:
 
 
 _ONE_BODY_ALLOWANCE = 1 << 20  # bytes: one-body arrays, trajectory and report objects
+# numpy's buffers while a ufunc reads two strided complex operands (8192 entries each by
+# default): traced with numpy 2.4, one residual subtract took 204 KB, a phase multiply 136 KB
+_UFUNC_BUFFERS = 2 * 16 * np.getbufsize()
 _LANCZOS_BASIS = 16  # m-sized vectors of the trace distance's Lanczos basis (counting)
 
 
@@ -125,45 +131,54 @@ def working_set_bytes(spec: ModelSpec) -> int:
 
     The evolver holds its pair phase for the whole run as the tiled offset
     table (``_pair_table``, 2^d_f m_f m_c^2 entries), whatever N: every pair
-    multiplies by views of it.  Besides that, the largest of three moments:
+    multiplies by views of it.  Every slab walk runs in W parts
+    (``grids._walk_in_parts``, W the CPUs of the process's affinity mask),
+    each with its own scratch, so each moment budgets W scratch slabs of
+    ``grids._SLAB_BYTES``, and each worker but the calling thread, whose
+    share the one-body allowance covers, numpy's ufunc buffers for two
+    strided operands (``_UFUNC_BUFFERS``).  Besides the table, the largest
+    of three moments:
 
     - a step: the one state-sized array, which is the input's buffer, every
-      snapshot's and the Strang step's, with one slab scratch of
-      ``grids._SLAB_BYTES``: every kick sweep acts in place through it, and
-      the potential substep multiplies in place by views of the pair table.
+      snapshot's and the Strang step's, with W slab scratches: every kick
+      sweep acts in place through them, and the potential substep
+      multiplies in place by views of the pair table.
     - a snapshot's pair energy (``_pair_expectation``): the snapshot and the
       real table it rebuilds, first with the m_f m_c^2 kernel C that fills
-      it, then with its rho_2 buffer, which is half a slab (8m bytes when
-      one row is larger), and the kernel rows, read in place.  The evolver's
+      it, then with W rho_2 buffers, each half a slab (8m bytes when one
+      row is larger), and the kernel rows, read in place.  The evolver's
       setup holds less: the input state and the real table, beside the
       complex phase made from it.
     - a snapshot's diagnostics: the snapshot and its ``OneBodyDensity``,
       with a counting report's occupation chain (``counting._sector_weights``)
       and the trace distance's Lanczos basis (``_LANCZOS_BASIS`` m-sized
       vectors; its few work vectors come after the chain is freed).  The
-      chain holds one 1/m-sized link, one slab of walk scratch (one
-      1/m^2-sized axis-1 slice when that is larger) and two 1/m^2-sized
-      arrays: the next link beside the second link's walk, or the first
-      link's axis-1 coefficients when a slice crowds them out of the slab.
-      The density is the m^2-sized gamma at N >= 3, freed before the next
-      step; at N <= 2 (``_density_is_factored``) it is read through the
-      snapshot, and only its largest group-reduced matrix is formed.  The
-      symmetry check walks its differences through one slab, so it does
-      not exceed the chain's scratch.
+      chain holds one 1/m-sized link and, per worker, one slab of walk
+      scratch (one 1/m^2-sized axis-1 slice when that is larger) and two
+      1/m^2-sized arrays: the worker's axis-1 coefficients when a slice
+      crowds them out of its slab, or else its small projection
+      coefficients and its share of the next link, which sits beside the
+      second link's walk.  The density is the m^2-sized gamma at N >= 3,
+      freed before the next step; at N <= 2 (``_density_is_factored``) it
+      is read through the snapshot, and only its largest group-reduced
+      matrix is formed.  The symmetry check walks its differences through
+      one slab per worker, so it does not exceed the chain's scratch.
     """
     m = int(np.prod(spec.domain.shape))
     state = estimate_state_bytes(spec)
+    workers = _workers()
     kernel = 8 * math.prod(spec.free.shape) * math.prod(spec.confined.shape) ** 2
     table = 2**spec.free.dim * kernel  # real; the held phase is complex
-    step = state + _SLAB_BYTES
-    pair = state + table + max(kernel, _SLAB_BYTES, 16 * m)
+    step = state + workers * _SLAB_BYTES
+    pair = state + table + max(kernel, workers * max(_SLAB_BYTES, 16 * m))
     if _density_is_factored(spec.n_particles):
         gamma = 16 * max(axis_groups(spec.domain.shape)) ** 2
     else:
         gamma = 16 * m**2
-    report = (state + gamma + state // m + max(_SLAB_BYTES, state // m**2)
-              + 2 * (state // m**2) + 16 * m * _LANCZOS_BASIS)
-    return 2 * table + max(step, pair, report) + _ONE_BODY_ALLOWANCE
+    walk = max(_SLAB_BYTES, state // m**2) + 2 * (state // m**2)
+    report = state + gamma + state // m + workers * walk + 16 * m * _LANCZOS_BASIS
+    ufuncs = (workers - 1) * _UFUNC_BUFFERS
+    return 2 * table + max(step, pair, report) + ufuncs + _ONE_BODY_ALLOWANCE
 
 
 def check_memory_cap(spec: ModelSpec, cap: int) -> None:
@@ -308,30 +323,47 @@ def _transposition_residual(values: np.ndarray, n: int, block: int) -> float:
     and is antisymmetric in (a, b), so ||values - sigma values||^2 is twice
     its sum over a < b.  For each a, the piece [:, a, :, b > a, :] minus the
     transposed piece [:, b > a, :, a, :] is taken in the ``grids.row_blocks``
-    of the piece, each block into one reused buffer of at most a slab; a
-    piece that fits the buffer is one block.  Not 2||v||^2 - 2 Re<v, sigma v>:
-    its cancellation leaves ~1e-8 on states symmetric up to roundoff.
+    of the piece (one item when it fits a slab), each item into its part's
+    reused buffer of at most a slab.  The items, held as (a, box) with no
+    view made before its part walks it, are grouped into blocks of at most
+    a slab each, which ``grids._walk_in_parts`` splits, so a state that
+    fits a slab is one block, and their squared norms are added in item
+    order.  Not 2||v||^2 - 2 Re<v, sigma v>: its cancellation leaves
+    ~1e-8 on states symmetric up to roundoff.
     """
     m = math.prod(values.shape[:block])
-    buf = np.empty(min(values.size // m, _SLAB_BYTES // values.itemsize), dtype=values.dtype)
-
-    def squared(upper, lower):  # ||upper - lower||^2 through the buffer
-        d = buf[:upper.size].reshape(upper.shape)
-        np.subtract(upper, lower, out=d)
-        return np.vdot(d, d).real
-
+    slab = _SLAB_BYTES // values.itemsize
+    size = min(values.size // m, slab)  # a piece has at most 1/m of the entries
     worst = 0.0
     for i, j in itertools.combinations(range(n), 2):
         v = values.reshape(m**i, m, m ** (j - i - 1), m, m ** (n - j - 1))
-        total = 0.0
+
+        def walk(part):  # ||upper - lower||^2 of each item (a, box), through one buffer
+            buf = np.empty(size, dtype=values.dtype)
+            sums = []
+            for group in part:
+                for a, box in group:
+                    upper = v[:, a, :, a + 1:, :][box]  # of the (P, Q, m - a - 1, R) piece
+                    lower = v[:, a + 1:, :, a, :].transpose(0, 2, 1, 3)[box]
+                    d = buf[:upper.size].reshape(upper.shape)
+                    np.subtract(upper, lower, out=d)
+                    sums.append(np.vdot(d, d).real)
+            return sums
+
+        groups, filled = [], slab
         for a in range(m - 1):
-            upper = v[:, a, :, a + 1:, :]  # (P, Q, m - a - 1, R)
-            lower = v[:, a + 1:, :, a, :].transpose(0, 2, 1, 3)
-            if upper.size <= buf.size:
-                total += squared(upper, lower)
-                continue
-            for _, _, box in row_blocks(upper.shape, values.itemsize):
-                total += squared(upper[box], lower[box])
+            shape = (v.shape[0], v.shape[2], m - a - 1, v.shape[4])
+            count = math.prod(shape)
+            boxes = [(0, count, ...)] if count <= size else row_blocks(shape, values.itemsize)
+            for lo, hi, box in boxes:
+                if filled + hi - lo > slab:
+                    groups.append([])
+                    filled = 0
+                groups[-1].append((a, box))
+                filled += hi - lo
+        total = 0.0
+        for squared in _walk_in_parts(groups, walk):  # in item order
+            total += squared
         worst = max(worst, math.sqrt(2.0 * total))
     return worst
 
@@ -359,29 +391,35 @@ def _apply_phases(values: np.ndarray, n: int, m: int, phase_one, pair):
     per-particle grid axes.  No factor is copied out of the view.  Per
     element the factors come in the order of whole-state passes (one-body
     i = 0..N-1, then the pairs in ``combinations`` order, those with
-    particle 0 first), so the product is the same to the bit.
+    particle 0 first), so the product is the same to the bit, however
+    ``grids._walk_in_parts`` splits the blocks.
     """
     rest = m ** (n - 1)
     view = values.reshape(m, rest)
     grid = (m,) if pair is None else pair.shape[:pair.ndim // 2]
     g = len(grid)
-    for lo, hi, box in row_blocks(grid, values.itemsize * rest):
-        block = view[lo:hi].reshape((-1,) + (m,) * (n - 1))
-        if phase_one is not None:
-            for i in range(n):
-                block *= (phase_one[lo:hi] if i == 0 else phase_one).reshape(
-                    [-1 if k == i else 1 for k in range(n)])
-        if n == 1:
-            continue
-        rows = pair[box]
-        lead = rows.shape[:-g]  # the box's sliced and whole axes
-        for j in range(1, n):
-            piece = view[lo:hi].reshape(lead + (m ** (j - 1),) + grid + (m ** (n - 1 - j),))
-            piece *= rows.reshape(lead + (1,) + grid + (1,))
-        by_particle = block.reshape((-1,) + grid * (n - 1))
-        for i, j in itertools.combinations(range(1, n), 2):
-            axes = [slice(None) if k in (i, j) else None for k in range(1, n) for _ in grid]
-            by_particle *= pair[(None,) + tuple(axes)]
+
+    def walk(part):
+        for lo, hi, box in part:
+            block = view[lo:hi].reshape((-1,) + (m,) * (n - 1))
+            if phase_one is not None:
+                for i in range(n):
+                    block *= (phase_one[lo:hi] if i == 0 else phase_one).reshape(
+                        [-1 if k == i else 1 for k in range(n)])
+            if n == 1:
+                continue
+            rows = pair[box]
+            lead = rows.shape[:-g]  # the box's sliced and whole axes
+            for j in range(1, n):
+                piece = view[lo:hi].reshape(lead + (m ** (j - 1),) + grid + (m ** (n - 1 - j),))
+                piece *= rows.reshape(lead + (1,) + grid + (1,))
+            by_particle = block.reshape((-1,) + grid * (n - 1))
+            for i, j in itertools.combinations(range(1, n), 2):
+                axes = [slice(None) if k in (i, j) else None for k in range(1, n) for _ in grid]
+                by_particle *= pair[(None,) + tuple(axes)]
+        return []
+
+    _walk_in_parts(list(row_blocks(grid, values.itemsize * rest)), walk)
 
 
 def evolve_manybody(state: ManyBodyState, spec: ModelSpec, T: float, dt: float,
@@ -583,26 +621,35 @@ def _pair_expectation(state: ManyBodyState, spec: ModelSpec) -> float:
 
     rho_2(x_1, x_2) = sum_rest |psi(x_1, x_2, rest)|^2 is summed over the
     ``grids.row_blocks`` of x_1 on the pair view's grid: each block's rho_2
-    rows come from one ``einsum`` over the real view of psi into one
-    buffer, and a second ``einsum`` contracts them with the block's kernel
-    rows pair[box], a strided view of the offset table that it reads in
-    place (``vdot`` would flatten a copy of it).  The blocks are budgeted
-    at 16m bytes a row, twice a rho_2 row, so the buffer is half a slab.
-    So neither an m^2-sized kernel nor an m^2-sized rho_2 is formed, and no
-    state-sized product.
+    rows come from one ``einsum`` over the real view of psi into its
+    part's buffer (``grids._walk_in_parts``), and a second ``einsum``
+    contracts them with the block's kernel rows pair[box], a strided view
+    of the offset table that it reads in place (``vdot`` would flatten a
+    copy of it); the blocks' terms are added in block order.  The blocks
+    are budgeted at 16m bytes a row, twice a rho_2 row, so a buffer is half
+    a slab.  So neither an m^2-sized kernel nor an m^2-sized rho_2 is
+    formed, and no state-sized product.
     """
     m = math.prod(state.domain.shape)
     pair = _pair_view(_pair_table(spec))  # m_f m_c^2 samples: cheap to rebuild per snapshot
     parts = state.values.reshape(m, m, -1).view(np.float64)
     grid = pair.shape[:pair.ndim // 2]
-    rho2 = np.empty((next(row_blocks(grid, 16 * m))[1], m))  # the first block is the largest
+    blocks = list(row_blocks(grid, 16 * m))
+
+    def walk(part):
+        rho2 = np.empty((blocks[0][1], m))  # the first block is the largest
+        sums = []
+        for lo, hi, box in part:
+            block = parts[lo:hi]
+            rows = np.einsum("abr,abr->ab", block, block, out=rho2[:hi - lo])
+            kernel = pair[box]
+            axes = list(range(kernel.ndim))
+            sums.append(float(np.einsum(kernel, axes, rows.reshape(kernel.shape), axes, [])))
+        return sums
+
     total = 0.0
-    for lo, hi, box in row_blocks(grid, 16 * m):
-        block = parts[lo:hi]
-        rows = np.einsum("abr,abr->ab", block, block, out=rho2[:hi - lo])
-        kernel = pair[box]
-        axes = list(range(kernel.ndim))
-        total += float(np.einsum(kernel, axes, rows.reshape(kernel.shape), axes, []))
+    for term in _walk_in_parts(blocks, walk):  # in block order
+        total += term
     return total * state.cell_volume
 
 

@@ -1,5 +1,6 @@
-"""Shared test oracles, grid builders, the traced-memory helper, the committed
-records' runs and their comparison."""
+"""Shared test oracles, grid builders, the traced-memory helper, slab walks
+split in a given number of parts, the committed records' runs and their
+comparison."""
 
 import contextlib
 import csv
@@ -8,6 +9,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import fft as sfft
 
+from confinedbose import grids, manybody
 from confinedbose.cli import main
 from confinedbose.counting import _frame, _grad_q_form, _grid_frame, project_p, project_q
 from confinedbose.grids import GridFunction, apply_along, axis_groups, axis_operators
@@ -122,6 +125,37 @@ def recorded_run():
 def traced_peak():
     """The traced-memory helper ``measure_traced_peak``."""
     return measure_traced_peak
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A thread pool that counts the parts submitted to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def split_walks(monkeypatch):
+    """``split_walks(w)``: slab walks in w parts whatever the machine's CPUs,
+    and a memory model of w workers, on a fresh ``CountingPool`` of w - 1
+    threads (one at w = 1), returned."""
+    pools = []
+
+    def use(workers):
+        pools.append(CountingPool(max(1, workers - 1)))
+        for module in (grids, manybody):
+            monkeypatch.setattr(module, "_workers", lambda: workers)
+        monkeypatch.setattr(grids, "_pool", pools[-1])
+        return pools[-1]
+
+    yield use
+    for pool in pools:
+        pool.shutdown()
 
 
 def _free_axis_basis(L, n):

@@ -1,8 +1,12 @@
-"""Grid, kinetic-operator, quadrature and file-format contracts."""
+"""Grid, kinetic-operator, quadrature, file-format and slab-walk contracts."""
+
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from confinedbose import grids
 from confinedbose.grids import (
     ConfinedDomain,
     FreeDomain,
@@ -295,6 +299,33 @@ def test_apply_along_matches_tensordot_in_and_out_of_place(shape):
         assert np.max(np.abs(work - expected)) <= 1e-14
     with pytest.raises(ValueError, match="C-contiguous"):
         apply_along(values, mat, 0, out=np.empty(shape[::-1], dtype=complex).T)
+
+
+def test_workers_are_the_affinity_mask_or_every_cpu(monkeypatch):
+    assert grids._workers() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
+    assert grids._workers() == (os.cpu_count() or 1)
+
+
+def test_forked_child_walks_in_parts(split_walks):
+    # the child of a fork has none of the parent's pool threads: it makes its
+    # own pool rather than wait on parts that nothing runs
+    split_walks(2)
+    rng = np.random.default_rng(14)
+    values = rng.normal(size=(64, 16, 64, 16)) + 1j * rng.normal(size=(64, 16, 64, 16))
+    mat = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))[0]
+    expected = apply_along(values, mat, 0)
+
+    def child():
+        os._exit(0 if np.array_equal(apply_along(values, mat, 0), expected) else 1)
+
+    process = multiprocessing.get_context("fork").Process(target=child)
+    process.start()
+    process.join(timeout=60)
+    if process.exitcode is None:
+        process.kill()
+        process.join()
+    assert process.exitcode == 0
 
 
 def test_apply_kinetic_eps_weighting(grid_sample):

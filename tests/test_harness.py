@@ -1,15 +1,18 @@
 """Experiment harness: configs, runs, ladders, lemma suite, CLI contract."""
 
 import dataclasses
+import inspect
 import json
 import math
 import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from confinedbose import counting, harness, manybody, onebody
+from confinedbose import counting, grids, harness, manybody, onebody
 from confinedbose.cli import main
 from confinedbose.errors import ConfigError, GuardError
 from confinedbose.harness import (
@@ -135,21 +138,76 @@ def test_run_single_peak_within_working_set(tmp_path, traced_peak, n, overrides,
         assert model <= 1.25 * peak
 
 
+@pytest.mark.parametrize("n, overrides", [
+    pytest.param(3, {"report_stride": 3, "potential": {"kind": "gaussian", "amplitude": 0.8,
+                                                       "sigma": 2.0, "omega": 3.0}},
+                 id="N3-m48-stride3-potential"),
+    pytest.param(2, TWO_CONFINED_AXES, id="N2-m1024"),
+])
+def test_run_single_peak_within_working_set_at_two_workers(tmp_path, traced_peak, split_walks,
+                                                           n, overrides):
+    # every state-sized walk split in two, each part with its own slab: the
+    # model budgets W = 2 scratch slabs at each of its moments
+    pool = split_walks(2)
+    cfg = config(**{"n_particles": n, "dt": 1e-2, "time_horizon": 3e-2, "report_stride": 1,
+                    **overrides})
+    _, peak = traced_peak(lambda: run_single(cfg, tmp_path / "run"))
+    assert pool.submitted > 0
+    assert peak <= working_set_bytes(cfg.model_spec())
+
+
+def test_lemma_suite_walks_on_the_calling_thread(split_walks):
+    # every lemma state fits one slab, so no walk is split, whatever W
+    pool = split_walks(2)
+    assert all(check.passed for check in verify_lemmas(seed=7, n_states=40))
+    assert pool.submitted == 0
+
+
+def test_public_functions_called_from_the_main_thread_only(tmp_path, monkeypatch,
+                                                           split_walks):
+    # the workers of a split walk run block bodies only: a run of several
+    # slabs per state calls every public function of the package from the
+    # main thread (a tracer of public functions keeps one span stack)
+    callers = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            callers.append((fn.__qualname__, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [module for name, module in sys.modules.items() if name.startswith("confinedbose")]
+    public = {fn: recorded(fn) for module in modules for fn in
+              (getattr(module, name) for name in getattr(module, "__all__", ()))
+              if inspect.isfunction(fn)}
+    for module in modules:  # every namespace that holds a public function
+        for attr, value in list(vars(module).items()):
+            if inspect.isfunction(value) and value in public:
+                monkeypatch.setattr(module, attr, public[value])
+    pool = split_walks(2)
+    cfg = config(n_particles=3, dt=1e-2, time_horizon=2e-2, report_stride=1)
+    run_single(cfg, tmp_path / "run")
+    assert pool.submitted > 0
+    assert {"apply_along", "evolve_manybody", "compute_report"} <= {n for n, _ in callers}
+    assert {thread for _, thread in callers} == {threading.main_thread()}
+
+
 @pytest.mark.parametrize("n, grid", [
     pytest.param(4, {}, id="N4-m48"),
     pytest.param(2, TWO_CONFINED_AXES, id="N2-m1024"),
 ])
 def test_snapshot_diagnostics_peak(traced_peak, n, grid):
     # one snapshot's energy and counting report, traced beyond psi.  The
-    # terms are those of working_set_bytes, the larger of two moments.  The
-    # energy's pair term rebuilds the real pair table (2^d_f m_f m_c^2
-    # reals), first beside its kernel C (m_f m_c^2), then beside its rho_2
-    # buffer (at most a slab); it forms no m^2-sized array.  The report's
-    # occupation chain holds one 1/m-sized link, a slab of walk scratch
-    # (psi and its rows are not copied) and two 1/m^2-sized arrays, beside
-    # the m^2-sized gamma at N >= 3 (at N = 2 it is read through psi, not
-    # formed), then the trace distance's Lanczos basis, whose few m-sized
-    # work vectors fit the freed scratch.  No allowance is granted.
+    # terms are those of working_set_bytes, the larger of two moments, at
+    # this process's W workers.  The energy's pair term rebuilds the real
+    # pair table (2^d_f m_f m_c^2 reals), first beside its kernel C
+    # (m_f m_c^2), then beside W rho_2 buffers (at most a slab each); it
+    # forms no m^2-sized array.  The report's occupation chain holds one
+    # 1/m-sized link and, per worker, a slab of walk scratch (psi and its
+    # rows are not copied) and two 1/m^2-sized arrays, beside the m^2-sized
+    # gamma at N >= 3 (at N = 2 it is read through psi, not formed), then
+    # the trace distance's Lanczos basis, whose few m-sized work vectors
+    # fit the freed scratch.  No allowance is granted.
     cfg = config(n_particles=n, **grid)
     spec = cfg.model_spec()
     one = harness.initial_state(spec, cfg.initial)
@@ -165,10 +223,12 @@ def test_snapshot_diagnostics_peak(traced_peak, n, grid):
     _, peak = traced_peak(diagnostics)
     kernel = 8 * math.prod(spec.free.shape) * math.prod(spec.confined.shape) ** 2
     table = 2**spec.free.dim * kernel
-    pair_terms = table + max(kernel, _SLAB_BYTES, 16 * m)
+    workers = grids._workers()
+    pair_terms = table + max(kernel, workers * max(_SLAB_BYTES, 16 * m))
     gamma_bytes = 16 * m**2 if n > 2 else 0
-    report_terms = (state_bytes // m + max(_SLAB_BYTES, state_bytes // m**2)
-                    + 2 * (state_bytes // m**2) + gamma_bytes + 16 * m * _LANCZOS_BASIS)
+    walk = max(_SLAB_BYTES, state_bytes // m**2) + 2 * (state_bytes // m**2)
+    report_terms = (state_bytes // m + workers * walk + gamma_bytes
+                    + 16 * m * _LANCZOS_BASIS)
     assert peak <= max(pair_terms, report_terms)
 
 

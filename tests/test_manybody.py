@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+from confinedbose import counting as cnt
 from confinedbose import grids, manybody
 from confinedbose.counting import alpha, compute_report, trace_distance
 from confinedbose.errors import ConfigError, GuardError, InvariantError
@@ -16,6 +18,7 @@ from confinedbose.grids import (
     GridFunction,
     ProductDomain,
     axis_groups,
+    axis_operators,
     kinetic_trace,
     norm,
 )
@@ -614,9 +617,10 @@ def test_evolver_releases_earlier_snapshots():
 def test_evolver_peak_above_its_input_is_a_slab(traced_peak):
     # N = 4, m = 48: an 81 MiB state stepped in place, with fused full kicks
     # between snapshots and a time-dependent potential.  Beyond its input the
-    # evolver holds the pair table, small one-body arrays and either the
-    # call-time symmetry check's slab buffer (a 1/m-sized one would be 1.7 MiB)
-    # or a step's slab scratch: no second state
+    # evolver holds the pair table, small one-body arrays and, per worker,
+    # either the call-time symmetry check's slab buffer (a 1/m-sized one
+    # would be 1.7 MiB) or a step's slab scratch, with each further worker's
+    # ufunc buffers (working_set_bytes' terms): no second state
     spec = small_spec(n=4, potential=ExternalPotential("gaussian", amplitude=0.8, sigma=2.0,
                                                        omega=3.0))
     psi0 = product_state(gaussian_one_body(spec), 4)
@@ -629,7 +633,9 @@ def test_evolver_peak_above_its_input_is_a_slab(traced_peak):
     st, peak = traced_peak(run)
     assert st.t == pytest.approx(0.03)
     held = manybody._pair_table(spec).nbytes
-    assert peak <= grids._SLAB_BYTES + held + manybody._ONE_BODY_ALLOWANCE
+    workers = grids._workers()
+    scratch = workers * grids._SLAB_BYTES + (workers - 1) * manybody._UFUNC_BUFFERS
+    assert peak <= scratch + held + manybody._ONE_BODY_ALLOWANCE
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -758,6 +764,71 @@ def test_row_blocks_tile_the_grid_in_order(monkeypatch, shape):
             assert np.array_equal(index[box].ravel(), np.arange(lo, hi))
             start = hi
         assert start == size
+
+
+CRITERION_12_M48 = dict(free=FreeDomain((12.0,), (16,)),  # the ladder config's 16 x 3
+                        confined=ConfinedDomain(UNIT_INTERVAL, (3,), eps=0.2))
+NLS_GRID_M1024 = dict(free=FreeDomain((16.0,), (64,)),  # the NLS demo's 64 x 4 x 4
+                      confined=ConfinedDomain(UNIT_INTERVAL * 2, (4, 4), eps=0.66))
+
+
+@pytest.mark.parametrize("n, grid, slab", [
+    pytest.param(3, CRITERION_12_M48, None, id="N3-m48"),
+    # a slab of half a row of psi: the occupation chain walks axis-1 slices
+    pytest.param(3, CRITERION_12_M48, 16 * 48**2 // 2, id="N3-m48-half-row-slab"),
+    pytest.param(2, NLS_GRID_M1024, None, id="N2-m1024"),
+])
+def test_slab_walks_same_to_the_bit_at_any_worker_count(monkeypatch, split_walks,
+                                                       n, grid, slab):
+    # every walk split by grids._walk_in_parts, on a state of several slabs,
+    # at W = 1, 2 and 5: the written arrays equal, the sums to the last bit
+    spec = ModelSpec(n_particles=n, regime="hartree-theta0",
+                     interaction=InteractionProfile("gaussian-bump", amplitude=2.5,
+                                                    radius=2.4, sigma=0.8), **grid)
+    if slab is not None:
+        monkeypatch.setattr(grids, "_SLAB_BYTES", slab)
+    dom = spec.domain
+    m = math.prod(dom.shape)
+    rng = np.random.default_rng(80 + n)
+    state = symmetric_random_state(dom, n, rng, t=0.0)
+    assert state.values.nbytes > 4 * grids._SLAB_BYTES
+    phi = rng.normal(size=m) + 1j * rng.normal(size=m)
+    phi /= np.linalg.norm(phi)
+    phase_one = np.exp(2j * np.pi * rng.random(m))
+    table = manybody._pair_table(spec)
+    pair = manybody._pair_view(np.exp(1j * table))
+    kicks = axis_operators(dom, lambda mult: np.exp(-0.5j * 1e-2 * mult)) * n
+
+    def walks():
+        kicked = state.values.copy().reshape(axis_groups(dom.shape) * n)
+        for axis, kick in enumerate(kicks):
+            grids.apply_along(kicked, kick, axis, out=kicked)
+        phased = state.values.copy()
+        _apply_phases(phased, n, m, phase_one, pair)
+        sums = [_transposition_residual(state.values, n, len(dom.shape)),
+                manybody._pair_expectation(state, spec),
+                *cnt._sector_weights(state.values.reshape((m,) * n), phi)]
+        return kicked, phased, [float(x).hex() for x in sums]
+
+    pool = split_walks(1)
+    plain = walks()
+    assert pool.submitted == 0
+    pool = split_walks(2)
+    split = walks()
+    assert pool.submitted > 0  # the walks did leave the calling thread
+    # five parts on four threads, more than the cores of a small machine,
+    # switching threads often: a lost or crossed block write would show
+    pool = split_walks(5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        crowded = walks()
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool.submitted > 0
+    for other in (split, crowded):
+        assert np.array_equal(other[0], plain[0]) and np.array_equal(other[1], plain[1])
+        assert other[2] == plain[2]
 
 
 TWO_FREE_AXES_M192 = dict(free=FreeDomain((6.0, 6.0), (8, 8)),
