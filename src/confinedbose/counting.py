@@ -305,64 +305,48 @@ def _q_weight(mat: np.ndarray, c0: np.ndarray, phi: np.ndarray, k: int) -> float
     gemv gives the row's axis-1 coefficients d_i = <phi|c[i]>_1 -
     phi_i <phi|c0>_1, and a block J's q part on axes 0 and 1,
     c[i, J] - phi_i c0[J] - phi_J (x) d_i, goes into the buffer.  q on the
-    remaining axes then acts in place inside it.  The blocks are split by
-    ``grids._walk_in_parts``, each part with its own scratch of one slab:
-    the row blocks, or the slice blocks beside d_i and <phi|c0>_1 (one
-    slice and the two when a slice is over a third of a slab); a part that
-    starts inside a row takes that row's d_i too.  The squared norms are
-    added in block order, and the scratch is freed on return, before the
-    caller makes the next link.
+    remaining axes then acts in place inside it.  Either way the scratch is
+    one slab: the row blocks, or the slice blocks beside d_i and
+    <phi|c0>_1 (one slice and the two when a slice is over a third of a
+    slab).  It is freed on return, before the caller makes the next link.
+    The walk stays on the calling thread: in two parts it ran no faster.
     """
     m, rest = mat.shape
     row_bytes = mat.itemsize * rest
-    if k == 1 or row_bytes <= grids._SLAB_BYTES:
-        blocks = list(row_blocks((m,), row_bytes))
-
-        def walk(part):
-            buf = np.empty((blocks[0][1], rest), dtype=np.complex128)  # the largest block
-            sums = []
-            for lo, hi, _ in part:
-                block = buf[:hi - lo]
-                np.copyto(block, mat[lo:hi])
-                blas.zgeru(-1.0, c0, phi[lo:hi], a=block.T, overwrite_a=1)
-                block = block.reshape((-1,) + (m,) * (k - 1))
-                for axis in range(1, k):
-                    _project_q_in_place(block, phi, axis)
-                sums.append(np.vdot(block, block).real)
-            return sums
-    else:
-        unit = rest // m
-        step = max(1, grids._SLAB_BYTES // (row_bytes // m) - 2)
-        per_row = -(-m // step)
-        blocks = range(m * per_row)  # block b: row b // per_row, its (b % per_row)-th slices
-        phi_conj = np.conj(phi)
-        c0 = c0.reshape(m, unit)
-
-        def walk(part):
-            buf = np.empty((step + 2, unit), dtype=np.complex128)
-            e0, d = buf[0], buf[1]
-            np.matmul(phi_conj, c0, out=e0)  # <phi|c0>_1
-            sums, current = [], None
-            for b in part:
-                i, lo = b // per_row, b % per_row * step
-                hi = min(lo + step, m)
-                row = mat[i].reshape(m, unit)
-                if i != current:  # d_i = e0 (-phi_i) + row^T phi*, on the F-ordered row.T
-                    np.multiply(e0, -phi[i], out=d)
-                    blas.zgemv(1.0, row.T, phi_conj, beta=1.0, y=d, overwrite_y=1)
-                    current = i
-                block = buf[2:2 + hi - lo]
-                np.multiply(c0[lo:hi], phi[i], out=block)
-                np.subtract(row[lo:hi], block, out=block)
-                blas.zgeru(-1.0, d, phi[lo:hi], a=block.T, overwrite_a=1)
-                block = block.reshape((-1,) + (m,) * (k - 2))
-                for axis in range(1, k - 1):
-                    _project_q_in_place(block, phi, axis)
-                sums.append(np.vdot(block, block).real)
-            return sums
     total = 0.0
-    for squared in grids._walk_in_parts(blocks, walk):  # in block order
-        total += squared
+    if k == 1 or row_bytes <= grids._SLAB_BYTES:
+        rows = next(row_blocks((m,), row_bytes))[1]  # the first block is the largest
+        buf = np.empty((rows, rest), dtype=np.complex128)
+        for lo, hi, _ in row_blocks((m,), row_bytes):
+            block = buf[:hi - lo]
+            np.copyto(block, mat[lo:hi])
+            blas.zgeru(-1.0, c0, phi[lo:hi], a=block.T, overwrite_a=1)
+            block = block.reshape((-1,) + (m,) * (k - 1))
+            for axis in range(1, k):
+                _project_q_in_place(block, phi, axis)
+            total += np.vdot(block, block).real
+        return total
+    unit = rest // m
+    step = max(1, grids._SLAB_BYTES // (row_bytes // m) - 2)
+    buf = np.empty((step + 2, unit), dtype=np.complex128)
+    e0, d = buf[0], buf[1]
+    phi_conj = np.conj(phi)
+    c0 = c0.reshape(m, unit)
+    np.matmul(phi_conj, c0, out=e0)  # <phi|c0>_1
+    for i in range(m):
+        row = mat[i].reshape(m, unit)
+        np.multiply(e0, -phi[i], out=d)  # then d_i += row^T phi*, on the F-ordered row.T
+        blas.zgemv(1.0, row.T, phi_conj, beta=1.0, y=d, overwrite_y=1)
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            block = buf[2:2 + hi - lo]
+            np.multiply(c0[lo:hi], phi[i], out=block)
+            np.subtract(row[lo:hi], block, out=block)
+            blas.zgeru(-1.0, d, phi[lo:hi], a=block.T, overwrite_a=1)
+            block = block.reshape((-1,) + (m,) * (k - 2))
+            for axis in range(1, k - 1):
+                _project_q_in_place(block, phi, axis)
+            total += np.vdot(block, block).real
     return total
 
 

@@ -16,8 +16,8 @@ Quadrature is uniform-weight, consistent with the eigenbasis sampling.
 All operations here are pure functions of immutable inputs, except that
 ``apply_along(..., out=)`` writes ``out`` and ``strang_steps`` writes the
 array it is given; grid functions are value-like and safe to share between
-threads.  A state-sized slab walk runs on every CPU of the process's
-affinity mask (``_walk_in_parts``), with the same results to the bit.
+threads.  The kick sweeps run on every CPU of the process's affinity mask
+(``_walk_in_parts``), with the same results to the bit.
 """
 
 from __future__ import annotations
@@ -340,15 +340,8 @@ def row_blocks(shape: tuple, row_bytes: int):
 
 
 _pool = None  # the slab walks' W - 1 worker threads, made on first use
-
-
-def _forget_pool():
-    global _pool
-    _pool = None
-
-
 if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
 
 
 def _workers() -> int:
@@ -360,22 +353,23 @@ def _workers() -> int:
 
 
 def _walk_in_parts(blocks, walk) -> list:
-    """``walk`` on W contiguous parts of the sequence ``blocks``; its results in block order.
+    """``walk`` on W contiguous parts of the list ``blocks``; its results in block order.
 
-    ``walk(part)`` takes a slice of ``blocks`` (a list, or a range of block
-    numbers), allocates its own scratch, and returns a list of its results
-    in block order (empty for a walk that only writes).  W is
-    ``_workers()``, capped at the number of blocks.  The calling thread
-    walks the first part, and a process-wide pool of W - 1 threads, made on
-    first use, walks the others; the caller waits for every part before it
-    returns or raises.  numpy's matmul, ufuncs and vdot release the GIL, so
-    the parts run at the same time.  A reduction adds the returned values
-    in order on the caller, which is the sequential summation order, so
-    results are the same to the bit whatever W.  One block, or one CPU, is
-    the plain loop on the calling thread.  ``walk`` runs block bodies only:
-    it calls no public function of the package (``perfbench``'s tracer
-    keeps one span stack) and never walks in parts itself (a worker would
-    wait on the pool it occupies).
+    ``walk(part)`` takes a slice of ``blocks``, allocates its own scratch,
+    and returns a list of its results in order (empty for a walk that only
+    writes).  W is ``_workers()``, capped at the number of blocks.  The
+    calling thread walks the first part, and a process-wide pool of W - 1
+    threads, made on first use, walks the others; the caller waits for
+    every part before it returns or raises.  numpy's matmul and ufuncs
+    release the GIL, so the parts run at the same time; each result comes
+    from one thread in sequential order, so it is the same to the bit
+    whatever W.  One block, or one CPU, is the plain loop.  Only the walks
+    that pay for a second worker (README) split here: the kicks of
+    ``apply_along``, ``manybody._apply_phases`` and the transpositions of
+    ``manybody._transposition_residual``.  ``walk`` runs block bodies
+    only: it calls no public function of the package (``perfbench``'s
+    tracer keeps one span stack) and never walks in parts itself (a worker
+    would wait on the pool it occupies).
     """
     global _pool
     w = min(_workers(), len(blocks))

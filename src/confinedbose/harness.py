@@ -64,6 +64,12 @@ def _is_number(x) -> bool:
     return isinstance(x, int) or math.isfinite(x)
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is a boolean, or a list or object holding one."""
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return isinstance(value, bool) or any(map(_holds_bool, items))
+
+
 def read_eps_list(path) -> tuple[float, ...]:
     """The ``eps_list`` of the ``coulomb-norms`` document ``path``, (0.1, 0.05,
     0.025) without a document or a list; an entry that is not a number is a
@@ -100,8 +106,9 @@ class ExperimentConfig:
     memory_cap_bytes: int = DEFAULT_MEMORY_CAP
 
     def __post_init__(self):
-        """Type checks of the scalar fields and ``initial``, and the time grid
-        (``grids.step_count``); ``model_spec`` checks the model."""
+        """Type checks of the scalar fields, ``initial`` and the model entries
+        (numbers, never booleans), and the time grid (``grids.step_count``);
+        ``model_spec`` checks the model's values."""
         for name in ("n_particles", "mode_index", "report_stride", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -111,6 +118,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a number")
         if self.nu is not None and not _is_number(self.nu):
             raise ConfigError("nu must be a number or null")
+        for name in ("free", "confined", "interaction", "potential"):
+            if _holds_bool(getattr(self, name)):
+                raise ConfigError(f"{name} takes numbers, not booleans")
         step_count(self.time_horizon, self.dt)
         if self.memory_cap_bytes <= 0:
             raise ConfigError("memory_cap_bytes must be positive")

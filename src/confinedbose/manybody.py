@@ -19,10 +19,11 @@ density.  gamma (``OneBodyDensity``) is formed only where it is smaller
 than the state (N >= 3); at N <= 2 it is read through the snapshot.
 Everything is desk scale: a memory guard refuses runs whose working set
 (``working_set_bytes``: one state-sized array whatever N, with a slab
-scratch per worker in a step or a snapshot's diagnostics; the pair phase on
-its offset lattice; a one-body allowance) exceeds a configurable cap (2 GiB
-by default).  Every slab walk runs on the CPUs of the process's affinity
-mask (``grids._walk_in_parts``) with the same results to the bit.
+scratch per worker in a step and one in a snapshot's report; the pair phase
+on its offset lattice; a one-body allowance) exceeds a configurable cap
+(2 GiB by default).  The kicks, the phase substep and the symmetry check's
+transpositions run on the CPUs of the process's affinity mask
+(``grids._walk_in_parts``), with the same results to the bit.
 """
 
 from __future__ import annotations
@@ -131,38 +132,34 @@ def working_set_bytes(spec: ModelSpec) -> int:
 
     The evolver holds its pair phase for the whole run as the tiled offset
     table (``_pair_table``, 2^d_f m_f m_c^2 entries), whatever N: every pair
-    multiplies by views of it.  Every slab walk runs in W parts
-    (``grids._walk_in_parts``, W the CPUs of the process's affinity mask),
-    each with its own scratch, so each moment budgets W scratch slabs of
-    ``grids._SLAB_BYTES``, and each worker but the calling thread, whose
-    share the one-body allowance covers, numpy's ufunc buffers for two
-    strided operands (``_UFUNC_BUFFERS``).  Besides the table, the largest
-    of three moments:
+    multiplies by views of it.  A walk that ``grids._walk_in_parts`` splits
+    holds a scratch slab (``grids._SLAB_BYTES``) per worker, W the CPUs of
+    the process's affinity mask, and each worker but the calling thread
+    numpy's ufunc buffers for two strided operands (``_UFUNC_BUFFERS``).
+    Besides the table, the largest of three moments:
 
     - a step: the one state-sized array, which is the input's buffer, every
       snapshot's and the Strang step's, with W slab scratches: every kick
       sweep acts in place through them, and the potential substep
-      multiplies in place by views of the pair table.
+      multiplies in place by views of the pair table; so does a
+      snapshot's symmetry check, one transposition per worker.
     - a snapshot's pair energy (``_pair_expectation``): the snapshot and the
       real table it rebuilds, first with the m_f m_c^2 kernel C that fills
-      it, then with W rho_2 buffers, each half a slab (8m bytes when one
-      row is larger), and the kernel rows, read in place.  The evolver's
+      it, then with its rho_2 buffer, which is half a slab (8m bytes when
+      one row is larger), and the kernel rows, read in place.  The evolver's
       setup holds less: the input state and the real table, beside the
       complex phase made from it.
     - a snapshot's diagnostics: the snapshot and its ``OneBodyDensity``,
       with a counting report's occupation chain (``counting._sector_weights``)
       and the trace distance's Lanczos basis (``_LANCZOS_BASIS`` m-sized
       vectors; its few work vectors come after the chain is freed).  The
-      chain holds one 1/m-sized link and, per worker, one slab of walk
-      scratch (one 1/m^2-sized axis-1 slice when that is larger) and two
-      1/m^2-sized arrays: the worker's axis-1 coefficients when a slice
-      crowds them out of its slab, or else its small projection
-      coefficients and its share of the next link, which sits beside the
-      second link's walk.  The density is the m^2-sized gamma at N >= 3,
-      freed before the next step; at N <= 2 (``_density_is_factored``) it
-      is read through the snapshot, and only its largest group-reduced
-      matrix is formed.  The symmetry check walks its differences through
-      one slab per worker, so it does not exceed the chain's scratch.
+      chain holds one 1/m-sized link, one slab of walk scratch (one
+      1/m^2-sized axis-1 slice when that is larger) and two 1/m^2-sized
+      arrays: the next link beside the second link's walk, or the first
+      link's axis-1 coefficients when a slice crowds them out of the slab.
+      The density is the m^2-sized gamma at N >= 3, freed before the next
+      step; at N <= 2 (``_density_is_factored``) it is read through the
+      snapshot, and only its largest group-reduced matrix is formed.
     """
     m = int(np.prod(spec.domain.shape))
     state = estimate_state_bytes(spec)
@@ -170,13 +167,13 @@ def working_set_bytes(spec: ModelSpec) -> int:
     kernel = 8 * math.prod(spec.free.shape) * math.prod(spec.confined.shape) ** 2
     table = 2**spec.free.dim * kernel  # real; the held phase is complex
     step = state + workers * _SLAB_BYTES
-    pair = state + table + max(kernel, workers * max(_SLAB_BYTES, 16 * m))
+    pair = state + table + max(kernel, _SLAB_BYTES, 16 * m)
     if _density_is_factored(spec.n_particles):
         gamma = 16 * max(axis_groups(spec.domain.shape)) ** 2
     else:
         gamma = 16 * m**2
-    walk = max(_SLAB_BYTES, state // m**2) + 2 * (state // m**2)
-    report = state + gamma + state // m + workers * walk + 16 * m * _LANCZOS_BASIS
+    report = (state + gamma + state // m + max(_SLAB_BYTES, state // m**2)
+              + 2 * (state // m**2) + 16 * m * _LANCZOS_BASIS)
     ufuncs = (workers - 1) * _UFUNC_BUFFERS
     return 2 * table + max(step, pair, report) + ufuncs + _ONE_BODY_ALLOWANCE
 
@@ -323,49 +320,37 @@ def _transposition_residual(values: np.ndarray, n: int, block: int) -> float:
     and is antisymmetric in (a, b), so ||values - sigma values||^2 is twice
     its sum over a < b.  For each a, the piece [:, a, :, b > a, :] minus the
     transposed piece [:, b > a, :, a, :] is taken in the ``grids.row_blocks``
-    of the piece (one item when it fits a slab), each item into its part's
-    reused buffer of at most a slab.  The items, held as (a, box) with no
-    view made before its part walks it, are grouped into blocks of at most
-    a slab each, which ``grids._walk_in_parts`` splits, so a state that
-    fits a slab is one block, and their squared norms are added in item
-    order.  Not 2||v||^2 - 2 Re<v, sigma v>: its cancellation leaves
-    ~1e-8 on states symmetric up to roundoff.
+    of the piece (one block if it fits a slab), each into one reused buffer.
+    ``grids._walk_in_parts`` splits the list of transpositions, each walked
+    by one thread, unless the state fits a slab; N = 2 is one.  Not
+    2||v||^2 - 2 Re<v, sigma v>: its cancellation leaves ~1e-8 on states
+    symmetric up to roundoff.
     """
     m = math.prod(values.shape[:block])
-    slab = _SLAB_BYTES // values.itemsize
-    size = min(values.size // m, slab)  # a piece has at most 1/m of the entries
-    worst = 0.0
-    for i, j in itertools.combinations(range(n), 2):
-        v = values.reshape(m**i, m, m ** (j - i - 1), m, m ** (n - j - 1))
+    size = min(values.size // m, _SLAB_BYTES // values.itemsize)  # a piece: 1/m of the entries
 
-        def walk(part):  # ||upper - lower||^2 of each item (a, box), through one buffer
-            buf = np.empty(size, dtype=values.dtype)
-            sums = []
-            for group in part:
-                for a, box in group:
-                    upper = v[:, a, :, a + 1:, :][box]  # of the (P, Q, m - a - 1, R) piece
-                    lower = v[:, a + 1:, :, a, :].transpose(0, 2, 1, 3)[box]
-                    d = buf[:upper.size].reshape(upper.shape)
-                    np.subtract(upper, lower, out=d)
-                    sums.append(np.vdot(d, d).real)
-            return sums
+    def walk(pairs):  # the residual of each transposition (i, j), through one buffer
+        buf = np.empty(size, dtype=values.dtype)
+        residuals = []
+        for i, j in pairs:
+            v = values.reshape(m**i, m, m ** (j - i - 1), m, m ** (n - j - 1))
+            total = 0.0
+            for a in range(m - 1):
+                upper = v[:, a, :, a + 1:, :]  # (P, Q, m - a - 1, R)
+                lower = v[:, a + 1:, :, a, :].transpose(0, 2, 1, 3)
+                boxes = [...] if upper.size <= size else [
+                    box for _, _, box in row_blocks(upper.shape, values.itemsize)]
+                for box in boxes:
+                    top = upper[box]
+                    d = buf[:top.size].reshape(top.shape)
+                    np.subtract(top, lower[box], out=d)
+                    total += np.vdot(d, d).real
+            residuals.append(math.sqrt(2.0 * total))
+        return residuals
 
-        groups, filled = [], slab
-        for a in range(m - 1):
-            shape = (v.shape[0], v.shape[2], m - a - 1, v.shape[4])
-            count = math.prod(shape)
-            boxes = [(0, count, ...)] if count <= size else row_blocks(shape, values.itemsize)
-            for lo, hi, box in boxes:
-                if filled + hi - lo > slab:
-                    groups.append([])
-                    filled = 0
-                groups[-1].append((a, box))
-                filled += hi - lo
-        total = 0.0
-        for squared in _walk_in_parts(groups, walk):  # in item order
-            total += squared
-        worst = max(worst, math.sqrt(2.0 * total))
-    return worst
+    pairs = list(itertools.combinations(range(n), 2))
+    fits = values.nbytes <= _SLAB_BYTES  # a state of one slab stays on the calling thread
+    return max([0.0, *(walk(pairs) if fits else _walk_in_parts(pairs, walk))])
 
 
 def symmetry_residual(state: ManyBodyState) -> float:
@@ -620,36 +605,27 @@ def _pair_expectation(state: ManyBodyState, spec: ModelSpec) -> float:
     """sum_{x_1, x_2} W(x_1, x_2) rho_2(x_1, x_2) times the cell volume of Omega^N.
 
     rho_2(x_1, x_2) = sum_rest |psi(x_1, x_2, rest)|^2 is summed over the
-    ``grids.row_blocks`` of x_1 on the pair view's grid: each block's rho_2
-    rows come from one ``einsum`` over the real view of psi into its
-    part's buffer (``grids._walk_in_parts``), and a second ``einsum``
-    contracts them with the block's kernel rows pair[box], a strided view
-    of the offset table that it reads in place (``vdot`` would flatten a
-    copy of it); the blocks' terms are added in block order.  The blocks
-    are budgeted at 16m bytes a row, twice a rho_2 row, so a buffer is half
-    a slab.  So neither an m^2-sized kernel nor an m^2-sized rho_2 is
-    formed, and no state-sized product.
+    ``grids.row_blocks`` of x_1 on the pair view's grid, on the calling
+    thread: each block's rho_2 rows come from one ``einsum`` over the real
+    view of psi into one buffer, and a second ``einsum`` contracts them
+    with the block's kernel rows pair[box], a strided view of the offset
+    table that it reads in place (``vdot`` would flatten a copy of it).
+    The blocks are budgeted at 16m bytes a row, twice a rho_2 row, so the
+    buffer is half a slab.  So neither an m^2-sized kernel nor an
+    m^2-sized rho_2 is formed, and no state-sized product.
     """
     m = math.prod(state.domain.shape)
     pair = _pair_view(_pair_table(spec))  # m_f m_c^2 samples: cheap to rebuild per snapshot
     parts = state.values.reshape(m, m, -1).view(np.float64)
     grid = pair.shape[:pair.ndim // 2]
-    blocks = list(row_blocks(grid, 16 * m))
-
-    def walk(part):
-        rho2 = np.empty((blocks[0][1], m))  # the first block is the largest
-        sums = []
-        for lo, hi, box in part:
-            block = parts[lo:hi]
-            rows = np.einsum("abr,abr->ab", block, block, out=rho2[:hi - lo])
-            kernel = pair[box]
-            axes = list(range(kernel.ndim))
-            sums.append(float(np.einsum(kernel, axes, rows.reshape(kernel.shape), axes, [])))
-        return sums
-
+    rho2 = np.empty((next(row_blocks(grid, 16 * m))[1], m))  # the first block is the largest
     total = 0.0
-    for term in _walk_in_parts(blocks, walk):  # in block order
-        total += term
+    for lo, hi, box in row_blocks(grid, 16 * m):
+        block = parts[lo:hi]
+        rows = np.einsum("abr,abr->ab", block, block, out=rho2[:hi - lo])
+        kernel = pair[box]
+        axes = list(range(kernel.ndim))
+        total += float(np.einsum(kernel, axes, rows.reshape(kernel.shape), axes, []))
     return total * state.cell_volume
 
 

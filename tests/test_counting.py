@@ -375,22 +375,20 @@ def test_compute_report_does_not_copy_psi(monkeypatch, traced_peak):
     one = OneBodyState(phi.copy_with(phi.values / norm(phi)), chi_mode(dom.confined, 0))
     gamma = OneBodyDensity(state)  # at N = 4 the dense m x m matrix, formed here
     link = state.values.nbytes // m
-    workers = grids._workers()
 
-    # scratch of a quarter state over the W workers, whatever the default
-    # slab: blocks of rows
-    monkeypatch.setattr(grids, "_SLAB_BYTES", state.values.nbytes // (4 * workers))
+    # a slab of a quarter state, whatever the default slab: blocks of rows,
+    # walked on the calling thread through one slab whatever W
+    monkeypatch.setattr(grids, "_SLAB_BYTES", state.values.nbytes // 4)
     report, peak = traced_peak(lambda: cnt.compute_report(state, one, 0.0, 0.0, gamma))
     assert peak < state.values.nbytes / 2
     assert sum(report.p_k) == pytest.approx(1.0, abs=1e-12)
 
     # a slab of half a row: the rows of psi are walked in axis-1 slices, not
-    # copied, so the chain holds one link and, per worker, a slab and two
-    # 1/m^2-sized arrays (working_set_bytes' terms), then the Lanczos basis
+    # copied, so the chain holds one link, the slab and two 1/m^2-sized
+    # arrays (working_set_bytes' terms), then the Lanczos basis
     monkeypatch.setattr(grids, "_SLAB_BYTES", link // 2)
     sliced, peak = traced_peak(lambda: cnt.compute_report(state, one, 0.0, 0.0, gamma))
-    assert peak <= (link + workers * (grids._SLAB_BYTES + 2 * (link // m))
-                    + 16 * m * _LANCZOS_BASIS)
+    assert peak <= link + grids._SLAB_BYTES + 2 * (link // m) + 16 * m * _LANCZOS_BASIS
     assert np.max(np.abs(np.subtract(sliced.p_k, report.p_k))) < 1e-14
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from confinedbose import counting, grids, harness, manybody, onebody
+from confinedbose import counting, harness, manybody, onebody
 from confinedbose.cli import main
 from confinedbose.errors import ConfigError, GuardError
 from confinedbose.harness import (
@@ -146,8 +146,8 @@ def test_run_single_peak_within_working_set(tmp_path, traced_peak, n, overrides,
 ])
 def test_run_single_peak_within_working_set_at_two_workers(tmp_path, traced_peak, split_walks,
                                                            n, overrides):
-    # every state-sized walk split in two, each part with its own slab: the
-    # model budgets W = 2 scratch slabs at each of its moments
+    # the kicks, the phase substep and the symmetry check split in two, each
+    # part with its own slab: the model budgets W = 2 scratch slabs in a step
     pool = split_walks(2)
     cfg = config(**{"n_particles": n, "dt": 1e-2, "time_horizon": 3e-2, "report_stride": 1,
                     **overrides})
@@ -198,16 +198,17 @@ def test_public_functions_called_from_the_main_thread_only(tmp_path, monkeypatch
 ])
 def test_snapshot_diagnostics_peak(traced_peak, n, grid):
     # one snapshot's energy and counting report, traced beyond psi.  The
-    # terms are those of working_set_bytes, the larger of two moments, at
-    # this process's W workers.  The energy's pair term rebuilds the real
-    # pair table (2^d_f m_f m_c^2 reals), first beside its kernel C
-    # (m_f m_c^2), then beside W rho_2 buffers (at most a slab each); it
-    # forms no m^2-sized array.  The report's occupation chain holds one
-    # 1/m-sized link and, per worker, a slab of walk scratch (psi and its
-    # rows are not copied) and two 1/m^2-sized arrays, beside the m^2-sized
-    # gamma at N >= 3 (at N = 2 it is read through psi, not formed), then
-    # the trace distance's Lanczos basis, whose few m-sized work vectors
-    # fit the freed scratch.  No allowance is granted.
+    # terms are those of working_set_bytes, the larger of two moments, each
+    # walked on the calling thread whatever W.  The energy's pair term
+    # rebuilds the real pair table (2^d_f m_f m_c^2 reals), first beside
+    # its kernel C (m_f m_c^2), then beside its rho_2 buffer (at most a
+    # slab); it forms no m^2-sized array.  The report's occupation chain
+    # holds one 1/m-sized link, a slab of walk scratch (psi and its rows are
+    # not copied) and two 1/m^2-sized arrays, beside the m^2-sized gamma at
+    # N >= 3 (at N = 2 it is read through psi, not formed), then the trace
+    # distance's Lanczos basis, whose few m-sized work vectors fit the freed
+    # scratch.  The symmetry check's slab per worker stays below the larger
+    # moment.  No allowance is granted.
     cfg = config(n_particles=n, **grid)
     spec = cfg.model_spec()
     one = harness.initial_state(spec, cfg.initial)
@@ -223,12 +224,10 @@ def test_snapshot_diagnostics_peak(traced_peak, n, grid):
     _, peak = traced_peak(diagnostics)
     kernel = 8 * math.prod(spec.free.shape) * math.prod(spec.confined.shape) ** 2
     table = 2**spec.free.dim * kernel
-    workers = grids._workers()
-    pair_terms = table + max(kernel, workers * max(_SLAB_BYTES, 16 * m))
+    pair_terms = table + max(kernel, _SLAB_BYTES, 16 * m)
     gamma_bytes = 16 * m**2 if n > 2 else 0
-    walk = max(_SLAB_BYTES, state_bytes // m**2) + 2 * (state_bytes // m**2)
-    report_terms = (state_bytes // m + workers * walk + gamma_bytes
-                    + 16 * m * _LANCZOS_BASIS)
+    report_terms = (state_bytes // m + max(_SLAB_BYTES, state_bytes // m**2)
+                    + 2 * (state_bytes // m**2) + gamma_bytes + 16 * m * _LANCZOS_BASIS)
     assert peak <= max(pair_terms, report_terms)
 
 
@@ -426,6 +425,7 @@ def test_cli_help_exits_zero(capsys, argv):
 
 
 LIST_LADDER = {"particle_counts": [2, 3, 4], "eps_rule": "list"}
+GAUSSIAN_POTENTIAL = {"kind": "gaussian", "amplitude": 0.5, "sigma": 2.0, "omega": 1.0}
 NAN, INF = float("nan"), float("inf")
 
 
@@ -501,6 +501,26 @@ NAN, INF = float("nan"), float("inf")
     pytest.param("simulate-manybody", {"nu": NAN}, id="nu-nan"),
     pytest.param("simulate-manybody", {"nu": INF}, id="nu-inf"),
     pytest.param("simulate-manybody", {"nu": True}, id="nu-bool"),
+    # a JSON true or false where the model takes a number, not read as 1.0 or 0.0
+    pytest.param("simulate-manybody", {"free": {**BASE["free"], "extents": [True]}},
+                 id="free-extents-bool"),
+    pytest.param("simulate-manybody",
+                 {"confined": {**BASE["confined"], "intervals": [[-0.5, True]]}},
+                 id="confined-intervals-bool"),
+    pytest.param("simulate-manybody", {"confined": {**BASE["confined"], "eps": True}},
+                 id="confined-eps-bool"),
+    pytest.param("simulate-manybody", {"interaction": {**BASE["interaction"], "amplitude": True}},
+                 id="interaction-amplitude-bool"),
+    pytest.param("simulate-manybody", {"interaction": {**BASE["interaction"], "radius": True}},
+                 id="interaction-radius-bool"),
+    pytest.param("simulate-manybody", {"interaction": {**BASE["interaction"], "sigma": True}},
+                 id="interaction-sigma-bool"),
+    pytest.param("simulate-manybody", {"potential": {**GAUSSIAN_POTENTIAL, "amplitude": True}},
+                 id="potential-amplitude-bool"),
+    pytest.param("simulate-manybody", {"potential": {**GAUSSIAN_POTENTIAL, "sigma": True}},
+                 id="potential-sigma-bool"),
+    pytest.param("simulate-manybody", {"potential": {**GAUSSIAN_POTENTIAL, "omega": False}},
+                 id="potential-omega-bool"),
     pytest.param("simulate-onebody", {"interaction": {**BASE["interaction"], "amplitude": NAN}},
                  id="interaction-amplitude-nan"),
     pytest.param("simulate-onebody", {"interaction": {**BASE["interaction"], "sigma": NAN}},

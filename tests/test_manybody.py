@@ -831,6 +831,36 @@ def test_slab_walks_same_to_the_bit_at_any_worker_count(monkeypatch, split_walks
         assert other[2] == plain[2]
 
 
+@pytest.mark.parametrize("n, grid, slab", [
+    pytest.param(2, NLS_GRID_M1024, None, id="N2-m1024"),
+    pytest.param(3, CRITERION_12_M48, None, id="N3-m48"),
+    pytest.param(3, CRITERION_12_M48, 16 * 48**2 // 2, id="N3-m48-half-row-slab"),
+])
+def test_only_the_walks_that_scale_leave_the_calling_thread(monkeypatch, split_walks,
+                                                           n, grid, slab):
+    # at W = 2 on a state of several slabs, the occupation chain (row blocks,
+    # or axis-1 slices under a slab of half a row) and the pair energy submit
+    # nothing to the pool, nor does an N = 2 symmetry check (one
+    # transposition); an N = 3 check walks its three transpositions in two parts
+    spec = ModelSpec(n_particles=n, regime="hartree-theta0",
+                     interaction=InteractionProfile("gaussian-bump", amplitude=2.5,
+                                                    radius=2.4, sigma=0.8), **grid)
+    if slab is not None:
+        monkeypatch.setattr(grids, "_SLAB_BYTES", slab)
+    dom = spec.domain
+    m = math.prod(dom.shape)
+    rng = np.random.default_rng(90 + n)
+    state = symmetric_random_state(dom, n, rng, t=0.0)
+    assert state.values.nbytes > 4 * grids._SLAB_BYTES
+    phi = rng.normal(size=m) + 1j * rng.normal(size=m)
+    pool = split_walks(2)
+    cnt._sector_weights(state.values.reshape((m,) * n), phi / np.linalg.norm(phi))
+    manybody._pair_expectation(state, spec)
+    assert pool.submitted == 0
+    _transposition_residual(state.values, n, len(dom.shape))
+    assert pool.submitted == (1 if n > 2 else 0)
+
+
 TWO_FREE_AXES_M192 = dict(free=FreeDomain((6.0, 6.0), (8, 8)),
                           confined=ConfinedDomain(UNIT_INTERVAL, (3,), eps=0.5))
 
