@@ -10,8 +10,8 @@ Two routes compute them: the number frame of ``occupancy_components``,
 ``hat_apply`` and ``occupation_distribution`` (the Householder reflector H
 takes phi to a phase times e0, so f-hat = H^(x)N diag(f(#q)) H^(x)N with #q
 the nonzero entries of a multi-index), and the contraction chain of
-``_sector_weights`` (the report's p_k).  Their dense Kronecker-matrix oracle
-lives with the tests, in ``tests/conftest.py``.
+``_sector_weights`` (the report's p_k from the norms of its links).  Their
+dense Kronecker-matrix oracle lives with the tests, in ``tests/conftest.py``.
 
 Internally phi is rescaled to unit quadrature weight and psi is read in
 place: the weight of psi enters the returned scalars (and vectors) as a
@@ -30,7 +30,7 @@ from scipy.linalg import blas
 
 from . import grids
 from .errors import ConfigError, InvariantError
-from .grids import apply_kinetic, row_blocks
+from .grids import apply_kinetic
 from .manybody import (
     SYMMETRY_TOL,
     _LANCZOS_BASIS,
@@ -102,50 +102,29 @@ def _grid_frame(state: ManyBodyState, reference):
     return _frame(state.values, phi, weight=state.domain.cell_volume)
 
 
-def _axis_coefficients(v: np.ndarray, phi: np.ndarray, axis: int):
-    """(v as a (left, m, right) view, the (left, right) coefficients <phi|v>).
+def project_p(v: np.ndarray, phi: np.ndarray, axis: int) -> np.ndarray:
+    """p_axis v with p = |phi><phi| (unit-weight convention).
 
-    Working on the reshape keeps every result contiguous; strided views here
-    would dominate the runtime of every functional.  The coefficients are
-    BLAS matrix-vector products: phi* against each (m, right) slice, or one
-    product of the (left, m) matrix with phi* when right == 1, where the
-    slices would be single columns; at m = 48 this takes half the time of
-    ``einsum`` (one BLAS thread).
+    Working on v's (left, m, right) reshape keeps every result contiguous;
+    strided views here would dominate the runtime of every functional.  The
+    (left, right) coefficients <phi|v> are BLAS matrix-vector products: phi*
+    against each (m, right) slice, or one product of the (left, m) matrix
+    with phi* when right == 1, where the slices would be single columns; at
+    m = 48 this takes half the time of ``einsum`` (one BLAS thread).
     """
     m = v.shape[axis]
     left, right = math.prod(v.shape[:axis]), math.prod(v.shape[axis + 1:])
     block = v.reshape(left, m, right)
     if right == 1:
-        return block, (block.reshape(left, m) @ np.conj(phi)).reshape(left, 1)
-    return block, np.conj(phi) @ block
-
-
-def project_p(v: np.ndarray, phi: np.ndarray, axis: int) -> np.ndarray:
-    """p_axis v with p = |phi><phi| (unit-weight convention)."""
-    _, c = _axis_coefficients(v, phi, axis)
+        c = (block.reshape(left, m) @ np.conj(phi)).reshape(left, 1)
+    else:
+        c = np.conj(phi) @ block
     return (phi[None, :, None] * c[:, None, :]).reshape(v.shape)
 
 
 def project_q(v: np.ndarray, phi: np.ndarray, axis: int) -> np.ndarray:
     out = project_p(v, phi, axis)
     return np.subtract(v, out, out=out)
-
-
-def _project_q_in_place(v: np.ndarray, phi: np.ndarray, axis: int):
-    """v <- q_axis v for a C-contiguous v; the only scratch is the coefficients.
-
-    q = 1 - |phi><phi| subtracts the rank-one term phi (x) c from each
-    (m, right) slice of the (left, m, right) view, or from the whole
-    (left, m) matrix when right == 1.  Each is one BLAS ``zgeru`` on the
-    slice's transpose, an F-contiguous view of v that it updates in place.
-    """
-    block, c = _axis_coefficients(v, phi, axis)
-    left, m, right = block.shape
-    if right == 1:
-        blas.zgeru(-1.0, phi, c[:, 0], a=block.reshape(left, m).T, overwrite_a=1)
-        return
-    for l in range(left):
-        blas.zgeru(-1.0, c[l], phi, a=block[l].T, overwrite_a=1)
 
 
 def _reflector(phi: np.ndarray) -> np.ndarray:
@@ -250,10 +229,12 @@ def occupation_distribution_enumeration(psi, phi) -> np.ndarray:
 
 
 def occupation_distribution_binomial(psi, phi) -> np.ndarray:
-    """Symmetric shortcut p(k) = C(N,k) ||q_1..q_k p_{k+1}..p_N psi||^2 (unit weight).
+    """Symmetric shortcut p(k) = C(N,k) sum_{j=0..k} (-1)^j C(k,j) ||c_{N-k+j}||^2,
+    c_l = <phi^(x)l|psi> (unit weight); see ``_sector_weights``.
 
-    Refuses a state whose transposition residual exceeds SYMMETRY_TOL; see
-    ``_sector_weights`` for the route and its error.
+    Refuses a transposition residual r above SYMMETRY_TOL; off symmetry p(k)
+    moves by at most C(N,k) sum_j C(k,j) 2 min(j, k-j) r ||psi||, and on a
+    symmetric psi it carries an absolute error of about 1e-13.
     """
     psi, phi, n, _ = _frame(psi, phi)
     if not _transposition_residual(psi, n, 1) <= SYMMETRY_TOL:
@@ -262,92 +243,45 @@ def occupation_distribution_binomial(psi, phi) -> np.ndarray:
 
 
 def _sector_weights(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """p(k) = C(N,k) ||q^(x)k c_{N-k}||^2 (euclidean) for a symmetric psi.
+    """p(k) = C(N,k) sum_{j=0..k} (-1)^j C(k,j) ||c_{N-k+j}||^2 (euclidean) for a
+    symmetric psi, c_l = <phi^(x)l|psi> the contraction chain.
 
-    ``psi`` has one axis per particle and is only read.  c_l = <phi^(x)l|psi>
-    contracts psi with phi* on its first l axes: a chain of tensors
-    shrinking by m per link, since p = |phi><phi| on an axis only keeps its
-    coefficient.  Each link c = c_{N-k}, psi itself at k = N, gives
-    c0 = <phi|c> on its first axis (one gemv), which is both the q part's
-    correction on that axis and the next link, so the chain only ever
-    contracts axis 0 and holds psi, one link and c0.  ``_q_weight`` walks
-    c's (m, m^(k-1)) view through one slab: the q part on axis 0 of a block
-    of rows, or of an axis-1 slice of one row when a row is larger than a
-    slab, goes into one buffer, q on the other axes acts in place inside
-    it, and its squared norm is summed.
+    ``psi`` has one axis per particle and is only read.  Each link is one
+    gemv of phi* on axis 0 of the last, so the chain holds psi, one link and
+    the next, and ||c_l||^2 = <psi, p_1..p_l psi>.  Expanding q = 1 - p in
+    C(N,k) <psi, p_1..p_{N-k} q_{N-k+1}..q_N psi> gives the sum, once every
+    set of N-k+j axes under p weighs as much as the first N-k+j.
 
-    Precondition: psi is permutation symmetric, which makes every pattern
-    of k q's and N - k p's as heavy as the last-k one (p on the first N - k
-    axes, q on the rest) that the axis-0 chain computes.  Off symmetry the
-    error of p(k) is at most 2 min(k, N-k) C(N,k) r ||psi|| for a
-    transposition residual r (each pattern is the last-k one conjugated by
-    at most min(k, N-k) transpositions), so it scales with the residual.
+    Precondition: psi is permutation symmetric, which makes them so.  Off
+    symmetry each set is at most min(j, k-j) transpositions from the first
+    axes, each moving its weight by at most 2 r ||psi|| for a transposition
+    residual r: |dp(k)| <= C(N,k) sum_j C(k,j) 2 min(j, k-j) r ||psi||.  On
+    a symmetric psi the alternating sum leaves an absolute error, about
+    1e-13 at N <= 5 and not relative to p(k): a condensate's p(k >= 1) and
+    alpha read roundoff of either sign, ~1e-15.
     """
     n, m = psi.ndim, phi.size
-    out = np.empty(n + 1)
+    norms = []
     c = psi
-    for k in range(n, 0, -1):  # c = c_{N-k}
-        mat = c.reshape(m, -1)
-        c0 = np.conj(phi) @ mat
-        out[k] = math.comb(n, k) * _q_weight(mat, c0, phi, k)
-        c = c0  # the walk's buffer was freed on its return
-    out[0] = abs(c.item()) ** 2
+    for _ in range(n):
+        norms.append(_sq_norm(c))
+        c = np.conj(phi) @ c.reshape(m, -1)
+    norms.append(abs(c.item()) ** 2)
+    out = np.empty(n + 1)
+    for k in range(n + 1):
+        terms = ((-1) ** j * math.comb(k, j) * norms[n - k + j] for j in range(k + 1))
+        out[k] = math.comb(n, k) * math.fsum(terms)
     return out
 
 
-def _q_weight(mat: np.ndarray, c0: np.ndarray, phi: np.ndarray, k: int) -> float:
-    """||q^(x)k c||^2 for the link c = mat.reshape((m,)*k) and c0 = <phi|c> on axis 0.
-
-    A row of c (m^(k-1) entries) that fits a slab is walked in the
-    ``grids.row_blocks`` of the m rows: a block's q part on axis 0,
-    c[rows] - phi[rows] (x) c0, goes into one block buffer.  A larger row i
-    is walked in blocks of its m axis-1 slices (m^(k-2) entries each): one
-    gemv gives the row's axis-1 coefficients d_i = <phi|c[i]>_1 -
-    phi_i <phi|c0>_1, and a block J's q part on axes 0 and 1,
-    c[i, J] - phi_i c0[J] - phi_J (x) d_i, goes into the buffer.  q on the
-    remaining axes then acts in place inside it.  Either way the scratch is
-    one slab: the row blocks, or the slice blocks beside d_i and
-    <phi|c0>_1 (one slice and the two when a slice is over a third of a
-    slab).  It is freed on return, before the caller makes the next link.
-    The walk stays on the calling thread: in two parts it ran no faster.
-    """
-    m, rest = mat.shape
-    row_bytes = mat.itemsize * rest
-    total = 0.0
-    if k == 1 or row_bytes <= grids._SLAB_BYTES:
-        rows = next(row_blocks((m,), row_bytes))[1]  # the first block is the largest
-        buf = np.empty((rows, rest), dtype=np.complex128)
-        for lo, hi, _ in row_blocks((m,), row_bytes):
-            block = buf[:hi - lo]
-            np.copyto(block, mat[lo:hi])
-            blas.zgeru(-1.0, c0, phi[lo:hi], a=block.T, overwrite_a=1)
-            block = block.reshape((-1,) + (m,) * (k - 1))
-            for axis in range(1, k):
-                _project_q_in_place(block, phi, axis)
-            total += np.vdot(block, block).real
-        return total
-    unit = rest // m
-    step = max(1, grids._SLAB_BYTES // (row_bytes // m) - 2)
-    buf = np.empty((step + 2, unit), dtype=np.complex128)
-    e0, d = buf[0], buf[1]
-    phi_conj = np.conj(phi)
-    c0 = c0.reshape(m, unit)
-    np.matmul(phi_conj, c0, out=e0)  # <phi|c0>_1
-    for i in range(m):
-        row = mat[i].reshape(m, unit)
-        np.multiply(e0, -phi[i], out=d)  # then d_i += row^T phi*, on the F-ordered row.T
-        blas.zgemv(1.0, row.T, phi_conj, beta=1.0, y=d, overwrite_y=1)
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            block = buf[2:2 + hi - lo]
-            np.multiply(c0[lo:hi], phi[i], out=block)
-            np.subtract(row[lo:hi], block, out=block)
-            blas.zgeru(-1.0, d, phi[lo:hi], a=block.T, overwrite_a=1)
-            block = block.reshape((-1,) + (m,) * (k - 2))
-            for axis in range(1, k - 1):
-                _project_q_in_place(block, phi, axis)
-            total += np.vdot(block, block).real
-    return total
+def _sq_norm(c: np.ndarray) -> float:
+    """||c||^2, the ``math.fsum`` of one ``np.vdot`` per ``grids._SLAB_BYTES`` (at
+    least one entry) of the raveled c, read in place: on the criterion-12
+    N = 4 product state 5.6e-16 relative off, where one vdot is 6.6e-13 off."""
+    flat = c.reshape(-1)
+    step = max(1, grids._SLAB_BYTES // flat.itemsize)
+    blocks = (flat[lo:lo + step] for lo in range(0, flat.size, step))
+    return math.fsum(np.vdot(block, block).real for block in blocks)
 
 
 def beta(psi, phi, weight: float = 1.0) -> float:
@@ -608,12 +542,14 @@ def compute_report(state: ManyBodyState, one_body: OneBodyState,
 
     Precondition: the snapshot is permutation symmetric.  The occupation
     distribution uses the symmetric route ``_sector_weights`` without
-    re-checking; ``manybody._energy_and_residual`` has refused a residual
-    above SYMMETRY_TOL and returned gamma.  Besides psi and gamma (m^2 at
-    N >= 3, read through psi at N <= 2) the report holds the chain's one
-    1/m-sized link, its slab of walk scratch and two 1/m^2-sized arrays,
-    then the trace distance's Lanczos basis of ``_LANCZOS_BASIS`` m-sized
-    vectors: neither psi nor a row of it is copied.
+    re-checking; ``manybody._energy_and_residual`` has refused a residual r
+    above SYMMETRY_TOL and returned gamma.  p(k) = C(N,k) sum_{j=0..k}
+    (-1)^j C(k,j) ||c_{N-k+j}||^2 with c_l = <phi^(x)l|psi>; off symmetry it
+    moves by at most C(N,k) sum_j C(k,j) 2 min(j, k-j) r ||psi||, and p(k),
+    alpha and beta carry an absolute error of about 1e-13 (a condensate's
+    alpha reads ~1e-15).  Besides psi and gamma (m^2 at N >= 3, read through
+    psi at N <= 2) the report holds one 1/m-sized link and the next, then
+    the trace distance's Lanczos basis of ``_LANCZOS_BASIS`` m-sized vectors.
     """
     psi, phi, n, amp = _grid_frame(state, one_body)
     pk = amp**2 * _sector_weights(psi, phi)

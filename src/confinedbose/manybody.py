@@ -19,11 +19,11 @@ density.  gamma (``OneBodyDensity``) is formed only where it is smaller
 than the state (N >= 3); at N <= 2 it is read through the snapshot.
 Everything is desk scale: a memory guard refuses runs whose working set
 (``working_set_bytes``: one state-sized array whatever N, with a slab
-scratch per worker in a step and one in a snapshot's report; the pair phase
-on its offset lattice; a one-body allowance) exceeds a configurable cap
-(2 GiB by default).  The kicks, the phase substep and the symmetry check's
-transpositions run on the CPUs of the process's affinity mask
-(``grids._walk_in_parts``), with the same results to the bit.
+scratch per worker in a step; the pair phase on its offset lattice; a
+one-body allowance) exceeds a configurable cap (2 GiB by default).  The
+kicks, the phase substep and the symmetry check's transpositions run on
+the CPUs of the process's affinity mask (``grids._walk_in_parts``), with
+the same results to the bit.
 """
 
 from __future__ import annotations
@@ -153,10 +153,7 @@ def working_set_bytes(spec: ModelSpec) -> int:
       with a counting report's occupation chain (``counting._sector_weights``)
       and the trace distance's Lanczos basis (``_LANCZOS_BASIS`` m-sized
       vectors; its few work vectors come after the chain is freed).  The
-      chain holds one 1/m-sized link, one slab of walk scratch (one
-      1/m^2-sized axis-1 slice when that is larger) and two 1/m^2-sized
-      arrays: the next link beside the second link's walk, or the first
-      link's axis-1 coefficients when a slice crowds them out of the slab.
+      chain holds one 1/m-sized link beside the next, 1/m^2-sized one.
       The density is the m^2-sized gamma at N >= 3, freed before the next
       step; at N <= 2 (``_density_is_factored``) it is read through the
       snapshot, and only its largest group-reduced matrix is formed.
@@ -172,8 +169,7 @@ def working_set_bytes(spec: ModelSpec) -> int:
         gamma = 16 * max(axis_groups(spec.domain.shape)) ** 2
     else:
         gamma = 16 * m**2
-    report = (state + gamma + state // m + max(_SLAB_BYTES, state // m**2)
-              + 2 * (state // m**2) + 16 * m * _LANCZOS_BASIS)
+    report = state + gamma + state // m + state // m**2 + 16 * m * _LANCZOS_BASIS
     ufuncs = (workers - 1) * _UFUNC_BUFFERS
     return 2 * table + max(step, pair, report) + ufuncs + _ONE_BODY_ALLOWANCE
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confinedbose import counting as cnt
-from confinedbose import grids
+from confinedbose import grids, harness
 from confinedbose.errors import ConfigError, InvariantError
 from confinedbose.grids import ConfinedDomain, FreeDomain, GridFunction, ProductDomain, norm
 from confinedbose.manybody import (
@@ -28,6 +29,8 @@ from confinedbose.onebody import (
     hartree_potential,
     mean_field_kernel,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_unit(rng, dim):
@@ -318,20 +321,6 @@ def test_binomial_chain_matches_general_routes(n):
     assert np.max(np.abs(chain - cnt.occupation_distribution_enumeration(psi, phi))) < 1e-12
 
 
-@pytest.mark.parametrize("shape", [(4,) * n for n in range(2, 6)] + [(48,) * 3],
-                         ids=lambda shape: "x".join(map(str, shape)))
-def test_project_q_in_place_matches_project_q(shape):
-    # the caller's array must hold q v: a BLAS wrapper that updated a copy
-    # of the transposed view would leave it unchanged
-    rng = np.random.default_rng(len(shape) + shape[0])
-    phi = random_unit(rng, shape[0])
-    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    for axis in range(len(shape)):
-        v = psi.copy()
-        assert cnt._project_q_in_place(v, phi, axis) is None
-        assert np.max(np.abs(v - cnt.project_q(psi, phi, axis))) < 1e-12
-
-
 @pytest.mark.parametrize("slab", [
     pytest.param(lambda row, m: row, id="one-row"),
     pytest.param(lambda row, m: 4 * row, id="4-rows-uneven"),
@@ -339,15 +328,15 @@ def test_project_q_in_place_matches_project_q(shape):
     pytest.param(lambda row, m: row // 2, id="half-row"),
     pytest.param(lambda row, m: 5 * (row // m), id="3-slices-uneven"),
     pytest.param(lambda row, m: row // m // 2, id="under-a-slice"),
+    pytest.param(lambda row, m: 8, id="under-an-entry"),
 ])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sector_weights_block_walk_matches_enumeration(n, slab, monkeypatch):
-    # c_{N-k} is walked in row blocks, or in blocks of axis-1 slices of one
-    # row when a row is larger than the slab; a slab sized from a row of
-    # psi (one row; 4 + 3 rows; the default slab, all rows at once; half a
-    # row, so one slice beside d_i and <phi|c0>_1; five slices, so blocks of
-    # 3 + 3 + 1 slices; half a slice, so one slice past the slab) reaches
-    # every layout, and the smaller c_{N-k} take several rows per block
+    # each link's squared norm is summed over slabs of its raveled entries.
+    # The slab, sized from a row of psi (m^(N-1) entries), is smaller than a
+    # link in every case but the default one: one row; 4 rows (an uneven last
+    # block); half a row; 5/m or 1/(2m) of a row; 8 bytes, under one entry,
+    # so blocks of one entry each
     m = 7
     if slab is not None:
         monkeypatch.setattr(grids, "_SLAB_BYTES", slab(16 * m ** (n - 1), m))
@@ -364,6 +353,24 @@ def test_sector_weights_block_walk_matches_enumeration(n, slab, monkeypatch):
     assert np.all(expected > 1e-6)
 
 
+def test_sector_weights_of_a_condensate_are_roundoff():
+    # the criterion-12 product state at N = 4 (m = 48, an 81 MiB state): the
+    # slab sums of the norm are within 1e-14 relative of the exactly rounded
+    # sum of squares, where one vdot over psi is off by ~7e-13, and the
+    # alternating sums leave every p_k, k >= 1, and alpha within 1e-13 of 0
+    cfg = harness.ExperimentConfig.load(ROOT / "demos" / "configs" / "ladder_theta0.json")
+    spec = cfg.model_spec(n_particles=4)
+    one = harness.initial_state(spec, cfg.initial)
+    state = product_state(one, 4)
+    psi, phi, n, amp = cnt._grid_frame(state, one)
+    rows = (row.real**2 + row.imag**2 for row in psi.reshape(48**2, -1))  # 441 KiB each
+    exact = math.fsum(itertools.chain.from_iterable(row.tolist() for row in rows))
+    assert abs(cnt._sq_norm(psi) - exact) <= 1e-14 * exact
+    pk = amp**2 * cnt._sector_weights(psi, phi)
+    assert np.max(np.abs(pk[1:])) < 1e-13
+    assert abs(float(np.dot(np.arange(n + 1) / n, pk))) < 1e-13
+
+
 def test_compute_report_does_not_copy_psi(monkeypatch, traced_peak):
     # symmetric N = 4 state on the smallest grid, 8 x 2 (m = 16), a 1 MiB
     # state with 64 KiB rows
@@ -376,19 +383,19 @@ def test_compute_report_does_not_copy_psi(monkeypatch, traced_peak):
     gamma = OneBodyDensity(state)  # at N = 4 the dense m x m matrix, formed here
     link = state.values.nbytes // m
 
-    # a slab of a quarter state, whatever the default slab: blocks of rows,
-    # walked on the calling thread through one slab whatever W
+    # a slab of a quarter state, whatever the default slab: each norm is
+    # summed over slabs of the link, read in place
     monkeypatch.setattr(grids, "_SLAB_BYTES", state.values.nbytes // 4)
     report, peak = traced_peak(lambda: cnt.compute_report(state, one, 0.0, 0.0, gamma))
     assert peak < state.values.nbytes / 2
     assert sum(report.p_k) == pytest.approx(1.0, abs=1e-12)
 
-    # a slab of half a row: the rows of psi are walked in axis-1 slices, not
-    # copied, so the chain holds one link, the slab and two 1/m^2-sized
-    # arrays (working_set_bytes' terms), then the Lanczos basis
+    # a slab of half a row: still nothing of psi is copied, so the chain
+    # holds one link and the next, 1/m^2-sized one (working_set_bytes'
+    # terms), then the Lanczos basis
     monkeypatch.setattr(grids, "_SLAB_BYTES", link // 2)
     sliced, peak = traced_peak(lambda: cnt.compute_report(state, one, 0.0, 0.0, gamma))
-    assert peak <= link + grids._SLAB_BYTES + 2 * (link // m) + 16 * m * _LANCZOS_BASIS
+    assert peak <= link + link // m + 16 * m * _LANCZOS_BASIS
     assert np.max(np.abs(np.subtract(sliced.p_k, report.p_k))) < 1e-14
 
 

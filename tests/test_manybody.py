@@ -774,7 +774,7 @@ NLS_GRID_M1024 = dict(free=FreeDomain((16.0,), (64,)),  # the NLS demo's 64 x 4 
 
 @pytest.mark.parametrize("n, grid, slab", [
     pytest.param(3, CRITERION_12_M48, None, id="N3-m48"),
-    # a slab of half a row of psi: the occupation chain walks axis-1 slices
+    # a slab of half a row of psi: every walk and norm sum in small blocks
     pytest.param(3, CRITERION_12_M48, 16 * 48**2 // 2, id="N3-m48-half-row-slab"),
     pytest.param(2, NLS_GRID_M1024, None, id="N2-m1024"),
 ])
@@ -838,8 +838,8 @@ def test_slab_walks_same_to_the_bit_at_any_worker_count(monkeypatch, split_walks
 ])
 def test_only_the_walks_that_scale_leave_the_calling_thread(monkeypatch, split_walks,
                                                            n, grid, slab):
-    # at W = 2 on a state of several slabs, the occupation chain (row blocks,
-    # or axis-1 slices under a slab of half a row) and the pair energy submit
+    # at W = 2 on a state of several slabs, the occupation chain (its norms
+    # summed over slabs, also slabs of half a row) and the pair energy submit
     # nothing to the pool, nor does an N = 2 symmetry check (one
     # transposition); an N = 3 check walks its three transpositions in two parts
     spec = ModelSpec(n_particles=n, regime="hartree-theta0",
