@@ -15,7 +15,7 @@ Strang schedule.  A batch experiment harness (``harness``,
 ``cli``) runs both side by side.
 """
 
-from . import bounds, counting, grids, harness, manybody, onebody
+from . import bounds, cli, counting, grids, harness, manybody, onebody
 
-__all__ = ["grids", "onebody", "manybody", "counting", "bounds", "harness"]
+__all__ = ["grids", "onebody", "manybody", "counting", "bounds", "harness", "cli"]
 __version__ = "0.1.0"

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
 from . import grids
 from .errors import ConfigError, InvariantError
@@ -420,9 +419,10 @@ def _lanczos_min(apply, v0: np.ndarray, scale: float) -> float:
         for j in range(k):
             w = apply(basis[j])
             span = basis[:j + 1]
-            coef = blas.zgemv(1.0, span.T, w, trans=2)  # conj(span) @ w, no conjugate copy
+            # conj(span) @ w as conj(span @ conj(w)): one m-sized conjugate, not of the basis
+            coef = np.conj(span @ np.conj(w))
             w -= coef @ span
-            again = blas.zgemv(1.0, span.T, w, trans=2)  # a second pass: twice is enough
+            again = np.conj(span @ np.conj(w))  # a second pass: twice is enough
             w -= again @ span
             diag[j] = (coef[j] + again[j]).real
             beta = np.linalg.norm(w)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -365,8 +366,9 @@ def _walk_in_parts(blocks, walk) -> list:
     from one thread in sequential order, so it is the same to the bit
     whatever W.  One block, or one CPU, is the plain loop.  Only the walks
     that pay for a second worker (README) split here: the kicks of
-    ``apply_along``, ``manybody._apply_phases`` and the transpositions of
-    ``manybody._transposition_residual``.  ``walk`` runs block bodies
+    ``apply_along``, ``manybody._apply_phases``, the transpositions of
+    ``manybody._transposition_residual`` and the chunks of
+    ``manybody._hermitian_sum``.  ``walk`` runs block bodies
     only: it calls no public function of the package (``perfbench``'s
     tracer keeps one span stack) and never walks in parts itself (a worker
     would wait on the pool it occupies).
@@ -375,8 +377,6 @@ def _walk_in_parts(blocks, walk) -> list:
     w = min(_workers(), len(blocks))
     if w <= 1:
         return walk(blocks)
-    from concurrent.futures import ThreadPoolExecutor, wait  # not loaded at import
-
     if _pool is None:
         _pool = ThreadPoolExecutor(w - 1, thread_name_prefix="slab-walk")
     cuts = [len(blocks) * p // w for p in range(w + 1)]

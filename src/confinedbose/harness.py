@@ -14,6 +14,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
+import numpy.random  # loaded here, not inside the first verify_lemmas call
 
 from . import counting as cnt
 from .errors import ConfigError, GuardError, InvariantError
@@ -294,6 +295,10 @@ class RateFit:
 
 
 _RESIDUAL_CEILING = 0.25  # log-space; 3-point desk fits must not overstate slopes
+# p_k, alpha and beta carry an absolute error of about 1e-13 (counting.compute_report),
+# so a terminal value within ten times that is zero up to roundoff: a log-log fit
+# through it would fit the roundoff's sign and size, not a rate
+_DEGENERATE_FLOOR = 10 * 1e-13
 
 
 def fit_rate(ns, values, complete: bool = True, note: str = "") -> RateFit:
@@ -302,7 +307,7 @@ def fit_rate(ns, values, complete: bool = True, note: str = "") -> RateFit:
     if len(ns) < 3:
         return RateFit(ns, values, None, None, None, complete,
                        note or "fewer than 3 ladder points")
-    if any(v <= 1e-14 for v in values):  # zero up to roundoff
+    if any(v <= _DEGENERATE_FLOOR for v in values):
         return RateFit(ns, values, None, None, None, complete,
                        "degenerate ladder (terminal values vanish); no slope")
     logn = np.log(np.asarray(ns, dtype=float))

@@ -16,14 +16,16 @@ holds one state: it steps its input's buffer in place and lends each
 reported snapshot as a view of it, valid until the next is requested.
 Energies come from the one-particle density matrix gamma and the two-body
 density.  gamma (``OneBodyDensity``) is formed only where it is smaller
-than the state (N >= 3); at N <= 2 it is read through the snapshot.
-Everything is desk scale: a memory guard refuses runs whose working set
-(``working_set_bytes``: one state-sized array whatever N, with a slab
-scratch per worker in a step; the pair phase on its offset lattice; a
-one-body allowance) exceeds a configurable cap (2 GiB by default).  The
-kicks, the phase substep and the symmetry check's transpositions run on
-the CPUs of the process's affinity mask (``grids._walk_in_parts``), with
-the same results to the bit.
+than the state (N >= 3); at N <= 2 it is read through the snapshot.  Both
+it and its group reductions are a numpy real rank-2k update
+(``_hermitian_sum``), with scipy's ``zherk`` only for a gamma larger than
+a slab.  Everything is desk scale: a memory guard refuses runs whose
+working set (``working_set_bytes``: one state-sized array whatever N, with
+a slab scratch per worker in a step; the pair phase on its offset lattice;
+a one-body allowance) exceeds a configurable cap (2 GiB by default).  The
+kicks, the phase substep, the symmetry check's transpositions and gamma's
+chunks run on the CPUs of the process's affinity mask
+(``grids._walk_in_parts``), with the same results to the bit.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import blas
 
 from .errors import ConfigError, GuardError
 from .grids import (
@@ -155,8 +156,12 @@ def working_set_bytes(spec: ModelSpec) -> int:
       vectors; its few work vectors come after the chain is freed).  The
       chain holds one 1/m-sized link beside the next, 1/m^2-sized one.
       The density is the m^2-sized gamma at N >= 3, freed before the next
-      step; at N <= 2 (``_density_is_factored``) it is read through the
-      snapshot, and only its largest group-reduced matrix is formed.
+      step; forming it holds ``_hermitian_sum``'s scratch
+      (``_gram_scratch_bytes``: a slab-sized Y and a 2k x 2k product per
+      worker, a 2k x 2k M per chunk), freed before the chain.  At N <= 2
+      (``_density_is_factored``) it is read through the snapshot: the
+      kinetic matrices of every group are held while each group-reduced
+      matrix is formed, with its scratch, and then multiplied by its own.
     """
     m = int(np.prod(spec.domain.shape))
     state = estimate_state_bytes(spec)
@@ -165,11 +170,14 @@ def working_set_bytes(spec: ModelSpec) -> int:
     table = 2**spec.free.dim * kernel  # real; the held phase is complex
     step = state + workers * _SLAB_BYTES
     pair = state + table + max(kernel, _SLAB_BYTES, 16 * m)
+    chain = state // m + state // m**2 + 16 * m * _LANCZOS_BASIS
     if _density_is_factored(spec.n_particles):
-        gamma = 16 * max(axis_groups(spec.domain.shape)) ** 2
+        groups = axis_groups(spec.domain.shape)
+        density = 16 * sum(g**2 for g in groups) + max(
+            16 * g**2 + max(_gram_scratch_bytes(g, state), 16 * g**2) for g in groups)
+        report = state + max(density, chain)
     else:
-        gamma = 16 * m**2
-    report = state + gamma + state // m + state // m**2 + 16 * m * _LANCZOS_BASIS
+        report = state + 16 * m**2 + max(_gram_scratch_bytes(m, state), chain)
     ufuncs = (workers - 1) * _UFUNC_BUFFERS
     return 2 * table + max(step, pair, report) + ufuncs + _ONE_BODY_ALLOWANCE
 
@@ -495,13 +503,97 @@ def density_matrix(psi, weight: float = 1.0) -> np.ndarray:
     return _hermitian_sum(psi.reshape(1, psi.shape[0], -1), weight**psi.ndim).T
 
 
-def _hermitian_sum(blocks: np.ndarray, scale: float) -> np.ndarray:
-    """scale * sum_l conj(V_l) V_l^T over the (k, rest) slices V_l of ``blocks``.
+# the numpy route of _hermitian_sum: k at most 90, where its 2k x 2k Gram matrix M fits a
+# slab; chunks of at least 16 MiB of input each (a state of up to 32 MiB is one chunk),
+# at most eight, so their M sums stay small beside the input
+_GRAM_K_MAX = math.isqrt(_SLAB_BYTES // 32)
+_GRAM_CHUNK_BYTES = 64 * _SLAB_BYTES
+_GRAM_CHUNKS = 8
 
-    One BLAS ``zherk`` per slice, read in place, adds into the upper triangle
-    of one F-ordered k^2 buffer; the lower one is then filled in place from
-    its conjugate, column by column, so no other k^2-sized array is made.
+
+def _hermitian_sum(blocks: np.ndarray, scale: float) -> np.ndarray:
+    """scale * sum_l conj(V_l) V_l^T over the (k, rest) slices V_l of ``blocks``, F-ordered.
+
+    With V = X + iZ, conj(V) V^T = X X^T + Z Z^T + i (X Z^T - Z X^T), read
+    off the four k x k blocks of the real rank-2k update M = sum Y Y^T,
+    Y = [X; Z].  The (L, rest) columns of ``blocks`` are walked in their
+    ``grids.row_blocks``, each de-interleaved into a slab-sized 2k-row Y
+    whose Y Y^T (one symmetric ``matmul`` into a product buffer) is added
+    into its chunk's M.  The number of chunks follows the input's size only
+    (``_gram_chunks``): ``grids._walk_in_parts`` splits the chunks, and
+    their sums are added in chunk order, so gamma is the same to the bit
+    whatever W.  M is exactly symmetric, so gamma is exactly Hermitian.
+    Where M would outgrow a slab (k > ``_GRAM_K_MAX``) one ``_zherk_sum``
+    adds into one k^2 buffer instead.
     """
+    n_slices, k, rest = blocks.shape
+    if k > _GRAM_K_MAX:
+        return _zherk_sum(blocks, scale)
+    grid, columns, n = (n_slices, rest), n_slices * rest, _gram_chunks(blocks.nbytes)
+    by_column = blocks.transpose(1, 0, 2)  # (k, L, rest): a box of columns is (k, box)
+
+    def walk(chunks):  # each chunk's M, through one Y and one product
+        _, widest, _ = next(row_blocks(grid, 16 * k))  # the first block is the largest
+        y = np.empty(2 * k * widest)
+        product = np.empty((2 * k, 2 * k))
+        sums = []
+        for c in chunks:  # chunk c: the blocks that start in its share of the columns
+            start, stop = columns * c // n, columns * (c + 1) // n
+            total = np.zeros((2 * k, 2 * k))
+            for lo, hi, box in row_blocks(grid, 16 * k):
+                if lo >= stop:
+                    break
+                if lo < start:
+                    continue
+                v = by_column[(slice(None),) + box]
+                block = y[:2 * k * (hi - lo)].reshape((2, k) + v.shape[1:])
+                np.copyto(block[0], v.real)
+                np.copyto(block[1], v.imag)
+                block = block.reshape(2 * k, hi - lo)
+                np.matmul(block, block.T, out=product)  # syrk: exactly symmetric
+                total += product
+            sums.append(total)
+        return sums
+
+    sums = _walk_in_parts(list(range(n)), walk)
+    total = sums[0]
+    for other in sums[1:]:
+        total += other
+    out = np.empty((k, k), dtype=np.complex128, order="F")
+    np.add(total[:k, :k], total[k:, k:], out=out.real)
+    np.subtract(total[:k, k:], total[k:, :k], out=out.imag)
+    out *= scale
+    return out
+
+
+def _gram_chunks(nbytes: int) -> int:
+    """The chunks of the numpy route for ``nbytes`` of input: a power of two, so that
+    two or four workers take equal shares, and never a function of W."""
+    n = 1
+    while 2 * n <= min(_GRAM_CHUNKS, nbytes // _GRAM_CHUNK_BYTES):
+        n *= 2
+    return n
+
+
+def _gram_scratch_bytes(k: int, nbytes: int) -> int:
+    """Bytes ``_hermitian_sum`` holds beside its input (``nbytes``) and its k^2 result:
+    on the numpy route a slab-sized Y and a 2k x 2k product per worker of its walk,
+    and a 2k x 2k M per chunk; nothing on the zherk route."""
+    if k > _GRAM_K_MAX:
+        return 0
+    chunks = _gram_chunks(nbytes)
+    return min(_workers(), chunks) * (_SLAB_BYTES + 32 * k * k) + chunks * 32 * k * k
+
+
+def _zherk_sum(blocks: np.ndarray, scale: float) -> np.ndarray:
+    """``_hermitian_sum`` by one BLAS ``zherk`` per slice, read in place.
+
+    It adds into the upper triangle of one F-ordered k^2 buffer; the lower
+    one is then filled in place from its conjugate, column by column, so no
+    other k^2-sized array is made.  scipy is imported here, on first use.
+    """
+    from scipy.linalg import blas
+
     k = blocks.shape[1]
     out = np.zeros((k, k), dtype=np.complex128, order="F")
     for block in blocks:
@@ -542,8 +634,8 @@ class OneBodyDensity:
     conjugate copy, and tr(K gamma) = sum_g tr(K_g Gamma_g) over the
     group-reduced Gamma_g of ``_group_density``.  A lent snapshot's values
     become None when the next is requested, so a later call fails rather
-    than read the next state.  Otherwise gamma is ``density_matrix``'s one
-    ``zherk``, formed here once.
+    than read the next state.  Otherwise gamma is ``density_matrix``'s
+    ``_hermitian_sum`` of A, formed here once.
     """
 
     def __init__(self, state: ManyBodyState):

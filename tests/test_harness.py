@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -23,11 +24,12 @@ from confinedbose.harness import (
     verify_lemmas,
 )
 from confinedbose.counting import CountingReport, compute_report
-from confinedbose.grids import _SLAB_BYTES
+from confinedbose.grids import _SLAB_BYTES, axis_groups
 from confinedbose.manybody import (
     _LANCZOS_BASIS,
     ManyBodyState,
     _energy_and_residual,
+    _gram_scratch_bytes,
     estimate_state_bytes,
     product_state,
     working_set_bytes,
@@ -198,17 +200,20 @@ def test_public_functions_called_from_the_main_thread_only(tmp_path, monkeypatch
 ])
 def test_snapshot_diagnostics_peak(traced_peak, n, grid):
     # one snapshot's energy and counting report, traced beyond psi.  The
-    # terms are those of working_set_bytes, the larger of two moments, each
-    # walked on the calling thread whatever W.  The energy's pair term
-    # rebuilds the real pair table (2^d_f m_f m_c^2 reals), first beside
-    # its kernel C (m_f m_c^2), then beside its rho_2 buffer (at most a
-    # slab); it forms no m^2-sized array.  The report's occupation chain
-    # holds one 1/m-sized link and the next, 1/m^2-sized one (psi is not
-    # copied), beside the m^2-sized gamma at N >= 3 (at N = 2 it is read
-    # through psi, not formed), then the trace distance's Lanczos basis,
-    # whose few m-sized work vectors fit the freed links.  The symmetry
-    # check's slab per worker stays below the larger moment.  No allowance
-    # is granted.
+    # terms are those of working_set_bytes, the larger of two moments.  The
+    # energy's pair term, walked on the calling thread whatever W, rebuilds
+    # the real pair table (2^d_f m_f m_c^2 reals), first beside its kernel C
+    # (m_f m_c^2), then beside its rho_2 buffer (at most a slab); it forms
+    # no m^2-sized array.  The density is the m^2-sized gamma at N >= 3; at
+    # N = 2 it is read through psi, and only its group-reduced matrices are
+    # formed, one at a time beside the kinetic matrices of every group, each
+    # then beside its product with its own.  Forming either holds the numpy
+    # route's scratch (manybody._gram_scratch_bytes: a Y and a product per
+    # worker, an M per chunk).  The report's occupation chain then holds one
+    # 1/m-sized link and the next, 1/m^2-sized one (psi is not copied),
+    # beside gamma, then the trace distance's Lanczos basis, whose few
+    # m-sized work vectors fit the freed links.  The symmetry check's slab
+    # per worker stays below the larger moment.  No allowance is granted.
     cfg = config(n_particles=n, **grid)
     spec = cfg.model_spec()
     one = harness.initial_state(spec, cfg.initial)
@@ -225,9 +230,14 @@ def test_snapshot_diagnostics_peak(traced_peak, n, grid):
     kernel = 8 * math.prod(spec.free.shape) * math.prod(spec.confined.shape) ** 2
     table = 2**spec.free.dim * kernel
     pair_terms = table + max(kernel, _SLAB_BYTES, 16 * m)
-    gamma_bytes = 16 * m**2 if n > 2 else 0
-    report_terms = (state_bytes // m + state_bytes // m**2 + gamma_bytes
-                    + 16 * m * _LANCZOS_BASIS)
+    chain = state_bytes // m + state_bytes // m**2 + 16 * m * _LANCZOS_BASIS
+    if n > 2:
+        report_terms = 16 * m**2 + max(_gram_scratch_bytes(m, state_bytes), chain)
+    else:
+        groups = axis_groups(spec.domain.shape)
+        density = 16 * sum(g**2 for g in groups) + max(
+            16 * g**2 + max(_gram_scratch_bytes(g, state_bytes), 16 * g**2) for g in groups)
+        report_terms = max(density, chain)
     assert peak <= max(pair_terms, report_terms)
 
 
@@ -272,6 +282,9 @@ def test_fit_rate_contracts():
 
     degenerate = fit_rate((2, 3, 4), (0.0, 0.0, 0.0))
     assert degenerate.slope is None and "degenerate" in degenerate.note
+    # terminal values at the report's ~1e-13 absolute error are roundoff, not a rate
+    roundoff = fit_rate((2, 3, 4), (3e-13, 2e-13, 1e-13))
+    assert roundoff.slope is None and "degenerate" in roundoff.note
 
     clean = fit_rate((2, 3, 4), [1.0 / n for n in (2, 3, 4)])
     assert clean.slope == pytest.approx(-1.0, abs=1e-12)
@@ -611,6 +624,28 @@ def test_cli_bounds_rejects_rate_parameters_before_the_run(tmp_path, overrides):
     out = tmp_path / "b"
     assert main(["bounds", "--config", cfg, "--out", str(out)]) == 4
     assert not (out / "counting.csv").exists()
+
+
+def test_cli_runs_import_no_scipy_module(tmp_path):
+    # a ladder (gamma formed at N = 3 and 4), a bounds run (gamma read through
+    # the N = 2 state) and the lemma suite, in a fresh process: none loads scipy
+    ladder = config(confined={"intervals": [[-0.5, 0.5]], "points": [2], "eps": 0.5},
+                    time_horizon=0.01, dt=5e-3, report_stride=1,
+                    ladder={"particle_counts": [2, 3, 4], "eps_rule": "fixed"})
+    single = config(time_horizon=0.01, dt=5e-3, report_stride=1)
+    for name, cfg in (("ladder", ladder), ("bounds", single)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+    code = (
+        "import sys\n"
+        "from confinedbose.cli import main\n"
+        "for command in ('ladder', 'bounds'):\n"
+        "    assert main([command, '--config', f'{command}.json', '--out', command]) == 0\n"
+        "assert main(['verify-lemmas', '--seed', '7', '--out', 'lemmas']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert run.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_cli_simulate_and_counting(tmp_path):

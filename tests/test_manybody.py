@@ -517,6 +517,38 @@ def test_factored_density_matches_dense(free, confined, groups):
     assert trace_distance(gamma, phi) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_slices, k, rest, chunk_bytes", [
+    # the N = 3, m = 48 gamma: 2304 columns in blocks of 341, the last of 258
+    pytest.param(1, 48, 48**2, None, id="N3-m48-gamma"),
+    # group slices: blocks of 341 columns within each 1000-column slice
+    pytest.param(3, 48, 1000, None, id="3-slices-k48"),
+    # eight chunks (of one or two blocks) added in chunk order
+    pytest.param(3, 48, 1000, 1, id="3-slices-k48-8-chunks"),
+    # slices of 100 columns, ten to a 1024-column block, the last block of four
+    pytest.param(64, 16, 100, None, id="64-slices-k16"),
+    # beyond the route bound (2k x 2k M larger than a slab): one zherk per slice
+    pytest.param(2, 96, 500, None, id="2-slices-k96-zherk"),
+])
+def test_hermitian_sum_routes_match_dense_oracle(monkeypatch, n_slices, k, rest, chunk_bytes):
+    # sum_l conj(V_l) V_l^T against psi psi^dagger per slice; scipy's zherk is
+    # called only beyond k = 90, and the numpy route's gamma is exactly Hermitian
+    rng = np.random.default_rng(k + rest)
+    blocks = rng.normal(size=(n_slices, k, rest)) + 1j * rng.normal(size=(n_slices, k, rest))
+    if chunk_bytes is not None:
+        monkeypatch.setattr(manybody, "_GRAM_CHUNK_BYTES", chunk_bytes)
+    zherk_calls = []
+    zherk_sum = manybody._zherk_sum
+    monkeypatch.setattr(manybody, "_zherk_sum",
+                        lambda *args: zherk_calls.append(args) or zherk_sum(*args))
+    got = manybody._hermitian_sum(blocks, 0.5)
+    assert len(zherk_calls) == (1 if k > 90 else 0)
+    oracle = 0.5 * sum(psi @ psi.conj().T for psi in blocks).T
+    assert got.flags.f_contiguous
+    assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    if k <= 90:
+        assert np.array_equal(got, got.conj().T)
+
+
 def test_factored_density_of_a_lent_snapshot_fails_once_released():
     # the factored gamma reads the snapshot at every call: after the next
     # snapshot is requested it fails instead of reading the next state
@@ -781,12 +813,15 @@ NLS_GRID_M1024 = dict(free=FreeDomain((16.0,), (64,)),  # the NLS demo's 64 x 4 
 def test_slab_walks_same_to_the_bit_at_any_worker_count(monkeypatch, split_walks,
                                                        n, grid, slab):
     # every walk split by grids._walk_in_parts, on a state of several slabs,
-    # at W = 1, 2 and 5: the written arrays equal, the sums to the last bit
+    # at W = 1, 2 and 5: the written arrays equal, the sums to the last bit.
+    # gamma (N = 3) or its largest group-reduced matrix (N = 2) in chunks of
+    # a slab, so in eight chunks, whose count does not follow W
     spec = ModelSpec(n_particles=n, regime="hartree-theta0",
                      interaction=InteractionProfile("gaussian-bump", amplitude=2.5,
                                                     radius=2.4, sigma=0.8), **grid)
     if slab is not None:
         monkeypatch.setattr(grids, "_SLAB_BYTES", slab)
+    monkeypatch.setattr(manybody, "_GRAM_CHUNK_BYTES", grids._SLAB_BYTES)
     dom = spec.domain
     m = math.prod(dom.shape)
     rng = np.random.default_rng(80 + n)
@@ -805,9 +840,15 @@ def test_slab_walks_same_to_the_bit_at_any_worker_count(monkeypatch, split_walks
             grids.apply_along(kicked, kick, axis, out=kicked)
         phased = state.values.copy()
         _apply_phases(phased, n, m, phase_one, pair)
+        if n > 2:
+            gamma = density_matrix(state.values.reshape((m,) * n), dom.cell_volume)
+        else:
+            gamma = manybody._group_density(state.values.reshape(m, -1),
+                                            axis_groups(dom.shape), 0, state.cell_volume)
         sums = [_transposition_residual(state.values, n, len(dom.shape)),
                 manybody._pair_expectation(state, spec),
-                *cnt._sector_weights(state.values.reshape((m,) * n), phi)]
+                *cnt._sector_weights(state.values.reshape((m,) * n), phi),
+                *gamma.real.ravel(), *gamma.imag.ravel()]
         return kicked, phased, [float(x).hex() for x in sums]
 
     pool = split_walks(1)
